@@ -34,7 +34,7 @@ def main() -> None:
     print(f"Puzzle n={params.dimension_n}, d={params.difficulty_d}:")
     print(f"  winning chain index j* = {proof.index_jstar}")
     print(f"  solve  {solve_ms:8.1f}ms  (one matmul per chain step)")
-    print(f"  verify {verify_ms:8.1f}ms  ({ok}; hashes plus {params.freivalds_k} matvec rounds)")
+    print(f"  verify {verify_ms:8.1f}ms  ({ok}; hashes plus a {params.freivalds_k}-vector Freivalds check)")
 
     print()
     print("Freivalds spot-check against a single corrupted entry (n=32):")

@@ -1,4 +1,4 @@
-"""Shared primitives: salts, digests, hashing, and canonical field encoding.
+"""Shared primitives: salts, digests, hashing, keyed streams, and field encoding.
 
 Everything downstream (puzzle derivation, transcripts, wire records)
 funnels through the helpers here so that byte layouts stay consistent
@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 KAPPA = 256  # digest width in bits; all targets live in [0, 2**KAPPA)
 
@@ -29,25 +31,29 @@ def keyed_hash(key: bytes, data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=32, key=key).digest()
 
 
+def keyed_xor(key: bytes, data: bytes, domain: bytes = b"") -> bytes:
+    """XOR ``data`` with the keyed ChaCha20 (RFC 8439) stream for (key, domain).
+
+    The cipher key is ``keyed_hash(key, domain)`` and the 16-byte nonce
+    (block counter and IV) is all zeros.  A fixed nonce is safe because
+    every caller passes its own domain (dataset block, probe mask,
+    fingerprint mask, matrix pair), so no two uses share a cipher key.
+    XOR makes the map an involution: applying it twice restores ``data``.
+    """
+    cipher = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), bytes(16)), mode=None)
+    encryptor = cipher.encryptor()
+    return encryptor.update(data) + encryptor.finalize()
+
+
 def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"") -> bytes:
     """Expand a key into ``nbytes`` of pseudorandom stream.
 
-    Counter-mode keyed BLAKE2b with 64-byte output blocks.  Used where a
-    digest has to be stretched over a large buffer (dataset blocks, XOR
-    masks) without changing the 32-byte digest convention elsewhere.
+    The raw ChaCha20 keystream of ``keyed_xor``; a shorter request is a
+    prefix of a longer one.  Used where a digest has to be stretched
+    over a large buffer (dataset blocks, matrices) without changing the
+    32-byte digest convention elsewhere.
     """
-    if len(key) > 64:
-        key = hashlib.blake2b(key, digest_size=64).digest()
-    base = hashlib.blake2b(digest_size=64, key=key)
-    base.update(domain)  # key and domain absorbed once; fork per counter
-    out = bytearray()
-    counter = 0
-    while len(out) < nbytes:
-        h = base.copy()
-        h.update(counter.to_bytes(8, "big"))
-        out += h.digest()
-        counter += 1
-    return bytes(out[:nbytes])
+    return keyed_xor(key, bytes(nbytes), domain)
 
 
 def encode_fields(*parts: bytes | int | str) -> bytes:

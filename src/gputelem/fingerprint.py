@@ -19,7 +19,7 @@ from typing import Mapping
 
 import yaml
 
-from .core import encode_fields, hash_bytes, keyed_hash, keyed_stream
+from .core import encode_fields, hash_bytes, keyed_hash, keyed_xor
 from .residency import ChalDataset, init_chal
 
 
@@ -90,17 +90,14 @@ def fingerprint_digest(error_vector: ErrorVector) -> bytes:
 
 
 def mask_chal_inplace(chal: ChalDataset, r_gpu: bytes) -> None:
-    """XOR every block with its fingerprint-keyed stream, in place.
+    """XOR every block with its fingerprint-keyed ChaCha20 stream, in place.
 
     The mask forces a full linear pass over the dataset and is an
     involution: applying it twice restores the original bytes.  Cached
     block digests are refreshed to match the new contents.
     """
     for j, block in enumerate(chal.blocks):
-        stream = keyed_stream(r_gpu, len(block), domain=encode_fields("fpmask", j))
-        chal.blocks[j] = (
-            int.from_bytes(block, "big") ^ int.from_bytes(stream, "big")
-        ).to_bytes(len(block), "big")
+        chal.blocks[j] = keyed_xor(r_gpu, block, domain=encode_fields("fpmask", j))
     chal.block_digests = [hash_bytes(block) for block in chal.blocks]
 
 

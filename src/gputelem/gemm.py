@@ -13,13 +13,12 @@ accumulation-order sensitivity to argue about.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import digest_below_target, encode_fields, hash_bytes
+from .core import digest_below_target, encode_fields, hash_bytes, keyed_stream
 
 FIELD_MODULUS = (1 << 61) - 1  # Mersenne prime: reduction is shift-and-add
 
@@ -71,29 +70,22 @@ def derive_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expand a chain state into the attempt's two matrices.
 
-    Entry (tag, row, col) is the hash of the state, matrix tag, and
-    coordinates, reduced into the field.  Hash-in-counter mode means the
-    challenger never ships matrices, only the 32-byte state they grow
-    from.
+    One keyed stream of 16 n^2 bytes, ``keyed_stream(sigma, 16 n^2,
+    encode_fields("gemm-AB"))``, is read as 2 n^2 little-endian 64-bit
+    words.  Each word is masked to its low 61 bits and reduced mod p;
+    the first n^2 words fill A row-major and the next n^2 fill B.  Only
+    the masked value 2^61 - 1 = p folds onto another entry (0), so the
+    entries are uniform up to a bias of 2^-61.  The challenger never
+    ships matrices, only the 32-byte state they grow from.
     """
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
     if field_modulus != FIELD_MODULUS:
         raise ValueError("field modulus is fixed at 2^61 - 1")
-    mats = []
-    for tag in ("A", "B"):
-        # all entries share the (sigma, tag) prefix; fork the midstate
-        base = hashlib.sha256(encode_fields(sigma, tag))
-        flat = np.empty(n * n, dtype=np.int64)
-        pos = 0
-        for row in range(n):
-            for col in range(n):
-                h = base.copy()
-                h.update(encode_fields(row, col))
-                flat[pos] = int.from_bytes(h.digest(), "big") % field_modulus
-                pos += 1
-        mats.append(flat.reshape(n, n))
-    return mats[0], mats[1]
+    stream = keyed_stream(sigma, 16 * n * n, encode_fields("gemm-AB"))
+    words = np.frombuffer(stream, dtype="<u8") & np.uint64(FIELD_MODULUS)
+    entries = (words % np.uint64(FIELD_MODULUS)).astype(np.int64)
+    return entries[: n * n].reshape(n, n), entries[n * n :].reshape(n, n)
 
 
 def field_matmul(
@@ -181,7 +173,9 @@ def freivalds_check(
     A wrong product survives one round only if its error matrix
     annihilates the random indicator vector, which happens with
     probability at most 1/2; k clean rounds bound the false-accept rate
-    by 2^-k.  Cost is O(k n^2) field operations.
+    by 2^-k.  The k vectors are the columns of one n x k matrix, so the
+    rounds run as three matrix products.  Cost is O(k n^2) field
+    operations.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -191,16 +185,12 @@ def freivalds_check(
         raise ValueError("freivalds_check needs three square matrices of one size")
     if k < 1:
         raise ValueError("k must be >= 1")
-    for _ in range(k):
-        r = np.fromiter(
-            (rng.getrandbits(1) for _ in range(n)), dtype=np.int64, count=n
-        ).reshape(n, 1)
-        x = field_matmul(b, r)
-        y = field_matmul(a, x)
-        z = field_matmul(c, r)
-        if not np.array_equal(y, z):
-            return False
-    return True
+    # round i's n consecutive draws form column i of r; three products
+    # then check all k rounds at once
+    r = np.fromiter(
+        (rng.getrandbits(1) for _ in range(k * n)), dtype=np.int64, count=k * n
+    ).reshape(k, n).T
+    return np.array_equal(field_matmul(a, field_matmul(b, r)), field_matmul(c, r))
 
 
 def _verification_rng(sid: bytes, digest: bytes) -> random.Random:
@@ -221,8 +211,9 @@ def verify_gemm_puzzle(
     Recomputes the chain state by index_jstar hash applications, the
     threshold digest, and Freivalds-checks the shipped product against
     freshly derived matrices.  With rng omitted the check vectors are
-    derived from (sid, proof digest), making the verdict reproducible;
-    pass random.SystemRandom() to make them unpredictable instead.
+    derived from (sid, proof digest), making the verdict reproducible
+    but open to a prover who grinds wrong products against them; a
+    challenger passes random.SystemRandom() to keep them private.
     """
     if max_attempts is None:
         max_attempts = 1 << min(params.difficulty_d + 8, 40)

@@ -23,7 +23,7 @@ from .core import (
     hash_bytes,
     issued_at_micros,
 )
-from .gemm import GemmParams, GemmProof, verify_gemm_puzzle
+from .gemm import GemmParams, GemmProof, matrix_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
 
 MODES = ("pow", "vdf", "gemm", "residency")
@@ -106,7 +106,7 @@ def response_aggregate(mode: str, payload: dict) -> bytes:
                 "gemm-agg",
                 payload["index_jstar"],
                 payload["chain_state_sigma"],
-                _matrix_to_bytes(payload["product_c"]),
+                matrix_bytes(payload["product_c"]),
             )
         )
     if mode == "vdf":
@@ -121,12 +121,6 @@ def response_aggregate(mode: str, payload: dict) -> bytes:
     raise ProtocolError(f"unknown mode {mode!r}")
 
 
-def _matrix_to_bytes(matrix) -> bytes:
-    if isinstance(matrix, (bytes, bytearray)):
-        return bytes(matrix)
-    return np.ascontiguousarray(matrix, dtype=np.int64).astype(">u8").tobytes()
-
-
 def _matrix_from_bytes(data: bytes, n: int) -> np.ndarray:
     if len(data) != 8 * n * n:
         raise ProtocolError("matrix byte length does not match dimension")
@@ -137,9 +131,9 @@ def _matrix_from_bytes(data: bytes, n: int) -> np.ndarray:
 def response_record(response: Response) -> dict:
     """Wire form of a response; matrices flatten to canonical bytes."""
     payload = dict(response.payload)
-    if response.mode == "gemm":
-        payload["product_c"] = _matrix_to_bytes(payload["product_c"])
     payload["aggregate"] = response_aggregate(response.mode, payload)
+    if response.mode == "gemm":
+        payload["product_c"] = matrix_bytes(payload["product_c"])
     return {
         "session_id": response.session_id,
         "index": response.index,
@@ -225,7 +219,9 @@ def _validate_gemm(challenge: Challenge, response: Response) -> bool:
         product_C=np.asarray(response.payload["product_c"], dtype=np.int64),
         chain_state_sigma=bytes(response.payload["chain_state_sigma"]),
     )
-    return verify_gemm_puzzle(challenge.salt, params, proof)
+    # the prover knows (sid, digest), so the default proof-derived check
+    # vectors could be ground against; draw them privately instead
+    return verify_gemm_puzzle(challenge.salt, params, proof, rng=random.SystemRandom())
 
 
 def _validate_vdf(challenge: Challenge, response: Response) -> bool:

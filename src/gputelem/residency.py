@@ -28,6 +28,7 @@ from .core import (
     hash_bytes,
     keyed_hash,
     keyed_stream,
+    keyed_xor,
 )
 
 DEFAULT_BLOCK_BYTES = 1 << 20  # matches the per-instance Argon2id memory cost
@@ -78,7 +79,11 @@ class ResidencyProbeResult:
 
 
 def chal_block(seed: bytes, index: int, nbytes: int) -> bytes:
-    """Block ``index`` of the dataset: a seed-keyed pseudorandom stream."""
+    """Block ``index`` of the dataset: a seed-keyed pseudorandom stream.
+
+    The ChaCha20 keystream of ``core.keyed_stream`` under the domain
+    ``("chal", index)``.
+    """
     return keyed_stream(seed, nbytes, domain=encode_fields("chal", index))
 
 
@@ -116,11 +121,12 @@ def init_chal(
 
 
 def mask_block(nonce: bytes, index: int, block: bytes) -> bytes:
-    """Phase-1 keyed mask; XOR, so applying it twice restores the block."""
-    stream = keyed_stream(nonce, len(block), domain=encode_fields("mask", index))
-    return (
-        int.from_bytes(block, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(len(block), "big")
+    """Phase-1 keyed mask; XOR, so applying it twice restores the block.
+
+    The block is XORed with the nonce-keyed ChaCha20 stream of
+    ``core.keyed_xor`` under the domain ``("mask", index)``.
+    """
+    return keyed_xor(nonce, block, domain=encode_fields("mask", index))
 
 
 def default_instance_count(block_count: int) -> int:

@@ -17,7 +17,9 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-VERSION = 0x01
+# Bumped whenever a puzzle's byte-level definition changes, so a peer that
+# derives other puzzle bytes is refused at the header, not round by round.
+VERSION = 0x02
 
 MSG_CHALLENGE_BATCH = 0x01
 MSG_RESPONSE_BATCH = 0x02

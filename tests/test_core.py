@@ -4,7 +4,8 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gputelem.core import (
@@ -21,6 +22,7 @@ from gputelem.core import (
     issued_at_micros,
     keyed_hash,
     keyed_stream,
+    keyed_xor,
 )
 
 
@@ -56,15 +58,29 @@ def test_keyed_stream_domain_separation():
     assert keyed_stream(b"key", 0) == b""
 
 
-def test_keyed_stream_matches_manual_blocks():
+def test_keyed_stream_matches_manual_chacha20():
     key, domain = b"key", b"dom"
-    manual = b"".join(
-        hashlib.blake2b(
-            domain + counter.to_bytes(8, "big"), digest_size=64, key=key
-        ).digest()
-        for counter in range(3)
-    )
+    cipher = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), bytes(16)), None)
+    manual = cipher.encryptor().update(bytes(192))
     assert keyed_stream(key, 192, domain=domain) == manual
+    # known answer: RFC 8439 ChaCha20, block counter 0, all-zero nonce
+    assert manual[:32].hex() == (
+        "65521952d49e2fed0f23a354d19985295a2019b7cdc3ebaef152feefd4ea8f9e"
+    )
+
+
+def test_keyed_stream_long_key_is_prehashed():
+    long_key = b"x" * 200
+    folded = hashlib.blake2b(long_key, digest_size=64).digest()
+    assert keyed_stream(long_key, 64, b"d") == keyed_stream(folded, 64, b"d")
+
+
+@given(st.binary(max_size=80), st.binary(max_size=300), st.binary(max_size=16))
+@settings(max_examples=60, deadline=None)
+def test_keyed_xor_is_data_xor_keyed_stream(key, data, domain):
+    stream = keyed_stream(key, len(data), domain)
+    assert keyed_xor(key, data, domain) == bytes(x ^ y for x, y in zip(data, stream))
+    assert keyed_xor(key, keyed_xor(key, data, domain), domain) == data
 
 
 def test_encode_fields_known_bytes():

@@ -3,11 +3,11 @@
 The independent oracle for field_matmul is a three-loop schoolbook
 product in arbitrary-precision Python ints reduced mod 2^61 - 1, so the
 limb-decomposition path is checked against arithmetic that cannot
-overflow. Matrix derivation is checked against a from-scratch per-entry
-hash with no midstate sharing.
+overflow. Matrix derivation is checked against a from-scratch reading
+of the keyed stream, word by word, plus pinned known answers. The
+batched Freivalds check is checked against an unbatched per-round loop.
 """
 
-import hashlib
 import random
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gputelem import gemm
-from gputelem.core import encode_fields, hash_bytes
+from gputelem.core import encode_fields, hash_bytes, keyed_stream
 
 P = gemm.FIELD_MODULUS
 
@@ -85,18 +85,23 @@ def test_field_matmul_rejects_bad_shapes():
 # --- matrix derivation ----------------------------------------------------------
 
 
-def test_derive_matrices_matches_per_entry_hash():
-    """Midstate forking must equal one independent hash per entry."""
+def test_derive_matrices_matches_manual_stream_reduction():
+    """Stream -> little-endian u64 -> low 61 bits -> mod p, A then B."""
     sigma = hash_bytes(b"derivation-check")
     n = 5
     a, b = gemm.derive_matrices(sigma, n)
-    for tag, mat in (("A", a), ("B", b)):
-        for row in range(n):
-            for col in range(n):
-                raw = hashlib.sha256(
-                    encode_fields(sigma, tag) + encode_fields(row, col)
-                ).digest()
-                assert mat[row, col] == int.from_bytes(raw, "big") % P
+    stream = keyed_stream(sigma, 16 * n * n, encode_fields("gemm-AB"))
+    for pos in range(2 * n * n):
+        word = int.from_bytes(stream[8 * pos : 8 * pos + 8], "little")
+        expected = (word & ((1 << 61) - 1)) % P
+        mat = a if pos < n * n else b
+        row, col = divmod(pos % (n * n), n)
+        assert mat[row, col] == expected
+    # known answers pin the construction independently of keyed_stream
+    assert a[0, 0] == 1447856167986099978
+    assert a[4, 4] == 1007838705433799505
+    assert b[0, 0] == 694825547797396697
+    assert b[2, 3] == 177352182228767278
 
 
 def test_derive_matrices_deterministic_and_distinct():
@@ -148,6 +153,35 @@ def test_freivalds_k5_misses_are_rare():
     misses = sum(gemm.freivalds_check(a, b, bad, 5, random.Random(t)) for t in range(400))
     # expected 400 * 2^-5 = 12.5; allow a wide band
     assert misses <= 30
+
+
+def _freivalds_per_round(a, b, c, k, rng):
+    """The unbatched check: one fresh 0/1 vector and three products per round."""
+    n = b.shape[0]
+    for _ in range(k):
+        r = np.fromiter(
+            (rng.getrandbits(1) for _ in range(n)), dtype=np.int64, count=n
+        ).reshape(n, 1)
+        if not np.array_equal(gemm.field_matmul(a, gemm.field_matmul(b, r)), gemm.field_matmul(c, r)):
+            return False
+    return True
+
+
+def test_batched_freivalds_matches_per_round_loop():
+    a, b = gemm.derive_matrices(hash_bytes(b"batched"), 10)
+    c = gemm.field_matmul(a, b)
+    corrupt = random.Random(5)
+    verdicts = []
+    for seed in range(300):
+        bad = c.copy()
+        for _ in range(1 + seed % 3):
+            row, col = corrupt.randrange(10), corrupt.randrange(10)
+            bad[row, col] = (int(bad[row, col]) + 1 + corrupt.randrange(P - 1)) % P
+        k = 1 + seed % 4
+        got = gemm.freivalds_check(a, b, bad, k, random.Random(seed))
+        assert got == _freivalds_per_round(a, b, bad, k, random.Random(seed))
+        verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts were exercised
 
 
 def test_freivalds_validation():

@@ -22,6 +22,7 @@ from gputelem.wire import (
     MSG_PRE_CHALLENGE,
     MSG_PRE_RESPONSE,
     MSG_RESPONSE_BATCH,
+    VERSION,
     WireMessage,
     decode_record,
     encode_record,
@@ -59,7 +60,7 @@ def test_recv_frame_truncated_payload():
     a, b = socket.socketpair()
     try:
         # header promises 100 bytes; send 3 and hang up
-        a.sendall(b"\x01\x01\x00\x00\x00\x64abc")
+        a.sendall(bytes((VERSION, MSG_CHALLENGE_BATCH)) + b"\x00\x00\x00\x64abc")
         a.close()
         with pytest.raises(netcli.TransportError):
             netcli.recv_frame(b)
@@ -70,7 +71,7 @@ def test_recv_frame_truncated_payload():
 def test_recv_frame_oversize_announcement():
     a, b = socket.socketpair()
     try:
-        a.sendall(b"\x01\x01" + ((256 << 20) + 1).to_bytes(4, "big"))
+        a.sendall(bytes((VERSION, MSG_CHALLENGE_BATCH)) + ((256 << 20) + 1).to_bytes(4, "big"))
         with pytest.raises(netcli.TransportError):
             netcli.recv_frame(b)
     finally:
@@ -81,7 +82,7 @@ def test_recv_frame_oversize_announcement():
 def test_recv_frame_wraps_decode_errors():
     a, b = socket.socketpair()
     try:
-        a.sendall(b"\x02\x01\x00\x00\x00\x00")  # bad version, valid shape
+        a.sendall(b"\x01\x01\x00\x00\x00\x00")  # retired version 1, valid shape
         with pytest.raises(netcli.TransportError):
             netcli.recv_frame(b)
     finally:
@@ -269,7 +270,7 @@ def test_daemon_error_reply_keeps_connection_alive(daemon):
 def test_daemon_closes_connection_on_undecodable_stream(daemon):
     sock = socket.create_connection(daemon.address, timeout=10)
     try:
-        sock.sendall(b"\x02\x01\x00\x00\x00\x00")  # wrong version: stream is untrusted
+        sock.sendall(b"\x01\x01\x00\x00\x00\x00")  # retired version 1: stream is untrusted
         assert sock.recv(1) == b""  # server hangs up
     finally:
         sock.close()

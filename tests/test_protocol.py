@@ -7,12 +7,14 @@ exercised, not just the in-memory dict shapes.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gputelem import protocol, wire
 from gputelem.core import Challenge, Response
+from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.worksim import SimWorker, WorkerProfile
 
 
@@ -163,6 +165,30 @@ def test_validate_response_rejects_forged_pow_digest():
         solve_time=response.solve_time,
     )
     assert not protocol.validate_response(challenge, forged)
+
+
+def test_validate_gemm_draws_freivalds_vectors_privately():
+    """A product ground against the proof-derived check vectors still fails."""
+    params = {"dimension_n": 16, "difficulty_d": 0, "freivalds_k": 5}
+    challenge, response = _answered("gemm", params)
+    gemm_params = GemmParams(dimension_n=16, difficulty_d=0, freivalds_k=5)
+    honest = response.payload["product_c"]
+    grind = random.Random(8)
+    for _ in range(2000):  # about 32 tries at k=5
+        bad = honest.copy()
+        row, col = grind.randrange(16), grind.randrange(16)
+        bad[row, col] = (int(bad[row, col]) + 1 + grind.randrange(FIELD_MODULUS - 1)) % FIELD_MODULUS
+        proof = GemmProof(
+            response.payload["index_jstar"], bad, response.payload["chain_state_sigma"]
+        )
+        if verify_gemm_puzzle(challenge.salt, gemm_params, proof):
+            break
+    else:
+        pytest.fail("no wrong product passed the proof-derived check")
+    forged = replace(response, payload={**response.payload, "product_c": bad})
+    accepted = sum(protocol.validate_response(challenge, forged) for _ in range(200))
+    # private vectors accept with chance 2^-5: mean 6.25, sd 2.4
+    assert accepted <= 20
 
 
 def test_validate_response_malformed_payload_is_false_not_raise():

@@ -20,7 +20,8 @@ from gputelem import wire
 
 def test_frame_known_bytes():
     msg = wire.WireMessage(wire.MSG_CHALLENGE_BATCH, b"abc")
-    assert wire.encode_message(msg) == b"\x01\x01\x00\x00\x00\x03abc"
+    assert wire.VERSION == 0x02
+    assert wire.encode_message(msg) == b"\x02\x01\x00\x00\x00\x03abc"
 
 
 def test_frame_round_trip_all_types():
@@ -47,7 +48,7 @@ def test_frame_every_strict_prefix_is_rejected():
 def test_frame_header_rejections():
     good = wire.encode_message(wire.WireMessage(wire.MSG_PRE_CHALLENGE, b"x"))
     with pytest.raises(wire.WireDecodeError):
-        wire.decode_message(b"\x02" + good[1:])  # wrong version
+        wire.decode_message(b"\x01" + good[1:])  # retired version 1
     with pytest.raises(wire.WireDecodeError):
         wire.decode_message(good[:1] + b"\x7f" + good[2:])  # unknown type
     with pytest.raises(wire.WireDecodeError):
@@ -196,7 +197,7 @@ def test_decoders_are_total_over_a_million_inputs():
         elif i % 17 == 0:
             # penetrate past the header checks with a plausible prefix
             cut = rng.randrange(24)
-            chunk = b"\x01\x01" + pool[cut : cut + rng.randrange(0, 12)]
+            chunk = bytes((wire.VERSION, wire.MSG_CHALLENGE_BATCH)) + pool[cut : cut + rng.randrange(0, 12)]
         else:
             start = rng.randrange(len(pool) - 64)
             chunk = pool[start : start + rng.randrange(0, 24)]
