@@ -43,6 +43,7 @@ from .residency import (
 from .stattests import Decision, Verdict, continuous_measurement
 from .vdf import setup_group
 from .wire import (
+    HEADER_LEN,
     MSG_CHALLENGE_BATCH,
     MSG_ERROR,
     MSG_PRE_CHALLENGE,
@@ -50,14 +51,12 @@ from .wire import (
     MSG_RESPONSE_BATCH,
     WireDecodeError,
     WireMessage,
-    decode_message,
+    decode_header,
     decode_record,
     encode_message,
     encode_record,
 )
 from .worksim import SimWorker, WallClock, WorkerProfile
-
-_HEADER_LEN = 6
 
 
 class TransportError(RuntimeError):
@@ -90,15 +89,13 @@ def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
 
 
 def recv_frame(sock: socket.socket) -> WireMessage:
-    header = _recv_exact(sock, _HEADER_LEN)
-    length = int.from_bytes(header[2:6], "big")
-    if length > (256 << 20):
-        raise TransportError("peer announced an oversize frame")
-    payload = _recv_exact(sock, length) if length else b""
+    """Read one frame, refusing a bad header before reading its payload."""
     try:
-        return decode_message(header + payload)
+        msg_type, length = decode_header(_recv_exact(sock, HEADER_LEN))
     except WireDecodeError as exc:
         raise TransportError(f"undecodable frame: {exc}") from exc
+    payload = _recv_exact(sock, length) if length else b""
+    return WireMessage(msg_type=msg_type, payload=payload)
 
 
 def _error_message(detail: str, code: str = "protocol") -> WireMessage:

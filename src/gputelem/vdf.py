@@ -3,8 +3,14 @@
 A worker that claims T sequential squarings must spend real wall time,
 because squaring in Z_N* has no known shortcut without the factors of
 N.  The succinct proof (Wesolowski-style) lets the challenger check the
-claim with two small exponentiations instead of redoing the chain, and
+claim with one multi-exponentiation instead of redoing the chain, and
 many instances verify together through one batched congruence.
+
+The prover keeps every kappa-th power of the chain and builds the proof
+from those checkpoints (Wesolowski 2019, section 4.1), so proving adds
+about T/kappa + 2^(kappa+1) multiplications to the T squarings.
+Challenge primes come from a Baillie-PSW test, which is deterministic,
+so challenger and worker derive the same prime from a transcript.
 
 Group setup uses safe primes so the quadratic-residue subgroup has
 prime-order structure; test fixtures keep the factorization around as a
@@ -14,6 +20,7 @@ exactly the shortcut the construction denies to everyone else.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -33,41 +40,99 @@ def _small_primes(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-_SIEVE_PRIMES = _small_primes(2048)
-_MR_BASES = _SIEVE_PRIMES[:64]
+_SIEVE_LIMIT = 2048
+_SIEVE_PRIMES = _small_primes(_SIEVE_LIMIT)
+_SMALL_PRIMES = frozenset(_SIEVE_PRIMES)
+_PRIMORIAL = math.prod(_SIEVE_PRIMES)
 
 
-def is_probable_prime(n: int, rounds: int = 64) -> bool:
-    """Miller-Rabin with the first ``rounds`` primes as bases.
-
-    Fixed bases keep the function deterministic, so hash-derived primes
-    are reproducible across challenger and worker.  64 prime bases push
-    the error bound far below anything the 128-bit soundness level of
-    the proofs could notice.
-    """
-    if n < 2:
-        return False
-    for p in _SIEVE_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+def _strong_probable_prime_base_2(n: int) -> bool:
+    """Strong Fermat (Miller-Rabin) test to base 2 for odd n > 2."""
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES[:rounds]:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = pow(2, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D) / 4.  With n + 1 = d * 2^s, n passes when
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    d_param = 5
+    while (symbol := _jacobi(d_param, n)) != -1:
+        if symbol == 0:
+            return False  # gcd(D, n) > 1; a prime n meets a -1 long before |D| = n
+        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
+    q_param = (1 - d_param) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    # U_1 = 1, V_1 = P = 1; walk the bits of k doubling the index
+    u, v, qk = 1, 1, q_param % n
+    for bit in bin(k)[3:]:
+        u = u * v % n
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            # index + 1: U' = (P U + V) / 2, V' = (D U + P V) / 2
+            u, v = (u + v) % n, (d_param * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            qk = qk * q_param % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW: a small-prime sieve, then strong tests to base 2 and Lucas.
+
+    The sieve is one gcd against the primorial of the primes up to 2048.
+    Numbers up to 2048 are looked up exactly.  No composite is known to
+    pass both strong tests, and none exists below 2^64; the test is
+    deterministic, so hash-derived primes are reproducible across
+    challenger and worker.
+    """
+    if n <= _SIEVE_LIMIT:
+        return n in _SMALL_PRIMES
+    return (
+        math.gcd(n, _PRIMORIAL) == 1
+        and _strong_probable_prime_base_2(n)
+        and _strong_lucas_probable_prime(n)
+    )
 
 
 def _random_safe_prime(bits: int, rng: random.Random, max_tries: int = 2_000_000) -> int:
@@ -91,16 +156,18 @@ def _random_safe_prime(bits: int, rng: random.Random, max_tries: int = 2_000_000
             if cand.bit_length() > half_bits:
                 break
             p = 2 * cand + 1
-            # cheap sieve on both before any modexp
-            ok = True
-            for q in _SIEVE_PRIMES:
-                if cand % q == 0 and cand != q:
-                    ok = False
-                    break
-                if p % q == 0 and p != q:
-                    ok = False
-                    break
-            if ok and is_probable_prime(cand) and is_probable_prime(p):
+            if cand <= _SIEVE_LIMIT:
+                if is_probable_prime(cand) and is_probable_prime(p):
+                    return p
+            # one gcd sieves both, and both base-2 tests run before either
+            # Lucas test; the conjunction is is_probable_prime on each
+            elif (
+                math.gcd(cand * p, _PRIMORIAL) == 1
+                and _strong_probable_prime_base_2(cand)
+                and _strong_probable_prime_base_2(p)
+                and _strong_lucas_probable_prime(cand)
+                and _strong_lucas_probable_prime(p)
+            ):
                 return p
             cand += 6
     raise RuntimeError(f"safe-prime search exhausted after {max_tries} attempts")
@@ -235,17 +302,10 @@ def derive_instance(
 def eval(g: int, delay_t: int, modulus_n: int) -> int:  # noqa: A001 - contract name
     """y = g^(2^T) mod N by exactly T dependent squarings.
 
-    This loop is the delay: each squaring consumes the previous result,
-    so no amount of parallel hardware shortens the chain.
+    This chain is the delay: each squaring consumes the previous result,
+    so no amount of parallel hardware shortens it.
     """
-    if not 2 <= g <= modulus_n - 1:
-        raise ValueError("generator out of range")
-    if delay_t < 0:
-        raise ValueError("delay must be non-negative")
-    y = g
-    for _ in range(delay_t):
-        y = y * y % modulus_n
-    return y
+    return _chain(g, delay_t, modulus_n)[0]
 
 
 def trapdoor_eval(g: int, delay_t: int, group: GroupParams) -> int:
@@ -307,23 +367,86 @@ def batch_transcript(
     return encode_fields(*parts)
 
 
-def _pow_floor_div(g: int, delay_t: int, divisor: int, modulus_n: int) -> int:
-    """g^floor(2^T / divisor) mod N without materializing 2^T.
+def _checkpoint_interval(delay_t: int) -> int:
+    """kappa minimising the prover's T/kappa + 2^(kappa+1) multiplications."""
+    return min(range(1, 40), key=lambda k: delay_t / k + 2 ** (k + 1))
 
-    On-line long division: walking the T bits of 2^T left to right,
-    each step doubles the running remainder and emits one quotient bit,
-    which feeds a square-and-multiply accumulator.  Memory stays O(1)
-    however large T gets.
+
+def _chain(g: int, delay_t: int, modulus_n: int) -> tuple[int, list[int]]:
+    """(g^(2^T), checkpoints) by T squarings, keeping every kappa-th power.
+
+    checkpoints[j] = g^(2^(j kappa)) for j = 0 .. T // kappa, which is
+    O(T / kappa) integers of the modulus width.
     """
-    result = 1
-    rem = 1
-    for _ in range(delay_t):
-        rem <<= 1
-        result = result * result % modulus_n
-        if rem >= divisor:
-            rem -= divisor
-            result = result * g % modulus_n
-    return result
+    if not 2 <= g <= modulus_n - 1:
+        raise ValueError("generator out of range")
+    if delay_t < 0:
+        raise ValueError("delay must be non-negative")
+    kappa = _checkpoint_interval(delay_t)
+    y = g
+    checkpoints = [g]
+    for _ in range(delay_t // kappa):
+        for _ in range(kappa):
+            y = y * y % modulus_n
+        checkpoints.append(y)
+    for _ in range(delay_t % kappa):
+        y = y * y % modulus_n
+    return y, checkpoints
+
+
+def _proof(
+    y: int, checkpoints: list[int], delay_t: int, prime: int, modulus_n: int
+) -> VdfProof:
+    """Proof for y from the checkpoints of its chain (Wesolowski 2019, 4.1).
+
+    Split floor(2^T / q) into kappa-bit chunks b_j, so that
+    pi = prod_j checkpoint_j^(b_j).  Multiply each checkpoint into the
+    bucket of its chunk value, then pi = prod_b bucket_b^b comes from a
+    running product over the buckets, high values first.
+    """
+    kappa = _checkpoint_interval(delay_t)
+    buckets = [1] * (1 << kappa)
+    bits = format((1 << delay_t) // prime, "b")
+    for j, end in enumerate(range(len(bits), 0, -kappa)):
+        chunk = int(bits[max(end - kappa, 0) : end], 2)
+        if chunk:
+            buckets[chunk] = buckets[chunk] * checkpoints[j] % modulus_n
+    pi = running = 1
+    for bucket in reversed(buckets[1:]):
+        running = running * bucket % modulus_n
+        pi = pi * running % modulus_n
+    return VdfProof(
+        output_y=y, pi=pi, remainder_r=pow(2, delay_t, prime), challenge_prime=prime
+    )
+
+
+_WINDOW = 4
+
+
+def _multi_exp(bases: list[int], exponents: list[int], modulus_n: int) -> int:
+    """prod b_i^(e_i) mod N by Straus' interleaving: one shared squaring chain.
+
+    Each base gets a table of its first 2^w powers, and the exponents are
+    read together w bits at a time, so C exponentiations of k bits cost
+    k squarings plus about C * (k/w + 2^w) multiplications.
+    """
+    tables = []
+    for base in bases:
+        row = [1, base % modulus_n]
+        for _ in range((1 << _WINDOW) - 2):
+            row.append(row[-1] * row[1] % modulus_n)
+        tables.append(row)
+    mask = (1 << _WINDOW) - 1
+    top = max(e.bit_length() for e in exponents)
+    acc = 1
+    for shift in range((top - 1) // _WINDOW * _WINDOW, -1, -_WINDOW):
+        for _ in range(_WINDOW):
+            acc = acc * acc % modulus_n
+        for row, e in zip(tables, exponents):
+            digit = (e >> shift) & mask
+            if digit:
+                acc = acc * row[digit] % modulus_n
+    return acc
 
 
 def prove(
@@ -337,25 +460,24 @@ def prove(
     """Produce the succinct proof for y = g^(2^T) mod N.
 
     The challenge prime comes from the instance transcript unless a test
-    supplies one explicitly.  Proving costs about T modular squarings on
-    top of the evaluation, still sequential-time work for the prover.
+    supplies one explicitly.  The chain is re-run to recover its
+    checkpoints, so proving costs T squarings plus about
+    T/kappa + 2^(kappa+1) multiplications; a worker that evaluates and
+    proves in one pass uses solve_batch instead.
     """
     if challenge_prime is None:
         challenge_prime = hash_to_prime(
             _instance_transcript(g, y, delay_t, modulus_n, sid)
         )
-    pi = _pow_floor_div(g, delay_t, challenge_prime, modulus_n)
-    r = pow(2, delay_t, challenge_prime)
-    return VdfProof(
-        output_y=y, pi=pi, remainder_r=r, challenge_prime=challenge_prime
-    )
+    _, checkpoints = _chain(g, delay_t, modulus_n)
+    return _proof(y, checkpoints, delay_t, challenge_prime, modulus_n)
 
 
 def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) -> bool:
     """Check pi^q * g^r == y (mod N) under the transcript-derived prime.
 
-    Two small exponentiations replace the T-squaring chain; the prime is
-    recomputed locally so a prover cannot pick a convenient one.
+    One two-base multi-exponentiation replaces the T-squaring chain; the
+    prime is recomputed locally so a prover cannot pick a convenient one.
     """
     if not 1 <= proof.output_y <= modulus_n - 1:
         return False
@@ -370,8 +492,22 @@ def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) ->
         return False
     if proof.remainder_r != pow(2, delay_t, expected_prime):
         return False
-    lhs = pow(proof.pi, expected_prime, modulus_n) * pow(g, proof.remainder_r, modulus_n)
-    return lhs % modulus_n == proof.output_y
+    lhs = _multi_exp([proof.pi, g], [expected_prime, proof.remainder_r], modulus_n)
+    return lhs == proof.output_y
+
+
+def _batch_proofs(
+    instances: list[VdfInstance],
+    outputs: list[int],
+    checkpoints: list[list[int]],
+    modulus_n: int,
+    sid: bytes,
+) -> list[VdfProof]:
+    prime = hash_to_prime(batch_transcript(modulus_n, instances, outputs, sid))
+    return [
+        _proof(y, points, inst.delay_T, prime, modulus_n)
+        for inst, y, points in zip(instances, outputs, checkpoints)
+    ]
 
 
 def prove_batch(
@@ -380,17 +516,26 @@ def prove_batch(
     """Proofs for a batch sharing one transcript-wide challenge prime."""
     if len(instances) != len(outputs):
         raise ValueError("instances and outputs differ in length")
-    prime, _ = hash_to_prime_and_scalars(
-        batch_transcript(modulus_n, instances, outputs, sid), len(instances)
+    checkpoints = [_chain(inst.generator_g, inst.delay_T, modulus_n)[1] for inst in instances]
+    return _batch_proofs(instances, outputs, checkpoints, modulus_n, sid)
+
+
+def solve_batch(
+    instances: list[VdfInstance], modulus_n: int, sid: bytes
+) -> list[VdfProof]:
+    """Evaluate and prove a batch in one pass over each chain.
+
+    Returns what eval() on every instance followed by prove_batch()
+    returns, with each chain run once instead of twice.
+    """
+    chains = [_chain(inst.generator_g, inst.delay_T, modulus_n) for inst in instances]
+    return _batch_proofs(
+        instances,
+        [y for y, _ in chains],
+        [points for _, points in chains],
+        modulus_n,
+        sid,
     )
-    proofs = []
-    for inst, y in zip(instances, outputs):
-        pi = _pow_floor_div(inst.generator_g, inst.delay_T, prime, modulus_n)
-        r = pow(2, inst.delay_T, prime)
-        proofs.append(
-            VdfProof(output_y=y, pi=pi, remainder_r=r, challenge_prime=prime)
-        )
-    return proofs
 
 
 def batch_verify(
@@ -407,8 +552,9 @@ def batch_verify(
 
     which holds exactly when every individual relation holds, up to the
     ~2^-128 chance of a forged batch slipping through the random
-    coefficients.  Each r_i is also recomputed, so remainder tampering
-    is caught deterministically.
+    coefficients.  Each side is one multi-exponentiation, the left one
+    with exponents alpha_i q and alpha_i r_i.  Each r_i is also
+    recomputed, so remainder tampering is caught deterministically.
     """
     if len(instances) != len(proofs):
         raise ValueError("instances and proofs differ in length")
@@ -418,10 +564,7 @@ def batch_verify(
     prime, scalars = hash_to_prime_and_scalars(
         batch_transcript(modulus_n, instances, outputs, sid), len(instances)
     )
-    agg_pi = 1
-    lhs_g = 1
-    rhs = 1
-    for inst, proof, alpha in zip(instances, proofs, scalars):
+    for inst, proof in zip(instances, proofs):
         if proof.challenge_prime != prime:
             return False
         if not 1 <= proof.output_y <= modulus_n - 1:
@@ -430,8 +573,10 @@ def batch_verify(
             return False
         if proof.remainder_r != pow(2, inst.delay_T, prime):
             return False
-        agg_pi = agg_pi * pow(proof.pi, alpha, modulus_n) % modulus_n
-        lhs_g = lhs_g * pow(inst.generator_g, alpha * proof.remainder_r, modulus_n) % modulus_n
-        rhs = rhs * pow(proof.output_y, alpha, modulus_n) % modulus_n
-    lhs = pow(agg_pi, prime, modulus_n) * lhs_g % modulus_n
-    return lhs == rhs
+    lhs = _multi_exp(
+        [p.pi for p in proofs] + [inst.generator_g for inst in instances],
+        [alpha * prime for alpha in scalars]
+        + [alpha * p.remainder_r for alpha, p in zip(scalars, proofs)],
+        modulus_n,
+    )
+    return lhs == _multi_exp(outputs, scalars, modulus_n)

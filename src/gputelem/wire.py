@@ -39,7 +39,11 @@ _MSG_TYPES = frozenset(
 
 MAX_PAYLOAD = 256 << 20
 
-_HEADER_LEN = 6
+HEADER_LEN = 6
+
+# CPython's default limit on int/str conversion; fixed here so that every
+# interpreter refuses the same records (a 2048-bit modulus has 617 digits)
+MAX_INT_DIGITS = 4300
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
@@ -64,28 +68,35 @@ def encode_message(msg: WireMessage) -> bytes:
     return bytes((VERSION, msg.msg_type)) + len(msg.payload).to_bytes(4, "big") + msg.payload
 
 
-def decode_message(data: bytes) -> WireMessage:
-    """Parse one complete frame; trailing bytes are an error.
+def decode_header(header: bytes) -> tuple[int, int]:
+    """Check a frame's first HEADER_LEN bytes; return (type, payload length).
 
-    Streams should read the 6-byte header, then exactly ``length`` more
-    bytes, and hand the concatenation here.
+    Streams call this before reading the payload, so a frame of the
+    wrong version or type, or one announcing more than the cap, is
+    refused before any of its payload is read.
     """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
+    if not isinstance(header, (bytes, bytearray, memoryview)):
         raise WireDecodeError("frame must be bytes")
-    data = bytes(data)
-    if len(data) < _HEADER_LEN:
+    header = bytes(header[:HEADER_LEN])
+    if len(header) < HEADER_LEN:
         raise WireDecodeError("truncated frame header")
-    if data[0] != VERSION:
-        raise WireDecodeError(f"unsupported version 0x{data[0]:02x}")
-    msg_type = data[1]
+    if header[0] != VERSION:
+        raise WireDecodeError(f"unsupported version 0x{header[0]:02x}")
+    msg_type = header[1]
     if msg_type not in _MSG_TYPES:
         raise WireDecodeError(f"unknown message type 0x{msg_type:02x}")
-    length = int.from_bytes(data[2:6], "big")
+    length = int.from_bytes(header[2:], "big")
     if length > MAX_PAYLOAD:
         raise WireDecodeError("declared payload exceeds the 256 MiB cap")
-    if len(data) - _HEADER_LEN != length:
+    return msg_type, length
+
+
+def decode_message(data: bytes) -> WireMessage:
+    """Parse one complete frame; trailing bytes are an error."""
+    msg_type, length = decode_header(data)
+    if len(data) - HEADER_LEN != length:
         raise WireDecodeError("frame length does not match payload")
-    return WireMessage(msg_type=msg_type, payload=data[_HEADER_LEN:])
+    return WireMessage(msg_type=msg_type, payload=bytes(data[HEADER_LEN:]))
 
 
 def _emit(path: str, value, lines: list[str]) -> None:
@@ -143,7 +154,12 @@ def _parse_int(text: str) -> int:
     body = text[1:] if text[0] == "-" else text
     if not body.isdigit():
         raise WireDecodeError(f"bad integer {text!r}")
-    return int(text)
+    if len(body) > MAX_INT_DIGITS:
+        raise WireDecodeError(f"integer of {len(body)} digits exceeds the cap")
+    try:
+        return int(text)
+    except ValueError as exc:  # an interpreter digit limit set below the cap
+        raise WireDecodeError(f"integer of {len(body)} digits is too long") from exc
 
 
 def _collapse(node):
@@ -155,10 +171,12 @@ def _collapse(node):
     if digit_keys and len(digit_keys) != len(collapsed):
         raise WireDecodeError("mixed list indices and named keys at one level")
     if digit_keys:
-        indices = sorted(int(k) for k in digit_keys)
-        if indices != list(range(len(indices))):
+        # indices are canonical decimal, so comparing strings avoids int()
+        # on an index of any length
+        order = [str(i) for i in range(len(digit_keys))]
+        if set(digit_keys) != set(order):
             raise WireDecodeError("list indices must be contiguous from 0")
-        return [collapsed[str(i)] for i in indices]
+        return [collapsed[k] for k in order]
     return collapsed
 
 
@@ -185,7 +203,7 @@ def decode_record(data: bytes) -> dict:
         for part in parts:
             if not part or not all(c.isalnum() or c in "_-" for c in part):
                 raise WireDecodeError(f"bad path component {part!r}")
-            if part.isdigit() and str(int(part)) != part:
+            if part.isdigit() and len(part) > 1 and part[0] == "0":
                 raise WireDecodeError(f"non-canonical list index {part!r}")
         if tag == "i":
             leaf = _parse_int(value)

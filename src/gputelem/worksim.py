@@ -27,8 +27,7 @@ from .residency import (
     init_chal,
     residency_probe,
 )
-from .vdf import VdfInstance, derive_instance, prove_batch
-from . import vdf as _vdf
+from .vdf import VdfInstance, derive_instance, solve_batch
 
 _RESIDENCY_STATES = ("hot", "cold", "evict_after")
 _BEHAVIORS = ("honest", "outsourced", "precompute")
@@ -315,11 +314,7 @@ class SimWorker:
             derive_instance(challenge.salt, i, modulus_n, t_min, t_max)
             for i in range(count)
         ]
-        outputs = [
-            _vdf.eval(inst.generator_g, inst.delay_T, modulus_n)
-            for inst in instances
-        ]
-        proofs = prove_batch(instances, outputs, modulus_n, challenge.salt)
+        proofs = solve_batch(instances, modulus_n, challenge.salt)
         # concurrent instances finish with the slowest chain
         t_eff = max(inst.delay_T for inst in instances)
         duration = simulate_vdf_time(self.profile, t_eff, count, self.rng)

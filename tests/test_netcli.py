@@ -9,6 +9,7 @@ sessions, the only place it is promised.
 import json
 import socket
 import threading
+import time
 
 import pytest
 import yaml
@@ -85,6 +86,21 @@ def test_recv_frame_wraps_decode_errors():
         a.sendall(b"\x01\x01\x00\x00\x00\x00")  # retired version 1, valid shape
         with pytest.raises(netcli.TransportError):
             netcli.recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_recv_frame_refuses_bad_header_before_the_payload():
+    a, b = socket.socketpair()
+    try:
+        b.settimeout(5.0)
+        # retired version 1 announcing 100 bytes, then only 3 of them
+        a.sendall(b"\x01\x01\x00\x00\x00\x64abc")
+        started = time.monotonic()
+        with pytest.raises(netcli.TransportError):
+            netcli.recv_frame(b)
+        assert time.monotonic() - started < 1.0
     finally:
         a.close()
         b.close()

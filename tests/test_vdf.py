@@ -7,6 +7,7 @@ hand-checkable numbers in play next to the 512-bit fixture.
 """
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -31,12 +32,80 @@ def test_probable_prime_agrees_with_sympy_wide(n):
     assert vdf.is_probable_prime(n) == sympy.isprime(n)
 
 
+@given(st.integers(min_value=2, max_value=1 << 140))
+@settings(max_examples=300, deadline=None)
+def test_probable_prime_agrees_with_sympy_to_2_140(n):
+    assert vdf.is_probable_prime(n) == sympy.isprime(n)
+    # random integers are mostly composite; the next prime and a product
+    # of two primes keep both answers in play at every width
+    prime = int(sympy.nextprime(n))
+    assert vdf.is_probable_prime(prime)
+    assert not vdf.is_probable_prime(prime * int(sympy.nextprime(n >> 70)))
+
+
 def test_probable_prime_rejects_strong_pseudoprimes():
     # 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7 collectively
     # only up to base 11; the multi-base battery must catch these
     for n in (3215031751, 3825123056546413051, 341550071728321):
         assert not vdf.is_probable_prime(n)
         assert not sympy.isprime(n)
+
+
+def test_baillie_psw_rejects_base_2_strong_pseudoprimes():
+    """Each half of the test covers the other's pseudoprimes."""
+    # strong pseudoprimes to base 2; 168003672409 = 3037*6073*9109 is also a
+    # Carmichael number and 3511^2 a Wieferich square, and neither has a
+    # factor the small-prime sieve would catch
+    for n in (2047, 3277, 3215031751, 168003672409, 3511**2, 3825123056546413051):
+        assert vdf._strong_probable_prime_base_2(n), n
+        assert not vdf._strong_lucas_probable_prime(n), n
+        assert not vdf.is_probable_prime(n)
+    # strong Lucas pseudoprimes (Selfridge parameters)
+    for n in (5459, 5777, 10877):
+        assert vdf._strong_lucas_probable_prime(n), n
+        assert not vdf._strong_probable_prime_base_2(n), n
+        assert not vdf.is_probable_prime(n)
+
+
+def test_baillie_psw_rejects_carmichael_numbers():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+    # Chernick numbers (6k+1)(12k+1)(18k+1) with all three factors prime
+    for k in (426, 506, 1805):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(sympy.isprime(f) for f in factors)
+        carmichael.append(factors[0] * factors[1] * factors[2])
+    for n in carmichael:
+        assert pow(2, n - 1, n) == 1  # Fermat base 2 is fooled
+        assert not vdf.is_probable_prime(n), n
+
+
+def test_hash_to_prime_known_answers():
+    """Primes the 64-base Miller-Rabin version returned, pinned byte for byte."""
+    digest = hashlib.sha256()
+    for i in range(300):
+        digest.update(vdf.hash_to_prime(encode_fields("kat-prime", i)).to_bytes(16, "big"))
+    assert digest.hexdigest() == (
+        "0407e4505df269ee5145e7be1b4bd276532f8a8ae1646ac33705ce4e6cf553d3"
+    )
+    assert vdf.hash_to_prime(encode_fields("kat-prime", 0)) == 0xE93C4EDE0A99FB11870A771736EC87E3
+    assert vdf.hash_to_prime(encode_fields("kat-prime", 1)) == 0xEB94E7CD4DBC5116C1A65D25D8E624FD
+    assert vdf.hash_to_prime(encode_fields("kat-prime", 2)) == 0xB97DC8720035D580D4557A0263C92909
+    assert vdf.hash_to_prime(b"transcript-a") == 0xD3AED92E9769E5F48A21ABE9EC87282D
+
+
+def test_setup_group_known_moduli():
+    """The safe-prime search returns the moduli it returned under 64-base Miller-Rabin."""
+    assert vdf.setup_group(64, random.Random(2)).modulus_N == 15221567364254257753
+    assert vdf.setup_group(32, random.Random(3)).modulus_N == 3593504581
+    assert vdf.setup_group(128, random.Random(11)).modulus_N == (
+        252429127219737942355247193581799915109
+    )
+    digest = hashlib.sha256()
+    for seed in [f"setup:panel.{rep}" for rep in range(7)] + ["setup:1", "setup:7"]:
+        digest.update(vdf.setup_group(512, random.Random(seed)).modulus_N.to_bytes(64, "big"))
+    assert digest.hexdigest() == (
+        "735008484be4c68e83c02ebf09ca667d75851bd5af69ddd16384055005afd1ce"
+    )
 
 
 def test_setup_group_produces_safe_prime_modulus():
@@ -137,12 +206,52 @@ def test_eval_input_validation():
 # --- proofs ----------------------------------------------------------------------
 
 
-def test_pow_floor_div_matches_direct_exponentiation():
-    n = 1081
+def test_checkpoint_pi_matches_direct_exponentiation(rsa_group):
+    n = rsa_group.modulus_N
+    g = vdf.hash_to_qr(b"checkpoints", 0, n)
+    kappa = vdf._checkpoint_interval(4096)
+    primes = (3, 5, 97, 12289, vdf.hash_to_prime(b"checkpoints"))
+    for t in (0, 1, kappa - 1, kappa, kappa + 1, 127, 128, 129, 4096):
+        y, checkpoints = vdf._chain(g, t, n)
+        assert y == vdf.eval(g, t, n)
+        for q in primes:
+            proof = vdf._proof(y, checkpoints, t, q, n)
+            assert proof.pi == pow(g, (1 << t) // q, n), (t, q)
+            assert proof.remainder_r == pow(2, t, q)
+    # the tiny group too, where T spans few checkpoints
     for t in (1, 4, 13, 40):
+        y, checkpoints = vdf._chain(9, t, 1081)
         for q in (3, 5, 97, 12289):
-            direct = pow(9, (1 << t) // q, n)
-            assert vdf._pow_floor_div(9, t, q, n) == direct
+            assert vdf._proof(y, checkpoints, t, q, 1081).pi == pow(9, (1 << t) // q, 1081)
+
+
+def test_checkpoint_interval_minimises_prover_cost():
+    for t in (0, 1, 7, 100, 4096, 1 << 20):
+        kappa = vdf._checkpoint_interval(t)
+        cost = t / kappa + 2 ** (kappa + 1)
+        assert all(cost <= t / k + 2 ** (k + 1) for k in range(1, 40))
+
+
+def test_proofs_known_answers(rsa_group):
+    """prove and prove_batch return the bytes the square-and-multiply prover did."""
+    n = rsa_group.modulus_N
+    digest = hashlib.sha256()
+    rng = random.Random("kat-proofs")
+    for i in range(40):
+        sid = rng.randbytes(8)
+        g = vdf.hash_to_qr(sid, i, n)
+        t = rng.choice([0, 1, 2, 5, 6, 7, 127, 128, 129, rng.randint(1, 3000)])
+        p = vdf.prove(g, t, vdf.eval(g, t, n), n, sid)
+        digest.update(encode_fields(p.output_y, p.pi, p.remainder_r, p.challenge_prime))
+    for count in (1, 3, 5):
+        sid = rng.randbytes(8)
+        insts = [vdf.derive_instance(sid, i, n, 1, 700) for i in range(count)]
+        outs = [vdf.eval(x.generator_g, x.delay_T, n) for x in insts]
+        for p in vdf.prove_batch(insts, outs, n, sid):
+            digest.update(encode_fields(p.output_y, p.pi, p.remainder_r, p.challenge_prime))
+    assert digest.hexdigest() == (
+        "5a037ab60e0aaf8893d4155480334ac7899a1ddad779734615b3811eec74ef9f"
+    )
 
 
 def test_prove_tiny_fixture_forced_prime():
@@ -275,3 +384,93 @@ def test_batch_swap_between_instances_fails(rsa_group):
     swapped = list(proofs)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     assert not vdf.batch_verify(instances, swapped, n, b"swap")
+
+
+def _reference_batch_verify(instances, proofs, n, sid):
+    """The aggregated congruence with one ``pow`` per term."""
+    outputs = [p.output_y for p in proofs]
+    prime, scalars = vdf.hash_to_prime_and_scalars(
+        vdf.batch_transcript(n, instances, outputs, sid), len(instances)
+    )
+    agg_pi = lhs_g = rhs = 1
+    for inst, proof, alpha in zip(instances, proofs, scalars):
+        if proof.challenge_prime != prime:
+            return False
+        if not (1 <= proof.output_y <= n - 1 and 1 <= proof.pi <= n - 1):
+            return False
+        if proof.remainder_r != pow(2, inst.delay_T, prime):
+            return False
+        agg_pi = agg_pi * pow(proof.pi, alpha, n) % n
+        lhs_g = lhs_g * pow(inst.generator_g, alpha * proof.remainder_r, n) % n
+        rhs = rhs * pow(proof.output_y, alpha, n) % n
+    return pow(agg_pi, prime, n) * lhs_g % n == rhs
+
+
+def test_batch_verify_agrees_with_per_term_exponentiation(rsa_group):
+    rng = random.Random(9)
+    n = rsa_group.modulus_N
+    checked = 0
+    for count in (1, 2, 5, 16):
+        sid = rng.randbytes(16)
+        instances, outputs = _batch(rsa_group, sid, count, rng)
+        proofs = vdf.prove_batch(instances, outputs, n, sid)
+        assert vdf.batch_verify(instances, proofs, n, sid)
+        assert _reference_batch_verify(instances, proofs, n, sid)
+        for _ in range(12):
+            victim = rng.randrange(count)
+            field = rng.choice(("output_y", "pi", "remainder_r", "challenge_prime"))
+            old = getattr(proofs[victim], field)
+            if field == "remainder_r":
+                new = (old + rng.randrange(1, 7)) % proofs[victim].challenge_prime
+            elif field == "challenge_prime":
+                new = int(sympy.nextprime(old))
+            else:
+                new = rng.choice((old * rng.randrange(2, 9) % n or 1, n - old, 1))
+            bad = list(proofs)
+            bad[victim] = dataclasses.replace(bad[victim], **{field: new})
+            verdict = vdf.batch_verify(instances, bad, n, sid)
+            assert verdict == _reference_batch_verify(instances, bad, n, sid)
+            # (N - x)^alpha = x^alpha for an even alpha, so the aggregated
+            # congruence cannot see a sign flip; agreement is all it owes
+            if new not in (old, n - old):
+                assert verdict is False
+            checked += 1
+    assert checked == 48
+
+
+def test_verify_agrees_with_two_exponentiations(rsa_group):
+    n = rsa_group.modulus_N
+    rng = random.Random(10)
+    for i in range(20):
+        g = vdf.hash_to_qr(b"solo", i, n)
+        t = rng.randint(0, 600)
+        proof = vdf.prove(g, t, vdf.eval(g, t, n), n, b"solo")
+        for pi in (proof.pi, proof.pi * 5 % n, n - proof.pi):
+            tampered = dataclasses.replace(proof, pi=pi)
+            direct = (
+                pow(pi, proof.challenge_prime, n) * pow(g, proof.remainder_r, n) % n
+                == proof.output_y
+            )
+            assert vdf.verify(g, t, tampered, n, b"solo") == direct
+            assert direct is (pi == proof.pi)
+
+
+def test_solve_batch_equals_eval_then_prove_batch(rsa_group):
+    n = rsa_group.modulus_N
+    for count, (lo, hi) in ((1, (1, 1)), (3, (1, 40)), (4, (64, 700))):
+        sid = f"solve-{count}".encode()
+        instances = [vdf.derive_instance(sid, i, n, lo, hi) for i in range(count)]
+        outputs = [vdf.eval(inst.generator_g, inst.delay_T, n) for inst in instances]
+        assert vdf.solve_batch(instances, n, sid) == vdf.prove_batch(instances, outputs, n, sid)
+
+
+def test_multi_exp_matches_pow_products():
+    rng = random.Random(11)
+    n = 1081 * 1000003
+    for size in (1, 2, 7):
+        bases = [rng.randrange(0, 2 * n) for _ in range(size)]
+        exps = [rng.choice((0, 1, 15, 16, rng.getrandbits(rng.randrange(1, 300)))) for _ in range(size)]
+        expected = 1
+        for b, e in zip(bases, exps):
+            expected = expected * pow(b, e, n) % n
+        assert vdf._multi_exp(bases, exps, n) == expected

@@ -209,6 +209,39 @@ def test_decoders_are_total_over_a_million_inputs():
     assert decoded_ok >= 1_000_000 // 9973
 
 
+def test_decode_record_refuses_over_long_integers():
+    """5000 digits passes CPython's int() limit; the decoder must not leak its ValueError."""
+    for digits in ("7" * 5000, "-" + "7" * 5000, "1" * (wire.MAX_INT_DIGITS + 1)):
+        with pytest.raises(wire.WireDecodeError):
+            wire.decode_record(f"a=i:{digits}\n".encode())
+    widest = "9" * wire.MAX_INT_DIGITS
+    assert wire.decode_record(f"a=i:{widest}\n".encode()) == {"a": int(widest)}
+
+
+def test_decode_record_refuses_over_long_list_indices():
+    for record in (
+        "a." + "1" * 5000 + "=i:1\n",
+        "a.0=i:1\na." + "9" * 5000 + "=i:2\n",
+    ):
+        with pytest.raises(wire.WireDecodeError):
+            wire.decode_record(record.encode())
+
+
+def test_decode_header_checks_before_the_payload():
+    assert wire.decode_header(bytes((wire.VERSION, wire.MSG_ERROR)) + b"\x00\x00\x01\x00") == (
+        wire.MSG_ERROR,
+        256,
+    )
+    for bad in (
+        b"\x01\x05\x00\x00\x00\x64",  # retired version 1
+        bytes((wire.VERSION, 0x7F)) + b"\x00\x00\x00\x00",  # unknown type
+        bytes((wire.VERSION, wire.MSG_ERROR)) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big"),
+        bytes((wire.VERSION, wire.MSG_ERROR, 0)),  # truncated
+    ):
+        with pytest.raises(wire.WireDecodeError):
+            wire.decode_header(bad)
+
+
 def test_record_decoder_survives_mutated_valid_inputs():
     """Single-byte corruptions of real records: accept or WireDecodeError."""
     rng = random.Random(0xBEAD)
