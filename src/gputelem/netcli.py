@@ -1,11 +1,15 @@
 """Daemons, transport, session reports: the operational shell.
 
 A challenger session speaks a strict request/response sequence over one
-TCP connection: a pre-challenge announcing the session, then one
-challenge per round, each answered before the next is sent.  The worker
-daemon actually computes every answer and shapes its reply latency to
-its behavioral profile, so a challenger cannot tell (and should not
-care) whether it is talking to a simulation.
+TCP connection: a pre-challenge announcing the session (for residency,
+the dataset to plant), then one challenge per round, each answered
+before the next is sent; a transport failure ends the session with
+``TransportError``.  ``RemoteWorker`` has the worker interface of the
+in-process ``SimWorker``, and the daemon hands each message to a
+``SimWorker`` (``pre_challenge`` or ``answer``), so it actually computes
+every answer and shapes its reply latency to the behavioral profile:
+a challenger cannot tell (and should not care) whether it is talking to
+a simulation.
 
 Reports come out as CSV rows plus a JSON summary; with seeded configs
 and virtual clocks both are byte-deterministic.
@@ -26,17 +30,19 @@ import yaml
 from .core import Response
 from .protocol import (
     MODES,
+    PARAM_KEYS,
     ProtocolError,
     SessionDriver,
+    TransportError,
     challenge_record,
     new_session_id,
+    params_for,
     parse_challenge,
     parse_response,
     response_record,
 )
 from .residency import (
     BandwidthModel,
-    ResidencyProbeResult,
     ResidencySessionReport,
     run_residency_session,
 )
@@ -57,10 +63,6 @@ from .wire import (
     encode_record,
 )
 from .worksim import SimWorker, WallClock, WorkerProfile
-
-
-class TransportError(RuntimeError):
-    """Connection-level failure: refused, reset, truncated, or timed out."""
 
 
 # --- framed socket I/O ------------------------------------------------------
@@ -158,53 +160,15 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
     ) -> WireMessage:
         if msg.msg_type == MSG_PRE_CHALLENGE:
             record = decode_record(msg.payload)
-            kind = str(record["kind"])
-            if kind not in MODES:
-                return _error_message(f"unknown kind {kind!r}")
-            init_time_ns = 0
-            if kind == "residency":
-                res = record["residency"]
-                started = time.monotonic()
-                duration = worker.init_dataset(
-                    bytes(res["seed"]),
-                    int(res["size_bytes"]),
-                    int(res["block_size_bytes"]),
-                )
-                if shape_latency:
-                    _sleep_remainder(duration, started)
-                init_time_ns = int(duration * 1e9)
-            return WireMessage(
-                MSG_PRE_RESPONSE,
-                encode_record(
-                    {
-                        "session_id": bytes(record["session_id"]),
-                        "status": "ok",
-                        "init_time_ns": init_time_ns,
-                    }
-                ),
-            )
+            started = time.monotonic()
+            ack = worker.pre_challenge(record)
+            if shape_latency:
+                _sleep_remainder(ack["init_time_ns"] / 1e9, started)
+            return WireMessage(MSG_PRE_RESPONSE, encode_record(ack))
         if msg.msg_type == MSG_CHALLENGE_BATCH:
             challenge = parse_challenge(decode_record(msg.payload))
             started = time.monotonic()
-            if challenge.mode == "residency":
-                result = worker.probe(
-                    challenge.salt,
-                    argon_memory_kib=int(
-                        challenge.params.get("argon_memory_kib", 1024)
-                    ),
-                )
-                response = Response(
-                    session_id=challenge.session_id,
-                    index=challenge.index,
-                    mode="residency",
-                    payload={
-                        "response_digest": result.response_digest,
-                        "kernel_time_ns": int(result.kernel_time_s * 1e9),
-                    },
-                    solve_time=result.timing.duration,
-                )
-            else:
-                response = worker.answer(challenge)
+            response = worker.answer(challenge)
             if shape_latency:
                 _sleep_remainder(response.solve_time, started)
             return WireMessage(
@@ -278,7 +242,7 @@ def run_worker(config: dict) -> None:
 
 
 class RemoteWorker:
-    """Client handle over TCP implementing the session-driver interface."""
+    """Client handle over TCP with the worker interface of ``SimWorker``."""
 
     def __init__(self, address: tuple[str, int], timeout_s: float = 120.0) -> None:
         try:
@@ -287,8 +251,6 @@ class RemoteWorker:
             raise TransportError(f"cannot reach worker at {address}: {exc}") from exc
         self._clock = WallClock()
         self.session_id = b""
-        self._probe_index = 0
-        self._probe_params: dict = {}
 
     def close(self) -> None:
         try:
@@ -329,56 +291,14 @@ class RemoteWorker:
             dimension_n=challenge.params.get("dimension_n"),
         )
 
-    # residency-session interface
-    def init_dataset(
-        self, seed: bytes, size_bytes: int, block_size_bytes: int
-    ) -> float:
-        ack = self.pre_challenge(
-            {
-                "session_id": self.session_id or b"\x00" * 32,
-                "kind": "residency",
-                "residency": {
-                    "seed": seed,
-                    "size_bytes": size_bytes,
-                    "block_size_bytes": block_size_bytes,
-                },
-            }
-        )
-        return int(ack.get("init_time_ns", 0)) / 1e9
-
-    def probe(self, nonce: bytes, argon_memory_kib: int = 1024) -> ResidencyProbeResult:
-        from .core import Challenge, TimingSample
-
-        challenge = Challenge(
-            session_id=self.session_id or b"\x00" * 32,
-            index=self._probe_index,
-            mode="residency",
-            salt=nonce,
-            issued_at=self.now(),
-            params={"argon_memory_kib": argon_memory_kib},
-        )
-        self._probe_index += 1
-        started = self.now()
-        response = self.answer(challenge)
-        elapsed = self.now() - started
-        return ResidencyProbeResult(
-            response_digest=bytes(response.payload["response_digest"]),
-            timing=TimingSample(
-                index=challenge.index,
-                mode="residency",
-                duration=elapsed,
-                valid=True,
-            ),
-            kernel_time_s=int(response.payload.get("kernel_time_ns", 0)) / 1e9,
-        )
-
 
 # --- session reports ---------------------------------------------------------
 
+_RATE_HEADER = ("session_id", "round", "kind", "total_time_ns", "adjusted_ns", "valid")
 ROUND_HEADERS = {
-    "pow": ("session_id", "round", "kind", "total_time_ns", "adjusted_ns", "valid"),
-    "vdf": ("session_id", "round", "kind", "total_time_ns", "adjusted_ns", "valid"),
-    "gemm": ("session_id", "round", "kind", "total_time_ns", "adjusted_ns", "valid"),
+    "pow": _RATE_HEADER,
+    "vdf": _RATE_HEADER,
+    "gemm": _RATE_HEADER,
     "residency": ("round", "nonce_digest", "total_ns", "kernel_ns", "verdict", "valid"),
 }
 
@@ -428,11 +348,8 @@ def write_report(report: SessionReport, out_path: str) -> None:
 
     out_path names the CSV; the summary lands at out_path + ".json".
     """
-    header = ROUND_HEADERS.get(report.kind) or tuple(
-        report.rows[0].keys() if report.rows else ()
-    )
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(report.rows, header))
+        fh.write(rows_to_csv(report.rows, ROUND_HEADERS[report.kind]))
     summary = {
         "session_id": report.session_id,
         "kind": report.kind,
@@ -456,35 +373,17 @@ def write_report(report: SessionReport, out_path: str) -> None:
 
 
 def _mode_params(kind: str, config: dict, rng: random.Random) -> dict:
+    """Challenge params of a session from its config block, defaults filled in.
+
+    A vdf block without ``modulus_n`` gets a fresh group of
+    ``modulus_bits`` (default 512), drawn from the session rng.
+    """
     section = dict(config.get(kind, {}))
-    if kind == "pow":
-        return {
-            "difficulty": int(section.get("difficulty", 8)),
-            "argon_passes": int(section.get("argon_passes", 1)),
-            "argon_lanes": int(section.get("argon_lanes", 1)),
-            "argon_memory_kib": int(section.get("argon_memory_kib", 64)),
-        }
-    if kind == "gemm":
-        return {
-            "dimension_n": int(section.get("dimension_n", 64)),
-            "difficulty_d": int(section.get("difficulty_d", 4)),
-            "freivalds_k": int(section.get("freivalds_k", 5)),
-        }
-    if kind == "vdf":
-        if "modulus_n" in section:
-            modulus_n = int(section["modulus_n"])
-        else:
-            bits = int(section.get("modulus_bits", 512))
-            modulus_n = setup_group(bits, rng).modulus_N
-        return {
-            "modulus_n": modulus_n,
-            "t_min": int(section.get("t_min", 1 << 10)),
-            "t_max": int(section.get("t_max", 1 << 12)),
-            "instances": int(section.get("instances", 4)),
-        }
-    if kind == "residency":
-        return section
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind == "vdf" and "modulus_n" not in section:
+        bits = int(section.get("modulus_bits", 512))
+        section["modulus_n"] = setup_group(bits, rng).modulus_N
+    params = params_for(kind, section)
+    return {key: getattr(params, key) for key in PARAM_KEYS[kind]}
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -497,9 +396,10 @@ def _parse_address(text: str) -> tuple[str, int]:
 def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     """Drive one measurement session against a (remote) worker.
 
-    Raises TransportError when no worker answers and InconclusiveError
-    when a session yields no verdict; both map to exit code 2 at the
-    CLI.  Accept/Reject land in the returned report.
+    Raises TransportError when no worker answers or the connection fails
+    mid-session, and InconclusiveError when a session yields no verdict;
+    both map to exit code 2 at the CLI.  Accept/Reject land in the
+    returned report.
     """
     kind = str(config.get("kind", "pow"))
     if kind not in MODES:
@@ -520,11 +420,11 @@ def _run_session(
     worker, kind: str, config: dict, rng: random.Random
 ) -> SessionReport:
     session_id = new_session_id(rng)
+    worker.session_id = session_id
     rows: list[dict] = []
     if kind == "residency":
         section = dict(config.get("residency", {}))
         model = bandwidth_model_from_dict(config.get("bandwidth", {}))
-        worker.session_id = session_id
         res_report = run_residency_session(
             worker,
             rounds=int(section.get("rounds", config.get("rounds", 10))),
@@ -537,37 +437,26 @@ def _run_session(
                 if section.get("threshold_ns") is None
                 else _coerce_int("threshold_ns", section.get("threshold_ns"))
             ),
-            argon_memory_kib=int(section.get("argon_memory_kib", 1024)),
+            argon_memory_kib=params_for("residency", section).argon_memory_kib,
             rng=rng,
             sink=rows.append,
         )
         decision = _residency_decision(res_report)
-        return SessionReport(
-            session_id=session_id.hex(),
+    else:
+        params = _mode_params(kind, config, rng)
+        worker.pre_challenge({"session_id": session_id, "kind": kind, "params": params})
+        driver = SessionDriver(
+            worker=worker, mode=kind, params=params, rng=rng, session_id=session_id
+        )
+        decision = continuous_measurement(
+            driver,
+            n=int(config.get("rounds", 20)),
+            lambda_min=float(config.get("lambda_min", 1.0)),
+            interval_s=float(config.get("interval_s", 0.0)),
+            t0_s=float(config.get("t0_ns", 0)) * 1e-9,
             kind=kind,
-            rows=rows,
-            decision=decision,
-            config=_config_snapshot(config),
+            sink=rows.append,
         )
-    params = _mode_params(kind, config, rng)
-    if hasattr(worker, "pre_challenge"):
-        worker.pre_challenge(
-            {"session_id": session_id, "kind": kind, "params": params}
-        )
-    if hasattr(worker, "session_id"):
-        worker.session_id = session_id
-    driver = SessionDriver(
-        worker=worker, mode=kind, params=params, rng=rng, session_id=session_id
-    )
-    decision = continuous_measurement(
-        driver,
-        n=int(config.get("rounds", 20)),
-        lambda_min=float(config.get("lambda_min", 1.0)),
-        interval_s=float(config.get("interval_s", 0.0)),
-        t0_s=float(config.get("t0_ns", 0)) * 1e-9,
-        kind=kind,
-        sink=rows.append,
-    )
     return SessionReport(
         session_id=session_id.hex(),
         kind=kind,

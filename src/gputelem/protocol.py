@@ -2,8 +2,10 @@
 
 This layer owns the record schemas that travel inside wire payloads and
 the verification dispatch that turns a raw response into a valid/invalid
-verdict.  Both the in-process fast path and the TCP daemons go through
-the same builders and validators, so a decision reached against a
+verdict.  Every mode, residency included, runs through one round step
+(``SessionDriver.step``): issue a challenge, time the worker's answer on
+the challenger's clock, validate the response.  The in-process fast path
+and the TCP daemons share it, so a decision reached against a
 virtual-clock worker is reached by identical code against a live one.
 """
 
@@ -25,12 +27,48 @@ from .core import (
 )
 from .gemm import GemmParams, GemmProof, matrix_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
+from .residency import ChalDataset, ResidencyParams, residency_probe
 
 MODES = ("pow", "vdf", "gemm", "residency")
+
+# the challenge params of each mode; the dataclass defaults are the only defaults
+PARAM_KEYS = {
+    "pow": ("difficulty", "argon_passes", "argon_lanes", "argon_memory_kib"),
+    "vdf": ("modulus_n", "t_min", "t_max", "instances"),
+    "gemm": ("dimension_n", "difficulty_d", "freivalds_k"),
+    "residency": ("argon_memory_kib",),
+}
+_PARAM_TYPES = {
+    "pow": PowParams,
+    "vdf": vdf_mod.VdfParams,
+    "gemm": GemmParams,
+    "residency": ResidencyParams,
+}
 
 
 class ProtocolError(ValueError):
     """Structurally invalid record content (missing fields, bad shapes)."""
+
+
+class TransportError(RuntimeError):
+    """Connection-level failure: refused, reset, truncated, or timed out.
+
+    It ends the session: a round lost with its connection was not
+    answered wrongly, so it cannot count toward a verdict.
+    """
+
+
+def params_for(mode: str, params: dict):
+    """Typed settings of a ``mode`` challenge from its params dict.
+
+    The one parser of challenge params, for challenger and worker alike.
+    A key the dict omits takes its dataclass default; keys outside
+    ``PARAM_KEYS[mode]`` are ignored.
+    """
+    if mode not in PARAM_KEYS:
+        raise ProtocolError(f"unknown mode {mode!r}")
+    values = {key: int(params[key]) for key in PARAM_KEYS[mode] if key in params}
+    return _PARAM_TYPES[mode](**values)
 
 
 def new_session_id(rng: random.Random) -> bytes:
@@ -177,10 +215,18 @@ def parse_response(record: dict, dimension_n: int | None = None) -> Response:
     return response
 
 
-def validate_response(challenge: Challenge, response: Response) -> bool:
-    """Cryptographic verification dispatch; False means a lying worker."""
+def validate_response(
+    challenge: Challenge, response: Response, dataset: ChalDataset | None = None
+) -> bool:
+    """Cryptographic verification dispatch; False means a lying worker.
+
+    A residency response is checked against ``dataset``, the
+    challenger's own copy of what the worker was told to hold.
+    """
     if not response.matches(challenge):
         return False
+    if challenge.mode == "residency" and dataset is None:
+        raise ProtocolError("a residency response needs the challenger's dataset")
     try:
         if challenge.mode == "pow":
             return _validate_pow(challenge, response)
@@ -188,32 +234,24 @@ def validate_response(challenge: Challenge, response: Response) -> bool:
             return _validate_gemm(challenge, response)
         if challenge.mode == "vdf":
             return _validate_vdf(challenge, response)
+        if challenge.mode == "residency":
+            return _validate_residency(challenge, response, dataset)
     except (KeyError, TypeError, ValueError):
         return False
     raise ProtocolError(f"no validator for mode {challenge.mode!r}")
 
 
 def _validate_pow(challenge: Challenge, response: Response) -> bool:
-    params = PowParams(
-        difficulty=int(challenge.params["difficulty"]),
-        argon_passes=int(challenge.params.get("argon_passes", 1)),
-        argon_lanes=int(challenge.params.get("argon_lanes", 1)),
-        argon_memory_kib=int(challenge.params.get("argon_memory_kib", 1024)),
-    )
     solution = PowSolution(
         nonce=int(response.payload["nonce"]),
         digest=bytes(response.payload["digest"]),
         attempts=int(response.payload.get("attempts", 0)),
     )
-    return verify_pow(challenge, solution, params)
+    return verify_pow(challenge, solution, params_for("pow", challenge.params))
 
 
 def _validate_gemm(challenge: Challenge, response: Response) -> bool:
-    params = GemmParams(
-        dimension_n=int(challenge.params["dimension_n"]),
-        difficulty_d=int(challenge.params["difficulty_d"]),
-        freivalds_k=int(challenge.params.get("freivalds_k", 5)),
-    )
+    params = params_for("gemm", challenge.params)
     proof = GemmProof(
         index_jstar=int(response.payload["index_jstar"]),
         product_C=np.asarray(response.payload["product_c"], dtype=np.int64),
@@ -225,39 +263,54 @@ def _validate_gemm(challenge: Challenge, response: Response) -> bool:
 
 
 def _validate_vdf(challenge: Challenge, response: Response) -> bool:
-    modulus_n = int(challenge.params["modulus_n"])
-    t_min = int(challenge.params["t_min"])
-    t_max = int(challenge.params["t_max"])
-    count = int(challenge.params.get("instances", 1))
+    params = params_for("vdf", challenge.params)
     raw = response.payload["proofs"]
-    if len(raw) != count:
+    if len(raw) != params.instances:
         return False
-    instances = [
-        vdf_mod.derive_instance(challenge.salt, i, modulus_n, t_min, t_max)
-        for i in range(count)
+    proofs = [
+        vdf_mod.VdfProof(
+            output_y=int(p["output_y"]),
+            pi=int(p["pi"]),
+            remainder_r=int(p["remainder_r"]),
+            challenge_prime=int(p["challenge_prime"]),
+        )
+        for p in raw
     ]
-    try:
-        proofs = [
-            vdf_mod.VdfProof(
-                output_y=int(p["output_y"]),
-                pi=int(p["pi"]),
-                remainder_r=int(p["remainder_r"]),
-                challenge_prime=int(p["challenge_prime"]),
-            )
-            for p in raw
-        ]
-    except ValueError:
-        return False
-    return vdf_mod.batch_verify(instances, proofs, modulus_n, challenge.salt)
+    return vdf_mod.batch_verify(
+        params.derive_instances(challenge.salt),
+        proofs,
+        params.modulus_n,
+        challenge.salt,
+    )
+
+
+def _validate_residency(
+    challenge: Challenge, response: Response, dataset: ChalDataset
+) -> bool:
+    # the challenger re-runs the probe on its own copy of the dataset
+    argon_memory_kib = params_for("residency", challenge.params).argon_memory_kib
+    expected = residency_probe(dataset, challenge.salt, argon_memory_kib=argon_memory_kib)
+    return response.payload["response_digest"] == expected.response_digest
+
+
+@dataclass(frozen=True)
+class Round:
+    """One round on the challenger's clock; no response if the worker failed it."""
+
+    challenge: Challenge
+    response: Response | None
+    duration: float
+    valid: bool
 
 
 @dataclass
 class SessionDriver:
-    """Round runner for continuous measurement against an in-process worker.
+    """The round step of every session, whatever the mode or transport.
 
-    Issues a fresh challenge each round, times the answer on the shared
-    session clock, and validates the response.  The worker sees exactly
-    what a networked worker would see; only the transport is elided.
+    Issues a fresh challenge each round, times the worker's answer on
+    the challenger's clock, and validates the response; a residency
+    session carries the challenger's ``dataset``.  The worker is any
+    handle with now/sleep_until/answer, in process or over TCP.
     """
 
     worker: object
@@ -265,6 +318,7 @@ class SessionDriver:
     params: dict
     rng: random.Random
     session_id: bytes = b""
+    dataset: ChalDataset | None = None
 
     def __post_init__(self) -> None:
         if not self.session_id:
@@ -276,15 +330,21 @@ class SessionDriver:
     def sleep_until(self, deadline: float) -> None:
         self.worker.sleep_until(deadline)
 
-    def run_round(self, index: int, kind: str | None = None) -> tuple[float, bool]:
-        mode = kind or self.mode
+    def step(self, index: int, kind: str | None = None) -> Round:
         challenge = build_challenge(
-            self.session_id, index, mode, self.rng, self.now(), self.params
+            self.session_id, index, kind or self.mode, self.rng, self.now(), self.params
         )
         started = self.now()
         try:
             response = self.worker.answer(challenge)
-        except Exception:
-            return self.now() - started, False
+        except TransportError:
+            raise
+        except Exception:  # a worker that fails a round has answered it wrongly
+            return Round(challenge, None, self.now() - started, False)
         duration = self.now() - started
-        return duration, validate_response(challenge, response)
+        valid = validate_response(challenge, response, self.dataset)
+        return Round(challenge, response, duration, valid)
+
+    def run_round(self, index: int, kind: str | None = None) -> tuple[float, bool]:
+        result = self.step(index, kind)
+        return result.duration, result.valid

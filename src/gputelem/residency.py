@@ -55,6 +55,13 @@ class BandwidthModel:
             raise ValueError("base latency cannot be negative")
 
 
+@dataclass(frozen=True)
+class ResidencyParams:
+    """Challenge params of one probe: the phase-2 Argon2id memory cost."""
+
+    argon_memory_kib: int = 1024
+
+
 @dataclass
 class ChalDataset:
     """Incompressible challenge data, regenerable block by block from a seed."""
@@ -256,12 +263,16 @@ def run_residency_session(
 ) -> ResidencySessionReport:
     """Full session: plant the dataset, then probe at random times.
 
-    Each round waits a uniform interval, sends a fresh nonce, verifies
-    the returned digest against a local recomputation, and classifies
-    the reported timing.  A digest mismatch marks the round invalid
-    regardless of how fast it was; any Cold or invalid round fails the
-    session overall.
+    The pre-challenge plants the dataset on the worker.  Each round waits
+    a uniform interval, then takes the session driver's round step: a
+    fresh nonce (the challenge salt), the answer timed on the
+    challenger's clock, and its digest checked against the challenger's
+    own copy of the dataset.  The measured time is classified Hot or
+    Cold.  A digest mismatch marks the round invalid regardless of how
+    fast it was; any Cold or invalid round fails the session overall.
     """
+    from .protocol import SessionDriver  # protocol imports this module
+
     if rounds < 1:
         raise ValueError("need at least one round")
     rng = rng if rng is not None else random.Random()
@@ -269,34 +280,39 @@ def run_residency_session(
     if threshold_ns is None:
         threshold_ns = default_threshold_ns(dataset_bytes, model)
     seed = generate_salt(rng)
-    local = init_chal(dataset_bytes, seed, block_size_bytes)
-    worker.init_dataset(seed, dataset_bytes, block_size_bytes)
+    session_id = worker.session_id or bytes(32)
+    plant = {"seed": seed, "size_bytes": dataset_bytes, "block_size_bytes": block_size_bytes}
+    worker.pre_challenge({"session_id": session_id, "kind": "residency", "residency": plant})
+    driver = SessionDriver(
+        worker=worker,
+        mode="residency",
+        params={"argon_memory_kib": argon_memory_kib},
+        rng=rng,
+        session_id=session_id,
+        dataset=init_chal(dataset_bytes, seed, block_size_bytes),
+    )
     rows: list[dict] = []
     cold = 0
     invalid = 0
     for i in range(rounds):
-        worker.sleep_until(worker.now() + schedule_next(t_max_s, rng))
-        nonce = generate_salt(rng)
-        result = worker.probe(nonce, argon_memory_kib=argon_memory_kib)
-        expected = residency_probe(
-            local, nonce, argon_memory_kib=argon_memory_kib
-        ).response_digest
-        valid = result.response_digest == expected
+        driver.sleep_until(driver.now() + schedule_next(t_max_s, rng))
+        step = driver.step(i)
         timing = TimingSample(
-            index=i, mode="residency", duration=result.timing.duration, valid=valid
+            index=i, mode="residency", duration=step.duration, valid=step.valid
         )
         verdict = classify_residency(timing, threshold_ns)
-        if not valid:
+        if not step.valid:
             invalid += 1
         elif verdict is Residency.COLD:
             cold += 1
+        payload = step.response.payload if step.response is not None else {}
         row = {
             "round": i,
-            "nonce_digest": hash_bytes(nonce).hex(),
-            "total_ns": int(timing.duration * 1e9),
-            "kernel_ns": int(result.kernel_time_s * 1e9),
+            "nonce_digest": hash_bytes(step.challenge.salt).hex(),
+            "total_ns": int(step.duration * 1e9),
+            "kernel_ns": int(payload.get("kernel_time_ns", 0)),
             "verdict": verdict.value,
-            "valid": valid,
+            "valid": step.valid,
         }
         rows.append(row)
         if sink is not None:

@@ -219,6 +219,22 @@ class VdfInstance:
 
 
 @dataclass(frozen=True)
+class VdfParams:
+    """Per-round settings: the modulus, the delay range, instances per round."""
+
+    modulus_n: int
+    t_min: int = 1 << 10
+    t_max: int = 1 << 12
+    instances: int = 4
+
+    def derive_instances(self, sid: bytes) -> list[VdfInstance]:
+        return [
+            derive_instance(sid, i, self.modulus_n, self.t_min, self.t_max)
+            for i in range(self.instances)
+        ]
+
+
+@dataclass(frozen=True)
 class VdfProof:
     """Succinct evaluation proof: y = g^(2^T), pi = g^floor(2^T / q), r = 2^T mod q."""
 

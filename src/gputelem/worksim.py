@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from .core import Challenge, Response, generate_salt
 from .gemm import GemmParams, solve_gemm_puzzle
 from .pow import PowParams, solve_pow
+from .protocol import MODES, params_for
 from .residency import (
     BandwidthModel,
     ChalDataset,
@@ -27,7 +28,7 @@ from .residency import (
     init_chal,
     residency_probe,
 )
-from .vdf import VdfInstance, derive_instance, solve_batch
+from .vdf import solve_batch
 
 _RESIDENCY_STATES = ("hot", "cold", "evict_after")
 _BEHAVIORS = ("honest", "outsourced", "precompute")
@@ -217,9 +218,10 @@ class WallClock:
 class SimWorker:
     """In-process worker: solves challenges for real, reports modeled times.
 
-    The handle exposes the clock interface (now/sleep_until) so session
-    drivers schedule against the same timeline the worker advances.  One
-    handle serves one session at a time.
+    The handle has the worker interface that ``netcli.RemoteWorker``
+    shares: now/sleep_until (session drivers schedule against the same
+    timeline the worker advances), session_id, pre_challenge and answer.
+    One handle serves one session at a time.
     """
 
     def __init__(
@@ -247,16 +249,38 @@ class SimWorker:
     def sleep_until(self, deadline: float) -> None:
         self.clock.sleep_until(deadline)
 
+    def pre_challenge(self, record: dict) -> dict:
+        """Session announcement; a residency session plants its dataset here."""
+        kind = str(record["kind"])
+        if kind not in MODES:
+            raise ValueError(f"unknown kind {kind!r}")
+        init_time_ns = 0
+        if kind == "residency":
+            res = record["residency"]
+            duration = self.init_dataset(
+                bytes(res["seed"]), int(res["size_bytes"]), int(res["block_size_bytes"])
+            )
+            init_time_ns = int(duration * 1e9)
+        return {
+            "session_id": bytes(record["session_id"]),
+            "status": "ok",
+            "init_time_ns": init_time_ns,
+        }
+
     def answer(self, challenge: Challenge) -> Response:
         """Solve one challenge; advance the clock by the modeled duration."""
         handler = {
             "pow": self._answer_pow,
             "gemm": self._answer_gemm,
             "vdf": self._answer_vdf,
+            "residency": self._answer_residency,
         }.get(challenge.mode)
         if handler is None:
             raise ValueError(f"unsupported challenge mode {challenge.mode!r}")
-        payload, duration = handler(challenge)
+        payload, duration = handler(challenge, params_for(challenge.mode, challenge.params))
+        payload.setdefault(
+            "kernel_time_ns", max(int(duration * 1e9) - self.profile.network_t0_ns, 0)
+        )
         self.clock.sleep(duration)
         return Response(
             session_id=challenge.session_id,
@@ -266,13 +290,9 @@ class SimWorker:
             solve_time=duration,
         )
 
-    def _answer_pow(self, challenge: Challenge) -> tuple[dict, float]:
-        params = PowParams(
-            difficulty=int(challenge.params["difficulty"]),
-            argon_passes=int(challenge.params.get("argon_passes", 1)),
-            argon_lanes=int(challenge.params.get("argon_lanes", 1)),
-            argon_memory_kib=int(challenge.params.get("argon_memory_kib", 1024)),
-        )
+    # each handler returns its payload and the modeled duration; the
+    # kernel time defaults to that duration less the network offset
+    def _answer_pow(self, challenge: Challenge, params) -> tuple[dict, float]:
         solution = solve_pow(challenge, params)
         if solution is None:
             raise RuntimeError("solve cap exhausted on an honest worker")
@@ -281,43 +301,25 @@ class SimWorker:
             "nonce": solution.nonce,
             "digest": solution.digest,
             "attempts": solution.attempts,
-            "kernel_time_ns": max(
-                int(duration * 1e9) - self.profile.network_t0_ns, 0
-            ),
         }
         return payload, duration
 
-    def _answer_gemm(self, challenge: Challenge) -> tuple[dict, float]:
-        params = GemmParams(
-            dimension_n=int(challenge.params["dimension_n"]),
-            difficulty_d=int(challenge.params["difficulty_d"]),
-            freivalds_k=int(challenge.params.get("freivalds_k", 5)),
-        )
+    def _answer_gemm(self, challenge: Challenge, params) -> tuple[dict, float]:
         proof = solve_gemm_puzzle(challenge.salt, params)
         duration = simulate_gemm_time(self.profile, params, self.rng)
         payload = {
             "index_jstar": proof.index_jstar,
             "chain_state_sigma": proof.chain_state_sigma,
             "product_c": proof.product_C,
-            "kernel_time_ns": max(
-                int(duration * 1e9) - self.profile.network_t0_ns, 0
-            ),
         }
         return payload, duration
 
-    def _answer_vdf(self, challenge: Challenge) -> tuple[dict, float]:
-        modulus_n = int(challenge.params["modulus_n"])
-        t_min = int(challenge.params["t_min"])
-        t_max = int(challenge.params["t_max"])
-        count = int(challenge.params.get("instances", 1))
-        instances: list[VdfInstance] = [
-            derive_instance(challenge.salt, i, modulus_n, t_min, t_max)
-            for i in range(count)
-        ]
-        proofs = solve_batch(instances, modulus_n, challenge.salt)
+    def _answer_vdf(self, challenge: Challenge, params) -> tuple[dict, float]:
+        instances = params.derive_instances(challenge.salt)
+        proofs = solve_batch(instances, params.modulus_n, challenge.salt)
         # concurrent instances finish with the slowest chain
         t_eff = max(inst.delay_T for inst in instances)
-        duration = simulate_vdf_time(self.profile, t_eff, count, self.rng)
+        duration = simulate_vdf_time(self.profile, t_eff, params.instances, self.rng)
         payload = {
             "proofs": [
                 {
@@ -327,14 +329,18 @@ class SimWorker:
                     "challenge_prime": p.challenge_prime,
                 }
                 for p in proofs
-            ],
-            "kernel_time_ns": max(
-                int(duration * 1e9) - self.profile.network_t0_ns, 0
-            ),
+            ]
         }
         return payload, duration
 
-    # residency session interface
+    def _answer_residency(self, challenge: Challenge, params) -> tuple[dict, float]:
+        result = self.probe(challenge.salt, argon_memory_kib=params.argon_memory_kib)
+        payload = {
+            "response_digest": result.response_digest,
+            "kernel_time_ns": int(result.kernel_time_s * 1e9),
+        }
+        return payload, result.timing.duration
+
     def init_dataset(
         self, seed: bytes, size_bytes: int, block_size_bytes: int
     ) -> float:
@@ -348,7 +354,10 @@ class SimWorker:
         return duration
 
     def probe(self, nonce: bytes, argon_memory_kib: int = 1024) -> ResidencyProbeResult:
-        """Answer one residency probe with a real digest and a modeled time."""
+        """One residency probe: a real digest and a modeled time.
+
+        The clock advances when ``answer`` returns the probe's response.
+        """
         if self.dataset is None:
             raise RuntimeError("probe before init_dataset")
         hot = residency_hot_at(self.profile, self._probe_round)
@@ -359,7 +368,6 @@ class SimWorker:
         duration = simulate_residency_time(
             self.profile, self.dataset.size_bytes, self.model, self.rng, hot=hot
         )
-        self.clock.sleep(duration)
         kernel_s = self.dataset.size_bytes / self.model.hbm_bw
         return ResidencyProbeResult(
             response_digest=real.response_digest,

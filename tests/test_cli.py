@@ -96,6 +96,34 @@ def test_challenger_unreachable_worker(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_challenger_dead_connection_is_an_error_not_a_verdict(
+    tmp_path, daemon, monkeypatch, capsys
+):
+    # the challenger's socket dies after three answered rounds; the
+    # session must end in a transport error (exit 2), not in a verdict
+    # over rounds that were never answered
+    answer = netcli.RemoteWorker.answer
+    answered = []
+
+    def answer_then_die(self, challenge):
+        if len(answered) == 3:
+            self._sock.close()
+        answered.append(challenge.index)
+        return answer(self, challenge)
+
+    monkeypatch.setattr(netcli.RemoteWorker, "answer", answer_then_die)
+    config = _config_file(tmp_path, daemon, rounds=20)
+    with pytest.raises(netcli.TransportError):
+        netcli.run_challenger(netcli.load_config(str(config)) | {"kind": "pow"})
+    answered.clear()
+    code = cli.challenger_main(
+        ["run", "--mode", "pow", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == cli.EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert answered == [0, 1, 2, 3]
+
+
 def test_challenger_seed_flag_overrides_config(tmp_path, daemon):
     config = _config_file(tmp_path, daemon, seed=1)
     out_a = tmp_path / "a.csv"

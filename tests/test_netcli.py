@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from gputelem import netcli
-from gputelem.protocol import ProtocolError, build_challenge
+from gputelem.protocol import ProtocolError, build_challenge, challenge_record
 from gputelem.stattests import Decision, Verdict
 from gputelem.wire import (
     MSG_CHALLENGE_BATCH,
@@ -276,6 +276,31 @@ def test_daemon_error_reply_keeps_connection_alive(daemon):
             WireMessage(
                 MSG_PRE_CHALLENGE,
                 encode_record({"session_id": b"\x22" * 32, "kind": "pow"}),
+            ),
+        )
+        assert netcli.recv_frame(sock).msg_type == MSG_PRE_RESPONSE
+    finally:
+        sock.close()
+
+
+def test_daemon_residency_challenge_before_pre_challenge_is_an_error(daemon):
+    sock = socket.create_connection(daemon.address, timeout=10)
+    try:
+        challenge = build_challenge(
+            b"\x44" * 32, 0, "residency", random.Random(2), 0.0, {"argon_memory_kib": 8}
+        )
+        netcli.send_frame(
+            sock,
+            WireMessage(
+                MSG_CHALLENGE_BATCH, encode_record(challenge_record(challenge))
+            ),
+        )
+        assert netcli.recv_frame(sock).msg_type == MSG_ERROR
+        netcli.send_frame(
+            sock,
+            WireMessage(
+                MSG_PRE_CHALLENGE,
+                encode_record({"session_id": b"\x44" * 32, "kind": "pow"}),
             ),
         )
         assert netcli.recv_frame(sock).msg_type == MSG_PRE_RESPONSE

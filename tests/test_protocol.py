@@ -12,9 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gputelem import protocol, wire
+from gputelem import netcli, protocol, wire
 from gputelem.core import Challenge, Response
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
+from gputelem.pow import PowParams
+from gputelem.residency import ResidencyParams, init_chal
+from gputelem.vdf import VdfParams
 from gputelem.worksim import SimWorker, WorkerProfile
 
 
@@ -228,6 +231,80 @@ def test_validate_response_unknown_mode_raises():
         protocol.validate_response(challenge, response)
 
 
+def _residency_answered():
+    """An honest residency answer and the challenger's copy of the dataset."""
+    worker = SimWorker(WorkerProfile(), seed=12)
+    worker.pre_challenge(
+        {
+            "session_id": b"S" * 32,
+            "kind": "residency",
+            "residency": {"seed": b"d", "size_bytes": 1 << 16, "block_size_bytes": 1 << 14},
+        }
+    )
+    challenge = _challenge("residency", {"argon_memory_kib": 8})
+    return challenge, worker.answer(challenge), init_chal(1 << 16, b"d", 1 << 14)
+
+
+def test_validate_residency_accepts_honest_digest_through_the_wire():
+    challenge, response, dataset = _residency_answered()
+    raw = wire.encode_record(protocol.response_record(response))
+    parsed = protocol.parse_response(wire.decode_record(raw))
+    assert protocol.validate_response(challenge, parsed, dataset)
+
+
+def test_validate_residency_rejects_forged_or_misdirected_digests():
+    challenge, response, dataset = _residency_answered()
+    digest = response.payload["response_digest"]
+    flipped = replace(
+        response,
+        payload=dict(response.payload, response_digest=bytes([digest[0] ^ 1]) + digest[1:]),
+    )
+    assert not protocol.validate_response(challenge, flipped, dataset)
+    for stranger in (
+        replace(response, session_id=b"T" * 32),
+        replace(response, index=response.index + 1),
+    ):
+        assert not protocol.validate_response(challenge, stranger, dataset)
+    # answered at 8 KiB, but the challenge asked for 16 KiB
+    costlier = replace(challenge, params={"argon_memory_kib": 16})
+    assert not protocol.validate_response(costlier, response, dataset)
+    # another dataset of the same shape
+    other = init_chal(1 << 16, b"e", 1 << 14)
+    assert not protocol.validate_response(challenge, response, other)
+    missing = replace(response, payload={"kernel_time_ns": 1})
+    assert protocol.validate_response(challenge, missing, dataset) is False
+
+
+def test_params_for_defaults_are_the_dataclass_defaults():
+    assert protocol.params_for("pow", {}) == PowParams()
+    assert protocol.params_for("gemm", {}) == GemmParams()
+    assert protocol.params_for("vdf", {"modulus_n": 77}) == VdfParams(modulus_n=77)
+    assert protocol.params_for("residency", {}) == ResidencyParams()
+    assert protocol.params_for("pow", {"difficulty": "3", "extra": 1}) == PowParams(difficulty=3)
+    with pytest.raises(protocol.ProtocolError):
+        protocol.params_for("quantum", {})
+    # the challenger fills the same defaults into the params it sends
+    rng = random.Random(0)
+    assert netcli._mode_params("pow", {}, rng) == {
+        "difficulty": 12,
+        "argon_passes": 1,
+        "argon_lanes": 1,
+        "argon_memory_kib": 1024,
+    }
+    assert netcli._mode_params("gemm", {}, rng) == {
+        "dimension_n": 64,
+        "difficulty_d": 4,
+        "freivalds_k": 5,
+    }
+    assert netcli._mode_params("vdf", {"vdf": {"modulus_n": 77}}, rng) == {
+        "modulus_n": 77,
+        "t_min": 1 << 10,
+        "t_max": 1 << 12,
+        "instances": 4,
+    }
+    assert rng.random() == random.Random(0).random()  # no group drawn
+
+
 # --- session driver -----------------------------------------------------------------
 
 
@@ -266,3 +343,32 @@ def test_session_driver_reports_worker_exception_as_invalid():
     )
     duration, valid = driver.run_round(0)
     assert not valid
+
+
+def test_session_driver_lets_a_transport_error_end_the_session():
+    class _Disconnected:
+        def now(self):
+            return 0.0
+
+        def answer(self, challenge):
+            raise protocol.TransportError("connection closed mid-frame")
+
+    driver = protocol.SessionDriver(
+        worker=_Disconnected(), mode="pow", params={"difficulty": 1}, rng=random.Random(4)
+    )
+    with pytest.raises(protocol.TransportError):
+        driver.run_round(0)
+    assert netcli.TransportError is protocol.TransportError
+
+
+def test_session_driver_step_keeps_the_round_for_the_caller():
+    worker = SimWorker(WorkerProfile(), seed=21)
+    driver = protocol.SessionDriver(
+        worker=worker,
+        mode="pow",
+        params={"difficulty": 2, "argon_memory_kib": 8},
+        rng=random.Random(3),
+    )
+    step = driver.step(0)
+    assert step.valid and step.response.matches(step.challenge)
+    assert step.duration == pytest.approx(step.response.solve_time)

@@ -315,6 +315,55 @@ def test_probe_before_init_raises():
         worker.probe(b"nonce")
 
 
+def _residency_pre_challenge(size=1 << 16, block=1 << 14) -> dict:
+    return {
+        "session_id": b"sim-session",
+        "kind": "residency",
+        "residency": {"seed": b"seed", "size_bytes": size, "block_size_bytes": block},
+    }
+
+
+def test_pre_challenge_plants_the_residency_dataset():
+    model = BandwidthModel(hbm_bw=100e9, pci_bw=10e9, base_latency_ns=0)
+    worker = SimWorker(WorkerProfile(jitter_rel=0.0), seed=8, model=model)
+    ack = worker.pre_challenge(_residency_pre_challenge(1 << 20, 1 << 18))
+    assert ack == {
+        "session_id": b"sim-session",
+        "status": "ok",
+        "init_time_ns": int((1 << 20) / 10e9 * 1e9),
+    }
+    assert worker.dataset is not None and worker.dataset.block_count == 4
+
+
+def test_pre_challenge_of_other_modes_draws_nothing():
+    worker = SimWorker(WorkerProfile(), seed=8)
+    state = worker.rng.getstate()
+    for kind in ("pow", "vdf", "gemm"):
+        ack = worker.pre_challenge({"session_id": b"s", "kind": kind})
+        assert ack == {"session_id": b"s", "status": "ok", "init_time_ns": 0}
+    assert worker.rng.getstate() == state and worker.now() == 0.0
+    with pytest.raises(ValueError):
+        worker.pre_challenge({"session_id": b"s", "kind": "quantum"})
+
+
+def test_answer_residency_matches_probe():
+    answering = SimWorker(WorkerProfile(residency_state="cold"), seed=10)
+    probing = SimWorker(WorkerProfile(residency_state="cold"), seed=10)
+    for worker in (answering, probing):
+        worker.pre_challenge(_residency_pre_challenge())
+    challenge = _challenge("residency", {"argon_memory_kib": 8})
+    started = answering.now()
+    response = answering.answer(challenge)
+    result = probing.probe(challenge.salt, argon_memory_kib=8)
+    assert response.matches(challenge)
+    assert response.payload == {
+        "response_digest": result.response_digest,
+        "kernel_time_ns": int(result.kernel_time_s * 1e9),
+    }
+    assert response.solve_time == result.timing.duration
+    assert answering.now() == started + response.solve_time
+
+
 def test_spawn_worker_in_process_variants():
     worker = worksim.spawn_worker(WorkerProfile(), seed=1)
     assert isinstance(worker, SimWorker)
