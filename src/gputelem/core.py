@@ -7,9 +7,11 @@ between the challenger and the worker.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
@@ -183,3 +185,59 @@ class TimingSample:
     duration: float
     valid: bool
     difficulty: int = 0
+
+
+# --- config blocks ---------------------------------------------------------
+
+
+def _coerce(name: str, kind: type, value):
+    """``value`` as an int, float or str field; bools are never numbers."""
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif kind is int and type(value) is int:
+        return value  # exact at any width: a vdf modulus has hundreds of bits
+    elif not isinstance(value, bool):
+        # YAML 1.1 floats need a signed exponent, so "2.0e6" arrives as a
+        # string; accept anything float() does
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is not None and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> (type, accepts None) of a config dataclass, resolved once."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+        types[f.name] = (args[0], True) if args else (hints[f.name], False)
+    return types
+
+
+def _parse_fields(cls, raw: dict | None, strict: bool = True, block: str = ""):
+    """An instance of the config dataclass ``cls`` from a config block.
+
+    Keys and types are the fields of ``cls`` (int, float, str, or one of
+    them ``| None``); an omitted key takes the field default, so a
+    block's defaults live only in its class.  Numbers may be YAML number
+    strings, and an int field needs a whole number.  ``strict`` refuses
+    keys that are not fields, naming ``block`` (default: the class);
+    otherwise they are ignored.
+    """
+    types = _field_types(cls)
+    raw = raw or {}
+    if strict and not types.keys() >= raw.keys():
+        unknown = sorted(set(raw) - types.keys())
+        raise ValueError(f"unknown {block or cls.__name__} fields: {unknown}")
+    values = {}
+    for key, (kind, optional) in types.items():
+        if key in raw:
+            value = raw[key]
+            values[key] = None if optional and value is None else _coerce(key, kind, value)
+    return cls(**values)

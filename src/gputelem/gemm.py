@@ -38,7 +38,6 @@ class GemmParams:
     dimension_n: int = 64
     difficulty_d: int = 4
     freivalds_k: int = 5
-    field_modulus: int = FIELD_MODULUS
 
     def __post_init__(self) -> None:
         if self.dimension_n < 1:
@@ -47,8 +46,6 @@ class GemmParams:
             raise ValueError("difficulty must lie in [0, 32]")
         if self.freivalds_k < 1:
             raise ValueError("freivalds_k must be >= 1")
-        if self.field_modulus != FIELD_MODULUS:
-            raise ValueError("field modulus is fixed at 2^61 - 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +62,7 @@ def matrix_bytes(matrix: np.ndarray) -> bytes:
     return np.ascontiguousarray(matrix, dtype=np.int64).astype(">u8").tobytes()
 
 
-def derive_matrices(
-    sigma: bytes, n: int, field_modulus: int = FIELD_MODULUS
-) -> tuple[np.ndarray, np.ndarray]:
+def derive_matrices(sigma: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Expand a chain state into the attempt's two matrices.
 
     One keyed stream of 16 n^2 bytes, ``keyed_stream(sigma, 16 n^2,
@@ -80,25 +75,19 @@ def derive_matrices(
     """
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    if field_modulus != FIELD_MODULUS:
-        raise ValueError("field modulus is fixed at 2^61 - 1")
     stream = keyed_stream(sigma, 16 * n * n, encode_fields("gemm-AB"))
     words = np.frombuffer(stream, dtype="<u8") & np.uint64(FIELD_MODULUS)
     entries = (words % np.uint64(FIELD_MODULUS)).astype(np.int64)
     return entries[: n * n].reshape(n, n), entries[n * n :].reshape(n, n)
 
 
-def field_matmul(
-    a: np.ndarray, b: np.ndarray, field_modulus: int = FIELD_MODULUS
-) -> np.ndarray:
+def field_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact matrix product mod 2^61 - 1 on int64 hardware.
 
     Splits operands into three 21-bit limbs so every partial product
     fits in int64 (valid through n = 2^15), then folds limb weights with
     2^61 = 1 (mod p).  Output entries are canonical, in [0, p).
     """
-    if field_modulus != FIELD_MODULUS:
-        raise ValueError("field modulus is fixed at 2^61 - 1")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -153,8 +142,8 @@ def solve_gemm_puzzle(
         max_attempts = 1 << min(params.difficulty_d + 8, 40)
     sigma = hash_bytes(sid)
     for j in range(max_attempts):
-        a, b = derive_matrices(sigma, params.dimension_n, params.field_modulus)
-        product = field_matmul(a, b, params.field_modulus)
+        a, b = derive_matrices(sigma, params.dimension_n)
+        product = field_matmul(a, b)
         if digest_below_target(puzzle_digest(sid, sigma, product), params.difficulty_d):
             return GemmProof(index_jstar=j, product_C=product, chain_state_sigma=sigma)
         sigma = hash_bytes(sigma)
@@ -222,7 +211,7 @@ def verify_gemm_puzzle(
     product = np.asarray(proof.product_C, dtype=np.int64)
     if product.shape != (params.dimension_n, params.dimension_n):
         return False
-    if product.min() < 0 or product.max() >= params.field_modulus:
+    if product.min() < 0 or product.max() >= FIELD_MODULUS:
         return False
     sigma = hash_bytes(sid)
     for _ in range(proof.index_jstar):
@@ -232,7 +221,7 @@ def verify_gemm_puzzle(
     digest = puzzle_digest(sid, sigma, product)
     if not digest_below_target(digest, params.difficulty_d):
         return False
-    a, b = derive_matrices(sigma, params.dimension_n, params.field_modulus)
+    a, b = derive_matrices(sigma, params.dimension_n)
     if rng is None:
         rng = _verification_rng(sid, digest)
     return freivalds_check(a, b, product, params.freivalds_k, rng)

@@ -13,6 +13,13 @@ a simulation.
 
 Reports come out as CSV rows plus a JSON summary; with seeded configs
 and virtual clocks both are byte-deterministic.
+
+Each config block is read by the dataclass it configures
+(``core._parse_fields``), whose field defaults are the only defaults:
+``profile`` by ``worksim.WorkerProfile``, ``bandwidth`` by
+``residency.BandwidthModel`` (both refuse unknown keys), a mode block
+by its challenge params class (``protocol.params_for``), and the
+``residency`` block also by ``residency.ResidencySettings``.
 """
 
 from __future__ import annotations
@@ -23,14 +30,13 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
-from .core import Response
+from .core import Response, _parse_fields
 from .protocol import (
     MODES,
-    PARAM_KEYS,
     ProtocolError,
     SessionDriver,
     TransportError,
@@ -44,6 +50,7 @@ from .protocol import (
 from .residency import (
     BandwidthModel,
     ResidencySessionReport,
+    ResidencySettings,
     run_residency_session,
 )
 from .stattests import Decision, Verdict, continuous_measurement
@@ -113,14 +120,14 @@ class _WorkerServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, profile, seed, model, shape_latency=True):
+    def __init__(self, listen, profile, seed=0, model=None, shape_latency=True):
         self.profile = profile
         self.base_seed = seed
-        self.model = model
+        self.model = model if model is not None else BandwidthModel()
         self.shape_latency = shape_latency
         self._session_counter = 0
         self._counter_lock = threading.Lock()
-        super().__init__(address, _WorkerHandler)
+        super().__init__(_parse_address(listen), _WorkerHandler)
 
     def next_seed(self) -> int:
         with self._counter_lock:
@@ -207,14 +214,7 @@ def serve_worker_background(
     model: BandwidthModel | None = None,
     shape_latency: bool = True,
 ) -> WorkerDaemon:
-    host, _, port = listen.rpartition(":")
-    server = _WorkerServer(
-        (host or "127.0.0.1", int(port)),
-        profile,
-        seed,
-        model if model is not None else BandwidthModel(),
-        shape_latency=shape_latency,
-    )
+    server = _WorkerServer(listen, profile, seed, model, shape_latency)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return WorkerDaemon(server=server, thread=thread)
@@ -222,15 +222,11 @@ def serve_worker_background(
 
 def run_worker(config: dict) -> None:
     """Blocking daemon entry point; serves until interrupted."""
-    profile = profile_from_dict(config.get("profile", {}))
-    listen = str(config.get("listen", "127.0.0.1:9333"))
-    model = bandwidth_model_from_dict(config.get("bandwidth", {}))
-    host, _, port = listen.rpartition(":")
     server = _WorkerServer(
-        (host or "127.0.0.1", int(port)),
-        profile,
+        config.get("listen", "127.0.0.1:9333"),
+        profile_from_dict(config.get("profile")),
         int(config.get("seed", 0)),
-        model,
+        bandwidth_model_from_dict(config.get("bandwidth")),
     )
     try:
         server.serve_forever()
@@ -382,8 +378,7 @@ def _mode_params(kind: str, config: dict, rng: random.Random) -> dict:
     if kind == "vdf" and "modulus_n" not in section:
         bits = int(section.get("modulus_bits", 512))
         section["modulus_n"] = setup_group(bits, rng).modulus_N
-    params = params_for(kind, section)
-    return {key: getattr(params, key) for key in PARAM_KEYS[kind]}
+    return asdict(params_for(kind, section))
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -424,19 +419,17 @@ def _run_session(
     rows: list[dict] = []
     if kind == "residency":
         section = dict(config.get("residency", {}))
-        model = bandwidth_model_from_dict(config.get("bandwidth", {}))
+        if "rounds" in config:  # a session-wide round count, unless overridden
+            section.setdefault("rounds", config["rounds"])
+        settings = _parse_fields(ResidencySettings, section, strict=False)
         res_report = run_residency_session(
             worker,
-            rounds=int(section.get("rounds", config.get("rounds", 10))),
-            t_max_s=float(section.get("t_max_s", 1.0)),
-            dataset_bytes=int(section.get("dataset_mib", 64)) << 20,
-            block_size_bytes=int(section.get("block_kib", 1024)) << 10,
-            model=model,
-            threshold_ns=(
-                None
-                if section.get("threshold_ns") is None
-                else _coerce_int("threshold_ns", section.get("threshold_ns"))
-            ),
+            rounds=settings.rounds,
+            t_max_s=settings.t_max_s,
+            dataset_bytes=settings.dataset_mib << 20,
+            block_size_bytes=settings.block_kib << 10,
+            model=bandwidth_model_from_dict(config.get("bandwidth")),
+            threshold_ns=settings.threshold_ns,
             argon_memory_kib=params_for("residency", section).argon_memory_kib,
             rng=rng,
             sink=rows.append,
@@ -519,67 +512,9 @@ def load_config(path: str) -> dict:
     return loaded
 
 
-def _coerce_float(field: str, value) -> float:
-    # YAML 1.1 floats need a signed exponent, so "2.0e6" arrives as a
-    # string; accept anything float() does rather than crash later.
-    if isinstance(value, bool):
-        raise ValueError(f"{field}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field}: expected a number, got {value!r}") from None
+def profile_from_dict(raw: dict | None) -> WorkerProfile:
+    return _parse_fields(WorkerProfile, raw, block="profile")
 
 
-def _coerce_int(field: str, value) -> int:
-    parsed = _coerce_float(field, value)
-    if parsed != int(parsed):
-        raise ValueError(f"{field}: expected an integer, got {value!r}")
-    return int(parsed)
-
-
-_PROFILE_FLOAT_FIELDS = frozenset(
-    {
-        "hash_rate_r",
-        "contention_factor",
-        "tensor_contention",
-        "memory_contention",
-        "squaring_rate",
-        "jitter_rel",
-    }
-)
-_PROFILE_INT_FIELDS = frozenset(
-    {"threads_M", "network_t0_ns", "outsourced_extra_ns", "vdf_capacity"}
-)
-_PROFILE_STR_FIELDS = frozenset({"residency_state", "behavior"})
-
-
-def profile_from_dict(raw: dict) -> WorkerProfile:
-    known = _PROFILE_FLOAT_FIELDS | _PROFILE_INT_FIELDS | _PROFILE_STR_FIELDS | {
-        "evict_after_round"
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown profile fields: {sorted(unknown)}")
-    clean = {}
-    for key, value in raw.items():
-        if key in _PROFILE_STR_FIELDS:
-            clean[key] = str(value)
-        elif key == "evict_after_round":
-            clean[key] = None if value is None else _coerce_int(key, value)
-        elif key in _PROFILE_INT_FIELDS:
-            clean[key] = _coerce_int(key, value)
-        else:
-            clean[key] = _coerce_float(key, value)
-    return WorkerProfile(**clean)
-
-
-def bandwidth_model_from_dict(raw: dict) -> BandwidthModel:
-    if not raw:
-        return BandwidthModel()
-    return BandwidthModel(
-        hbm_bw=_coerce_float("hbm_bw", raw.get("hbm_bw", 100e9)),
-        pci_bw=_coerce_float("pci_bw", raw.get("pci_bw", 10e9)),
-        base_latency_ns=_coerce_int(
-            "base_latency_ns", raw.get("base_latency_ns", 50_000)
-        ),
-    )
+def bandwidth_model_from_dict(raw: dict | None) -> BandwidthModel:
+    return _parse_fields(BandwidthModel, raw, block="bandwidth")

@@ -12,7 +12,7 @@ virtual-clock worker is reached by identical code against a live one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from . import vdf as vdf_mod
 from .core import (
     Challenge,
     Response,
+    _parse_fields,
     encode_fields,
     generate_salt,
     hash_bytes,
@@ -31,18 +32,15 @@ from .residency import ChalDataset, ResidencyParams, residency_probe
 
 MODES = ("pow", "vdf", "gemm", "residency")
 
-# the challenge params of each mode; the dataclass defaults are the only defaults
-PARAM_KEYS = {
-    "pow": ("difficulty", "argon_passes", "argon_lanes", "argon_memory_kib"),
-    "vdf": ("modulus_n", "t_min", "t_max", "instances"),
-    "gemm": ("dimension_n", "difficulty_d", "freivalds_k"),
-    "residency": ("argon_memory_kib",),
-}
 _PARAM_TYPES = {
     "pow": PowParams,
     "vdf": vdf_mod.VdfParams,
     "gemm": GemmParams,
     "residency": ResidencyParams,
+}
+# the challenge params of each mode are the fields of its settings class
+PARAM_KEYS = {
+    mode: tuple(f.name for f in fields(cls)) for mode, cls in _PARAM_TYPES.items()
 }
 
 
@@ -63,12 +61,24 @@ def params_for(mode: str, params: dict):
 
     The one parser of challenge params, for challenger and worker alike.
     A key the dict omits takes its dataclass default; keys outside
-    ``PARAM_KEYS[mode]`` are ignored.
+    ``PARAM_KEYS[mode]`` are ignored, since config blocks carry session
+    keys (``modulus_bits``, ``dataset_mib``) beside the params.
     """
-    if mode not in PARAM_KEYS:
+    cls = _PARAM_TYPES.get(mode)
+    if cls is None:
         raise ProtocolError(f"unknown mode {mode!r}")
-    values = {key: int(params[key]) for key in PARAM_KEYS[mode] if key in params}
-    return _PARAM_TYPES[mode](**values)
+    return _parse_fields(cls, params, strict=False)
+
+
+def bytes_field(value) -> bytes:
+    """A byte-string record field as bytes; anything else is a ProtocolError.
+
+    ``bytes()`` of a peer-sent integer would allocate that many zero
+    bytes (or overflow), so integers and lists are refused here.
+    """
+    if not isinstance(value, (bytes, bytearray)):
+        raise ProtocolError(f"expected bytes, got {type(value).__name__}")
+    return bytes(value)
 
 
 def new_session_id(rng: random.Random) -> bytes:
@@ -115,10 +125,10 @@ def challenge_record(challenge: Challenge) -> dict:
 def parse_challenge(record: dict) -> Challenge:
     try:
         return Challenge(
-            session_id=bytes(record["session_id"]),
+            session_id=bytes_field(record["session_id"]),
             index=int(record["index"]),
             mode=str(record["mode"]),
-            salt=bytes(record["salt"]),
+            salt=bytes_field(record["salt"]),
             issued_at=int(record["issued_at_us"]) / 1e6,
             params=dict(record.get("params", {})),
         )
@@ -196,10 +206,10 @@ def parse_response(record: dict, dimension_n: int | None = None) -> Response:
             if dimension_n is None:
                 raise ProtocolError("gemm response needs dimension_n to parse")
             payload["product_c"] = _matrix_from_bytes(
-                bytes(payload["product_c"]), dimension_n
+                bytes_field(payload["product_c"]), dimension_n
             )
         response = Response(
-            session_id=bytes(record["session_id"]),
+            session_id=bytes_field(record["session_id"]),
             index=int(record["index"]),
             mode=mode,
             payload=payload,
@@ -244,7 +254,7 @@ def validate_response(
 def _validate_pow(challenge: Challenge, response: Response) -> bool:
     solution = PowSolution(
         nonce=int(response.payload["nonce"]),
-        digest=bytes(response.payload["digest"]),
+        digest=bytes_field(response.payload["digest"]),
         attempts=int(response.payload.get("attempts", 0)),
     )
     return verify_pow(challenge, solution, params_for("pow", challenge.params))
@@ -255,7 +265,7 @@ def _validate_gemm(challenge: Challenge, response: Response) -> bool:
     proof = GemmProof(
         index_jstar=int(response.payload["index_jstar"]),
         product_C=np.asarray(response.payload["product_c"], dtype=np.int64),
-        chain_state_sigma=bytes(response.payload["chain_state_sigma"]),
+        chain_state_sigma=bytes_field(response.payload["chain_state_sigma"]),
     )
     # the prover knows (sid, digest), so the default proof-derived check
     # vectors could be ground against; draw them privately instead

@@ -32,7 +32,6 @@ from .core import (
 )
 
 DEFAULT_BLOCK_BYTES = 1 << 20  # matches the per-instance Argon2id memory cost
-DESK_DATASET_BYTES = 256 << 20  # deployment-scale corpora are simulated, not allocated
 
 
 class Residency(str, Enum):
@@ -60,6 +59,22 @@ class ResidencyParams:
     """Challenge params of one probe: the phase-2 Argon2id memory cost."""
 
     argon_memory_kib: int = 1024
+
+
+@dataclass(frozen=True)
+class ResidencySettings:
+    """Session settings of a ``residency`` config block.
+
+    Desk-scale defaults: deployment-scale corpora are simulated through
+    the bandwidth model, not allocated.  ``threshold_ns`` None means
+    ``default_threshold_ns`` of the dataset size.
+    """
+
+    rounds: int = 10
+    t_max_s: float = 1.0
+    dataset_mib: int = 64
+    block_kib: int = DEFAULT_BLOCK_BYTES >> 10
+    threshold_ns: int | None = None
 
 
 @dataclass
@@ -144,7 +159,7 @@ def default_instance_count(block_count: int) -> int:
 def residency_probe(
     chal: ChalDataset,
     nonce: bytes,
-    argon_memory_kib: int = 1024,
+    argon_memory_kib: int = ResidencyParams.argon_memory_kib,
     argon_passes: int = 1,
     argon_lanes: int = 1,
     instances: int | None = None,
@@ -253,11 +268,11 @@ def run_residency_session(
     worker,
     rounds: int,
     t_max_s: float,
-    dataset_bytes: int = DESK_DATASET_BYTES,
+    dataset_bytes: int = ResidencySettings.dataset_mib << 20,
     block_size_bytes: int = DEFAULT_BLOCK_BYTES,
     model: BandwidthModel | None = None,
     threshold_ns: int | None = None,
-    argon_memory_kib: int = 1024,
+    argon_memory_kib: int = ResidencyParams.argon_memory_kib,
     rng: random.Random | None = None,
     sink=None,
 ) -> ResidencySessionReport:

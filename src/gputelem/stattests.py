@@ -16,12 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import TimingSample
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .worksim import WorkerProfile
 
 
 class InconclusiveError(RuntimeError):
@@ -389,56 +386,3 @@ def utilization_proxy(batch_times: Mapping[int, float]) -> dict[int, float]:
     peak = max(throughput.values())
     return {m: v / peak for m, v in throughput.items()}
 
-
-def detection_curve(
-    honest: "WorkerProfile",
-    deviant: "WorkerProfile",
-    grid: Sequence[int],
-    cfg: TestConfig,
-    pow_difficulty: int = 12,
-    trials: int = 2000,
-    seed: int = 0,
-) -> list[dict]:
-    """Monte-Carlo acceptance rates of the fixed-sample test vs. sample count.
-
-    For each grid entry n, simulates ``trials`` sessions of n solve
-    times per profile (timing law only, no real hashing) and applies
-    fixed_sample_test at that n.  Returns one row per (n, profile) with
-    the empirical accept rate; no smoothing is applied, what you see is
-    what the simulation produced.
-    """
-    import random
-
-    from .worksim import simulate_pow_time
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rows: list[dict] = []
-    for n in grid:
-        if n < 1:
-            raise ValueError("grid sample counts must be >= 1")
-        n_cfg = TestConfig(
-            lambda_min=cfg.lambda_min, alpha=cfg.alpha, n=n, t0_ns=cfg.t0_ns
-        )
-        for label, profile in (("honest", honest), ("deviant", deviant)):
-            # string seeding is stable across processes; tuple seeding
-            # would go through salted hash()
-            rng = random.Random(f"detection:{label}:{n}:{seed}")
-            accepts = 0
-            for _ in range(trials):
-                samples = [
-                    TimingSample(
-                        index=i,
-                        mode="pow",
-                        duration=simulate_pow_time(profile, pow_difficulty, rng),
-                        valid=True,
-                        difficulty=pow_difficulty,
-                    )
-                    for i in range(n)
-                ]
-                if fixed_sample_test(samples, n_cfg).accepted:
-                    accepts += 1
-            rows.append(
-                {"n": n, "profile": label, "accept_rate": accepts / trials}
-            )
-    return rows

@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 from .core import Challenge, Response, generate_salt
 from .gemm import GemmParams, solve_gemm_puzzle
 from .pow import PowParams, solve_pow
-from .protocol import MODES, params_for
+from .protocol import MODES, bytes_field, params_for
 from .residency import (
     BandwidthModel,
     ChalDataset,
+    ResidencyParams,
     ResidencyProbeResult,
     init_chal,
     residency_probe,
@@ -258,11 +259,13 @@ class SimWorker:
         if kind == "residency":
             res = record["residency"]
             duration = self.init_dataset(
-                bytes(res["seed"]), int(res["size_bytes"]), int(res["block_size_bytes"])
+                bytes_field(res["seed"]),
+                int(res["size_bytes"]),
+                int(res["block_size_bytes"]),
             )
             init_time_ns = int(duration * 1e9)
         return {
-            "session_id": bytes(record["session_id"]),
+            "session_id": bytes_field(record["session_id"]),
             "status": "ok",
             "init_time_ns": init_time_ns,
         }
@@ -353,7 +356,9 @@ class SimWorker:
         self.clock.sleep(duration)
         return duration
 
-    def probe(self, nonce: bytes, argon_memory_kib: int = 1024) -> ResidencyProbeResult:
+    def probe(
+        self, nonce: bytes, argon_memory_kib: int = ResidencyParams.argon_memory_kib
+    ) -> ResidencyProbeResult:
         """One residency probe: a real digest and a modeled time.
 
         The clock advances when ``answer`` returns the probe's response.
@@ -375,28 +380,3 @@ class SimWorker:
             kernel_time_s=kernel_s,
             mode_truth="Hot" if hot else "Cold",
         )
-
-
-def spawn_worker(
-    profile: WorkerProfile,
-    mode: str = "in-process",
-    seed: int = 0,
-    wall_clock: bool = False,
-    model: BandwidthModel | None = None,
-    listen: str = "127.0.0.1:0",
-):
-    """Create a worker handle.
-
-    "in-process" returns a SimWorker on a virtual clock (or wall clock
-    when asked).  "daemon" starts a TCP server thread speaking the wire
-    protocol and returns its bound (host, port); port binding failures
-    propagate as OSError.
-    """
-    if mode == "in-process":
-        clock = WallClock() if wall_clock else VirtualClock()
-        return SimWorker(profile, seed=seed, clock=clock, model=model)
-    if mode == "daemon":
-        from .netcli import serve_worker_background
-
-        return serve_worker_background(profile, listen=listen, seed=seed, model=model)
-    raise ValueError(f"unknown worker mode {mode!r}")

@@ -6,6 +6,8 @@ real waiting. Byte-determinism of reports is checked on virtual-clock
 sessions, the only place it is promised.
 """
 
+import dataclasses
+import inspect
 import json
 import socket
 import threading
@@ -16,6 +18,11 @@ import yaml
 
 from gputelem import netcli
 from gputelem.protocol import ProtocolError, build_challenge, challenge_record
+from gputelem.residency import (
+    BandwidthModel,
+    ResidencySessionReport,
+    run_residency_session,
+)
 from gputelem.stattests import Decision, Verdict
 from gputelem.wire import (
     MSG_CHALLENGE_BATCH,
@@ -213,6 +220,69 @@ def test_bandwidth_model_from_dict():
     assert wart.hbm_bw == 100e9 and wart.base_latency_ns == 50_000
     with pytest.raises(ValueError, match="pci_bw"):
         netcli.bandwidth_model_from_dict({"pci_bw": "wide"})
+    with pytest.raises(ValueError, match="bandwidth"):
+        netcli.bandwidth_model_from_dict({"pci_bandwidth": 5e9})  # typo for pci_bw
+
+
+@pytest.mark.parametrize(
+    "cls, parse",
+    [
+        (WorkerProfile, netcli.profile_from_dict),
+        (BandwidthModel, netcli.bandwidth_model_from_dict),
+    ],
+)
+def test_config_block_fields_round_trip_from_yaml_number_strings(cls, parse):
+    expected, lines = {}, []
+    for f in dataclasses.fields(cls):
+        value = getattr(cls(), f.name)
+        value = 1 if value is None else value
+        expected[f.name] = value
+        # a number with an unsigned exponent is a string to YAML 1.1
+        text = value if isinstance(value, str) else f"{value!r}e0"
+        lines.append(f"{f.name}: {text}")
+    loaded = yaml.safe_load("\n".join(lines))
+    assert all(isinstance(v, str) for v in loaded.values())
+    parsed = parse(loaded)
+    assert parsed == cls(**expected)
+    assert {k: type(v) for k, v in dataclasses.asdict(parsed).items()} == {
+        k: type(v) for k, v in expected.items()
+    }
+
+
+def test_residency_config_without_session_keys_keeps_its_defaults(monkeypatch):
+    calls = []
+
+    def fake_session(worker, rng, sink, **kwargs):
+        calls.append(kwargs)
+        return ResidencySessionReport([], True, 0, 0, 1)
+
+    monkeypatch.setattr(netcli, "run_residency_session", fake_session)
+    configs = [
+        {},
+        {"residency": {"argon_memory_kib": 8}},
+        {"rounds": 7},
+        {"rounds": 7, "residency": {"rounds": 3, "t_max_s": "5e-1", "threshold_ns": "1e6"}},
+    ]
+    for config in configs:
+        netcli.run_local_session("residency", WorkerProfile(), config, seed=1)
+    defaults = {
+        "rounds": 10,
+        "t_max_s": 1.0,
+        "dataset_bytes": 64 << 20,
+        "block_size_bytes": 1 << 20,
+        "model": BandwidthModel(),
+        "threshold_ns": None,
+        "argon_memory_kib": 1024,
+    }
+    assert calls == [
+        defaults,
+        {**defaults, "argon_memory_kib": 8},
+        {**defaults, "rounds": 7},
+        {**defaults, "rounds": 3, "t_max_s": 0.5, "threshold_ns": 1_000_000},
+    ]
+    # the library entry point defaults to the same desk-scale dataset
+    signature = inspect.signature(run_residency_session)
+    assert signature.parameters["dataset_bytes"].default == defaults["dataset_bytes"]
 
 
 def test_parse_address():

@@ -7,7 +7,7 @@ exercised, not just the in-memory dict shapes.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -67,6 +67,17 @@ def test_build_challenge_fresh_salt_per_round():
         protocol.build_challenge(b"s", 0, "quantum", rng, 0.0, {})
 
 
+def test_parse_challenge_refuses_integer_byte_fields():
+    # bytes(n) of an integer would be n zero bytes
+    for key in ("session_id", "salt"):
+        record = protocol.challenge_record(_challenge())
+        record[key] = 32
+        with pytest.raises(protocol.ProtocolError):
+            protocol.parse_challenge(record)
+    with pytest.raises(protocol.ProtocolError):
+        SimWorker(WorkerProfile(), seed=1).pre_challenge({"session_id": 32, "kind": "pow"})
+
+
 def test_parse_challenge_missing_field():
     record = protocol.challenge_record(_challenge())
     del record["salt"]
@@ -105,6 +116,24 @@ def test_gemm_response_needs_dimension():
         protocol.parse_response(record)
     with pytest.raises(protocol.ProtocolError):
         protocol.parse_response(record, dimension_n=16)  # wrong byte length
+
+
+def test_parse_response_refuses_integer_byte_fields():
+    params = {"dimension_n": 4, "difficulty_d": 0, "freivalds_k": 2}
+    _, response = _answered("gemm", params)
+    record = protocol.response_record(response)
+    # an integer product_c with the aggregate of the all-zero matrix that
+    # bytes(8 * n * n) would decode to
+    record["payload"]["product_c"] = 8 * 4 * 4
+    zero = {**response.payload, "product_c": np.zeros((4, 4), dtype=np.int64)}
+    record["payload"]["aggregate"] = protocol.response_aggregate("gemm", zero)
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_response(record, dimension_n=4)
+    _, response = _answered("pow", {"difficulty": 2, "argon_memory_kib": 8})
+    record = protocol.response_record(response)
+    record["session_id"] = 32
+    with pytest.raises(protocol.ProtocolError):
+        protocol.parse_response(record)
 
 
 def test_vdf_response_round_trip(rsa_group):
@@ -168,6 +197,16 @@ def test_validate_response_rejects_forged_pow_digest():
         solve_time=response.solve_time,
     )
     assert not protocol.validate_response(challenge, forged)
+
+
+def test_validate_response_integer_byte_fields_are_invalid_not_a_crash():
+    challenge, response = _answered("pow", {"difficulty": 2, "argon_memory_kib": 8})
+    huge = replace(response, payload={**response.payload, "digest": 10**30})
+    assert protocol.validate_response(challenge, huge) is False
+    params = {"dimension_n": 4, "difficulty_d": 0, "freivalds_k": 2}
+    challenge, response = _answered("gemm", params)
+    huge = replace(response, payload={**response.payload, "chain_state_sigma": 10**30})
+    assert protocol.validate_response(challenge, huge) is False
 
 
 def test_validate_gemm_draws_freivalds_vectors_privately():
@@ -303,6 +342,29 @@ def test_params_for_defaults_are_the_dataclass_defaults():
         "instances": 4,
     }
     assert rng.random() == random.Random(0).random()  # no group drawn
+
+
+def test_param_keys_are_the_fields_of_each_params_class():
+    classes = {
+        "pow": PowParams,
+        "vdf": VdfParams,
+        "gemm": GemmParams,
+        "residency": ResidencyParams,
+    }
+    assert protocol.PARAM_KEYS == {
+        mode: tuple(f.name for f in fields(cls)) for mode, cls in classes.items()
+    }
+    assert protocol.PARAM_KEYS["gemm"] == ("dimension_n", "difficulty_d", "freivalds_k")
+
+
+def test_params_for_coerces_by_the_config_rules():
+    modulus = (1 << 511) + 1  # exact, not through a float
+    assert protocol.params_for("vdf", {"modulus_n": modulus}).modulus_n == modulus
+    assert protocol.params_for("gemm", {"dimension_n": "1.6e1"}).dimension_n == 16
+    with pytest.raises(ValueError, match="difficulty"):
+        protocol.params_for("pow", {"difficulty": True})
+    with pytest.raises(ValueError, match="difficulty"):
+        protocol.params_for("pow", {"difficulty": 2.5})
 
 
 # --- session driver -----------------------------------------------------------------

@@ -363,12 +363,3 @@ def test_answer_residency_matches_probe():
     assert response.solve_time == result.timing.duration
     assert answering.now() == started + response.solve_time
 
-
-def test_spawn_worker_in_process_variants():
-    worker = worksim.spawn_worker(WorkerProfile(), seed=1)
-    assert isinstance(worker, SimWorker)
-    assert isinstance(worker.clock, VirtualClock)
-    timed = worksim.spawn_worker(WorkerProfile(), seed=1, wall_clock=True)
-    assert isinstance(timed.clock, WallClock)
-    with pytest.raises(ValueError):
-        worksim.spawn_worker(WorkerProfile(), mode="telepathic")
