@@ -184,7 +184,6 @@ class TimingSample:
     mode: str
     duration: float
     valid: bool
-    difficulty: int = 0
 
 
 # --- config blocks ---------------------------------------------------------

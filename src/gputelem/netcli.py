@@ -16,10 +16,12 @@ and virtual clocks both are byte-deterministic.
 
 Each config block is read by the dataclass it configures
 (``core._parse_fields``), whose field defaults are the only defaults:
-``profile`` by ``worksim.WorkerProfile``, ``bandwidth`` by
-``residency.BandwidthModel`` (both refuse unknown keys), a mode block
-by its challenge params class (``protocol.params_for``), and the
-``residency`` block also by ``residency.ResidencySettings``.
+the top-level keys by ``SessionSettings``, ``profile`` by
+``worksim.WorkerProfile``, ``bandwidth`` by ``residency.BandwidthModel``
+(both refuse unknown keys), a mode block by its challenge params class
+(``protocol.params_for``), and the ``vdf`` and ``residency`` blocks also
+by ``vdf.VdfSettings`` and ``residency.ResidencySettings``.  The
+``worker``/``listen`` addresses are read by ``_parse_address``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .residency import (
     run_residency_session,
 )
 from .stattests import Decision, Verdict, continuous_measurement
-from .vdf import setup_group
+from .vdf import VdfSettings, setup_group
 from .wire import (
     HEADER_LEN,
     MSG_CHALLENGE_BATCH,
@@ -225,7 +227,7 @@ def run_worker(config: dict) -> None:
     server = _WorkerServer(
         config.get("listen", "127.0.0.1:9333"),
         profile_from_dict(config.get("profile")),
-        int(config.get("seed", 0)),
+        _parse_fields(SessionSettings, config, strict=False).seed,
         bandwidth_model_from_dict(config.get("bandwidth")),
     )
     try:
@@ -372,11 +374,11 @@ def _mode_params(kind: str, config: dict, rng: random.Random) -> dict:
     """Challenge params of a session from its config block, defaults filled in.
 
     A vdf block without ``modulus_n`` gets a fresh group of
-    ``modulus_bits`` (default 512), drawn from the session rng.
+    ``VdfSettings.modulus_bits``, drawn from the session rng.
     """
-    section = dict(config.get(kind, {}))
+    section = dict(config.get(kind) or {})
     if kind == "vdf" and "modulus_n" not in section:
-        bits = int(section.get("modulus_bits", 512))
+        bits = _parse_fields(VdfSettings, section, strict=False).modulus_bits
         section["modulus_n"] = setup_group(bits, rng).modulus_N
     return asdict(params_for(kind, section))
 
@@ -396,14 +398,11 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     both map to exit code 2 at the CLI.  Accept/Reject land in the
     returned report.
     """
-    kind = str(config.get("kind", "pow"))
-    if kind not in MODES:
-        raise ValueError(f"unknown kind {kind!r}")
-    seed = int(config.get("seed", 0))
-    rng = random.Random(seed)
+    session = _parse_fields(SessionSettings, config, strict=False)
+    rng = random.Random(session.seed)
     remote = RemoteWorker(_parse_address(config.get("worker", "127.0.0.1:9333")))
     try:
-        report = _run_session(remote, kind, config, rng)
+        report = _run_session(remote, session, config, rng)
     finally:
         remote.close()
     if out_path:
@@ -412,15 +411,16 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
 
 
 def _run_session(
-    worker, kind: str, config: dict, rng: random.Random
+    worker, session: SessionSettings, config: dict, rng: random.Random
 ) -> SessionReport:
+    kind = session.kind
     session_id = new_session_id(rng)
     worker.session_id = session_id
     rows: list[dict] = []
     if kind == "residency":
-        section = dict(config.get("residency", {}))
+        section = dict(config.get("residency") or {})
         if "rounds" in config:  # a session-wide round count, unless overridden
-            section.setdefault("rounds", config["rounds"])
+            section.setdefault("rounds", session.rounds)
         settings = _parse_fields(ResidencySettings, section, strict=False)
         res_report = run_residency_session(
             worker,
@@ -443,10 +443,10 @@ def _run_session(
         )
         decision = continuous_measurement(
             driver,
-            n=int(config.get("rounds", 20)),
-            lambda_min=float(config.get("lambda_min", 1.0)),
-            interval_s=float(config.get("interval_s", 0.0)),
-            t0_s=float(config.get("t0_ns", 0)) * 1e-9,
+            n=session.rounds,
+            lambda_min=session.lambda_min,
+            interval_s=session.interval_s,
+            t0_s=session.t0_ns * 1e-9,
             kind=kind,
             sink=rows.append,
         )
@@ -483,9 +483,10 @@ def run_local_session(
     Same decision path as the TCP flow, minus sockets: thousands of
     sessions per minute, identical verdict semantics.
     """
+    session = _parse_fields(SessionSettings, {**config, "kind": kind}, strict=False)
     rng = random.Random(seed)
     worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=model)
-    return _run_session(worker, kind, config, rng)
+    return _run_session(worker, session, config, rng)
 
 
 def _config_snapshot(config: dict) -> dict:
@@ -510,6 +511,23 @@ def load_config(path: str) -> dict:
     if not isinstance(loaded, dict):
         raise ValueError("config must be a key-value document")
     return loaded
+
+
+@dataclass(frozen=True)
+class SessionSettings:
+    """Top-level session keys.  A residency session takes ``rounds`` only
+    when the config sets it; ``t0_ns`` is the latency floor of a round."""
+
+    kind: str = "pow"
+    seed: int = 0
+    rounds: int = 20
+    lambda_min: float = 1.0
+    interval_s: float = 0.0
+    t0_ns: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in MODES:
+            raise ValueError(f"unknown kind {self.kind!r}")
 
 
 def profile_from_dict(raw: dict | None) -> WorkerProfile:

@@ -97,7 +97,6 @@ class ResidencyProbeResult:
     response_digest: bytes
     timing: TimingSample
     kernel_time_s: float
-    mode_truth: str | None = None
 
 
 def chal_block(seed: bytes, index: int, nbytes: int) -> bytes:
@@ -160,24 +159,17 @@ def residency_probe(
     chal: ChalDataset,
     nonce: bytes,
     argon_memory_kib: int = ResidencyParams.argon_memory_kib,
-    argon_passes: int = 1,
-    argon_lanes: int = 1,
-    instances: int | None = None,
-    mode_truth: str | None = None,
 ) -> ResidencyProbeResult:
     """Run the two-phase probe over the dataset and return the digest.
 
     Phase 1 scans every block in order, masking it with a nonce-keyed
     stream and folding it into a running digest, so the full dataset has
-    to be readable at probe time.  Phase 2 runs memory-hard instances
-    whose block indices depend on the evolving digest; the next index is
-    unknown until the previous tag exists, forcing genuinely randomized
-    access instead of a prefetched linear pass.
+    to be readable at probe time.  Phase 2 runs
+    ``default_instance_count`` single-pass, single-lane Argon2id
+    instances whose block indices depend on the evolving digest; the
+    next index is unknown until the previous tag exists, forcing
+    genuinely randomized access instead of a prefetched linear pass.
     """
-    if instances is None:
-        instances = default_instance_count(chal.block_count)
-    if instances < 1:
-        raise ValueError("need at least one phase-2 instance")
     t_start = time.perf_counter()
     state = keyed_hash(nonce, b"probe-init")
     masked = []
@@ -186,14 +178,14 @@ def residency_probe(
         masked.append(mblock)
         state = keyed_hash(state, mblock)
     t_phase2 = time.perf_counter()
-    for i in range(instances):
+    for i in range(default_instance_count(chal.block_count)):
         pick = digest_to_int(keyed_hash(state, encode_fields("pick", i)))
         j = pick % chal.block_count
         kdf = Argon2id(
             salt=state,
             length=32,
-            iterations=argon_passes,
-            lanes=argon_lanes,
+            iterations=1,
+            lanes=1,
             memory_cost=argon_memory_kib,
             secret=nonce,
             ad=encode_fields(j),
@@ -208,7 +200,6 @@ def residency_probe(
         response_digest=state,
         timing=timing,
         kernel_time_s=t_end - t_phase2,
-        mode_truth=mode_truth,
     )
 
 

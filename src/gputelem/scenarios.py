@@ -19,6 +19,7 @@ from collections.abc import Callable
 
 import yaml
 
+from .netcli import _csv_cell, rows_to_csv
 from .residency import BandwidthModel
 from .stattests import utilization_proxy
 from .worksim import (
@@ -35,17 +36,7 @@ class ScenarioError(ValueError):
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+        fh.write(rows_to_csv([dict(zip(header, row)) for row in rows], header))
 
 
 def ks_exponential(samples: list[float]) -> tuple[float, float]:
@@ -219,7 +210,7 @@ def _write_summary(out_dir: str, summaries: list[dict]) -> None:
     rows = []
     for s in summaries:
         flags = {k: v for k, v in s.items() if k.startswith("flag_")}
-        detail = ";".join(f"{k}={_cell(v)}" for k, v in sorted(flags.items()))
+        detail = ";".join(f"{k}={_csv_cell(v)}" for k, v in sorted(flags.items()))
         rows.append((s["scenario"], s["rows"], all(flags.values()), detail))
     _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_HEADER, rows)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:

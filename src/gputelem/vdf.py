@@ -235,6 +235,13 @@ class VdfParams:
 
 
 @dataclass(frozen=True)
+class VdfSettings:
+    """Session settings of a ``vdf`` block: the size of a fresh group."""
+
+    modulus_bits: int = 512
+
+
+@dataclass(frozen=True)
 class VdfProof:
     """Succinct evaluation proof: y = g^(2^T), pi = g^floor(2^T / q), r = 2^T mod q."""
 
@@ -566,11 +573,14 @@ def batch_verify(
 
         (prod pi_i^alpha_i)^q * prod g_i^(alpha_i r_i) == prod y_i^alpha_i
 
-    which holds exactly when every individual relation holds, up to the
-    ~2^-128 chance of a forged batch slipping through the random
-    coefficients.  Each side is one multi-exponentiation, the left one
-    with exponents alpha_i q and alpha_i r_i.  Each r_i is also
-    recomputed, so remainder tampering is caught deterministically.
+    which holds whenever every individual relation holds.  The converse
+    fails for sign flips: one pi_i replaced by N - pi_i (or y_i by N - y_i,
+    proofs redone for the new transcript) passes whenever that alpha_i is
+    even, about half the time, where ``verify`` rejects it; ROADMAP.md
+    item 3 closes the gap by working in Z_N*/{+-1}.  Each side is one
+    multi-exponentiation, the left one with exponents alpha_i q and
+    alpha_i r_i.  Each r_i is also recomputed, so remainder tampering is
+    caught deterministically.
     """
     if len(instances) != len(proofs):
         raise ValueError("instances and proofs differ in length")

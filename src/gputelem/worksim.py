@@ -32,7 +32,6 @@ from .residency import (
 from .vdf import solve_batch
 
 _RESIDENCY_STATES = ("hot", "cold", "evict_after")
-_BEHAVIORS = ("honest", "outsourced", "precompute")
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,8 @@ class WorkerProfile:
     hash_rate_r and threads_M set the nonce-search rate; the three
     contention factors slow the scalar, tensor, and memory pathways
     independently (a co-resident workload rarely loads all three the
-    same way).  behavior selects honest play, outsourcing (valid
-    answers, extra shipping latency), or a precompute attempt, which
-    against fresh salts degenerates to honest play by construction.
+    same way).  network_t0_ns is a fixed latency added to every answer,
+    whether it comes from the link or from shipping work elsewhere.
     """
 
     hash_rate_r: float = 1024.0
@@ -57,8 +55,6 @@ class WorkerProfile:
     network_t0_ns: int = 0
     squaring_rate: float = 1e6
     jitter_rel: float = 0.02
-    behavior: str = "honest"
-    outsourced_extra_ns: int = 0
     vdf_capacity: int = 128
 
     def __post_init__(self) -> None:
@@ -79,10 +75,8 @@ class WorkerProfile:
             raise ValueError(f"residency_state must be one of {_RESIDENCY_STATES}")
         if self.residency_state == "evict_after" and not self.evict_after_round:
             raise ValueError("evict_after state needs evict_after_round >= 1")
-        if self.behavior not in _BEHAVIORS:
-            raise ValueError(f"behavior must be one of {_BEHAVIORS}")
-        if self.network_t0_ns < 0 or self.outsourced_extra_ns < 0:
-            raise ValueError("latency offsets cannot be negative")
+        if self.network_t0_ns < 0:
+            raise ValueError("network_t0_ns cannot be negative")
         if self.vdf_capacity < 1:
             raise ValueError("vdf_capacity must be >= 1")
 
@@ -98,26 +92,25 @@ def _jitter_factor(profile: WorkerProfile, rng: random.Random) -> float:
 
 
 def _finalize(profile: WorkerProfile, core_s: float, rng: random.Random) -> float:
-    """Apply jitter to the compute core, then add fixed latency offsets."""
-    total = core_s * _jitter_factor(profile, rng) + profile.network_t0_ns * 1e-9
-    if profile.behavior == "outsourced":
-        total += profile.outsourced_extra_ns * 1e-9
-    return total
+    """Apply jitter to the compute core, then add the network offset."""
+    return core_s * _jitter_factor(profile, rng) + profile.network_t0_ns * 1e-9
+
+
+def _search_time(
+    profile: WorkerProfile, d: int, contention: float, rng: random.Random
+) -> float:
+    """Memoryless, like independent hashing: rate r * M * 2^-d / contention."""
+    lam = profile.hash_rate_r * profile.threads_M * 2.0 ** (-d)
+    lam /= contention
+    return _finalize(profile, rng.expovariate(lam), rng)
 
 
 def simulate_pow_time(
     profile: WorkerProfile, difficulty: int | PowParams, rng: random.Random
 ) -> float:
-    """Draw one nonce-search solve time.
-
-    Exponential with rate r * M * 2^-d, slowed by scalar contention.
-    Memorylessness is inherited from the exponential draw, matching how
-    independent hashing attempts behave.
-    """
+    """Draw one nonce-search solve time, slowed by scalar contention."""
     d = difficulty.difficulty if isinstance(difficulty, PowParams) else difficulty
-    lam = profile.hash_rate_r * profile.threads_M * 2.0 ** (-d)
-    lam /= profile.contention_factor
-    return _finalize(profile, rng.expovariate(lam), rng)
+    return _search_time(profile, d, profile.contention_factor, rng)
 
 
 def simulate_gemm_time(
@@ -125,9 +118,7 @@ def simulate_gemm_time(
 ) -> float:
     """Chained-product search time: same law as the nonce search, tensor path."""
     d = difficulty.difficulty_d if isinstance(difficulty, GemmParams) else difficulty
-    lam = profile.hash_rate_r * profile.threads_M * 2.0 ** (-d)
-    lam /= profile.tensor_contention
-    return _finalize(profile, rng.expovariate(lam), rng)
+    return _search_time(profile, d, profile.tensor_contention, rng)
 
 
 def occupancy(profile: WorkerProfile, c_instances: int) -> float:
@@ -373,10 +364,8 @@ class SimWorker:
         duration = simulate_residency_time(
             self.profile, self.dataset.size_bytes, self.model, self.rng, hot=hot
         )
-        kernel_s = self.dataset.size_bytes / self.model.hbm_bw
-        return ResidencyProbeResult(
-            response_digest=real.response_digest,
+        return replace(
+            real,
             timing=replace(real.timing, duration=duration),
-            kernel_time_s=kernel_s,
-            mode_truth="Hot" if hot else "Cold",
+            kernel_time_s=self.dataset.size_bytes / self.model.hbm_bw,
         )

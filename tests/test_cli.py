@@ -81,6 +81,15 @@ def test_challenger_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_challenger_refuses_a_fractional_round_count(tmp_path, daemon, capsys):
+    config = _config_file(tmp_path, daemon, rounds=2.5)
+    code = cli.challenger_main(
+        ["run", "--mode", "pow", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == cli.EXIT_ERROR
+    assert "rounds" in capsys.readouterr().err
+
+
 def test_challenger_unreachable_worker(tmp_path, capsys):
     import socket
 

@@ -185,11 +185,13 @@ def test_load_config_round_trip(tmp_path):
 
 
 def test_profile_from_dict_rejects_unknown_fields():
-    profile = netcli.profile_from_dict({"hash_rate_r": 99.0, "behavior": "outsourced"})
-    assert profile.hash_rate_r == 99.0
+    profile = netcli.profile_from_dict({"hash_rate_r": 99.0, "network_t0_ns": 5})
+    assert profile.hash_rate_r == 99.0 and profile.network_t0_ns == 5
     assert netcli.profile_from_dict({}) == WorkerProfile()
     with pytest.raises(ValueError):
         netcli.profile_from_dict({"hash_rate": 99.0})  # typo must not pass silently
+    with pytest.raises(ValueError, match="behavior"):
+        netcli.profile_from_dict({"behavior": "honest"})
 
 
 def test_profile_from_dict_coerces_yaml_number_strings():
@@ -283,6 +285,45 @@ def test_residency_config_without_session_keys_keeps_its_defaults(monkeypatch):
     # the library entry point defaults to the same desk-scale dataset
     signature = inspect.signature(run_residency_session)
     assert signature.parameters["dataset_bytes"].default == defaults["dataset_bytes"]
+
+
+# small puzzles, so a session that is not refused still ends quickly
+_SMALL_BLOCKS = {
+    "pow": {"difficulty": 1, "argon_memory_kib": 8},
+    # vdf.setup_group(128, random.Random(1)).modulus_N
+    "vdf": {"modulus_n": 0xA83F7B1F0A6E7073B59999D6A360EA01, "t_min": 16, "t_max": 32},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_BLOCKS))
+@pytest.mark.parametrize(
+    "key, value",
+    [("rounds", 2.5), ("rounds", True), ("lambda_min", True), ("seed", 1.5), ("t0_ns", 0.5)],
+)
+def test_session_keys_refuse_what_the_parser_refuses(kind, key, value):
+    config = {"rounds": 2, kind: _SMALL_BLOCKS[kind]}
+    config[key] = value
+    with pytest.raises(ValueError, match=key):
+        netcli.run_local_session(kind, WorkerProfile(), config, seed=1)
+
+
+def test_vdf_modulus_bits_goes_through_the_parser():
+    config = {"rounds": 2, "vdf": {"modulus_bits": True, "t_min": 16, "t_max": 32}}
+    with pytest.raises(ValueError, match="modulus_bits"):
+        netcli.run_local_session("vdf", WorkerProfile(), config, seed=1)
+
+
+def test_session_keys_accept_yaml_number_strings():
+    config = {"rounds": "2e1", "lambda_min": "1e-3", "pow": _SMALL_BLOCKS["pow"]}
+    report = netcli.run_local_session("pow", WorkerProfile(), config, seed=1)
+    assert len(report.rows) == 20
+    assert report.decision.samples_used == 20
+
+
+def test_a_null_mode_block_takes_the_defaults():
+    # YAML reads a block key with no value ("gemm:") as None
+    report = netcli.run_local_session("gemm", WorkerProfile(), {"rounds": 2, "gemm": None}, seed=1)
+    assert len(report.rows) == 2
 
 
 def test_parse_address():

@@ -107,26 +107,22 @@ def test_probe_digest_binds_argon_parameters():
     assert a.response_digest != b.response_digest
 
 
-def test_probe_instance_count_default_and_override():
-    chal = _dataset()  # 4 blocks -> 2 instances by default
-    default = residency.residency_probe(chal, b"n", argon_memory_kib=ARGON_KIB)
-    explicit = residency.residency_probe(
-        chal, b"n", argon_memory_kib=ARGON_KIB, instances=2
-    )
-    assert default.response_digest == explicit.response_digest
-    more = residency.residency_probe(
-        chal, b"n", argon_memory_kib=ARGON_KIB, instances=3
-    )
-    assert default.response_digest != more.response_digest
-    with pytest.raises(ValueError):
-        residency.residency_probe(chal, b"n", instances=0)
+def test_probe_runs_the_default_instance_count(monkeypatch):
+    derived = []
+    argon2id = residency.Argon2id
+
+    def counting_argon2id(**kwargs):
+        derived.append(kwargs)
+        return argon2id(**kwargs)
+
+    monkeypatch.setattr(residency, "Argon2id", counting_argon2id)
+    chal = _dataset()  # 4 blocks -> 2 instances
+    residency.residency_probe(chal, b"n", argon_memory_kib=ARGON_KIB)
+    assert len(derived) == residency.default_instance_count(chal.block_count) == 2
 
 
-def test_probe_mode_truth_passthrough():
-    got = residency.residency_probe(
-        _dataset(), b"n", argon_memory_kib=ARGON_KIB, mode_truth="Cold"
-    )
-    assert got.mode_truth == "Cold"
+def test_probe_reports_its_timing():
+    got = residency.residency_probe(_dataset(), b"n", argon_memory_kib=ARGON_KIB)
     assert got.timing.valid and got.timing.mode == "residency"
     assert 0 <= got.kernel_time_s <= got.timing.duration
 
