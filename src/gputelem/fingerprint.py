@@ -19,7 +19,7 @@ from typing import Mapping
 
 import yaml
 
-from .core import encode_fields, hash_bytes, keyed_hash, keyed_xor
+from .core import encode_fields, keyed_hash, keyed_xor
 from .residency import ChalDataset, init_chal
 
 
@@ -93,12 +93,10 @@ def mask_chal_inplace(chal: ChalDataset, r_gpu: bytes) -> None:
     """XOR every block with its fingerprint-keyed ChaCha20 stream, in place.
 
     The mask forces a full linear pass over the dataset and is an
-    involution: applying it twice restores the original bytes.  Cached
-    block digests are refreshed to match the new contents.
+    involution: applying it twice restores the original bytes.
     """
     for j, block in enumerate(chal.blocks):
         chal.blocks[j] = keyed_xor(r_gpu, block, domain=encode_fields("fpmask", j))
-    chal.block_digests = [hash_bytes(block) for block in chal.blocks]
 
 
 def mask_chal(chal: ChalDataset, r_gpu: bytes) -> ChalDataset:
@@ -108,7 +106,6 @@ def mask_chal(chal: ChalDataset, r_gpu: bytes) -> ChalDataset:
         block_size_bytes=chal.block_size_bytes,
         seed=chal.seed,
         blocks=list(chal.blocks),
-        block_digests=list(chal.block_digests),
     )
     mask_chal_inplace(masked, r_gpu)
     return masked

@@ -481,9 +481,13 @@ def run_local_session(
     """Virtual-clock session against an in-process worker.
 
     Same decision path as the TCP flow, minus sockets: thousands of
-    sessions per minute, identical verdict semantics.
+    sessions per minute, identical verdict semantics.  The session runs
+    on ``seed``; a config ``seed`` that differs from it is refused, so
+    the report's config snapshot never names a seed that did not run.
     """
     session = _parse_fields(SessionSettings, {**config, "kind": kind}, strict=False)
+    if "seed" in config and session.seed != seed:
+        raise ValueError(f"config seed {session.seed} differs from the session seed {seed}")
     rng = random.Random(seed)
     worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=model)
     return _run_session(worker, session, config, rng)

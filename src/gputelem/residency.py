@@ -5,13 +5,16 @@ memory, then fires nonce-keyed probes at uniformly random times.  A
 worker that kept the data resident answers after a fast-memory scan; a
 worker that evicted it must haul every byte back across the slow bus
 first, which shows up as a timing gap of roughly dataset_size / bus
-bandwidth.  Probes are keyed so responses can be neither precomputed
-nor faked: the challenger regenerates the dataset from its seed and
-recomputes the expected digest exactly.
+bandwidth.  A probe is one nonce-keyed SHA-256 scan that reads every
+dataset byte once, then ceil(sqrt(B)) Argon2id instances on blocks the
+scan's digest picks.  Probes are keyed so responses can be neither
+precomputed nor faked: the challenger regenerates the dataset from its
+seed and recomputes the expected digest exactly.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -79,17 +82,25 @@ class ResidencySettings:
 
 @dataclass
 class ChalDataset:
-    """Incompressible challenge data, regenerable block by block from a seed."""
+    """Incompressible challenge data, regenerable block by block from a seed.
+
+    ``blocks`` is the only copy of the data; nothing derived from it is
+    cached, so masking the blocks in place leaves nothing stale.
+    """
 
     size_bytes: int
     block_size_bytes: int
     seed: bytes
     blocks: list[bytes]
-    block_digests: list[bytes]
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
+
+    @property
+    def block_digests(self) -> list[bytes]:
+        """SHA-256 of each block, computed from the blocks when read."""
+        return [hash_bytes(block) for block in self.blocks]
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,7 @@ def chal_block(seed: bytes, index: int, nbytes: int) -> bytes:
 def init_chal(
     size_bytes: int, seed: bytes, block_size_bytes: int = DEFAULT_BLOCK_BYTES
 ) -> ChalDataset:
-    """Materialize the dataset and cache per-block digests.
+    """Materialize the dataset from its seed, block by block.
 
     The last block may be short when the size is not a block multiple.
     Pseudorandom bytes are incompressible, so a worker cannot keep a
@@ -122,14 +133,11 @@ def init_chal(
     if block_size_bytes < 1:
         raise ValueError("block size must be positive")
     blocks = []
-    digests = []
     offset = 0
     index = 0
     while offset < size_bytes:
         nbytes = min(block_size_bytes, size_bytes - offset)
-        block = chal_block(seed, index, nbytes)
-        blocks.append(block)
-        digests.append(hash_bytes(block))
+        blocks.append(chal_block(seed, index, nbytes))
         offset += nbytes
         index += 1
     return ChalDataset(
@@ -137,15 +145,16 @@ def init_chal(
         block_size_bytes=block_size_bytes,
         seed=seed,
         blocks=blocks,
-        block_digests=digests,
     )
 
 
 def mask_block(nonce: bytes, index: int, block: bytes) -> bytes:
-    """Phase-1 keyed mask; XOR, so applying it twice restores the block.
+    """Nonce-keyed block mask; XOR, so applying it twice restores the block.
 
     The block is XORed with the nonce-keyed ChaCha20 stream of
-    ``core.keyed_xor`` under the domain ``("mask", index)``.
+    ``core.keyed_xor`` under the domain ``("mask", index)``.  It is not
+    part of ``residency_probe``, which folds the raw blocks into a
+    nonce-keyed SHA-256 scan; the ``mask`` domain is used only here.
     """
     return keyed_xor(nonce, block, domain=encode_fields("mask", index))
 
@@ -162,21 +171,23 @@ def residency_probe(
 ) -> ResidencyProbeResult:
     """Run the two-phase probe over the dataset and return the digest.
 
-    Phase 1 scans every block in order, masking it with a nonce-keyed
-    stream and folding it into a running digest, so the full dataset has
-    to be readable at probe time.  Phase 2 runs
+    Phase 1 reads every byte once: one SHA-256 stream, seeded with the
+    nonce-keyed ``keyed_hash(nonce, b"probe-init")``, absorbs every block
+    in order, so the digest is unknowable before the nonce and the scan
+    is a sequential chain that cannot be split.  Phase 2 runs
     ``default_instance_count`` single-pass, single-lane Argon2id
     instances whose block indices depend on the evolving digest; the
     next index is unknown until the previous tag exists, forcing
     genuinely randomized access instead of a prefetched linear pass.
+    Each instance's password is SHA-256(state || block), so it depends
+    on the state and on every byte of its block.  ``kernel_time_s``
+    times phase 2.
     """
     t_start = time.perf_counter()
-    state = keyed_hash(nonce, b"probe-init")
-    masked = []
-    for j, block in enumerate(chal.blocks):
-        mblock = mask_block(nonce, j, block)
-        masked.append(mblock)
-        state = keyed_hash(state, mblock)
+    scan = hashlib.sha256(keyed_hash(nonce, b"probe-init"))
+    for block in chal.blocks:
+        scan.update(block)
+    state = scan.digest()
     t_phase2 = time.perf_counter()
     for i in range(default_instance_count(chal.block_count)):
         pick = digest_to_int(keyed_hash(state, encode_fields("pick", i)))
@@ -190,7 +201,9 @@ def residency_probe(
             secret=nonce,
             ad=encode_fields(j),
         )
-        tag = kdf.derive(masked[j])
+        password = hashlib.sha256(state)
+        password.update(chal.blocks[j])
+        tag = kdf.derive(password.digest())
         state = keyed_hash(state, encode_fields(tag, j))
     t_end = time.perf_counter()
     timing = TimingSample(

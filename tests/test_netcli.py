@@ -88,14 +88,15 @@ def test_recv_frame_oversize_announcement():
 
 
 def test_recv_frame_wraps_decode_errors():
-    a, b = socket.socketpair()
-    try:
-        a.sendall(b"\x01\x01\x00\x00\x00\x00")  # retired version 1, valid shape
-        with pytest.raises(netcli.TransportError):
-            netcli.recv_frame(b)
-    finally:
-        a.close()
-        b.close()
+    for retired in (b"\x01", b"\x02"):  # retired versions 1 and 2, valid shape
+        a, b = socket.socketpair()
+        try:
+            a.sendall(retired + b"\x01\x00\x00\x00\x00")
+            with pytest.raises(netcli.TransportError):
+                netcli.recv_frame(b)
+        finally:
+            a.close()
+            b.close()
 
 
 def test_recv_frame_refuses_bad_header_before_the_payload():
@@ -318,6 +319,17 @@ def test_session_keys_accept_yaml_number_strings():
     report = netcli.run_local_session("pow", WorkerProfile(), config, seed=1)
     assert len(report.rows) == 20
     assert report.decision.samples_used == 20
+
+
+def test_run_local_session_refuses_a_config_seed_it_would_not_run():
+    config = {"rounds": 2, "seed": 5, "pow": _SMALL_BLOCKS["pow"]}
+    with pytest.raises(ValueError, match="seed"):
+        netcli.run_local_session("pow", WorkerProfile(), config, seed=0)
+    report = netcli.run_local_session("pow", WorkerProfile(), config, seed=5)
+    assert report.config["seed"] == 5
+    # a config without a seed runs on the argument
+    del config["seed"]
+    assert len(netcli.run_local_session("pow", WorkerProfile(), config, seed=0).rows) == 2
 
 
 def test_a_null_mode_block_takes_the_defaults():

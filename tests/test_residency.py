@@ -7,14 +7,23 @@ deployment while the whole file runs in well under a second.
 """
 
 import dataclasses
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gputelem import residency
-from gputelem.core import TimingSample, encode_fields, hash_bytes, keyed_stream
+from gputelem.core import (
+    TimingSample,
+    digest_to_int,
+    encode_fields,
+    hash_bytes,
+    keyed_hash,
+    keyed_stream,
+)
 from gputelem.worksim import SimWorker, WorkerProfile
 
 # small dataset, small argon: fast enough to probe dozens of times
@@ -125,6 +134,85 @@ def test_probe_reports_its_timing():
     got = residency.residency_probe(_dataset(), b"n", argon_memory_kib=ARGON_KIB)
     assert got.timing.valid and got.timing.mode == "residency"
     assert 0 <= got.kernel_time_s <= got.timing.duration
+
+
+def _reference_probe(chal: residency.ChalDataset, nonce: bytes, argon_memory_kib: int) -> bytes:
+    """The probe digest from its definition, with the inputs concatenated."""
+    state = hashlib.sha256(keyed_hash(nonce, b"probe-init") + b"".join(chal.blocks)).digest()
+    for i in range(residency.default_instance_count(chal.block_count)):
+        j = digest_to_int(keyed_hash(state, encode_fields("pick", i))) % chal.block_count
+        kdf = residency.Argon2id(
+            salt=state,
+            length=32,
+            iterations=1,
+            lanes=1,
+            memory_cost=argon_memory_kib,
+            secret=nonce,
+            ad=encode_fields(j),
+        )
+        tag = kdf.derive(hashlib.sha256(state + chal.blocks[j]).digest())
+        state = keyed_hash(state, encode_fields(tag, j))
+    return state
+
+
+# (size, block size): 1, 4, 16 and 17 blocks, then three blocks with a short last one
+_KAT_DATASETS = ((4096, 4096), (16_384, 4096), (65_536, 4096), (69_632, 4096), (10_000, 4096))
+_KAT_NONCES = (b"a", b"kat-nonce-2", bytes(range(100)))
+_KAT_LITERALS = {
+    (4096, 8, b"a"): "34fe3dc121d862e5fb4721434972e0f824c53c95e32887478ae9aec846af4e02",
+    (16_384, 16, b"kat-nonce-2"): "b2f294098a9f5a887aea31626ee3fb22886541a82f9c87be9b84a560fc1c2330",
+    (69_632, 8, bytes(range(100))): "027cfcefdd732c6d8cb5ecd2c65412eba97d81c90e20dbe717ece0cf868690da",
+    (10_000, 16, b"a"): "d3a33b1bedf0370608ad9a926270faeb23917783b03e48912022f663eebfa513",
+}
+
+
+def test_residency_probe_known_answers():
+    """Pins the probe bytes of wire version 3: a grid digest plus four literals."""
+    digests = {}
+    for size, block in _KAT_DATASETS:
+        chal = residency.init_chal(size, b"kat-seed", block)
+        for argon_kib in (8, 16):
+            for nonce in _KAT_NONCES:
+                got = residency.residency_probe(chal, nonce, argon_memory_kib=argon_kib)
+                assert got.response_digest == _reference_probe(chal, nonce, argon_kib)
+                digests[size, argon_kib, nonce] = got.response_digest
+    assert len(set(digests.values())) == len(digests) == 30
+    grid = hashlib.sha256(b"".join(digests.values())).hexdigest()
+    assert grid == "858286f097da763a071943cf5ee10df98ef8b7a65d57ae65899a633df77958f2"
+    assert {key: digests[key].hex() for key in _KAT_LITERALS} == _KAT_LITERALS
+
+
+def test_probe_digest_changes_with_any_flipped_byte():
+    chal = residency.init_chal(65_536, b"flip-seed", 4096)  # 16 blocks
+    base = residency.residency_probe(chal, b"n", argon_memory_kib=ARGON_KIB).response_digest
+    seen = {base}
+    for block_index, byte_index in ((0, 0), (0, 4095), (8, 2048), (15, 4095)):
+        blocks = list(chal.blocks)
+        flipped = bytearray(blocks[block_index])
+        flipped[byte_index] ^= 0x01
+        blocks[block_index] = bytes(flipped)
+        tampered = dataclasses.replace(chal, blocks=blocks)
+        got = residency.residency_probe(tampered, b"n", argon_memory_kib=ARGON_KIB)
+        seen.add(got.response_digest)
+    assert len(seen) == 5
+
+
+def test_probe_reads_the_dataset_in_place(monkeypatch):
+    """No mask, no copy: a 4 MiB probe peaks far below the dataset size."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe masks nothing")
+
+    monkeypatch.setattr(residency, "mask_block", refuse)
+    monkeypatch.setattr(residency, "keyed_xor", refuse)
+    chal = residency.init_chal(4 << 20, b"mem-seed", 256 << 10)
+    tracemalloc.start()
+    try:
+        residency.residency_probe(chal, b"n", argon_memory_kib=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 << 10, f"probe peaked at {peak} bytes"
 
 
 # --- timing model and classification ----------------------------------------------

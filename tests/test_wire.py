@@ -20,8 +20,9 @@ from gputelem import wire
 
 def test_frame_known_bytes():
     msg = wire.WireMessage(wire.MSG_CHALLENGE_BATCH, b"abc")
-    assert wire.VERSION == 0x02
-    assert wire.encode_message(msg) == b"\x02\x01\x00\x00\x00\x03abc"
+    # 0x03: the residency probe became one SHA-256 scan (0x02 masked each block)
+    assert wire.VERSION == 0x03
+    assert wire.encode_message(msg) == b"\x03\x01\x00\x00\x00\x03abc"
 
 
 def test_frame_round_trip_all_types():
@@ -49,6 +50,8 @@ def test_frame_header_rejections():
     good = wire.encode_message(wire.WireMessage(wire.MSG_PRE_CHALLENGE, b"x"))
     with pytest.raises(wire.WireDecodeError):
         wire.decode_message(b"\x01" + good[1:])  # retired version 1
+    with pytest.raises(wire.WireDecodeError):
+        wire.decode_message(b"\x02" + good[1:])  # retired version 2
     with pytest.raises(wire.WireDecodeError):
         wire.decode_message(good[:1] + b"\x7f" + good[2:])  # unknown type
     with pytest.raises(wire.WireDecodeError):
@@ -234,6 +237,7 @@ def test_decode_header_checks_before_the_payload():
     )
     for bad in (
         b"\x01\x05\x00\x00\x00\x64",  # retired version 1
+        b"\x02\x05\x00\x00\x00\x64",  # retired version 2
         bytes((wire.VERSION, 0x7F)) + b"\x00\x00\x00\x00",  # unknown type
         bytes((wire.VERSION, wire.MSG_ERROR)) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big"),
         bytes((wire.VERSION, wire.MSG_ERROR, 0)),  # truncated
