@@ -60,7 +60,7 @@ def main() -> None:
             for s in range(50)
         )
         print(f"  {label:<8} accepted {accepted}/50 sessions")
-    print("Exit code 0 means Accept, 1 Reject, 2 no verdict; scripts key off it.")
+    print("Exit code 0 means Accept, 1 Reject, 2 an error; scripts key off it.")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Command-line entry points: challenger, worker, scenario.
 
 Exit codes follow the measurement semantics rather than Unix habit:
-0 = Accept, 1 = Reject, 2 = anything that prevented a verdict (bad
-config, unreachable worker, inconclusive session).
+0 = Accept, 1 = Reject, 2 = an error that prevented the session (bad
+config or session value, unreachable worker, lost connection).  Every
+session that runs to its end is an Accept or a Reject.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .netcli import (
 )
 from .protocol import MODES, ProtocolError
 from .scenarios import ScenarioError, run_scenario_file
-from .stattests import InconclusiveError
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -53,7 +53,7 @@ def challenger_main(argv: list[str] | None = None) -> int:
         config["seed"] = args.seed
     try:
         report = run_challenger(config, out_path=args.out)
-    except (TransportError, ProtocolError, InconclusiveError, ValueError) as exc:
+    except (TransportError, ProtocolError, ValueError) as exc:
         return _fail(str(exc))
     print(report.verdict_line())
     return report.exit_code

@@ -175,9 +175,8 @@ class TimingSample:
     """One timing observation fed to the statistical tests.
 
     ``duration`` is wall time in seconds, ``valid`` records whether the
-    accompanying solution verified.  Invalid samples are excluded from
-    rate estimates but still counted, since a burst of garbage answers
-    is itself a signal.
+    accompanying solution verified.  An invalid sample still counts its
+    time, and it rejects the session it belongs to.
     """
 
     index: int

@@ -12,7 +12,10 @@ a challenger cannot tell (and should not care) whether it is talking to
 a simulation.
 
 Reports come out as CSV rows plus a JSON summary; with seeded configs
-and virtual clocks both are byte-deterministic.
+and virtual clocks both are byte-deterministic.  The summary's
+``config`` is the settings that ran, in config form, so a virtual-clock
+session replays from it (a vdf session that drew a fresh group replays
+on that group but without the draw, so on other challenges).
 
 Each config block is read by the dataclass it configures
 (``core._parse_fields``), whose field defaults are the only defaults:
@@ -32,7 +35,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import yaml
 
@@ -292,7 +295,7 @@ class RemoteWorker:
 
 # --- session reports ---------------------------------------------------------
 
-_RATE_HEADER = ("session_id", "round", "kind", "total_time_ns", "adjusted_ns", "valid")
+_RATE_HEADER = ("session_id", "round", "kind", "total_time_ns", "valid")
 ROUND_HEADERS = {
     "pow": _RATE_HEADER,
     "vdf": _RATE_HEADER,
@@ -303,26 +306,25 @@ ROUND_HEADERS = {
 
 @dataclass
 class SessionReport:
+    """One session's rows and decision.  ``config`` holds the settings
+    that ran, typed and with defaults filled in, in config-block form."""
+
     session_id: str
     kind: str
+    decision: Decision
     rows: list[dict] = field(default_factory=list)
-    decision: Decision | None = None
     config: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
-        if self.decision is None:
-            return 2
-        return 0 if self.decision.verdict is Verdict.ACCEPT else 1
+        return 0 if self.decision.accepted else 1
 
     def verdict_line(self) -> str:
-        if self.decision is None:
-            return f"{self.kind}: inconclusive"
         d = self.decision
         return (
             f"{self.kind}: {d.verdict.value} "
             f"(statistic={d.statistic:.6g}, threshold={d.threshold:.6g}, "
-            f"rounds={d.samples_used}, invalid={d.invalid_count})"
+            f"alpha={d.alpha}, rounds={d.samples_used}, invalid={d.invalid_count})"
         )
 
 
@@ -353,15 +355,15 @@ def write_report(report: SessionReport, out_path: str) -> None:
         "kind": report.kind,
         "rounds": len(report.rows),
         "config": report.config,
-    }
-    if report.decision is not None:
-        summary["decision"] = {
+        "decision": {
             "verdict": report.decision.verdict.value,
             "statistic": report.decision.statistic,
             "threshold": report.decision.threshold,
+            "alpha": report.decision.alpha,
             "samples_used": report.decision.samples_used,
             "invalid_count": report.decision.invalid_count,
-        }
+        },
+    }
     with open(out_path + ".json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -393,10 +395,10 @@ def _parse_address(text: str) -> tuple[str, int]:
 def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     """Drive one measurement session against a (remote) worker.
 
-    Raises TransportError when no worker answers or the connection fails
-    mid-session, and InconclusiveError when a session yields no verdict;
-    both map to exit code 2 at the CLI.  Accept/Reject land in the
-    returned report.
+    Every session ends in Accept or Reject, in the returned report.
+    A bad session setting raises ValueError before any worker is
+    contacted; TransportError means no worker answered or the connection
+    failed mid-session.  Both map to exit code 2 at the CLI.
     """
     session = _parse_fields(SessionSettings, config, strict=False)
     rng = random.Random(session.seed)
@@ -422,19 +424,27 @@ def _run_session(
         if "rounds" in config:  # a session-wide round count, unless overridden
             section.setdefault("rounds", session.rounds)
         settings = _parse_fields(ResidencySettings, section, strict=False)
+        params = params_for("residency", section)
+        model = bandwidth_model_from_dict(config.get("bandwidth"))
         res_report = run_residency_session(
             worker,
             rounds=settings.rounds,
             t_max_s=settings.t_max_s,
             dataset_bytes=settings.dataset_mib << 20,
             block_size_bytes=settings.block_kib << 10,
-            model=bandwidth_model_from_dict(config.get("bandwidth")),
+            model=model,
             threshold_ns=settings.threshold_ns,
-            argon_memory_kib=params_for("residency", section).argon_memory_kib,
+            argon_memory_kib=params.argon_memory_kib,
             rng=rng,
             sink=rows.append,
         )
         decision = _residency_decision(res_report)
+        settings = replace(settings, threshold_ns=res_report.threshold_ns)
+        session = replace(session, rounds=settings.rounds)
+        ran = {
+            "residency": {**asdict(settings), **asdict(params)},
+            "bandwidth": asdict(model),
+        }
     else:
         params = _mode_params(kind, config, rng)
         worker.pre_challenge({"session_id": session_id, "kind": kind, "params": params})
@@ -450,12 +460,13 @@ def _run_session(
             kind=kind,
             sink=rows.append,
         )
+        ran = {kind: params}
     return SessionReport(
         session_id=session_id.hex(),
         kind=kind,
-        rows=rows,
         decision=decision,
-        config=_config_snapshot(config),
+        rows=rows,
+        config={**asdict(session), **ran},
     )
 
 
@@ -490,18 +501,7 @@ def run_local_session(
         raise ValueError(f"config seed {session.seed} differs from the session seed {seed}")
     rng = random.Random(seed)
     worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=model)
-    return _run_session(worker, session, config, rng)
-
-
-def _config_snapshot(config: dict) -> dict:
-    flat = {}
-    for key, value in sorted(config.items()):
-        if isinstance(value, dict):
-            for sub, subval in sorted(value.items()):
-                flat[f"{key}.{sub}"] = subval
-        else:
-            flat[key] = value
-    return {k: v for k, v in flat.items() if isinstance(v, (int, float, str, bool))}
+    return _run_session(worker, replace(session, seed=seed), config, rng)
 
 
 # --- config plumbing ---------------------------------------------------------
@@ -532,6 +532,14 @@ class SessionSettings:
     def __post_init__(self) -> None:
         if self.kind not in MODES:
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+        if self.lambda_min <= 0:
+            raise ValueError(f"lambda_min must be positive, got {self.lambda_min}")
+        if self.interval_s < 0:
+            raise ValueError(f"interval_s cannot be negative, got {self.interval_s}")
+        if self.t0_ns < 0:
+            raise ValueError(f"t0_ns cannot be negative, got {self.t0_ns}")
 
 
 def profile_from_dict(raw: dict | None) -> WorkerProfile:

@@ -9,59 +9,32 @@ fix the window and test the count.  Quantiles are computed locally by
 inverting the regularized incomplete gamma function; no statistics
 library is involved, which keeps the challenger's accept/reject rule
 bit-for-bit reproducible everywhere.
+
+A pow, vdf or gemm session (``continuous_measurement``) decides with the
+fixed-sample test at level ``SESSION_ALPHA``: the statistic is the
+challenger-clock time of all its rounds, and any invalid round rejects
+the session, so a worker cannot drop the rounds it finds slow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 from .core import TimingSample
 
 
-class InconclusiveError(RuntimeError):
-    """A session produced no usable observations; no verdict is possible."""
+# Level of every pow, vdf and gemm session's decision.  At 40 rounds a
+# worker at half of lambda_min passes with probability 0.47%, inside the
+# 1% that the end-to-end fleets allow; a smaller level gives that up.
+SESSION_ALPHA = 0.05
 
 
 class Verdict(str, Enum):
     ACCEPT = "Accept"
     REJECT = "Reject"
-
-
-@dataclass(frozen=True)
-class RateModel:
-    """Solution-rate model for a nonce-search worker.
-
-    hash_rate_r: attempts per second per thread.
-    threads_M: independent search threads (lanes, cores, SMs).
-    success_p: per-attempt success probability, 2**-d for d-bit targets.
-
-    The aggregate solution rate is r * p * M; individual thread rates
-    simply add because the searches are independent.
-    """
-
-    hash_rate_r: float
-    threads_M: int
-    success_p: float
-
-    def __post_init__(self) -> None:
-        if self.hash_rate_r <= 0 or self.threads_M <= 0 or self.success_p <= 0:
-            raise ValueError("all rate-model factors must be strictly positive")
-        if self.success_p > 1:
-            raise ValueError("success_p is a probability")
-
-    @property
-    def rate(self) -> float:
-        """Solutions per second: r * p * M."""
-        return self.hash_rate_r * self.success_p * self.threads_M
-
-    @classmethod
-    def from_difficulty(
-        cls, hash_rate_r: float, threads_M: int, difficulty: int
-    ) -> "RateModel":
-        return cls(hash_rate_r, threads_M, 2.0 ** (-difficulty))
 
 
 @dataclass(frozen=True)
@@ -97,13 +70,18 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class Decision:
-    """Outcome of one test: the statistic, its threshold, and the verdict."""
+    """Outcome of one test: the statistic, its threshold, and the verdict.
+
+    ``alpha`` is the test's level; None for a rule without one, such as
+    residency's zero-tolerance rule.
+    """
 
     verdict: Verdict
     statistic: float
     threshold: float
     samples_used: int
     invalid_count: int = 0
+    alpha: float | None = None
 
     @property
     def accepted(self) -> bool:
@@ -269,7 +247,7 @@ def fixed_sample_test(samples: Sequence[TimingSample], cfg: TestConfig) -> Decis
     threshold = chi_square_quantile(2 * n, 1.0 - cfg.alpha) / (2.0 * cfg.lambda_min)
     threshold += n * cfg.t0_s
     verdict = Verdict.ACCEPT if total <= threshold else Verdict.REJECT
-    return Decision(verdict, total, threshold, samples_used=n)
+    return Decision(verdict, total, threshold, samples_used=n, alpha=cfg.alpha)
 
 
 def fixed_time_test(solution_count: int, cfg: TestConfig) -> Decision:
@@ -287,7 +265,13 @@ def fixed_time_test(solution_count: int, cfg: TestConfig) -> Decision:
     mu = cfg.lambda_min * cfg.t_window_s
     k_crit = poisson_quantile(mu, cfg.alpha)
     verdict = Verdict.ACCEPT if solution_count >= k_crit else Verdict.REJECT
-    return Decision(verdict, float(solution_count), float(k_crit), samples_used=solution_count)
+    return Decision(
+        verdict,
+        float(solution_count),
+        float(k_crit),
+        samples_used=solution_count,
+        alpha=cfg.alpha,
+    )
 
 
 def rate_lower_bound(solution_count: int, t: float, alpha: float) -> float:
@@ -318,31 +302,21 @@ def continuous_measurement(
 
     ``worker`` is any session handle exposing run_round(index, kind) ->
     (total_time_s, valid), now() -> s, and sleep_until(deadline_s).
-    Each round's time is clipped at the latency floor t0 before
-    averaging; rounds whose response fails validation are dropped from
-    the average but reported, since bursts of garbage are themselves
-    informative.  Accepts when the mean adjusted round time stays within
-    1 / lambda_min.
-
-    Raises InconclusiveError when no round produced a valid response.
+    The decision is ``fixed_sample_test`` at level ``SESSION_ALPHA`` on
+    the raw times of all n rounds, with the latency floor t0 added to the
+    threshold once per round.  Any invalid round rejects the session:
+    dropping a slow round by answering garbage would otherwise discard
+    exactly the samples that carry the test's power.
     """
     if n < 1:
         raise ValueError("need at least one round")
-    if lambda_min <= 0:
-        raise ValueError("lambda_min must be positive")
+    cfg = TestConfig(lambda_min, SESSION_ALPHA, n=n, t0_ns=round(t0_s * 1e9))
     session_id = getattr(worker, "session_id", b"")
-    total_valid = 0.0
-    valid_rounds = 0
-    invalid_rounds = 0
+    samples = []
     for i in range(n):
         round_start = worker.now()
         total_time, valid = worker.run_round(i, kind)
-        adjusted = max(total_time - t0_s, 0.0)
-        if valid:
-            total_valid += adjusted
-            valid_rounds += 1
-        else:
-            invalid_rounds += 1
+        samples.append(TimingSample(index=i, mode=kind, duration=total_time, valid=valid))
         if sink is not None:
             sink(
                 {
@@ -350,24 +324,16 @@ def continuous_measurement(
                     "round": i,
                     "kind": kind,
                     "total_time_ns": int(total_time * 1e9),
-                    "adjusted_ns": int(adjusted * 1e9),
                     "valid": valid,
                 }
             )
         if interval_s > 0:
             worker.sleep_until(round_start + interval_s)
-    if valid_rounds == 0:
-        raise InconclusiveError("no valid rounds; cannot form a verdict")
-    mean_adjusted = total_valid / valid_rounds
-    tau = 1.0 / lambda_min
-    verdict = Verdict.ACCEPT if mean_adjusted <= tau else Verdict.REJECT
-    return Decision(
-        verdict,
-        mean_adjusted,
-        tau,
-        samples_used=valid_rounds,
-        invalid_count=invalid_rounds,
-    )
+    decision = fixed_sample_test(samples, cfg)
+    invalid = sum(not s.valid for s in samples)
+    if invalid:
+        decision = replace(decision, verdict=Verdict.REJECT, invalid_count=invalid)
+    return decision
 
 
 def utilization_proxy(batch_times: Mapping[int, float]) -> dict[int, float]:

@@ -2,7 +2,7 @@
 
 These call the mains directly with argv lists; the acceptance suite
 additionally runs them as real subprocesses through the console
-scripts. Exit-code semantics: 0 Accept, 1 Reject, 2 no verdict.
+scripts. Exit-code semantics: 0 Accept, 1 Reject, 2 an error.
 """
 
 import pytest
@@ -88,6 +88,26 @@ def test_challenger_refuses_a_fractional_round_count(tmp_path, daemon, capsys):
     )
     assert code == cli.EXIT_ERROR
     assert "rounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("rounds", 0), ("lambda_min", 0.0), ("lambda_min", -1.0), ("interval_s", -0.5), ("t0_ns", -1)],
+)
+def test_challenger_refuses_bad_session_values_before_connecting(
+    tmp_path, daemon, monkeypatch, capsys, key, value
+):
+    def no_connection(*args, **kwargs):
+        pytest.fail("the challenger connected before refusing the config")
+
+    monkeypatch.setattr(netcli, "RemoteWorker", no_connection)
+    config = _config_file(tmp_path, daemon, **{key: value})
+    code = cli.challenger_main(
+        ["run", "--mode", "pow", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == cli.EXIT_ERROR
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_challenger_unreachable_worker(tmp_path, capsys):

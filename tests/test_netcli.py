@@ -21,6 +21,7 @@ from gputelem.protocol import ProtocolError, build_challenge, challenge_record
 from gputelem.residency import (
     BandwidthModel,
     ResidencySessionReport,
+    default_threshold_ns,
     run_residency_session,
 )
 from gputelem.stattests import Decision, Verdict
@@ -132,14 +133,14 @@ def test_rows_to_csv_follows_header_order():
 
 
 def test_session_report_exit_codes():
-    accept = Decision(Verdict.ACCEPT, 0.1, 0.5, 10, 0)
-    reject = Decision(Verdict.REJECT, 0.9, 0.5, 10, 1)
+    accept = Decision(Verdict.ACCEPT, 0.1, 0.5, 10, 0, alpha=0.05)
+    reject = Decision(Verdict.REJECT, 0.9, 0.5, 10, 10)
     assert netcli.SessionReport("s", "pow", decision=accept).exit_code == 0
     assert netcli.SessionReport("s", "pow", decision=reject).exit_code == 1
-    assert netcli.SessionReport("s", "pow", decision=None).exit_code == 2
     line = netcli.SessionReport("s", "pow", decision=accept).verdict_line()
-    assert "Accept" in line and "rounds=10" in line
-    assert "inconclusive" in netcli.SessionReport("s", "pow").verdict_line()
+    assert line == "pow: Accept (statistic=0.1, threshold=0.5, alpha=0.05, rounds=10, invalid=0)"
+    line = netcli.SessionReport("s", "residency", decision=reject).verdict_line()
+    assert "Reject" in line and "alpha=None" in line and "invalid=10" in line
 
 
 def test_write_report_emits_csv_and_json(tmp_path):
@@ -152,20 +153,26 @@ def test_write_report_emits_csv_and_json(tmp_path):
                 "round": 0,
                 "kind": "pow",
                 "total_time_ns": 1200,
-                "adjusted_ns": 1100,
                 "valid": True,
             }
         ],
-        decision=Decision(Verdict.ACCEPT, 0.1, 0.5, 1, 0),
+        decision=Decision(Verdict.ACCEPT, 0.1, 0.5, 1, 0, alpha=0.05),
         config={"rounds": 1},
     )
     out = tmp_path / "session.csv"
     netcli.write_report(report, str(out))
     csv_text = out.read_text()
-    assert csv_text.splitlines()[0] == ",".join(netcli.ROUND_HEADERS["pow"])
-    assert csv_text.splitlines()[1] == "abcd,0,pow,1200,1100,1"
+    assert csv_text.splitlines()[0] == "session_id,round,kind,total_time_ns,valid"
+    assert csv_text.splitlines()[1] == "abcd,0,pow,1200,1"
     summary = json.loads((tmp_path / "session.csv.json").read_text())
-    assert summary["decision"]["verdict"] == "Accept"
+    assert summary["decision"] == {
+        "verdict": "Accept",
+        "statistic": 0.1,
+        "threshold": 0.5,
+        "alpha": 0.05,
+        "samples_used": 1,
+        "invalid_count": 0,
+    }
     assert summary["rounds"] == 1
     assert summary["config"] == {"rounds": 1}
 
@@ -319,6 +326,24 @@ def test_session_keys_accept_yaml_number_strings():
     report = netcli.run_local_session("pow", WorkerProfile(), config, seed=1)
     assert len(report.rows) == 20
     assert report.decision.samples_used == 20
+    # the report records the values that ran, typed, with the defaults
+    assert report.config == {
+        "kind": "pow",
+        "seed": 1,
+        "rounds": 20,
+        "lambda_min": 1e-3,
+        "interval_s": 0.0,
+        "t0_ns": 0,
+        "pow": {"difficulty": 1, "argon_passes": 1, "argon_lanes": 1, "argon_memory_kib": 8},
+    }
+
+
+def test_report_config_records_a_fresh_vdf_group():
+    config = {"rounds": 1, "vdf": {"modulus_bits": 128, "t_min": 16, "t_max": 32}}
+    report = netcli.run_local_session("vdf", WorkerProfile(), config, seed=1)
+    modulus_n = report.config["vdf"]["modulus_n"]
+    assert isinstance(modulus_n, int) and modulus_n.bit_length() == 128
+    assert report.config["vdf"]["instances"] == 4
 
 
 def test_run_local_session_refuses_a_config_seed_it_would_not_run():
@@ -575,6 +600,11 @@ def test_run_local_session_residency_report_shape():
     assert report.kind == "residency"
     assert report.decision.verdict is Verdict.ACCEPT
     assert report.decision.statistic == 0.0
+    assert report.decision.alpha is None
+    # the effective round count and threshold, and the model that ran
+    assert report.config["rounds"] == report.config["residency"]["rounds"] == 4
+    assert report.config["residency"]["threshold_ns"] == default_threshold_ns(1 << 20, BandwidthModel())
+    assert report.config["bandwidth"] == dataclasses.asdict(BandwidthModel())
     assert len(report.rows) == 4
     assert set(netcli.ROUND_HEADERS["residency"]) == set(report.rows[0])
 

@@ -4,8 +4,13 @@ Each session below runs on a virtual clock, so its CSV and JSON summary
 are byte-deterministic; the expected bytes live in ``tests/fixtures/``.
 A change to the round pipeline that moves a draw, a timing or a verdict
 shows up here as a byte difference.
+
+Run as a script (``PYTHONPATH=src python3 tests/test_session_fixtures.py``)
+it rewrites ``tests/fixtures/`` from ``SESSIONS``; do that only when a
+report is meant to change, and say what changed.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -97,3 +102,19 @@ def test_seeded_session_report_matches_fixture(name, tmp_path):
     assert out.read_bytes() == (FIXTURES / f"{name}.csv").read_bytes()
     summary = Path(str(out) + ".json")
     assert summary.read_bytes() == (FIXTURES / f"{name}.csv.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SESSIONS))
+def test_session_replays_from_its_own_sidecar_config(name, tmp_path):
+    kind, profile, _, _ = SESSIONS[name]
+    config = json.loads((FIXTURES / f"{name}.csv.json").read_text())["config"]
+    report = netcli.run_local_session(kind, profile, config, seed=config["seed"])
+    out = tmp_path / "replay.csv"
+    netcli.write_report(report, str(out))
+    assert out.read_bytes() == (FIXTURES / f"{name}.csv").read_bytes()
+    assert report.config == config
+
+
+if __name__ == "__main__":
+    for name in sorted(SESSIONS):
+        print(write_session(name, FIXTURES))

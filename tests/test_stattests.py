@@ -6,6 +6,7 @@ machines without scipy, live comparisons guard against systematic bias
 across a parameter sweep.
 """
 
+import json
 import math
 import random
 
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 from scipy import stats as sps
 
+from gputelem import netcli
 from gputelem.core import TimingSample
 from gputelem.stattests import (
+    SESSION_ALPHA,
     Decision,
-    InconclusiveError,
-    RateModel,
     TestConfig,
     Verdict,
     chi_square_quantile,
@@ -110,19 +111,6 @@ def test_poisson_quantile_is_the_minimal_k(mu, prob):
         assert regularized_gamma_q(float(k), mu) < prob
 
 
-# --- rate model ---------------------------------------------------------------
-
-
-def test_rate_model_composition():
-    model = RateModel.from_difficulty(hash_rate_r=128.0, threads_M=4, difficulty=6)
-    assert model.success_p == pytest.approx(2.0**-6)
-    assert model.rate == pytest.approx(128.0 * 4 / 64.0)
-    with pytest.raises(ValueError):
-        RateModel(hash_rate_r=0.0, threads_M=1, success_p=0.5)
-    with pytest.raises(ValueError):
-        RateModel(hash_rate_r=1.0, threads_M=1, success_p=1.5)
-
-
 # --- fixed-sample test ---------------------------------------------------------
 
 
@@ -139,6 +127,7 @@ def test_fixed_sample_threshold_value():
     expected_tau = 55.75847927888702 / 2.0
     d = fixed_sample_test(_samples([1.0] * 20), cfg)
     assert d.threshold == pytest.approx(expected_tau, rel=1e-9)
+    assert d.alpha == 0.05
     assert d.verdict is Verdict.ACCEPT  # S = 20 <= 27.88
     d2 = fixed_sample_test(_samples([1.5] * 20), cfg)
     assert d2.verdict is Verdict.REJECT  # S = 30 > 27.88
@@ -195,6 +184,7 @@ def test_fixed_time_critical_count():
     cfg = TestConfig(lambda_min=1.0, alpha=0.05, t_window_s=10.0)
     d = fixed_time_test(5, cfg)
     assert d.threshold == 5.0  # poisson_quantile(10, 0.05)
+    assert d.alpha == 0.05
     assert d.verdict is Verdict.ACCEPT
     assert fixed_time_test(4, cfg).verdict is Verdict.REJECT
 
@@ -282,43 +272,101 @@ class ScriptedWorker:
         return duration, valid
 
 
+def _gamma_threshold(n, lambda_min=1.0):
+    return chi_square_quantile(2 * n, 1.0 - SESSION_ALPHA) / (2.0 * lambda_min)
+
+
 def test_continuous_measurement_accept_and_reject():
     fast = ScriptedWorker([(0.4, True)] * 10)
     d = continuous_measurement(fast, n=10, lambda_min=1.0)
     assert d.verdict is Verdict.ACCEPT
-    assert d.statistic == pytest.approx(0.4)
-    slow = ScriptedWorker([(2.5, True)] * 10)
+    assert d.statistic == pytest.approx(4.0)  # the sum of all ten rounds
+    assert d.threshold == pytest.approx(_gamma_threshold(10), rel=1e-12)  # 15.705
+    assert (d.alpha, d.samples_used, d.invalid_count) == (SESSION_ALPHA, 10, 0)
+    # rounds of 1.5 / lambda_min are slower than 1 / lambda_min, but ten
+    # of them (15 s) are still under the level-alpha threshold; ten of
+    # 1.6 (16 s) are over it
+    assert continuous_measurement(ScriptedWorker([(1.5, True)] * 10), n=10, lambda_min=1.0).accepted
+    slow = ScriptedWorker([(1.6, True)] * 10)
     assert continuous_measurement(slow, n=10, lambda_min=1.0).verdict is Verdict.REJECT
 
 
-def test_continuous_measurement_excludes_invalid_but_counts():
-    script = [(0.5, True), (9.0, False), (0.7, True), (9.0, False)]
-    worker = ScriptedWorker(script)
+def test_continuous_measurement_boundary_calibration():
+    """A worker at exactly lambda_min is rejected at rate alpha (4 sigma band)."""
+    rng = random.Random("session-boundary")
+    sessions, rounds = 2000, 40
+    rejects = 0
+    for _ in range(sessions):
+        worker = ScriptedWorker([(rng.expovariate(2.0), True) for _ in range(rounds)])
+        rejects += not continuous_measurement(worker, n=rounds, lambda_min=2.0).accepted
+    assert 0.0305 <= rejects / sessions <= 0.0695, rejects
+
+
+def test_continuous_measurement_rejects_the_selective_aborter():
+    """A worker at a quarter of lambda_min that answers garbage whenever its
+    draw exceeds 0.3 s, so that only its fast rounds come back valid."""
+    rng = random.Random("session-aborter")
+    sessions, rounds, t_cut = 200, 40, 0.3
+    accepts = 0
+    for _ in range(sessions):
+        script = []
+        for _ in range(rounds):
+            draw = rng.expovariate(0.25)
+            script.append((draw, True) if draw <= t_cut else (t_cut, False))
+        accepts += continuous_measurement(ScriptedWorker(script), n=rounds, lambda_min=1.0).accepted
+    assert accepts <= 2, accepts
+
+
+def test_continuous_measurement_any_invalid_round_rejects():
+    script = [(0.1, True), (0.1, False), (0.1, True), (0.1, True)]
     rows = []
-    d = continuous_measurement(worker, n=4, lambda_min=1.0, sink=rows.append)
-    assert d.samples_used == 2
-    assert d.invalid_count == 2
-    assert d.statistic == pytest.approx(0.6)
-    assert [r["valid"] for r in rows] == [True, False, True, False]
+    d = continuous_measurement(ScriptedWorker(script), n=4, lambda_min=1.0, sink=rows.append)
+    assert d.verdict is Verdict.REJECT
+    assert d.statistic == pytest.approx(0.4)  # far under the threshold
+    assert d.threshold == pytest.approx(_gamma_threshold(4), rel=1e-12)
+    assert (d.samples_used, d.invalid_count) == (4, 1)
+    assert [r["valid"] for r in rows] == [True, False, True, True]
+    assert [r["total_time_ns"] for r in rows] == [100_000_000] * 4
+    assert set(rows[0]) == {"session_id", "round", "kind", "total_time_ns", "valid"}
 
 
-def test_continuous_measurement_t0_adjustment():
-    worker = ScriptedWorker([(1.2, True)] * 5)
-    d = continuous_measurement(worker, n=5, lambda_min=1.0, t0_s=0.5)
-    assert d.statistic == pytest.approx(0.7)
-    assert d.verdict is Verdict.ACCEPT
+def test_continuous_measurement_all_invalid_is_reject():
+    d = continuous_measurement(ScriptedWorker([(1.0, False)] * 3), n=3, lambda_min=1.0)
+    assert d.verdict is Verdict.REJECT
+    assert d.statistic == pytest.approx(3.0)
+    assert (d.samples_used, d.invalid_count, d.alpha) == (3, 3, SESSION_ALPHA)
 
 
 def test_continuous_measurement_interval_scheduling():
     worker = ScriptedWorker([(0.1, True)] * 3)
-    continuous_measurement(worker, n=3, lambda_min=1.0, interval_s=1.0)
+    d = continuous_measurement(worker, n=3, lambda_min=1.0, interval_s=1.0)
     assert worker.slept == [1.0, 2.0, 3.0]
+    # the waits between rounds are not round time
+    assert d.statistic == pytest.approx(0.3)
 
 
-def test_continuous_measurement_all_invalid_is_inconclusive():
-    worker = ScriptedWorker([(1.0, False)] * 3)
-    with pytest.raises(InconclusiveError):
-        continuous_measurement(worker, n=3, lambda_min=1.0)
+def test_continuous_measurement_t0_adjustment():
+    """t0 moves the threshold by n * t0 and leaves the samples raw."""
+    script = [(1.2, True)] * 5
+    bare = continuous_measurement(ScriptedWorker(script), n=5, lambda_min=1.0)
+    floored = continuous_measurement(ScriptedWorker(script), n=5, lambda_min=1.0, t0_s=0.5)
+    assert bare.statistic == floored.statistic == pytest.approx(6.0)
+    assert floored.threshold == pytest.approx(bare.threshold + 5 * 0.5, rel=1e-12)
+    # 25 s of rounds: rejected at t0 = 0, accepted once a 4 s floor is allowed
+    slow = [(5.0, True)] * 5
+    assert not continuous_measurement(ScriptedWorker(slow), n=5, lambda_min=1.0).accepted
+    assert continuous_measurement(ScriptedWorker(slow), n=5, lambda_min=1.0, t0_s=4.0).accepted
+
+
+def test_continuous_measurement_alpha_reaches_the_report(tmp_path):
+    d = continuous_measurement(ScriptedWorker([(0.2, True)] * 4), n=4, lambda_min=1.0)
+    report = netcli.SessionReport("ab", "pow", decision=d)
+    assert f"alpha={SESSION_ALPHA}," in report.verdict_line()
+    out = tmp_path / "r.csv"
+    netcli.write_report(report, str(out))
+    summary = json.loads((tmp_path / "r.csv.json").read_text())
+    assert summary["decision"]["alpha"] == SESSION_ALPHA
+    assert summary["decision"]["threshold"] == pytest.approx(_gamma_threshold(4), rel=1e-12)
 
 
 # --- utilization proxy ------------------------------------------------------------
