@@ -9,6 +9,18 @@ O(k n^2) spot check, never a second n^3 multiplication.
 All arithmetic is exact in the prime field, so verification is
 bit-reproducible: there is no epsilon, no rounding mode, and no
 accumulation-order sensitivity to argue about.
+
+The field product runs on float64 BLAS, the standard way to do
+word-size finite-field linear algebra on floating-point hardware (Dumas,
+Giorgi & Pernet, *FFLAS-FFPACK: Dense Linear Algebra over Word-Size
+Finite Fields using Floating-Point BLAS*, ACM TOMS 2008).  Each operand
+is split into three 21-bit limbs, so one limb product is an integer
+below 2^42.  A float64 holds every integer up to 2^53 exactly, so a sum
+of such products is exact as long as its total stays below 2^53: every
+partial sum of non-negative terms is then an integer below 2^53 too, and
+the result cannot depend on the order or blocking the BLAS picks.  The
+inner dimension is cut into chunks short enough to keep that bound, and
+the chunks are summed and reduced mod p in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +36,11 @@ FIELD_MODULUS = (1 << 61) - 1  # Mersenne prime: reduction is shift-and-add
 
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_MAX_DIM = 1 << 15  # limb partial sums stay below 2^59 up to this n
+_LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS]).reshape(3, 1, 1)
+# a group entry gains at most 9 (2^21 - 1)^2 per inner index (see
+# field_matmul), so over this many indices every float64 sum stays below 2^53
+_CHUNK = (1 << 53) // (9 * _LIMB_MASK**2)
+_MAX_DIM = 1 << 15  # summed chunks stay below 2^61 up to this n
 
 
 class PuzzleExhaustedError(RuntimeError):
@@ -40,8 +56,8 @@ class GemmParams:
     freivalds_k: int = 5
 
     def __post_init__(self) -> None:
-        if self.dimension_n < 1:
-            raise ValueError("matrix dimension must be >= 1")
+        if not 1 <= self.dimension_n <= _MAX_DIM:
+            raise ValueError(f"matrix dimension must lie in [1, {_MAX_DIM}]")
         if not 0 <= self.difficulty_d <= 32:
             raise ValueError("difficulty must lie in [0, 32]")
         if self.freivalds_k < 1:
@@ -82,11 +98,26 @@ def derive_matrices(sigma: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def field_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product mod 2^61 - 1 on int64 hardware.
+    """Exact matrix product mod 2^61 - 1 on float64 BLAS.
 
-    Splits operands into three 21-bit limbs so every partial product
-    fits in int64 (valid through n = 2^15), then folds limb weights with
-    2^61 = 1 (mod p).  Output entries are canonical, in [0, p).
+    Exact for every non-negative int64 entry at every inner dimension up
+    to 2^15.  Each entry x splits into 21-bit limbs x0 + x1 2^21 + x2
+    2^42, so a limb product is below 2^42.  Limb product a_i b_j carries
+    weight 2^(21(i+j)); since 2^63 = 4 (mod p), the weights 2^63 and
+    2^84 wrap round to 4 and 4 * 2^21, and the nine products fall into
+    three groups of weight 1, 2^21 and 2^42:
+
+        g0 = a0 b0 + 4 a1 b2 + 4 a2 b1
+        g1 = a0 b1 + a1 b0 + 4 a2 b2
+        g2 = a0 b2 + a1 b1 + a2 b0
+
+    Per inner index a group entry gains at most 9 (2^21 - 1)^2, so over
+    ``_CHUNK`` = floor(2^53 / (9 (2^21 - 1)^2)) = 227 indices every
+    float64 partial sum is an integer below 2^53, exact in any summation
+    order.  Each chunk's groups are nine dgemm calls; the chunks add up
+    in int64 (below 2^61 through n = 2^15), and a uint64 shift-and-add
+    fold with 2^61 = 1 (mod p) reduces g0 + g1 2^21 + g2 2^42.  Output
+    entries are canonical, in [0, p).
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -95,32 +126,26 @@ def field_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] > _MAX_DIM:
         raise ValueError(f"inner dimension above {_MAX_DIM} would overflow int64")
 
-    a0, a1, a2 = a & _LIMB_MASK, (a >> _LIMB_BITS) & _LIMB_MASK, a >> (2 * _LIMB_BITS)
-    b0, b1, b2 = b & _LIMB_MASK, (b >> _LIMB_BITS) & _LIMB_MASK, b >> (2 * _LIMB_BITS)
+    a_limbs = ((a >> _LIMB_SHIFTS) & _LIMB_MASK).astype(np.float64)
+    b_limbs = ((b >> _LIMB_SHIFTS) & _LIMB_MASK).astype(np.float64)
+    b_wrapped = 4.0 * b_limbs
+    groups = np.zeros((3, a.shape[0], b.shape[1]), dtype=np.int64)
+    for start in range(0, a.shape[1], _CHUNK):
+        part = slice(start, start + _CHUNK)
+        a_l, b_l, b_w = a_limbs[:, :, part], b_limbs[:, part], b_wrapped[:, part]
+        for k in range(3):
+            # i > k is a wrapped product: b_w[k - i] is 4 b_(k - i + 3)
+            terms = (a_l[i] @ (b_l if i <= k else b_w)[k - i] for i in range(3))
+            groups[k] += sum(terms).astype(np.int64)
 
-    groups = (
-        a0 @ b0,
-        a0 @ b1 + a1 @ b0,
-        a0 @ b2 + a1 @ b1 + a2 @ b0,
-        a1 @ b2 + a2 @ b1,
-        a2 @ b2,
-    )
-    # limb weight 2^(21k) mod p for k = 0..4; 2^63 = 2^2, 2^84 = 2^23
-    shifts = (0, 21, 42, 2, 23)
-
-    p = np.uint64(FIELD_MODULUS)
-    total = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
-    for group, shift in zip(groups, shifts):
-        term = group.astype(np.uint64)
-        if shift:
-            split = np.uint64(61 - shift)
-            lo = term & np.uint64((1 << (61 - shift)) - 1)
-            term = (lo << np.uint64(shift)) + (term >> split)
-        total += (term & p) + (term >> np.uint64(61))
-    total = (total & p) + (total >> np.uint64(61))
-    total = (total & p) + (total >> np.uint64(61))
-    total = np.where(total >= p, total - p, total)
-    return total.astype(np.int64)
+    # g * 2^s = (g mod 2^(61-s)) 2^s + (g >> (61-s)) 2^61, and 2^61 = 1
+    p = FIELD_MODULUS
+    g0, g1, g2 = groups.view(np.uint64)
+    total = g0.copy()
+    for group, shift in ((g1, _LIMB_BITS), (g2, 2 * _LIMB_BITS)):
+        total += ((group << shift) & p) + (group >> (61 - shift))
+    total = (total & p) + (total >> 61)
+    return np.where(total >= p, total - p, total).view(np.int64)
 
 
 def puzzle_digest(sid: bytes, sigma: bytes, product: np.ndarray) -> bytes:
@@ -162,9 +187,9 @@ def freivalds_check(
     A wrong product survives one round only if its error matrix
     annihilates the random indicator vector, which happens with
     probability at most 1/2; k clean rounds bound the false-accept rate
-    by 2^-k.  The k vectors are the columns of one n x k matrix, so the
-    rounds run as three matrix products.  Cost is O(k n^2) field
-    operations.
+    by 2^-k.  The k vectors are the columns of one n x k matrix, and B
+    and C are stacked to share its product, so all rounds run as two
+    field products.  Cost is O(k n^2) field operations.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -174,12 +199,19 @@ def freivalds_check(
         raise ValueError("freivalds_check needs three square matrices of one size")
     if k < 1:
         raise ValueError("k must be >= 1")
-    # round i's n consecutive draws form column i of r; three products
-    # then check all k rounds at once
-    r = np.fromiter(
-        (rng.getrandbits(1) for _ in range(k * n)), dtype=np.int64, count=k * n
-    ).reshape(k, n).T
-    return np.array_equal(field_matmul(a, field_matmul(b, r)), field_matmul(c, r))
+    # round i draws n bits at once and bit j is row j of column i, so a
+    # SystemRandom reads the OS once per round
+    width = (n + 7) // 8
+    draws = b"".join(rng.getrandbits(n).to_bytes(width, "little") for _ in range(k))
+    bits = np.unpackbits(
+        np.frombuffer(draws, dtype=np.uint8).reshape(k, width),
+        axis=1,
+        count=n,
+        bitorder="little",
+    )
+    r = bits.T.astype(np.int64)
+    br, cr = np.split(field_matmul(np.vstack((b, c)), r), 2)
+    return np.array_equal(field_matmul(a, br), cr)
 
 
 def _verification_rng(sid: bytes, digest: bytes) -> random.Random:

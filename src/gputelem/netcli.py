@@ -14,8 +14,7 @@ a simulation.
 Reports come out as CSV rows plus a JSON summary; with seeded configs
 and virtual clocks both are byte-deterministic.  The summary's
 ``config`` is the settings that ran, in config form, so a virtual-clock
-session replays from it (a vdf session that drew a fresh group replays
-on that group but without the draw, so on other challenges).
+session replays from it, a vdf session that drew a fresh group included.
 
 Each config block is read by the dataclass it configures
 (``core._parse_fields``), whose field defaults are the only defaults:
@@ -372,16 +371,31 @@ def write_report(report: SessionReport, out_path: str) -> None:
 # --- challenger --------------------------------------------------------------
 
 
-def _mode_params(kind: str, config: dict, rng: random.Random) -> dict:
-    """Challenge params of a session from its config block, defaults filled in.
+def _session_plan(session: SessionSettings, config: dict):
+    """What a session runs on besides its session keys, parsed, defaults filled in.
 
-    A vdf block without ``modulus_n`` gets a fresh group of
-    ``VdfSettings.modulus_bits``, drawn from the session rng.
+    A residency session gets its settings, challenge params and bandwidth
+    model; a pow, vdf or gemm session its challenge params, as the dict
+    it sends.  A vdf block without ``modulus_n`` gets a fresh group of
+    ``VdfSettings.modulus_bits``, drawn from an rng of its own seeded by
+    the session seed, not from the session rng: a replay that reads the
+    recorded ``modulus_n`` then draws the same challenges.  A bad value
+    raises ValueError here, before any worker is contacted.
     """
+    kind = session.kind
     section = dict(config.get(kind) or {})
+    if kind == "residency":
+        if "rounds" in config:  # a session-wide round count, unless overridden
+            section.setdefault("rounds", session.rounds)
+        return (
+            _parse_fields(ResidencySettings, section, strict=False),
+            params_for("residency", section),
+            bandwidth_model_from_dict(config.get("bandwidth")),
+        )
     if kind == "vdf" and "modulus_n" not in section:
         bits = _parse_fields(VdfSettings, section, strict=False).modulus_bits
-        section["modulus_n"] = setup_group(bits, rng).modulus_N
+        group_rng = random.Random(f"vdf-group-{session.seed}")
+        section["modulus_n"] = setup_group(bits, group_rng).modulus_N
     return asdict(params_for(kind, section))
 
 
@@ -401,10 +415,11 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     failed mid-session.  Both map to exit code 2 at the CLI.
     """
     session = _parse_fields(SessionSettings, config, strict=False)
+    plan = _session_plan(session, config)
     rng = random.Random(session.seed)
     remote = RemoteWorker(_parse_address(config.get("worker", "127.0.0.1:9333")))
     try:
-        report = _run_session(remote, session, config, rng)
+        report = _run_session(remote, session, plan, rng)
     finally:
         remote.close()
     if out_path:
@@ -413,19 +428,14 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
 
 
 def _run_session(
-    worker, session: SessionSettings, config: dict, rng: random.Random
+    worker, session: SessionSettings, plan, rng: random.Random
 ) -> SessionReport:
     kind = session.kind
     session_id = new_session_id(rng)
     worker.session_id = session_id
     rows: list[dict] = []
     if kind == "residency":
-        section = dict(config.get("residency") or {})
-        if "rounds" in config:  # a session-wide round count, unless overridden
-            section.setdefault("rounds", session.rounds)
-        settings = _parse_fields(ResidencySettings, section, strict=False)
-        params = params_for("residency", section)
-        model = bandwidth_model_from_dict(config.get("bandwidth"))
+        settings, params, model = plan
         res_report = run_residency_session(
             worker,
             rounds=settings.rounds,
@@ -446,7 +456,7 @@ def _run_session(
             "bandwidth": asdict(model),
         }
     else:
-        params = _mode_params(kind, config, rng)
+        params = plan
         worker.pre_challenge({"session_id": session_id, "kind": kind, "params": params})
         driver = SessionDriver(
             worker=worker, mode=kind, params=params, rng=rng, session_id=session_id
@@ -499,9 +509,11 @@ def run_local_session(
     session = _parse_fields(SessionSettings, {**config, "kind": kind}, strict=False)
     if "seed" in config and session.seed != seed:
         raise ValueError(f"config seed {session.seed} differs from the session seed {seed}")
+    session = replace(session, seed=seed)
+    plan = _session_plan(session, config)
     rng = random.Random(seed)
     worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=model)
-    return _run_session(worker, replace(session, seed=seed), config, rng)
+    return _run_session(worker, session, plan, rng)
 
 
 # --- config plumbing ---------------------------------------------------------

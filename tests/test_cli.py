@@ -7,7 +7,7 @@ scripts. Exit-code semantics: 0 Accept, 1 Reject, 2 an error.
 
 import pytest
 
-from gputelem import cli, netcli
+from gputelem import cli, gemm, netcli
 from gputelem.worksim import WorkerProfile
 
 
@@ -18,6 +18,10 @@ def daemon():
     )
     yield handle
     handle.close()
+
+
+def _no_connection(*args, **kwargs):
+    pytest.fail("the challenger connected before refusing the config")
 
 
 def _config_file(tmp_path, daemon, **extra):
@@ -97,16 +101,26 @@ def test_challenger_refuses_a_fractional_round_count(tmp_path, daemon, capsys):
 def test_challenger_refuses_bad_session_values_before_connecting(
     tmp_path, daemon, monkeypatch, capsys, key, value
 ):
-    def no_connection(*args, **kwargs):
-        pytest.fail("the challenger connected before refusing the config")
-
-    monkeypatch.setattr(netcli, "RemoteWorker", no_connection)
+    monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
     config = _config_file(tmp_path, daemon, **{key: value})
     code = cli.challenger_main(
         ["run", "--mode", "pow", "--config", str(config), "--out", str(tmp_path / "r.csv")]
     )
     assert code == cli.EXIT_ERROR
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_challenger_refuses_an_unusable_gemm_size_before_connecting(
+    tmp_path, daemon, monkeypatch, capsys
+):
+    monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
+    config = _config_file(tmp_path, daemon, gemm={"dimension_n": gemm._MAX_DIM + 1})
+    code = cli.challenger_main(
+        ["run", "--mode", "gemm", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == cli.EXIT_ERROR
+    assert "dimension" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

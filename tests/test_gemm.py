@@ -3,11 +3,14 @@
 The independent oracle for field_matmul is a three-loop schoolbook
 product in arbitrary-precision Python ints reduced mod 2^61 - 1, so the
 limb-decomposition path is checked against arithmetic that cannot
-overflow. Matrix derivation is checked against a from-scratch reading
-of the keyed stream, word by word, plus pinned known answers. The
-batched Freivalds check is checked against an unbatched per-round loop.
+overflow; saturated entries are checked against the closed form
+inner * v^2 mod p on both sides of the float64 chunk boundary. Matrix
+derivation is checked against a from-scratch reading of the keyed
+stream, word by word, plus pinned known answers. The batched Freivalds
+check is checked against an unbatched per-round loop.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -60,6 +63,37 @@ def test_field_matmul_worst_case_entries():
     assert np.array_equal(got, _naive_matmul(a, b))
 
 
+@pytest.mark.parametrize("value", [P - 1, (1 << 63) - 1])
+@pytest.mark.parametrize(
+    "inner", [1, gemm._CHUNK - 1, gemm._CHUNK, gemm._CHUNK + 1, gemm._MAX_DIM]
+)
+def test_field_matmul_saturated_entries_at_chunk_edges(value, inner):
+    """Every limb of every entry saturated: the largest float64 sums the
+    kernel forms, at the chunk boundary and at the largest inner size."""
+    a = np.full((2, inner), value, dtype=np.int64)
+    b = np.full((inner, 3), value, dtype=np.int64)
+    expected = inner * value * value % P
+    assert (gemm.field_matmul(a, b) == expected).all()
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=15, deadline=None)
+def test_field_matmul_across_the_chunk_boundary_matches_bigint_oracle(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+    inner = rng.randint(gemm._CHUNK - 3, 2 * gemm._CHUNK + 3)
+    a = np.array([[rng.randrange(P) for _ in range(inner)] for _ in range(rows)], dtype=np.int64)
+    b = np.array([[rng.randrange(P) for _ in range(cols)] for _ in range(inner)], dtype=np.int64)
+    assert np.array_equal(gemm.field_matmul(a, b), _naive_matmul(a, b))
+
+
+def test_field_matmul_known_answer():
+    # pinned from the int64 limb kernel this float64 one replaced
+    a, b = gemm.derive_matrices(hash_bytes(b"kernel-kat"), 64)
+    digest = hashlib.sha256(gemm.matrix_bytes(gemm.field_matmul(a, b))).hexdigest()
+    assert digest == "ed1350406875bb1b2399b33a97ff41f9254ceb98ce8cf933d842dc6d7b1ccb0e"
+
+
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
 def test_field_matmul_matches_bigint_oracle(seed):
@@ -78,6 +112,9 @@ def test_field_matmul_rejects_bad_shapes():
         gemm.field_matmul(ok, np.zeros((3, 2), dtype=np.int64))
     with pytest.raises(ValueError):
         gemm.field_matmul(np.zeros(4, dtype=np.int64), ok)
+    too_long = gemm._MAX_DIM + 1
+    with pytest.raises(ValueError):
+        gemm.field_matmul(np.zeros((1, too_long), np.int64), np.zeros((too_long, 1), np.int64))
 
 
 # --- matrix derivation ----------------------------------------------------------
@@ -154,12 +191,13 @@ def test_freivalds_k5_misses_are_rare():
 
 
 def _freivalds_per_round(a, b, c, k, rng):
-    """The unbatched check: one fresh 0/1 vector and three products per round."""
+    """The unbatched check: one fresh 0/1 vector and three products per round.
+
+    Each round draws n bits at once; bit j is entry j of its vector."""
     n = b.shape[0]
     for _ in range(k):
-        r = np.fromiter(
-            (rng.getrandbits(1) for _ in range(n)), dtype=np.int64, count=n
-        ).reshape(n, 1)
+        draw = rng.getrandbits(n)
+        r = np.array([[(draw >> j) & 1] for j in range(n)], dtype=np.int64)
         if not np.array_equal(gemm.field_matmul(a, gemm.field_matmul(b, r)), gemm.field_matmul(c, r)):
             return False
     return True
@@ -281,6 +319,10 @@ def test_params_validation():
         gemm.GemmParams(difficulty_d=33)
     with pytest.raises(ValueError):
         gemm.GemmParams(freivalds_k=0)
+    # the kernel's inner-dimension bound is the only size limit
+    assert gemm.GemmParams(dimension_n=gemm._MAX_DIM).dimension_n == gemm._MAX_DIM
+    with pytest.raises(ValueError):
+        gemm.GemmParams(dimension_n=gemm._MAX_DIM + 1)
 
 
 def test_attempt_count_is_geometric_at_difficulty():

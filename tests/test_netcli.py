@@ -346,6 +346,16 @@ def test_report_config_records_a_fresh_vdf_group():
     assert report.config["vdf"]["instances"] == 4
 
 
+def test_a_fresh_vdf_group_session_replays_from_its_own_sidecar(tmp_path):
+    config = {"rounds": 2, "vdf": {"modulus_bits": 128, "t_min": 16, "t_max": 32}}
+    report = netcli.run_local_session("vdf", WorkerProfile(), config, seed=1)
+    replay = netcli.run_local_session("vdf", WorkerProfile(), report.config, seed=1)
+    assert replay.config == report.config
+    netcli.write_report(report, str(tmp_path / "first.csv"))
+    netcli.write_report(replay, str(tmp_path / "replay.csv"))
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "replay.csv").read_bytes()
+
+
 def test_run_local_session_refuses_a_config_seed_it_would_not_run():
     config = {"rounds": 2, "seed": 5, "pow": _SMALL_BLOCKS["pow"]}
     with pytest.raises(ValueError, match="seed"):

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from gputelem import netcli, protocol, wire
+from gputelem import gemm, netcli, protocol, wire
 from gputelem.core import Challenge, Response
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.pow import PowParams
@@ -323,25 +323,26 @@ def test_params_for_defaults_are_the_dataclass_defaults():
     with pytest.raises(protocol.ProtocolError):
         protocol.params_for("quantum", {})
     # the challenger fills the same defaults into the params it sends
-    rng = random.Random(0)
-    assert netcli._mode_params("pow", {}, rng) == {
+    def plan(kind, config):
+        return netcli._session_plan(netcli.SessionSettings(kind=kind), config)
+
+    assert plan("pow", {}) == {
         "difficulty": 12,
         "argon_passes": 1,
         "argon_lanes": 1,
         "argon_memory_kib": 1024,
     }
-    assert netcli._mode_params("gemm", {}, rng) == {
+    assert plan("gemm", {}) == {
         "dimension_n": 64,
         "difficulty_d": 4,
         "freivalds_k": 5,
     }
-    assert netcli._mode_params("vdf", {"vdf": {"modulus_n": 77}}, rng) == {
+    assert plan("vdf", {"vdf": {"modulus_n": 77}}) == {
         "modulus_n": 77,
         "t_min": 1 << 10,
         "t_max": 1 << 12,
         "instances": 4,
     }
-    assert rng.random() == random.Random(0).random()  # no group drawn
 
 
 def test_param_keys_are_the_fields_of_each_params_class():
@@ -361,6 +362,9 @@ def test_params_for_coerces_by_the_config_rules():
     modulus = (1 << 511) + 1  # exact, not through a float
     assert protocol.params_for("vdf", {"modulus_n": modulus}).modulus_n == modulus
     assert protocol.params_for("gemm", {"dimension_n": "1.6e1"}).dimension_n == 16
+    # a size field_matmul would refuse is refused here, before any matrix exists
+    with pytest.raises(ValueError, match="dimension"):
+        protocol.params_for("gemm", {"dimension_n": gemm._MAX_DIM + 1})
     with pytest.raises(ValueError, match="difficulty"):
         protocol.params_for("pow", {"difficulty": True})
     with pytest.raises(ValueError, match="difficulty"):
