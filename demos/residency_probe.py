@@ -2,7 +2,8 @@
 
 Runs three simulated sessions over a 4 MiB dataset: one that keeps it
 hot, one that serves it cold, and one that silently evicts after round
-4.  Every probe digest is recomputed and checked by the session driver,
+4.  Every probe digest is checked by the session driver from the
+dataset's seed alone, by 32 private spot checks of its column sketch,
 so a worker cannot fake the scan either.
 """
 

@@ -42,20 +42,33 @@ def keyed_xor(key: bytes, data: bytes, domain: bytes = b"") -> bytes:
     fingerprint mask, matrix pair), so no two uses share a cipher key.
     XOR makes the map an involution: applying it twice restores ``data``.
     """
-    cipher = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), bytes(16)), mode=None)
-    encryptor = cipher.encryptor()
+    encryptor = _chacha20(key, domain, 0).encryptor()
     return encryptor.update(data) + encryptor.finalize()
 
 
-def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"") -> bytes:
+def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"", offset: int = 0) -> bytes:
     """Expand a key into ``nbytes`` of pseudorandom stream.
 
     The raw ChaCha20 keystream of ``keyed_xor``; a shorter request is a
     prefix of a longer one.  Used where a digest has to be stretched
     over a large buffer (dataset blocks, matrices) without changing the
-    32-byte digest convention elsewhere.
+    32-byte digest convention elsewhere.  ``offset`` seeks: the result
+    is bytes [offset, offset + nbytes) of the stream, generated from the
+    64-byte ChaCha20 block that holds ``offset``, whose counter goes in
+    the first 4 (little-endian) bytes of the nonce.
     """
-    return keyed_xor(key, bytes(nbytes), domain)
+    counter, skip = divmod(offset, 64)
+    return _chacha20(key, domain, counter).encryptor().update(bytes(skip + nbytes))[skip:]
+
+
+def _chacha20(key: bytes, domain: bytes, counter: int) -> Cipher:
+    """ChaCha20 keyed by ``keyed_hash(key, domain)``, starting at block ``counter``.
+
+    The 16-byte nonce is the 4-byte little-endian block counter followed
+    by a 12-byte all-zero IV.
+    """
+    nonce = counter.to_bytes(4, "little") + bytes(12)
+    return Cipher(algorithms.ChaCha20(keyed_hash(key, domain), nonce), mode=None)
 
 
 def encode_fields(*parts: bytes | int | str) -> bytes:

@@ -138,6 +138,11 @@ def field_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             terms = (a_l[i] @ (b_l if i <= k else b_w)[k - i] for i in range(3))
             groups[k] += sum(terms).astype(np.int64)
 
+    return _fold(groups)
+
+
+def _fold(groups: np.ndarray) -> np.ndarray:
+    """g0 + g1 2^21 + g2 2^42 mod p, for int64 groups in [0, 2^61)."""
     # g * 2^s = (g mod 2^(61-s)) 2^s + (g >> (61-s)) 2^61, and 2^61 = 1
     p = FIELD_MODULUS
     g0, g1, g2 = groups.view(np.uint64)
@@ -146,6 +151,19 @@ def field_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         total += ((group << shift) & p) + (group >> (61 - shift))
     total = (total & p) + (total >> 61)
     return np.where(total >= p, total - p, total).view(np.int64)
+
+
+def _times_bits(m: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """m bits mod p for a 0/1 matrix ``bits``, as three float64 products.
+
+    The limbs of ``bits`` above the lowest are zero, so only m's three
+    limbs meet it: group i is limb_i(m) bits.  Each entry of a group is
+    a sum of at most n terms below 2^21, so below n 2^21 < 2^53 for
+    every n ``GemmParams`` accepts, an exact integer in any summation
+    order; no chunking.
+    """
+    limbs = ((m >> _LIMB_SHIFTS) & _LIMB_MASK).astype(np.float64)
+    return _fold((limbs @ bits.astype(np.float64)).astype(np.int64))
 
 
 def puzzle_digest(sid: bytes, sigma: bytes, product: np.ndarray) -> bytes:
@@ -188,8 +206,9 @@ def freivalds_check(
     annihilates the random indicator vector, which happens with
     probability at most 1/2; k clean rounds bound the false-accept rate
     by 2^-k.  The k vectors are the columns of one n x k matrix, and B
-    and C are stacked to share its product, so all rounds run as two
-    field products.  Cost is O(k n^2) field operations.
+    and C are stacked to share its product, so all rounds run as one
+    product with 0/1 entries (three float64 products, ``_times_bits``)
+    and one field product.  Cost is O(k n^2) field operations.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -209,8 +228,7 @@ def freivalds_check(
         count=n,
         bitorder="little",
     )
-    r = bits.T.astype(np.int64)
-    br, cr = np.split(field_matmul(np.vstack((b, c)), r), 2)
+    br, cr = np.split(_times_bits(np.vstack((b, c)), bits.T), 2)
     return np.array_equal(field_matmul(a, br), cr)
 
 

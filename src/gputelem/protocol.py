@@ -28,7 +28,7 @@ from .core import (
 )
 from .gemm import GemmParams, GemmProof, matrix_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
-from .residency import ChalDataset, ResidencyParams, residency_probe
+from .residency import DatasetSpec, ResidencyParams, verify_probe
 
 MODES = ("pow", "vdf", "gemm", "residency")
 
@@ -226,17 +226,17 @@ def parse_response(record: dict, dimension_n: int | None = None) -> Response:
 
 
 def validate_response(
-    challenge: Challenge, response: Response, dataset: ChalDataset | None = None
+    challenge: Challenge, response: Response, dataset: DatasetSpec | None = None
 ) -> bool:
     """Cryptographic verification dispatch; False means a lying worker.
 
-    A residency response is checked against ``dataset``, the
-    challenger's own copy of what the worker was told to hold.
+    A residency response is checked against ``dataset``, the seed and
+    shape of what the worker was told to hold.
     """
     if not response.matches(challenge):
         return False
     if challenge.mode == "residency" and dataset is None:
-        raise ProtocolError("a residency response needs the challenger's dataset")
+        raise ProtocolError("a residency response needs the dataset spec")
     try:
         if challenge.mode == "pow":
             return _validate_pow(challenge, response)
@@ -295,12 +295,17 @@ def _validate_vdf(challenge: Challenge, response: Response) -> bool:
 
 
 def _validate_residency(
-    challenge: Challenge, response: Response, dataset: ChalDataset
+    challenge: Challenge, response: Response, dataset: DatasetSpec
 ) -> bool:
-    # the challenger re-runs the probe on its own copy of the dataset
-    argon_memory_kib = params_for("residency", challenge.params).argon_memory_kib
-    expected = residency_probe(dataset, challenge.salt, argon_memory_kib=argon_memory_kib)
-    return response.payload["response_digest"] == expected.response_digest
+    # spot-check columns drawn after the answer arrived, from a source the
+    # worker cannot see (never the session rng, which it could replay)
+    return verify_probe(
+        dataset,
+        challenge.salt,
+        bytes_field(response.payload["response_digest"]),
+        params_for("residency", challenge.params).argon_memory_kib,
+        random.SystemRandom(),
+    )
 
 
 @dataclass(frozen=True)
@@ -319,8 +324,9 @@ class SessionDriver:
 
     Issues a fresh challenge each round, times the worker's answer on
     the challenger's clock, and validates the response; a residency
-    session carries the challenger's ``dataset``.  The worker is any
-    handle with now/sleep_until/answer, in process or over TCP.
+    session carries the ``DatasetSpec`` it planted as ``dataset``.  The
+    worker is any handle with now/sleep_until/answer, in process or over
+    TCP.
     """
 
     worker: object
@@ -328,7 +334,7 @@ class SessionDriver:
     params: dict
     rng: random.Random
     session_id: bytes = b""
-    dataset: ChalDataset | None = None
+    dataset: DatasetSpec | None = None
 
     def __post_init__(self) -> None:
         if not self.session_id:

@@ -5,25 +5,49 @@ memory, then fires nonce-keyed probes at uniformly random times.  A
 worker that kept the data resident answers after a fast-memory scan; a
 worker that evicted it must haul every byte back across the slow bus
 first, which shows up as a timing gap of roughly dataset_size / bus
-bandwidth.  A probe is one nonce-keyed SHA-256 scan that reads every
-dataset byte once, then ceil(sqrt(B)) Argon2id instances on blocks the
-scan's digest picks.  Probes are keyed so responses can be neither
-precomputed nor faked: the challenger regenerates the dataset from its
-seed and recomputes the expected digest exactly.
+bandwidth.
+
+A probe is a linear sketch of the whole dataset, then ceil(sqrt(B))
+Argon2id instances on columns the sketch picks.  Each block of the
+dataset is read as little-endian u64 words and cut into contiguous
+columns of R words (``DatasetSpec.column_words``), about
+ceil(512 / B) columns per block, so no column crosses a block.  With
+nonce-derived odd weights nu_1..nu_R the sketch is
+
+    mu_c = sum_i nu_i * word_(c, i)  mod 2^64,
+
+one matrix-vector product per block, read in place at memory speed.
+The ring is Z/2^64 because numpy's uint64 arithmetic wraps there
+exactly; the weights are odd, so w -> nu * w is a bijection and a word
+the worker does not hold enters mu_c as a uniformly random term.  The
+response is mu (about max(512, B) words) followed by the phase-2 end
+state, so the challenger never holds the dataset: it regenerates only
+the ``SPOT_CHECKS`` columns it draws privately, by seeking ChaCha20 to
+them, and the columns phase 2 picks.  A worker whose mu is wrong in a
+fraction f of the columns passes one round with probability
+(1 - f)^32, so it is caught with probability 1 - (1 - f)^32 per round
+(private verification in Shacham & Waters, *Compact Proofs of
+Retrievability*, ASIACRYPT 2008; cf. Ateniese et al., *Provable Data
+Possession at Untrusted Stores*, CCS 2007).  A mu altered without
+redoing phase 2 fails deterministically, since phase 2 starts from it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
+from typing import Callable
 
+import numpy as np
 from cryptography.hazmat.primitives.kdf.argon2 import Argon2id
 
 from .core import (
+    DIGEST_LEN,
     TimingSample,
     digest_to_int,
     encode_fields,
@@ -35,6 +59,8 @@ from .core import (
 )
 
 DEFAULT_BLOCK_BYTES = 1 << 20  # matches the per-instance Argon2id memory cost
+SKETCH_WORDS = 512  # mu has about max(SKETCH_WORDS, block count) words
+SPOT_CHECKS = 32  # sketch columns the challenger regenerates per round
 
 
 class Residency(str, Enum):
@@ -80,6 +106,66 @@ class ResidencySettings:
     threshold_ns: int | None = None
 
 
+@dataclass(frozen=True)
+class DatasetSpec:
+    """A dataset by its seed and shape: all the challenger keeps of it.
+
+    Blocks are ``block_size_bytes`` long except a short last one.  Each
+    block is read as little-endian u64 words, its tail zero-padded, and
+    cut into contiguous sketch columns of ``column_words`` words; only a
+    block's last column may be shorter.  A full block of W words holds
+    ceil(W / R) columns, about ceil(SKETCH_WORDS / B) of them.
+    """
+
+    seed: bytes
+    size_bytes: int
+    block_size_bytes: int = DEFAULT_BLOCK_BYTES
+
+    def __post_init__(self) -> None:
+        if self.size_bytes < 1:
+            raise ValueError("dataset needs at least one byte")
+        if self.block_size_bytes < 1:
+            raise ValueError("block size must be positive")
+
+    @property
+    def block_count(self) -> int:
+        return -(-self.size_bytes // self.block_size_bytes)
+
+    def block_len(self, index: int) -> int:
+        return min(self.block_size_bytes, self.size_bytes - index * self.block_size_bytes)
+
+    # the geometry is read once per spot check, so it is worked out once
+    @functools.cached_property
+    def column_words(self) -> int:
+        """R, the words per column and the number of sketch weights."""
+        words = -(-self.block_len(0) // 8)
+        return -(-words // -(-SKETCH_WORDS // self.block_count))
+
+    def _columns_in(self, index: int) -> int:
+        return -(-self.block_len(index) // (8 * self.column_words))
+
+    @functools.cached_property
+    def _columns_per_block(self) -> int:
+        return self._columns_in(0)
+
+    @functools.cached_property
+    def column_count(self) -> int:
+        """C, the words of mu."""
+        last = self.block_count - 1
+        return last * self._columns_per_block + self._columns_in(last)
+
+    def column(self, c: int) -> tuple[int, int, int]:
+        """(block, start byte, stop byte) of column ``c`` within its block."""
+        index, j = divmod(c, self._columns_per_block)
+        width = 8 * self.column_words
+        return index, width * j, min(width * (j + 1), self.block_len(index))
+
+    def column_bytes(self, c: int) -> bytes:
+        """Column ``c`` regenerated from the seed, without its block."""
+        index, start, stop = self.column(c)
+        return chal_block(self.seed, index, stop - start, offset=start)
+
+
 @dataclass
 class ChalDataset:
     """Incompressible challenge data, regenerable block by block from a seed.
@@ -102,6 +188,10 @@ class ChalDataset:
         """SHA-256 of each block, computed from the blocks when read."""
         return [hash_bytes(block) for block in self.blocks]
 
+    @property
+    def spec(self) -> DatasetSpec:
+        return DatasetSpec(self.seed, self.size_bytes, self.block_size_bytes)
+
 
 @dataclass(frozen=True)
 class ResidencyProbeResult:
@@ -110,13 +200,13 @@ class ResidencyProbeResult:
     kernel_time_s: float
 
 
-def chal_block(seed: bytes, index: int, nbytes: int) -> bytes:
-    """Block ``index`` of the dataset: a seed-keyed pseudorandom stream.
+def chal_block(seed: bytes, index: int, nbytes: int, offset: int = 0) -> bytes:
+    """Bytes [offset, offset + nbytes) of block ``index`` of the dataset.
 
     The ChaCha20 keystream of ``core.keyed_stream`` under the domain
-    ``("chal", index)``.
+    ``("chal", index)``, so any slice of a block is regenerated alone.
     """
-    return keyed_stream(seed, nbytes, domain=encode_fields("chal", index))
+    return keyed_stream(seed, nbytes, domain=encode_fields("chal", index), offset=offset)
 
 
 def init_chal(
@@ -128,18 +218,8 @@ def init_chal(
     Pseudorandom bytes are incompressible, so a worker cannot keep a
     cheaper representation than the data itself.
     """
-    if size_bytes < 1:
-        raise ValueError("dataset needs at least one byte")
-    if block_size_bytes < 1:
-        raise ValueError("block size must be positive")
-    blocks = []
-    offset = 0
-    index = 0
-    while offset < size_bytes:
-        nbytes = min(block_size_bytes, size_bytes - offset)
-        blocks.append(chal_block(seed, index, nbytes))
-        offset += nbytes
-        index += 1
+    spec = DatasetSpec(seed, size_bytes, block_size_bytes)
+    blocks = [chal_block(seed, i, spec.block_len(i)) for i in range(spec.block_count)]
     return ChalDataset(
         size_bytes=size_bytes,
         block_size_bytes=block_size_bytes,
@@ -153,8 +233,8 @@ def mask_block(nonce: bytes, index: int, block: bytes) -> bytes:
 
     The block is XORed with the nonce-keyed ChaCha20 stream of
     ``core.keyed_xor`` under the domain ``("mask", index)``.  It is not
-    part of ``residency_probe``, which folds the raw blocks into a
-    nonce-keyed SHA-256 scan; the ``mask`` domain is used only here.
+    part of ``residency_probe``, which sketches the raw blocks; the
+    ``mask`` domain is used only here.
     """
     return keyed_xor(nonce, block, domain=encode_fields("mask", index))
 
@@ -164,34 +244,59 @@ def default_instance_count(block_count: int) -> int:
     return math.isqrt(max(block_count - 1, 0)) + 1
 
 
-def residency_probe(
-    chal: ChalDataset,
-    nonce: bytes,
-    argon_memory_kib: int = ResidencyParams.argon_memory_kib,
-) -> ResidencyProbeResult:
-    """Run the two-phase probe over the dataset and return the digest.
+def _sketch_weights(nonce: bytes, width: int) -> np.ndarray:
+    """nu: ``width`` little-endian u64 words of the ``sketch`` stream, made odd."""
+    stream = keyed_stream(nonce, 8 * width, domain=encode_fields("sketch"))
+    return np.frombuffer(stream, dtype="<u8") | np.uint64(1)
 
-    Phase 1 reads every byte once: one SHA-256 stream, seeded with the
-    nonce-keyed ``keyed_hash(nonce, b"probe-init")``, absorbs every block
-    in order, so the digest is unknowable before the nonce and the scan
-    is a sequential chain that cannot be split.  Phase 2 runs
-    ``default_instance_count`` single-pass, single-lane Argon2id
-    instances whose block indices depend on the evolving digest; the
-    next index is unknown until the previous tag exists, forcing
-    genuinely randomized access instead of a prefetched linear pass.
-    Each instance's password is SHA-256(state || block), so it depends
-    on the state and on every byte of its block.  ``kernel_time_s``
-    times phase 2.
+
+def _column_sum(data, nu: np.ndarray) -> int:
+    """sum_i nu_i * word_i mod 2^64 of ``data`` as little-endian u64 words.
+
+    A tail shorter than a word is zero-padded.
     """
-    t_start = time.perf_counter()
-    scan = hashlib.sha256(keyed_hash(nonce, b"probe-init"))
-    for block in chal.blocks:
-        scan.update(block)
-    state = scan.digest()
-    t_phase2 = time.perf_counter()
-    for i in range(default_instance_count(chal.block_count)):
-        pick = digest_to_int(keyed_hash(state, encode_fields("pick", i)))
-        j = pick % chal.block_count
+    words = len(data) // 8
+    total = int(np.frombuffer(data, dtype="<u8", count=words) @ nu[:words])
+    if len(data) % 8:
+        total += int(nu[words]) * int.from_bytes(data[8 * words :], "little")
+    return total & 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _sketch(blocks: list[bytes], nu: np.ndarray) -> bytes:
+    """mu of the dataset: one matrix-vector product per block, read in place."""
+    width = len(nu)
+    parts = []
+    for block in blocks:
+        full = len(block) // (8 * width)
+        words = np.frombuffer(block, dtype="<u8", count=full * width)
+        parts.append(words.reshape(full, width) @ nu)
+        if len(block) > 8 * full * width:
+            tail = memoryview(block)[8 * full * width :]
+            parts.append(np.array([_column_sum(tail, nu)], dtype=np.uint64))
+    return np.concatenate(parts).astype("<u8").tobytes()
+
+
+def _probe_state(nonce: bytes, mu: bytes) -> bytes:
+    """Phase 1's state: SHA-256(keyed_hash(nonce, "probe-init") || mu)."""
+    return hash_bytes(keyed_hash(nonce, b"probe-init") + mu)
+
+
+def _phase2(
+    state: bytes,
+    nonce: bytes,
+    spec: DatasetSpec,
+    argon_memory_kib: int,
+    column: Callable[[int], bytes],
+) -> bytes:
+    """``default_instance_count`` Argon2id instances on state-picked columns.
+
+    Each instance's password is SHA-256(state || column bytes), and the
+    next pick depends on its tag, so the columns are visited in an order
+    unknown until each tag exists.  Returns the end state.
+    """
+    columns = spec.column_count
+    for i in range(default_instance_count(spec.block_count)):
+        c = digest_to_int(keyed_hash(state, encode_fields("pick", i))) % columns
         kdf = Argon2id(
             salt=state,
             length=32,
@@ -199,21 +304,79 @@ def residency_probe(
             lanes=1,
             memory_cost=argon_memory_kib,
             secret=nonce,
-            ad=encode_fields(j),
+            ad=encode_fields(c),
         )
         password = hashlib.sha256(state)
-        password.update(chal.blocks[j])
+        password.update(column(c))
         tag = kdf.derive(password.digest())
-        state = keyed_hash(state, encode_fields(tag, j))
+        state = keyed_hash(state, encode_fields(tag, c))
+    return state
+
+
+def residency_probe(
+    chal: ChalDataset,
+    nonce: bytes,
+    argon_memory_kib: int = ResidencyParams.argon_memory_kib,
+) -> ResidencyProbeResult:
+    """Run the two-phase probe over the dataset; the digest is mu || state.
+
+    Phase 1 reads every byte once into the sketch mu under the
+    nonce-derived odd weights; its state is SHA-256 of the nonce-keyed
+    ``keyed_hash(nonce, b"probe-init")`` and mu.  Phase 2 runs
+    ``default_instance_count`` single-pass, single-lane Argon2id
+    instances on columns that the evolving state picks, forcing
+    randomized access instead of a prefetched linear pass.
+    ``kernel_time_s`` times phase 2.
+    """
+    t_start = time.perf_counter()
+    spec = chal.spec
+    mu = _sketch(chal.blocks, _sketch_weights(nonce, spec.column_words))
+    state = _probe_state(nonce, mu)
+    t_phase2 = time.perf_counter()
+
+    def column(c: int) -> memoryview:
+        index, start, stop = spec.column(c)
+        return memoryview(chal.blocks[index])[start:stop]
+
+    state = _phase2(state, nonce, spec, argon_memory_kib, column)
     t_end = time.perf_counter()
     timing = TimingSample(
         index=0, mode="residency", duration=t_end - t_start, valid=True
     )
     return ResidencyProbeResult(
-        response_digest=state,
+        response_digest=mu + state,
         timing=timing,
         kernel_time_s=t_end - t_phase2,
     )
+
+
+def verify_probe(
+    spec: DatasetSpec,
+    nonce: bytes,
+    response_digest: bytes,
+    argon_memory_kib: int,
+    rng: random.Random,
+) -> bool:
+    """Check a probe digest against the dataset's seed, never its bytes.
+
+    A digest of the wrong length is refused.  Then ``SPOT_CHECKS``
+    columns drawn from ``rng`` are regenerated and summed against mu,
+    and phase 2 is recomputed from the received mu, regenerating only
+    the columns it picks.  A challenger passes ``random.SystemRandom()``
+    so the worker cannot know which columns are checked.
+    """
+    columns = spec.column_count
+    if len(response_digest) != 8 * columns + DIGEST_LEN:
+        return False
+    mu = np.frombuffer(response_digest, dtype="<u8", count=columns)
+    nu = _sketch_weights(nonce, spec.column_words)
+    for _ in range(SPOT_CHECKS):
+        c = rng.randrange(columns)
+        if _column_sum(spec.column_bytes(c), nu) != int(mu[c]):
+            return False
+    state = _probe_state(nonce, response_digest[:-DIGEST_LEN])
+    end = _phase2(state, nonce, spec, argon_memory_kib, spec.column_bytes)
+    return end == response_digest[-DIGEST_LEN:]
 
 
 def expected_gap(size_bytes: int, model: BandwidthModel) -> float:
@@ -282,13 +445,14 @@ def run_residency_session(
 ) -> ResidencySessionReport:
     """Full session: plant the dataset, then probe at random times.
 
-    The pre-challenge plants the dataset on the worker.  Each round waits
-    a uniform interval, then takes the session driver's round step: a
-    fresh nonce (the challenge salt), the answer timed on the
-    challenger's clock, and its digest checked against the challenger's
-    own copy of the dataset.  The measured time is classified Hot or
-    Cold.  A digest mismatch marks the round invalid regardless of how
-    fast it was; any Cold or invalid round fails the session overall.
+    The pre-challenge plants the dataset on the worker; the challenger
+    keeps only its ``DatasetSpec``.  Each round waits a uniform interval,
+    then takes the session driver's round step: a fresh nonce (the
+    challenge salt), the answer timed on the challenger's clock, and its
+    digest checked by ``verify_probe`` against the seed.  The measured
+    time is classified Hot or Cold.  A digest that fails verification
+    marks the round invalid regardless of how fast it was; any Cold or
+    invalid round fails the session overall.
     """
     from .protocol import SessionDriver  # protocol imports this module
 
@@ -298,17 +462,18 @@ def run_residency_session(
     model = model if model is not None else BandwidthModel()
     if threshold_ns is None:
         threshold_ns = default_threshold_ns(dataset_bytes, model)
-    seed = generate_salt(rng)
+    spec = DatasetSpec(generate_salt(rng), dataset_bytes, block_size_bytes)
     session_id = worker.session_id or bytes(32)
-    plant = {"seed": seed, "size_bytes": dataset_bytes, "block_size_bytes": block_size_bytes}
-    worker.pre_challenge({"session_id": session_id, "kind": "residency", "residency": plant})
+    worker.pre_challenge(
+        {"session_id": session_id, "kind": "residency", "residency": asdict(spec)}
+    )
     driver = SessionDriver(
         worker=worker,
         mode="residency",
         params={"argon_memory_kib": argon_memory_kib},
         rng=rng,
         session_id=session_id,
-        dataset=init_chal(dataset_bytes, seed, block_size_bytes),
+        dataset=spec,
     )
     rows: list[dict] = []
     cold = 0

@@ -6,6 +6,15 @@ N.  The succinct proof (Wesolowski-style) lets the challenger check the
 claim with one multi-exponentiation instead of redoing the chain, and
 many instances verify together through one batched congruence.
 
+Proofs live in Z_N*/{+-1}: x and N - x are one element, written as its
+canonical representative min(x, N - x) in [1, (N-1)/2].  -1 has order
+2, so in Z_N* itself (-x)^alpha = x^alpha for every even alpha, and an
+aggregated congruence could not see a sign flip; in the quotient a flip
+is a different, non-canonical encoding and is refused (Pietrzak, *Simple
+Verifiable Delay Functions*, ITCS 2019; Boneh, Bunz & Fisch, *A Survey
+of Two Verifiable Delay Functions*, 2018).  eval itself still returns
+g^(2^T) in Z_N*.
+
 The prover keeps every kappa-th power of the chain and builds the proof
 from those checkpoints (Wesolowski 2019, section 4.1), so proving adds
 about T/kappa + 2^(kappa+1) multiplications to the T squarings.
@@ -243,7 +252,10 @@ class VdfSettings:
 
 @dataclass(frozen=True)
 class VdfProof:
-    """Succinct evaluation proof: y = g^(2^T), pi = g^floor(2^T / q), r = 2^T mod q."""
+    """Succinct evaluation proof: y = g^(2^T), pi = g^floor(2^T / q), r = 2^T mod q.
+
+    ``output_y`` and ``pi`` are canonical representatives in Z_N*/{+-1}.
+    """
 
     output_y: int
     pi: int
@@ -344,6 +356,15 @@ def trapdoor_eval(g: int, delay_t: int, group: GroupParams) -> int:
     return pow(g, pow(2, delay_t, lam), group.modulus_N)
 
 
+def canonical(x: int, modulus_n: int) -> int:
+    """The representative of x's class in Z_N*/{+-1}: min(x, N - x)."""
+    return min(x, modulus_n - x)
+
+
+def _is_canonical(x: int, modulus_n: int) -> bool:
+    return 1 <= x <= modulus_n // 2
+
+
 def hash_to_prime(transcript: bytes) -> int:
     """Smallest prime at or above the hash point, forced to 128 bits.
 
@@ -439,7 +460,10 @@ def _proof(
         running = running * bucket % modulus_n
         pi = pi * running % modulus_n
     return VdfProof(
-        output_y=y, pi=pi, remainder_r=pow(2, delay_t, prime), challenge_prime=prime
+        output_y=canonical(y, modulus_n),
+        pi=canonical(pi, modulus_n),
+        remainder_r=pow(2, delay_t, prime),
+        challenge_prime=prime,
     )
 
 
@@ -482,29 +506,30 @@ def prove(
 ) -> VdfProof:
     """Produce the succinct proof for y = g^(2^T) mod N.
 
-    The challenge prime comes from the instance transcript unless a test
-    supplies one explicitly.  The chain is re-run to recover its
-    checkpoints, so proving costs T squarings plus about
-    T/kappa + 2^(kappa+1) multiplications; a worker that evaluates and
-    proves in one pass uses solve_batch instead.
+    The challenge prime comes from the instance transcript of the
+    canonical y unless a test supplies one explicitly.  The chain is
+    re-run to recover its checkpoints, so proving costs T squarings plus
+    about T/kappa + 2^(kappa+1) multiplications; a worker that evaluates
+    and proves in one pass uses solve_batch instead.
     """
     if challenge_prime is None:
         challenge_prime = hash_to_prime(
-            _instance_transcript(g, y, delay_t, modulus_n, sid)
+            _instance_transcript(g, canonical(y, modulus_n), delay_t, modulus_n, sid)
         )
     _, checkpoints = _chain(g, delay_t, modulus_n)
     return _proof(y, checkpoints, delay_t, challenge_prime, modulus_n)
 
 
 def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) -> bool:
-    """Check pi^q * g^r == y (mod N) under the transcript-derived prime.
+    """Check pi^q * g^r == +-y (mod N) under the transcript-derived prime.
 
     One two-base multi-exponentiation replaces the T-squaring chain; the
     prime is recomputed locally so a prover cannot pick a convenient one.
+    y and pi must be canonical, so the relation holds in Z_N*/{+-1}.
     """
-    if not 1 <= proof.output_y <= modulus_n - 1:
+    if not _is_canonical(proof.output_y, modulus_n):
         return False
-    if not 1 <= proof.pi <= modulus_n - 1:
+    if not _is_canonical(proof.pi, modulus_n):
         return False
     if not 2 <= g <= modulus_n - 1 or delay_t < 0:
         return False
@@ -516,7 +541,7 @@ def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) ->
     if proof.remainder_r != pow(2, delay_t, expected_prime):
         return False
     lhs = _multi_exp([proof.pi, g], [expected_prime, proof.remainder_r], modulus_n)
-    return lhs == proof.output_y
+    return lhs in (proof.output_y, modulus_n - proof.output_y)
 
 
 def _batch_proofs(
@@ -526,6 +551,7 @@ def _batch_proofs(
     modulus_n: int,
     sid: bytes,
 ) -> list[VdfProof]:
+    outputs = [canonical(y, modulus_n) for y in outputs]
     prime = hash_to_prime(batch_transcript(modulus_n, instances, outputs, sid))
     return [
         _proof(y, points, inst.delay_T, prime, modulus_n)
@@ -571,13 +597,15 @@ def batch_verify(
 
     With transcript scalars alpha_i and shared prime q, checks
 
-        (prod pi_i^alpha_i)^q * prod g_i^(alpha_i r_i) == prod y_i^alpha_i
+        (prod pi_i^alpha_i)^q * prod g_i^(alpha_i r_i) == +-prod y_i^alpha_i
 
-    which holds whenever every individual relation holds.  The converse
-    fails for sign flips: one pi_i replaced by N - pi_i (or y_i by N - y_i,
-    proofs redone for the new transcript) passes whenever that alpha_i is
-    even, about half the time, where ``verify`` rejects it; ROADMAP.md
-    item 3 closes the gap by working in Z_N*/{+-1}.  Each side is one
+    in Z_N*/{+-1}, which holds whenever every individual relation holds.
+    Every y_i and pi_i must be canonical: in Z_N* itself a sign flip
+    (N - pi_i for pi_i) would pass whenever its alpha_i is even, but in
+    the quotient it is a non-canonical encoding and is refused, as
+    ``verify`` refuses it.  A forged batch then passes with probability
+    about 2^-128 over the scalars, unless the forger knows an element of
+    order 2 other than -1, which factors N.  Each side is one
     multi-exponentiation, the left one with exponents alpha_i q and
     alpha_i r_i.  Each r_i is also recomputed, so remainder tampering is
     caught deterministically.
@@ -593,9 +621,9 @@ def batch_verify(
     for inst, proof in zip(instances, proofs):
         if proof.challenge_prime != prime:
             return False
-        if not 1 <= proof.output_y <= modulus_n - 1:
+        if not _is_canonical(proof.output_y, modulus_n):
             return False
-        if not 1 <= proof.pi <= modulus_n - 1:
+        if not _is_canonical(proof.pi, modulus_n):
             return False
         if proof.remainder_r != pow(2, inst.delay_T, prime):
             return False
@@ -605,4 +633,5 @@ def batch_verify(
         + [alpha * p.remainder_r for alpha, p in zip(scalars, proofs)],
         modulus_n,
     )
-    return lhs == _multi_exp(outputs, scalars, modulus_n)
+    rhs = _multi_exp(outputs, scalars, modulus_n)
+    return lhs in (rhs, modulus_n - rhs)

@@ -19,7 +19,7 @@ from typing import Mapping
 
 # Bumped whenever a puzzle's byte-level definition changes, so a peer that
 # derives other puzzle bytes is refused at the header, not round by round.
-VERSION = 0x03
+VERSION = 0x04
 
 MSG_CHALLENGE_BATCH = 0x01
 MSG_RESPONSE_BATCH = 0x02

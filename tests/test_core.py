@@ -51,6 +51,14 @@ def test_keyed_stream_prefix_stability():
     assert len(full) == 300
 
 
+@given(st.integers(min_value=0, max_value=700), st.integers(min_value=0, max_value=200))
+@settings(max_examples=80, deadline=None)
+def test_keyed_stream_seeks_to_any_offset(offset, nbytes):
+    # the block counter of the seek lives in the first 4 nonce bytes
+    full = keyed_stream(b"key", 900, domain=b"dom")
+    assert keyed_stream(b"key", nbytes, domain=b"dom", offset=offset) == full[offset : offset + nbytes]
+
+
 def test_keyed_stream_domain_separation():
     a = keyed_stream(b"key", 64, domain=b"a")
     b = keyed_stream(b"key", 64, domain=b"b")

@@ -220,6 +220,18 @@ def test_batched_freivalds_matches_per_round_loop():
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts were exercised
 
 
+@pytest.mark.parametrize("n", (1, 227, 228, 1024))
+def test_bit_product_matches_field_matmul_on_saturated_entries(n):
+    """(B;C) r from the three limbs alone equals the general field product."""
+    rng = np.random.default_rng(n)
+    stacked = np.full((2 * n, n), P - 1, dtype=np.int64)
+    stacked[n:] = rng.integers(0, P, size=(n, n))
+    bits = rng.integers(0, 2, size=(n, 5), dtype=np.uint8)
+    bits[:, 0] = 1  # an all-ones column: every row sums n saturated entries
+    expected = gemm.field_matmul(stacked, bits.astype(np.int64))
+    assert np.array_equal(gemm._times_bits(stacked, bits), expected)
+
+
 def test_freivalds_validation():
     a = np.zeros((3, 3), dtype=np.int64)
     with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ def test_recv_frame_oversize_announcement():
 
 
 def test_recv_frame_wraps_decode_errors():
-    for retired in (b"\x01", b"\x02"):  # retired versions 1 and 2, valid shape
+    for retired in (b"\x01", b"\x02", b"\x03"):  # retired versions 1-3, valid shape
         a, b = socket.socketpair()
         try:
             a.sendall(retired + b"\x01\x00\x00\x00\x00")

@@ -16,7 +16,7 @@ from gputelem import gemm, netcli, protocol, wire
 from gputelem.core import Challenge, Response
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.pow import PowParams
-from gputelem.residency import ResidencyParams, init_chal
+from gputelem.residency import SPOT_CHECKS, DatasetSpec, ResidencyParams
 from gputelem.vdf import VdfParams
 from gputelem.worksim import SimWorker, WorkerProfile
 
@@ -271,7 +271,7 @@ def test_validate_response_unknown_mode_raises():
 
 
 def _residency_answered():
-    """An honest residency answer and the challenger's copy of the dataset."""
+    """An honest residency answer and the spec of the dataset it was planted."""
     worker = SimWorker(WorkerProfile(), seed=12)
     worker.pre_challenge(
         {
@@ -281,7 +281,7 @@ def _residency_answered():
         }
     )
     challenge = _challenge("residency", {"argon_memory_kib": 8})
-    return challenge, worker.answer(challenge), init_chal(1 << 16, b"d", 1 << 14)
+    return challenge, worker.answer(challenge), DatasetSpec(b"d", 1 << 16, 1 << 14)
 
 
 def test_validate_residency_accepts_honest_digest_through_the_wire():
@@ -308,10 +308,30 @@ def test_validate_residency_rejects_forged_or_misdirected_digests():
     costlier = replace(challenge, params={"argon_memory_kib": 16})
     assert not protocol.validate_response(costlier, response, dataset)
     # another dataset of the same shape
-    other = init_chal(1 << 16, b"e", 1 << 14)
+    other = DatasetSpec(b"e", 1 << 16, 1 << 14)
     assert not protocol.validate_response(challenge, response, other)
     missing = replace(response, payload={"kernel_time_ns": 1})
     assert protocol.validate_response(challenge, missing, dataset) is False
+    # a digest of the wrong length, or not bytes at all, is an invalid round
+    for bad in (digest[:-8], digest + bytes(8), b"", 7):
+        wrong = replace(response, payload=dict(response.payload, response_digest=bad))
+        assert protocol.validate_response(challenge, wrong, dataset) is False
+
+
+def test_validate_residency_draws_its_spot_checks_from_system_random(monkeypatch):
+    """The columns come from a private source after the answer, never from a
+    seeded rng the worker could replay, so session fixtures keep their bytes."""
+    challenge, response, dataset = _residency_answered()
+    drawn = []
+
+    class Recording(random.SystemRandom):
+        def randrange(self, *args):
+            drawn.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(protocol.random, "SystemRandom", Recording)
+    assert protocol.validate_response(challenge, response, dataset)
+    assert len(drawn) == SPOT_CHECKS
 
 
 def test_params_for_defaults_are_the_dataclass_defaults():

@@ -95,7 +95,8 @@ def test_probe_digest_reproducible_across_dataset_copies():
     a = residency.residency_probe(_dataset(), b"nonce-1", argon_memory_kib=ARGON_KIB)
     b = residency.residency_probe(_dataset(), b"nonce-1", argon_memory_kib=ARGON_KIB)
     assert a.response_digest == b.response_digest
-    assert len(a.response_digest) == 32
+    # mu (512 words) || the 32-byte phase-2 end state
+    assert len(a.response_digest) == 8 * 512 + 32
 
 
 def test_probe_digest_binds_nonce_and_data():
@@ -136,11 +137,39 @@ def test_probe_reports_its_timing():
     assert 0 <= got.kernel_time_s <= got.timing.duration
 
 
-def _reference_probe(chal: residency.ChalDataset, nonce: bytes, argon_memory_kib: int) -> bytes:
-    """The probe digest from its definition, with the inputs concatenated."""
-    state = hashlib.sha256(keyed_hash(nonce, b"probe-init") + b"".join(chal.blocks)).digest()
-    for i in range(residency.default_instance_count(chal.block_count)):
-        j = digest_to_int(keyed_hash(state, encode_fields("pick", i))) % chal.block_count
+def _reference_columns(chal: residency.ChalDataset) -> list[bytes]:
+    """The sketch columns, cut from their definition: about ceil(512 / B)
+    columns of R words per block, R from the first block's word count."""
+    words = -(-len(chal.blocks[0]) // 8)
+    width = -(-words // -(-512 // chal.block_count))
+    return [
+        block[start : start + 8 * width]
+        for block in chal.blocks
+        for start in range(0, len(block), 8 * width)
+    ]
+
+
+def _reference_mu(columns: list[bytes], nonce: bytes) -> bytes:
+    """mu in Python integers mod 2^64: odd weights, zero-padded words."""
+    width = -(-len(columns[0]) // 8)
+    stream = keyed_stream(nonce, 8 * width, domain=encode_fields("sketch"))
+    nu = [int.from_bytes(stream[i : i + 8], "little") | 1 for i in range(0, 8 * width, 8)]
+    mu = b""
+    for column in columns:
+        padded = column + bytes(-len(column) % 8)
+        total = sum(
+            weight * int.from_bytes(padded[i : i + 8], "little")
+            for weight, i in zip(nu, range(0, len(padded), 8))
+        )
+        mu += (total % 2**64).to_bytes(8, "little")
+    return mu
+
+
+def _reference_finish(columns: list[bytes], blocks: int, nonce: bytes, argon_memory_kib: int, mu: bytes) -> bytes:
+    """The digest mu || state, with phase 2 run from ``mu`` as given."""
+    state = hashlib.sha256(keyed_hash(nonce, b"probe-init") + mu).digest()
+    for i in range(residency.default_instance_count(blocks)):
+        c = digest_to_int(keyed_hash(state, encode_fields("pick", i))) % len(columns)
         kdf = residency.Argon2id(
             salt=state,
             length=32,
@@ -148,26 +177,54 @@ def _reference_probe(chal: residency.ChalDataset, nonce: bytes, argon_memory_kib
             lanes=1,
             memory_cost=argon_memory_kib,
             secret=nonce,
-            ad=encode_fields(j),
+            ad=encode_fields(c),
         )
-        tag = kdf.derive(hashlib.sha256(state + chal.blocks[j]).digest())
-        state = keyed_hash(state, encode_fields(tag, j))
-    return state
+        tag = kdf.derive(hashlib.sha256(state + columns[c]).digest())
+        state = keyed_hash(state, encode_fields(tag, c))
+    return mu + state
 
 
-# (size, block size): 1, 4, 16 and 17 blocks, then three blocks with a short last one
-_KAT_DATASETS = ((4096, 4096), (16_384, 4096), (65_536, 4096), (69_632, 4096), (10_000, 4096))
+def _reference_probe(chal: residency.ChalDataset, nonce: bytes, argon_memory_kib: int) -> bytes:
+    """The probe digest from its definition, in pure Python."""
+    columns = _reference_columns(chal)
+    mu = _reference_mu(columns, nonce)
+    return _reference_finish(columns, chal.block_count, nonce, argon_memory_kib, mu)
+
+
+# (size, block size): 1, 4, 16 and 17 blocks, three blocks with a short
+# last one, and a size that is not a multiple of 8
+_KAT_DATASETS = (
+    (4096, 4096),
+    (16_384, 4096),
+    (65_536, 4096),
+    (69_632, 4096),
+    (10_000, 4096),
+    (10_003, 4096),
+)
 _KAT_NONCES = (b"a", b"kat-nonce-2", bytes(range(100)))
+# (first word of mu, phase-2 end state) of four probes
 _KAT_LITERALS = {
-    (4096, 8, b"a"): "34fe3dc121d862e5fb4721434972e0f824c53c95e32887478ae9aec846af4e02",
-    (16_384, 16, b"kat-nonce-2"): "b2f294098a9f5a887aea31626ee3fb22886541a82f9c87be9b84a560fc1c2330",
-    (69_632, 8, bytes(range(100))): "027cfcefdd732c6d8cb5ecd2c65412eba97d81c90e20dbe717ece0cf868690da",
-    (10_000, 16, b"a"): "d3a33b1bedf0370608ad9a926270faeb23917783b03e48912022f663eebfa513",
+    (4096, 8, b"a"): (
+        "9c96ee9d8c96f155",
+        "1e5ba832c2ef1f46dd5b97acb984e275e3960651e3040b94c090ee76ed67f1a0",
+    ),
+    (16_384, 16, b"kat-nonce-2"): (
+        "ccb6fb32dbc41997",
+        "b3af6ebbb0d923884704c5bfe92320f5b3d06f0444d0cd53c9a7c4b6406c9cb8",
+    ),
+    (69_632, 8, bytes(range(100))): (
+        "453fcd4809f1a7ff",
+        "ad591e363514131993e0ba9aef4e8d978e18451a69488475a8e0951ea6a860c8",
+    ),
+    (10_003, 16, b"a"): (
+        "c15cc0f2d1813bfe",
+        "48f3a63d886475fc56f4dfb2bce845970d0d020be95fb85adc6fa98cecc43512",
+    ),
 }
 
 
 def test_residency_probe_known_answers():
-    """Pins the probe bytes of wire version 3: a grid digest plus four literals."""
+    """Pins the probe bytes of wire version 4: a grid digest plus four literals."""
     digests = {}
     for size, block in _KAT_DATASETS:
         chal = residency.init_chal(size, b"kat-seed", block)
@@ -176,10 +233,11 @@ def test_residency_probe_known_answers():
                 got = residency.residency_probe(chal, nonce, argon_memory_kib=argon_kib)
                 assert got.response_digest == _reference_probe(chal, nonce, argon_kib)
                 digests[size, argon_kib, nonce] = got.response_digest
-    assert len(set(digests.values())) == len(digests) == 30
+    assert len(set(digests.values())) == len(digests) == 36
     grid = hashlib.sha256(b"".join(digests.values())).hexdigest()
-    assert grid == "858286f097da763a071943cf5ee10df98ef8b7a65d57ae65899a633df77958f2"
-    assert {key: digests[key].hex() for key in _KAT_LITERALS} == _KAT_LITERALS
+    assert grid == "a2ddc42be29a057b930dd86aa4e4a288fa2bf1a4317b96a733d527cb6170a4f1"
+    got = {key: (digests[key][:8].hex(), digests[key][-32:].hex()) for key in _KAT_LITERALS}
+    assert got == _KAT_LITERALS
 
 
 def test_probe_digest_changes_with_any_flipped_byte():
@@ -213,6 +271,127 @@ def test_probe_reads_the_dataset_in_place(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 512 << 10, f"probe peaked at {peak} bytes"
+
+
+# --- the seed-level description and spot-check verification -------------------------
+
+
+@pytest.mark.parametrize(
+    "size, block", ((4 << 20, 256 << 10), (10_003, 4096), (1001, 1001), (100, 7), (40_000, 16_384))
+)
+def test_spec_columns_partition_the_dataset_block_by_block(size, block):
+    chal = residency.init_chal(size, b"cols", block)
+    spec = residency.DatasetSpec(b"cols", size, block)
+    assert chal.spec == spec and spec.block_count == chal.block_count
+    assert spec.column_count == len(_reference_columns(chal))
+    # about max(512, B) words of mu; only a short last block holds fewer columns
+    assert spec.column_count <= 2 * max(512, spec.block_count)
+    if size % block == 0:
+        assert spec.column_count >= min(512, size // 8)
+    cut = []
+    for c in range(spec.column_count):
+        index, start, stop = spec.column(c)
+        assert 0 <= start < stop <= len(chal.blocks[index])
+        assert spec.column_bytes(c) == chal.blocks[index][start:stop]
+        cut.append((index, start, stop))
+    # in order, contiguous, and every byte once
+    assert b"".join(chal.blocks[i][a:b] for i, a, b in cut) == b"".join(chal.blocks)
+
+
+def test_spec_validation():
+    with pytest.raises(ValueError):
+        residency.DatasetSpec(b"x", 0)
+    with pytest.raises(ValueError):
+        residency.DatasetSpec(b"x", 100, block_size_bytes=0)
+
+
+def _honest(size: int, block: int, nonce: bytes = b"n"):
+    chal = residency.init_chal(size, b"verify-seed", block)
+    digest = residency.residency_probe(chal, nonce, argon_memory_kib=ARGON_KIB).response_digest
+    return chal, digest
+
+
+def test_verify_probe_accepts_honest_digests_from_the_seed_alone():
+    for size, block in ((DATASET, BLOCK), (10_003, 4096), (100, 7)):
+        chal, digest = _honest(size, block)
+        assert residency.verify_probe(chal.spec, b"n", digest, ARGON_KIB, random.SystemRandom())
+        assert not residency.verify_probe(chal.spec, b"m", digest, ARGON_KIB, random.SystemRandom())
+        other = residency.DatasetSpec(b"other-seed", size, block)
+        assert not residency.verify_probe(other, b"n", digest, ARGON_KIB, random.SystemRandom())
+
+
+def test_verify_probe_refuses_a_digest_of_the_wrong_length_without_raising():
+    chal, digest = _honest(DATASET, BLOCK)
+    for bad in (b"", digest[-32:], digest[:-8], digest + bytes(8), digest[:-1], digest + b"x"):
+        assert residency.verify_probe(chal.spec, b"n", bad, ARGON_KIB, random.Random(0)) is False
+
+
+def test_verify_probe_catches_mu_altered_without_phase_2():
+    """Phase 2 starts from mu, so any change to mu alone fails every time."""
+    chal, digest = _honest(DATASET, BLOCK)
+    for c in (0, 1, 511):
+        bad = bytearray(digest)
+        bad[8 * c] ^= 1
+        assert not residency.verify_probe(chal.spec, b"n", bytes(bad), ARGON_KIB, random.Random(c))
+    bad = bytearray(digest)
+    bad[-1] ^= 1
+    assert not residency.verify_probe(chal.spec, b"n", bytes(bad), ARGON_KIB, random.Random(1))
+
+
+def _forged(chal: residency.ChalDataset, nonce: bytes, wrong: list[int]) -> bytes:
+    """A digest whose mu is wrong in the ``wrong`` columns, with phase 2
+    redone from that mu, so only a spot check on those columns sees it."""
+    honest = residency.residency_probe(chal, nonce, argon_memory_kib=ARGON_KIB).response_digest
+    mu = bytearray(honest[:-32])
+    for c in wrong:
+        mu[8 * c] ^= 0x5A
+    columns = _reference_columns(chal)
+    return _reference_finish(columns, chal.block_count, nonce, ARGON_KIB, bytes(mu))
+
+
+def test_worker_wrong_in_a_fifth_of_the_columns_fails_nearly_every_round():
+    """Each round passes with probability 0.8^32, so 1 - 0.8^32 = 99.92% fail."""
+    chal = _dataset()
+    spec = chal.spec
+    columns = spec.column_count
+    rng = random.Random("forge-20")
+    failed = 0
+    for i in range(300):
+        nonce = rng.randbytes(16)
+        digest = _forged(chal, nonce, rng.sample(range(columns), columns // 5))
+        failed += not residency.verify_probe(spec, nonce, digest, ARGON_KIB, rng)
+    assert failed >= 297, f"only {failed}/300 rounds failed"
+
+
+def test_one_wrong_column_is_caught_at_the_spot_check_rate():
+    """Caught with probability 1 - (1 - 1/C)^32, within 4 sigma over 1000 rounds."""
+    chal = residency.init_chal(1001, b"one-column", 1001)  # C = 126, last word short
+    spec = chal.spec
+    columns = spec.column_count
+    assert columns == 126
+    rng = random.Random("forge-one")
+    trials = 1000
+    caught = 0
+    for _ in range(trials):
+        digest = _forged(chal, b"n", [rng.randrange(columns)])
+        caught += not residency.verify_probe(spec, b"n", digest, ARGON_KIB, rng)
+    p = 1 - (1 - 1 / columns) ** residency.SPOT_CHECKS
+    sigma = (p * (1 - p) / trials) ** 0.5
+    assert abs(caught / trials - p) < 4 * sigma, (caught, p)
+
+
+def test_verifying_against_a_64_mib_description_holds_no_dataset():
+    chal, digest = _honest(64 << 20, 1 << 20)
+    spec = chal.spec
+    del chal
+    tracemalloc.start()
+    try:
+        ok = residency.verify_probe(spec, b"n", digest, ARGON_KIB, random.SystemRandom())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 1 << 20, f"verification peaked at {peak} bytes"
 
 
 # --- timing model and classification ----------------------------------------------

@@ -216,13 +216,15 @@ def test_checkpoint_pi_matches_direct_exponentiation(rsa_group):
         assert y == vdf.eval(g, t, n)
         for q in primes:
             proof = vdf._proof(y, checkpoints, t, q, n)
-            assert proof.pi == pow(g, (1 << t) // q, n), (t, q)
+            assert proof.pi == vdf.canonical(pow(g, (1 << t) // q, n), n), (t, q)
+            assert proof.output_y == vdf.canonical(y, n)
             assert proof.remainder_r == pow(2, t, q)
     # the tiny group too, where T spans few checkpoints
     for t in (1, 4, 13, 40):
         y, checkpoints = vdf._chain(9, t, 1081)
         for q in (3, 5, 97, 12289):
-            assert vdf._proof(y, checkpoints, t, q, 1081).pi == pow(9, (1 << t) // q, 1081)
+            pi = vdf._proof(y, checkpoints, t, q, 1081).pi
+            assert pi == vdf.canonical(pow(9, (1 << t) // q, 1081), 1081)
 
 
 def test_checkpoint_interval_minimises_prover_cost():
@@ -233,7 +235,7 @@ def test_checkpoint_interval_minimises_prover_cost():
 
 
 def test_proofs_known_answers(rsa_group):
-    """prove and prove_batch return the bytes the square-and-multiply prover did."""
+    """Pins the proof bytes of wire version 4, whose y and pi are canonical in Z_N*/{+-1}."""
     n = rsa_group.modulus_N
     digest = hashlib.sha256()
     rng = random.Random("kat-proofs")
@@ -242,15 +244,18 @@ def test_proofs_known_answers(rsa_group):
         g = vdf.hash_to_qr(sid, i, n)
         t = rng.choice([0, 1, 2, 5, 6, 7, 127, 128, 129, rng.randint(1, 3000)])
         p = vdf.prove(g, t, vdf.eval(g, t, n), n, sid)
+        assert vdf.verify(g, t, p, n, sid) and 2 * p.output_y < n and 2 * p.pi < n
         digest.update(encode_fields(p.output_y, p.pi, p.remainder_r, p.challenge_prime))
     for count in (1, 3, 5):
         sid = rng.randbytes(8)
         insts = [vdf.derive_instance(sid, i, n, 1, 700) for i in range(count)]
         outs = [vdf.eval(x.generator_g, x.delay_T, n) for x in insts]
-        for p in vdf.prove_batch(insts, outs, n, sid):
+        batch = vdf.prove_batch(insts, outs, n, sid)
+        assert vdf.batch_verify(insts, batch, n, sid)
+        for p in batch:
             digest.update(encode_fields(p.output_y, p.pi, p.remainder_r, p.challenge_prime))
     assert digest.hexdigest() == (
-        "5a037ab60e0aaf8893d4155480334ac7899a1ddad779734615b3811eec74ef9f"
+        "8be3fa1e01fc13b8f32cb6e6145d078df26b4df06bf861bfce5f008b2311a3d4"
     )
 
 
@@ -258,9 +263,10 @@ def test_prove_tiny_fixture_forced_prime():
     """Hand-checkable numbers: q = 5, T = 4 gives quotient 3, remainder 1."""
     y = vdf.eval(9, 4, 1081)
     proof = vdf.prove(9, 4, y, 1081, b"sid", challenge_prime=5)
-    assert (y, proof.pi, proof.remainder_r) == (836, 729, 1)  # 9^3 = 729
-    # Wesolowski relation with the forced prime
-    assert pow(proof.pi, 5, 1081) * pow(9, proof.remainder_r, 1081) % 1081 == y
+    assert (y, proof.pi, proof.remainder_r) == (836, 352, 1)  # 9^3 = 729 = -352
+    assert proof.output_y == 245 == 1081 - 836  # canonical: at most 540
+    # Wesolowski relation with the forced prime, up to sign
+    assert pow(proof.pi, 5, 1081) * pow(9, proof.remainder_r, 1081) % 1081 == 1081 - y
     # full verify must reject: the transcript prime is not 5
     assert not vdf.verify(9, 4, proof, 1081, b"sid")
 
@@ -387,7 +393,7 @@ def test_batch_swap_between_instances_fails(rsa_group):
 
 
 def _reference_batch_verify(instances, proofs, n, sid):
-    """The aggregated congruence with one ``pow`` per term."""
+    """The aggregated congruence in Z_N*/{+-1} with one ``pow`` per term."""
     outputs = [p.output_y for p in proofs]
     prime, scalars = vdf.hash_to_prime_and_scalars(
         vdf.batch_transcript(n, instances, outputs, sid), len(instances)
@@ -396,14 +402,14 @@ def _reference_batch_verify(instances, proofs, n, sid):
     for inst, proof, alpha in zip(instances, proofs, scalars):
         if proof.challenge_prime != prime:
             return False
-        if not (1 <= proof.output_y <= n - 1 and 1 <= proof.pi <= n - 1):
+        if not (1 <= proof.output_y <= (n - 1) // 2 and 1 <= proof.pi <= (n - 1) // 2):
             return False
         if proof.remainder_r != pow(2, inst.delay_T, prime):
             return False
         agg_pi = agg_pi * pow(proof.pi, alpha, n) % n
         lhs_g = lhs_g * pow(inst.generator_g, alpha * proof.remainder_r, n) % n
         rhs = rhs * pow(proof.output_y, alpha, n) % n
-    return pow(agg_pi, prime, n) * lhs_g % n == rhs
+    return pow(agg_pi, prime, n) * lhs_g % n in (rhs, n - rhs)
 
 
 def test_batch_verify_agrees_with_per_term_exponentiation(rsa_group):
@@ -430,12 +436,55 @@ def test_batch_verify_agrees_with_per_term_exponentiation(rsa_group):
             bad[victim] = dataclasses.replace(bad[victim], **{field: new})
             verdict = vdf.batch_verify(instances, bad, n, sid)
             assert verdict == _reference_batch_verify(instances, bad, n, sid)
-            # (N - x)^alpha = x^alpha for an even alpha, so the aggregated
-            # congruence cannot see a sign flip; agreement is all it owes
-            if new not in (old, n - old):
+            if new != old:
                 assert verdict is False
             checked += 1
     assert checked == 48
+
+
+def _sign_flipped_batch(instances, outputs, n, sid, flips):
+    """Batch proofs with ``flips`` (instance, field) negated mod N.
+
+    A flipped y is proved under the transcript it changes, so apart from
+    the signs every relation holds: the forgery that passed the aggregated
+    congruence in Z_N* whenever the victim's scalar was even.
+    """
+    ys = [vdf.canonical(y, n) for y in outputs]
+    for victim, field in flips:
+        if field == "output_y":
+            ys[victim] = n - ys[victim]
+    prime = vdf.hash_to_prime(vdf.batch_transcript(n, instances, ys, sid))
+    proofs = []
+    for i, (inst, y) in enumerate(zip(instances, ys)):
+        pi = vdf.canonical(pow(inst.generator_g, (1 << inst.delay_T) // prime, n), n)
+        if (i, "pi") in flips:
+            pi = n - pi
+        proofs.append(vdf.VdfProof(y, pi, pow(2, inst.delay_T, prime), prime))
+    return proofs
+
+
+def test_sign_flips_are_rejected_by_verify_and_batch_verify(rsa_group):
+    """N - pi or N - y on one instance, or flips on two, never verify."""
+    rng = random.Random("sign-flips")
+    n = rsa_group.modulus_N
+    for _ in range(40):
+        sid = rng.randbytes(16)
+        instances, outputs = _batch(rsa_group, sid, 4, rng)
+        assert vdf.batch_verify(instances, _sign_flipped_batch(instances, outputs, n, sid, []), n, sid)
+        a, b = rng.sample(range(4), 2)
+        for flips in (
+            [(a, "pi")],
+            [(a, "output_y")],
+            [(a, rng.choice(("pi", "output_y"))), (b, rng.choice(("pi", "output_y")))],
+        ):
+            forged = _sign_flipped_batch(instances, outputs, n, sid, flips)
+            assert not vdf.batch_verify(instances, forged, n, sid), flips
+        inst = instances[a]
+        proof = vdf.prove(inst.generator_g, inst.delay_T, outputs[a], n, sid)
+        assert vdf.verify(inst.generator_g, inst.delay_T, proof, n, sid)
+        for field in ("pi", "output_y"):
+            flipped = dataclasses.replace(proof, **{field: n - getattr(proof, field)})
+            assert not vdf.verify(inst.generator_g, inst.delay_T, flipped, n, sid), field
 
 
 def test_verify_agrees_with_two_exponentiations(rsa_group):
@@ -447,10 +496,8 @@ def test_verify_agrees_with_two_exponentiations(rsa_group):
         proof = vdf.prove(g, t, vdf.eval(g, t, n), n, b"solo")
         for pi in (proof.pi, proof.pi * 5 % n, n - proof.pi):
             tampered = dataclasses.replace(proof, pi=pi)
-            direct = (
-                pow(pi, proof.challenge_prime, n) * pow(g, proof.remainder_r, n) % n
-                == proof.output_y
-            )
+            lhs = pow(pi, proof.challenge_prime, n) * pow(g, proof.remainder_r, n) % n
+            direct = pi <= n // 2 and lhs in (proof.output_y, n - proof.output_y)
             assert vdf.verify(g, t, tampered, n, b"solo") == direct
             assert direct is (pi == proof.pi)
 

@@ -20,9 +20,11 @@ from gputelem import wire
 
 def test_frame_known_bytes():
     msg = wire.WireMessage(wire.MSG_CHALLENGE_BATCH, b"abc")
-    # 0x03: the residency probe became one SHA-256 scan (0x02 masked each block)
-    assert wire.VERSION == 0x03
-    assert wire.encode_message(msg) == b"\x03\x01\x00\x00\x00\x03abc"
+    # 0x04: the residency digest became a u64 column sketch plus the phase-2
+    # state, and vdf proofs carry canonical elements of Z_N*/{+-1}; 0x03 was
+    # one SHA-256 scan, and 0x02 masked each block
+    assert wire.VERSION == 0x04
+    assert wire.encode_message(msg) == b"\x04\x01\x00\x00\x00\x03abc"
 
 
 def test_frame_round_trip_all_types():
@@ -52,6 +54,8 @@ def test_frame_header_rejections():
         wire.decode_message(b"\x01" + good[1:])  # retired version 1
     with pytest.raises(wire.WireDecodeError):
         wire.decode_message(b"\x02" + good[1:])  # retired version 2
+    with pytest.raises(wire.WireDecodeError):
+        wire.decode_message(b"\x03" + good[1:])  # retired version 3
     with pytest.raises(wire.WireDecodeError):
         wire.decode_message(good[:1] + b"\x7f" + good[2:])  # unknown type
     with pytest.raises(wire.WireDecodeError):
@@ -238,6 +242,7 @@ def test_decode_header_checks_before_the_payload():
     for bad in (
         b"\x01\x05\x00\x00\x00\x64",  # retired version 1
         b"\x02\x05\x00\x00\x00\x64",  # retired version 2
+        b"\x03\x05\x00\x00\x00\x64",  # retired version 3
         bytes((wire.VERSION, 0x7F)) + b"\x00\x00\x00\x00",  # unknown type
         bytes((wire.VERSION, wire.MSG_ERROR)) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big"),
         bytes((wire.VERSION, wire.MSG_ERROR, 0)),  # truncated
