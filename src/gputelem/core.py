@@ -142,9 +142,9 @@ class Challenge:
     """One issued challenge.
 
     ``mode`` names the puzzle family ("pow", "vdf", "gemm", "residency").
-    ``params`` carries the mode-specific parameter record already
-    serialized to canonical text (see wire module); keeping it opaque
-    here avoids circular imports.
+    ``params`` is the mode's challenge params as a plain dict; the
+    protocol layer types it (``protocol.params_for``), so this module
+    needs no puzzle module.
     """
 
     session_id: bytes
@@ -153,16 +153,6 @@ class Challenge:
     salt: bytes
     issued_at: float
     params: dict = field(default_factory=dict)
-
-    def transcript(self) -> bytes:
-        """Canonical bytes bound into response digests for this challenge."""
-        return encode_fields(
-            self.session_id,
-            self.index,
-            self.mode,
-            self.salt,
-            issued_at_micros(self.issued_at),
-        )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 This layer owns the record schemas that travel inside wire payloads and
 the verification dispatch that turns a raw response into a valid/invalid
-verdict.  Every mode, residency included, runs through one round step
+verdict.  A response record carries the solution and nothing that
+vouches for it: host and device may both be untrusted, so a round is
+valid only if the challenger's own recomputation accepts it.  Every
+mode, residency included, runs through one round step
 (``SessionDriver.step``): issue a challenge, time the worker's answer on
 the challenger's clock, validate the response.  The in-process fast path
 and the TCP daemons share it, so a decision reached against a
@@ -21,9 +24,7 @@ from .core import (
     Challenge,
     Response,
     _parse_fields,
-    encode_fields,
     generate_salt,
-    hash_bytes,
     issued_at_micros,
 )
 from .gemm import GemmParams, GemmProof, matrix_bytes, verify_gemm_puzzle
@@ -136,39 +137,6 @@ def parse_challenge(record: dict) -> Challenge:
         raise ProtocolError(f"bad challenge record: {exc}") from exc
 
 
-def response_aggregate(mode: str, payload: dict) -> bytes:
-    """Order-fixed digest of the solution material in a response.
-
-    The worker sends it alongside the raw fields; the challenger
-    recomputes it after parsing.  Any in-flight tampering with solution
-    fields breaks the aggregate even before cryptographic verification
-    runs.
-    """
-    if mode == "pow":
-        return hash_bytes(
-            encode_fields("pow-agg", payload["nonce"], payload["digest"])
-        )
-    if mode == "gemm":
-        return hash_bytes(
-            encode_fields(
-                "gemm-agg",
-                payload["index_jstar"],
-                payload["chain_state_sigma"],
-                matrix_bytes(payload["product_c"]),
-            )
-        )
-    if mode == "vdf":
-        parts: list[bytes | int | str] = ["vdf-agg"]
-        for proof in payload["proofs"]:
-            parts.extend(
-                (proof["output_y"], proof["pi"], proof["remainder_r"])
-            )
-        return hash_bytes(encode_fields(*parts))
-    if mode == "residency":
-        return hash_bytes(encode_fields("residency-agg", payload["response_digest"]))
-    raise ProtocolError(f"unknown mode {mode!r}")
-
-
 def _matrix_from_bytes(data: bytes, n: int) -> np.ndarray:
     if len(data) != 8 * n * n:
         raise ProtocolError("matrix byte length does not match dimension")
@@ -179,7 +147,6 @@ def _matrix_from_bytes(data: bytes, n: int) -> np.ndarray:
 def response_record(response: Response) -> dict:
     """Wire form of a response; matrices flatten to canonical bytes."""
     payload = dict(response.payload)
-    payload["aggregate"] = response_aggregate(response.mode, payload)
     if response.mode == "gemm":
         payload["product_c"] = matrix_bytes(payload["product_c"])
     return {
@@ -192,23 +159,24 @@ def response_record(response: Response) -> dict:
 
 
 def parse_response(record: dict, dimension_n: int | None = None) -> Response:
-    """Rebuild a Response from its record and check the aggregate.
+    """Rebuild a Response from its record; a malformed one is a ProtocolError.
 
-    ``dimension_n`` is required for gemm responses so the matrix bytes
-    can be shaped; the challenger takes it from its own challenge
-    params, never from the worker.
+    Nothing here vouches for the payload: every solution field is
+    checked by ``validate_response``, against what the challenger
+    recomputes itself.  ``dimension_n`` is required for gemm responses
+    so the matrix bytes can be shaped; the challenger takes it from its
+    own challenge params, never from the worker.
     """
     try:
         mode = str(record["mode"])
         payload = dict(record["payload"])
-        claimed_aggregate = payload.pop("aggregate")
         if mode == "gemm":
             if dimension_n is None:
                 raise ProtocolError("gemm response needs dimension_n to parse")
             payload["product_c"] = _matrix_from_bytes(
                 bytes_field(payload["product_c"]), dimension_n
             )
-        response = Response(
+        return Response(
             session_id=bytes_field(record["session_id"]),
             index=int(record["index"]),
             mode=mode,
@@ -219,10 +187,6 @@ def parse_response(record: dict, dimension_n: int | None = None) -> Response:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad response record: {exc}") from exc
-    expected = response_aggregate(mode, payload)
-    if claimed_aggregate != expected:
-        raise ProtocolError("response aggregate mismatch")
-    return response
 
 
 def validate_response(
@@ -231,12 +195,17 @@ def validate_response(
     """Cryptographic verification dispatch; False means a lying worker.
 
     A residency response is checked against ``dataset``, the seed and
-    shape of what the worker was told to hold.
+    shape of what the worker was told to hold.  A ``kernel_time_ns``
+    report is never trusted, only recorded, so one that is present but
+    not a non-negative int makes the round invalid.
     """
     if not response.matches(challenge):
         return False
     if challenge.mode == "residency" and dataset is None:
         raise ProtocolError("a residency response needs the dataset spec")
+    kernel_ns = response.payload.get("kernel_time_ns", 0)
+    if type(kernel_ns) is not int or kernel_ns < 0:
+        return False
     try:
         if challenge.mode == "pow":
             return _validate_pow(challenge, response)

@@ -89,6 +89,10 @@ class ResidencyParams:
 
     argon_memory_kib: int = 1024
 
+    def __post_init__(self) -> None:
+        if self.argon_memory_kib < 8:  # Argon2id's floor for one lane
+            raise ValueError("argon_memory_kib must be >= 8")
+
 
 @dataclass(frozen=True)
 class ResidencySettings:
@@ -104,6 +108,16 @@ class ResidencySettings:
     dataset_mib: int = 64
     block_kib: int = DEFAULT_BLOCK_BYTES >> 10
     threshold_ns: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if not 0 < self.t_max_s < math.inf:
+            raise ValueError("t_max_s must be positive and finite")
+        if self.dataset_mib < 1 or self.block_kib < 1:
+            raise ValueError("dataset_mib and block_kib must be >= 1")
+        if self.threshold_ns is not None and self.threshold_ns <= 0:
+            raise ValueError("threshold_ns must be positive")
 
 
 @dataclass(frozen=True)
@@ -452,7 +466,8 @@ def run_residency_session(
     digest checked by ``verify_probe`` against the seed.  The measured
     time is classified Hot or Cold.  A digest that fails verification
     marks the round invalid regardless of how fast it was; any Cold or
-    invalid round fails the session overall.
+    invalid round fails the session overall.  A row's ``kernel_ns`` is
+    the worker's report on a valid round and 0 on an invalid one.
     """
     from .protocol import SessionDriver  # protocol imports this module
 
@@ -470,7 +485,7 @@ def run_residency_session(
     driver = SessionDriver(
         worker=worker,
         mode="residency",
-        params={"argon_memory_kib": argon_memory_kib},
+        params=asdict(ResidencyParams(argon_memory_kib)),
         rng=rng,
         session_id=session_id,
         dataset=spec,
@@ -489,12 +504,13 @@ def run_residency_session(
             invalid += 1
         elif verdict is Residency.COLD:
             cold += 1
-        payload = step.response.payload if step.response is not None else {}
         row = {
             "round": i,
             "nonce_digest": hash_bytes(step.challenge.salt).hex(),
             "total_ns": int(step.duration * 1e9),
-            "kernel_ns": int(payload.get("kernel_time_ns", 0)),
+            "kernel_ns": (
+                step.response.payload.get("kernel_time_ns", 0) if step.valid else 0
+            ),
             "verdict": verdict.value,
             "valid": step.valid,
         }

@@ -274,21 +274,6 @@ def fixed_time_test(solution_count: int, cfg: TestConfig) -> Decision:
     )
 
 
-def rate_lower_bound(solution_count: int, t: float, alpha: float) -> float:
-    """One-sided lower confidence bound on the solution rate.
-
-    Returns chi2(2K, alpha) / (2t); by convention 0 when K = 0, where
-    the chi-square degrees of freedom would degenerate.
-    """
-    if t <= 0:
-        raise ValueError("window must be positive")
-    if solution_count < 0:
-        raise ValueError("solution count cannot be negative")
-    if solution_count == 0:
-        return 0.0
-    return chi_square_quantile(2 * solution_count, alpha) / (2.0 * t)
-
-
 def continuous_measurement(
     worker,
     n: int,

@@ -2,10 +2,12 @@
 
 Frames are binary for length safety: one version byte, one type byte, a
 4-byte big-endian payload length, then the payload.  Payloads are
-canonical textual records (sorted ``path=tag:value`` lines) so that any
+canonical textual records (sorted ``path=tag:value`` lines), so any
 implementation, in any language, produces the same bytes for the same
-record; several of those byte strings are hashed into transcripts, so
-canonical form is a correctness requirement, not a style choice.
+record.  Nothing hashes those bytes: for now canonical form only makes
+encoding deterministic, so peers agree on a record's bytes and its
+size, and a later keyed or signed transcript could cover them as they
+are.
 
 Decoding is total: malformed input of any shape raises WireDecodeError
 and nothing else.
@@ -17,9 +19,10 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-# Bumped whenever a puzzle's byte-level definition changes, so a peer that
-# derives other puzzle bytes is refused at the header, not round by round.
-VERSION = 0x04
+# Bumped whenever a puzzle's byte-level definition or a record's layout
+# changes, so a peer that speaks another is refused at the header, not
+# round by round.
+VERSION = 0x05
 
 MSG_CHALLENGE_BATCH = 0x01
 MSG_RESPONSE_BATCH = 0x02

@@ -124,6 +124,33 @@ def test_challenger_refuses_an_unusable_gemm_size_before_connecting(
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t_max_s", 0),
+        ("dataset_mib", 0),
+        ("block_kib", 0),
+        ("threshold_ns", -5),
+        ("rounds", 0),
+        ("argon_memory_kib", 4),
+    ],
+)
+def test_challenger_refuses_bad_residency_values_before_connecting(
+    tmp_path, daemon, monkeypatch, capsys, key, value
+):
+    monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
+    config = _config_file(tmp_path, daemon, residency={key: value})
+    code = cli.challenger_main(
+        ["run", "--mode", "residency", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == cli.EXIT_ERROR
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+    # the in-process path refuses it too, rather than rejecting the worker
+    with pytest.raises(ValueError, match=key):
+        netcli.run_local_session("residency", WorkerProfile(), {"residency": {key: value}}, seed=1)
+
+
 def test_challenger_unreachable_worker(tmp_path, capsys):
     import socket
 

@@ -89,7 +89,7 @@ def test_recv_frame_oversize_announcement():
 
 
 def test_recv_frame_wraps_decode_errors():
-    for retired in (b"\x01", b"\x02", b"\x03"):  # retired versions 1-3, valid shape
+    for retired in (b"\x01", b"\x02", b"\x03", b"\x04"):  # retired versions 1-4, valid shape
         a, b = socket.socketpair()
         try:
             a.sendall(retired + b"\x01\x00\x00\x00\x00")
@@ -538,6 +538,41 @@ def test_run_challenger_residency_over_tcp(daemon):
     assert report.decision.verdict is Verdict.ACCEPT
     assert all(row["valid"] for row in report.rows)
     assert len(report.rows) == 3
+
+
+@pytest.mark.parametrize("over_tcp", [False, True], ids=["in-process", "tcp"])
+@pytest.mark.parametrize("kernel_time_ns", ["abc", [1, 2], -1], ids=["str", "list", "negative"])
+def test_a_malformed_kernel_time_makes_the_round_invalid(monkeypatch, kernel_time_ns, over_tcp):
+    """A reported kernel time is recorded, never trusted; one the report
+    cannot carry fails its round instead of ending the session in an error."""
+
+    class Misreporting(netcli.SimWorker):
+        def answer(self, challenge):
+            response = super().answer(challenge)
+            payload = {**response.payload, "kernel_time_ns": kernel_time_ns}
+            return dataclasses.replace(response, payload=payload)
+
+    monkeypatch.setattr(netcli, "SimWorker", Misreporting)
+    block = {
+        "rounds": 2,
+        "t_max_s": 0.01,
+        "dataset_mib": 1,
+        "block_kib": 256,
+        "argon_memory_kib": 8,
+        "threshold_ns": 2_000_000_000,
+    }
+    if over_tcp:
+        handle = netcli.serve_worker_background(WorkerProfile(), seed=72, shape_latency=False)
+        try:
+            worker = "%s:%d" % handle.address
+            report = netcli.run_challenger({"kind": "residency", "worker": worker, "residency": block})
+        finally:
+            handle.close()
+    else:
+        report = netcli.run_local_session("residency", WorkerProfile(), {"residency": block}, seed=4)
+    assert report.decision.verdict is Verdict.REJECT and report.exit_code == 1
+    assert report.decision.invalid_count == 2
+    assert [(row["valid"], row["kernel_ns"]) for row in report.rows] == [(False, 0)] * 2
 
 
 def test_run_challenger_no_worker_raises_transport_error():

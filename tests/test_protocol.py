@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gputelem import gemm, netcli, protocol, wire
-from gputelem.core import Challenge, Response
+from gputelem.core import Challenge, Response, issued_at_micros
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.pow import PowParams
 from gputelem.residency import SPOT_CHECKS, DatasetSpec, ResidencyParams
@@ -54,8 +54,15 @@ def test_challenge_issue_time_survives_microsecond_encoding():
     challenge = _challenge()
     record = protocol.challenge_record(challenge)
     assert record["issued_at_us"] == 1_700_000_000_125_000
-    parsed = protocol.parse_challenge(record)
-    assert parsed.transcript() == challenge.transcript()
+    parsed = protocol.parse_challenge(wire.decode_record(wire.encode_record(record)))
+    assert issued_at_micros(parsed.issued_at) == issued_at_micros(challenge.issued_at)
+    assert (parsed.session_id, parsed.index, parsed.mode, parsed.salt, parsed.params) == (
+        challenge.session_id,
+        challenge.index,
+        challenge.mode,
+        challenge.salt,
+        challenge.params,
+    )
 
 
 def test_build_challenge_fresh_salt_per_round():
@@ -122,11 +129,8 @@ def test_parse_response_refuses_integer_byte_fields():
     params = {"dimension_n": 4, "difficulty_d": 0, "freivalds_k": 2}
     _, response = _answered("gemm", params)
     record = protocol.response_record(response)
-    # an integer product_c with the aggregate of the all-zero matrix that
-    # bytes(8 * n * n) would decode to
+    # bytes(8 * n * n) of this integer would decode as the all-zero matrix
     record["payload"]["product_c"] = 8 * 4 * 4
-    zero = {**response.payload, "product_c": np.zeros((4, 4), dtype=np.int64)}
-    record["payload"]["aggregate"] = protocol.response_aggregate("gemm", zero)
     with pytest.raises(protocol.ProtocolError):
         protocol.parse_response(record, dimension_n=4)
     _, response = _answered("pow", {"difficulty": 2, "argon_memory_kib": 8})
@@ -149,27 +153,78 @@ def test_vdf_response_round_trip(rsa_group):
     assert protocol.validate_response(challenge, parsed)
 
 
-def test_aggregate_rejects_in_flight_tampering():
-    challenge, response = _answered("pow", {"difficulty": 3, "argon_memory_kib": 8})
-    record = protocol.response_record(response)
-    record["payload"]["nonce"] = record["payload"]["nonce"] + 1
-    with pytest.raises(protocol.ProtocolError):
-        protocol.parse_response(record)
+def _flip(value: bytes, at: int = 0) -> bytes:
+    return value[:at] + bytes([value[at] ^ 1]) + value[at + 1 :]
 
 
-def test_aggregate_is_mode_and_order_bound():
-    agg = protocol.response_aggregate("pow", {"nonce": 5, "digest": b"\x01"})
-    assert agg != protocol.response_aggregate("pow", {"nonce": 1, "digest": b"\x05"})
-    with pytest.raises(protocol.ProtocolError):
-        protocol.response_aggregate("quantum", {})
+def _tamper_gemm_entry(payload):
+    product = payload["product_c"].copy()
+    product[1, 2] = (int(product[1, 2]) + 1) % FIELD_MODULUS
+    return {**payload, "product_c": product}
 
 
-def test_parse_response_missing_aggregate():
-    _, response = _answered("pow", {"difficulty": 2, "argon_memory_kib": 8})
-    record = protocol.response_record(response)
-    del record["payload"]["aggregate"]
-    with pytest.raises(protocol.ProtocolError):
-        protocol.parse_response(record)
+def _tamper_proof(name, change):
+    def tamper(payload):
+        proofs = [dict(p) for p in payload["proofs"]]
+        proofs[0][name] = change(proofs[0])
+        return {**payload, "proofs": proofs}
+
+    return tamper
+
+
+_TAMPERS = {
+    ("pow", "nonce"): lambda p: {**p, "nonce": p["nonce"] + 1},
+    ("pow", "digest"): lambda p: {**p, "digest": _flip(p["digest"])},
+    ("gemm", "chain_state_sigma"): lambda p: {
+        **p, "chain_state_sigma": _flip(p["chain_state_sigma"])
+    },
+    ("gemm", "index_jstar"): lambda p: {**p, "index_jstar": p["index_jstar"] + 1},
+    ("gemm", "product_entry"): _tamper_gemm_entry,
+    ("vdf", "output_y"): _tamper_proof("output_y", lambda q: q["output_y"] + 2),
+    ("vdf", "pi"): _tamper_proof("pi", lambda q: q["pi"] + 2),
+    ("vdf", "remainder_r"): _tamper_proof(
+        "remainder_r", lambda q: (q["remainder_r"] + 1) % q["challenge_prime"]
+    ),
+    ("vdf", "challenge_prime"): _tamper_proof(
+        "challenge_prime", lambda q: q["challenge_prime"] + 2
+    ),
+    ("residency", "mu_word"): lambda p: {
+        **p, "response_digest": _flip(p["response_digest"], 8 * 3)
+    },
+    ("residency", "end_state"): lambda p: {
+        **p, "response_digest": _flip(p["response_digest"], len(p["response_digest"]) - 1)
+    },
+}
+
+
+@pytest.mark.parametrize("mode, field", list(_TAMPERS), ids=[f"{m}-{f}" for m, f in _TAMPERS])
+def test_a_changed_solution_field_fails_validation_after_the_wire(rsa_group, mode, field):
+    """The record carries no check of its own: a changed field crosses
+    encode, decode and parse unnoticed, and only the validator refuses it."""
+    dataset = None
+    if mode == "residency":
+        challenge, response, dataset = _residency_answered()
+    else:
+        params = {
+            "pow": {"difficulty": 3, "argon_memory_kib": 8},
+            # a wrong entry slips past k Freivalds vectors with chance 2^-k
+            "gemm": {"dimension_n": 8, "difficulty_d": 2, "freivalds_k": 24},
+            "vdf": {"modulus_n": rsa_group.modulus_N, "t_min": 64, "t_max": 128, "instances": 2},
+        }[mode]
+        challenge, response = _answered(mode, params)
+
+    def through_the_wire(r):
+        raw = wire.encode_record(protocol.response_record(r))
+        return protocol.parse_response(
+            wire.decode_record(raw), dimension_n=challenge.params.get("dimension_n")
+        )
+
+    assert protocol.validate_response(challenge, through_the_wire(response), dataset)
+    forged = replace(response, payload=_TAMPERS[mode, field](response.payload))
+    parsed = through_the_wire(forged)
+    # the record carries the solution fields and nothing else
+    assert protocol.response_record(forged)["payload"].keys() == forged.payload.keys()
+    assert protocol.validate_response(challenge, parsed, dataset) is False
 
 
 # --- validation dispatch -----------------------------------------------------------

@@ -28,7 +28,6 @@ from gputelem.stattests import (
     fixed_sample_test,
     fixed_time_test,
     poisson_quantile,
-    rate_lower_bound,
     regularized_gamma_p,
     regularized_gamma_q,
     utilization_proxy,
@@ -214,37 +213,6 @@ def test_fixed_time_needs_window():
         fixed_time_test(3, cfg)
     with pytest.raises(ValueError):
         fixed_time_test(-1, TestConfig(lambda_min=1.0, alpha=0.05, t_window_s=1.0))
-
-
-# --- rate lower bound -----------------------------------------------------------
-
-
-def test_rate_lower_bound_values():
-    # chi2(40, 0.05) / 20 = 1.3254...
-    assert rate_lower_bound(20, 10.0, 0.05) == pytest.approx(
-        1.3254651598346556, rel=1e-9
-    )
-    assert rate_lower_bound(0, 10.0, 0.05) == 0.0
-    with pytest.raises(ValueError):
-        rate_lower_bound(3, 0.0, 0.05)
-
-
-def test_rate_lower_bound_is_conservative():
-    """The bound must undershoot the true rate at the stated confidence."""
-    rng = random.Random("rlb")
-    true_rate, t, alpha = 3.0, 50.0, 0.05
-    covered = 0
-    trials = 1000
-    for _ in range(trials):
-        elapsed, k = 0.0, 0
-        while True:
-            elapsed += rng.expovariate(true_rate)
-            if elapsed > t:
-                break
-            k += 1
-        if rate_lower_bound(k, t, alpha) <= true_rate:
-            covered += 1
-    assert covered / trials >= 0.93  # nominal 0.95 minus Monte-Carlo slack
 
 
 # --- continuous measurement -----------------------------------------------------

@@ -8,6 +8,8 @@ every random input fails at the header checks.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,16 @@ from gputelem import wire
 
 def test_frame_known_bytes():
     msg = wire.WireMessage(wire.MSG_CHALLENGE_BATCH, b"abc")
-    # 0x04: the residency digest became a u64 column sketch plus the phase-2
-    # state, and vdf proofs carry canonical elements of Z_N*/{+-1}; 0x03 was
-    # one SHA-256 scan, and 0x02 masked each block
-    assert wire.VERSION == 0x04
-    assert wire.encode_message(msg) == b"\x04\x01\x00\x00\x00\x03abc"
+    # 0x05: response records dropped their unkeyed aggregate; 0x04 carried
+    # it, 0x03 answered residency with one SHA-256 scan, 0x02 masked each block
+    assert wire.VERSION == 0x05
+    assert wire.encode_message(msg) == b"\x05\x01\x00\x00\x00\x03abc"
+
+
+def test_readme_names_the_current_wire_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r"Frames\s+carry\s+wire\s+version\s+(\d+)", readme)
+    assert named == [str(wire.VERSION)]
 
 
 def test_frame_round_trip_all_types():
@@ -56,6 +63,8 @@ def test_frame_header_rejections():
         wire.decode_message(b"\x02" + good[1:])  # retired version 2
     with pytest.raises(wire.WireDecodeError):
         wire.decode_message(b"\x03" + good[1:])  # retired version 3
+    with pytest.raises(wire.WireDecodeError):
+        wire.decode_message(b"\x04" + good[1:])  # retired version 4
     with pytest.raises(wire.WireDecodeError):
         wire.decode_message(good[:1] + b"\x7f" + good[2:])  # unknown type
     with pytest.raises(wire.WireDecodeError):
@@ -243,6 +252,7 @@ def test_decode_header_checks_before_the_payload():
         b"\x01\x05\x00\x00\x00\x64",  # retired version 1
         b"\x02\x05\x00\x00\x00\x64",  # retired version 2
         b"\x03\x05\x00\x00\x00\x64",  # retired version 3
+        b"\x04\x05\x00\x00\x00\x64",  # retired version 4
         bytes((wire.VERSION, 0x7F)) + b"\x00\x00\x00\x00",  # unknown type
         bytes((wire.VERSION, wire.MSG_ERROR)) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big"),
         bytes((wire.VERSION, wire.MSG_ERROR, 0)),  # truncated
