@@ -3,21 +3,28 @@
 A worker that claims T sequential squarings must spend real wall time,
 because squaring in Z_N* has no known shortcut without the factors of
 N.  The succinct proof (Wesolowski-style) lets the challenger check the
-claim with one multi-exponentiation instead of redoing the chain, and
-many instances verify together through one batched congruence.
+claim with one two-base multi-exponentiation instead of redoing the
+chain.  A batch of instances shares one challenge prime q, hashed from
+the whole batch transcript, and each instance is checked on its own
+under that q: one 128-bit-exponent check per instance costs less than a
+fold of the batch with 128-bit random scalars, which is only cheaper
+when the scalars are much shorter than the exponents (Bellare, Garay &
+Rabin, *Fast Batch Verification for Modular Exponentiation*, 1998), and
+it binds every proof, not only their product.
 
 Proofs live in Z_N*/{+-1}: x and N - x are one element, written as its
-canonical representative min(x, N - x) in [1, (N-1)/2].  -1 has order
-2, so in Z_N* itself (-x)^alpha = x^alpha for every even alpha, and an
-aggregated congruence could not see a sign flip; in the quotient a flip
-is a different, non-canonical encoding and is refused (Pietrzak, *Simple
+canonical representative min(x, N - x) in [1, (N-1)/2], and the
+relation pi^q * g^r = +-y is checked in that quotient; a sign flip is a
+different, non-canonical encoding and is refused (Pietrzak, *Simple
 Verifiable Delay Functions*, ITCS 2019; Boneh, Bunz & Fisch, *A Survey
 of Two Verifiable Delay Functions*, 2018).  eval itself still returns
 g^(2^T) in Z_N*.
 
-The prover keeps every kappa-th power of the chain and builds the proof
-from those checkpoints (Wesolowski 2019, section 4.1), so proving adds
-about T/kappa + 2^(kappa+1) multiplications to the T squarings.
+The chain runs as one pow(y, 2^kappa, N) per segment of kappa
+squarings, still T dependent squarings, and the prover keeps every
+segment's end as a checkpoint to build the proof from (Wesolowski 2019,
+section 4.1), so proving adds about T/kappa + 2^(kappa+1)
+multiplications to the T squarings.
 Challenge primes come from a Baillie-PSW test, which is deterministic,
 so challenger and worker derive the same prime from a transcript.
 
@@ -236,6 +243,14 @@ class VdfParams:
     t_max: int = 1 << 12
     instances: int = 4
 
+    def __post_init__(self) -> None:
+        if self.modulus_n < 15 or self.modulus_n % 2 == 0:
+            raise ValueError("modulus_n must be odd and >= 15")
+        if not 1 <= self.t_min <= self.t_max:
+            raise ValueError("need 1 <= t_min <= t_max")
+        if self.instances < 1:
+            raise ValueError("instances must be >= 1")
+
     def derive_instances(self, sid: bytes) -> list[VdfInstance]:
         return [
             derive_instance(sid, i, self.modulus_n, self.t_min, self.t_max)
@@ -380,23 +395,6 @@ def hash_to_prime(transcript: bytes) -> int:
     return cand
 
 
-def hash_to_prime_and_scalars(transcript: bytes, count: int) -> tuple[int, list[int]]:
-    """Fiat-Shamir prime plus one 128-bit scalar per batch instance.
-
-    Both sides derive these from the same transcript, so the batch
-    coefficients are unpredictable to the prover before the outputs y_i
-    are fixed, which is what makes the aggregated relation binding.
-    """
-    if count < 1:
-        raise ValueError("need at least one scalar")
-    prime = hash_to_prime(transcript)
-    scalars = []
-    for i in range(count):
-        h = hash_bytes(transcript + b"alpha" + encode_fields(i))
-        scalars.append(int.from_bytes(h, "big") % (1 << CHALLENGE_PRIME_BITS))
-    return prime, scalars
-
-
 def _instance_transcript(g: int, y: int, delay_t: int, modulus_n: int, sid: bytes) -> bytes:
     return encode_fields(g, y, delay_t, modulus_n, sid)
 
@@ -417,25 +415,24 @@ def _checkpoint_interval(delay_t: int) -> int:
 
 
 def _chain(g: int, delay_t: int, modulus_n: int) -> tuple[int, list[int]]:
-    """(g^(2^T), checkpoints) by T squarings, keeping every kappa-th power.
+    """(g^(2^T), checkpoints) by T squarings, kappa of them per pow() call.
 
     checkpoints[j] = g^(2^(j kappa)) for j = 0 .. T // kappa, which is
-    O(T / kappa) integers of the modulus width.
+    O(T / kappa) integers of the modulus width.  pow(y, 2^kappa, N) is
+    kappa dependent squarings done in C.
     """
     if not 2 <= g <= modulus_n - 1:
         raise ValueError("generator out of range")
     if delay_t < 0:
         raise ValueError("delay must be non-negative")
     kappa = _checkpoint_interval(delay_t)
+    segment = 1 << kappa
     y = g
     checkpoints = [g]
     for _ in range(delay_t // kappa):
-        for _ in range(kappa):
-            y = y * y % modulus_n
+        y = pow(y, segment, modulus_n)
         checkpoints.append(y)
-    for _ in range(delay_t % kappa):
-        y = y * y % modulus_n
-    return y, checkpoints
+    return pow(y, 1 << (delay_t % kappa), modulus_n), checkpoints
 
 
 def _proof(
@@ -443,18 +440,22 @@ def _proof(
 ) -> VdfProof:
     """Proof for y from the checkpoints of its chain (Wesolowski 2019, 4.1).
 
-    Split floor(2^T / q) into kappa-bit chunks b_j, so that
-    pi = prod_j checkpoint_j^(b_j).  Multiply each checkpoint into the
-    bucket of its chunk value, then pi = prod_b bucket_b^b comes from a
-    running product over the buckets, high values first.
+    Split floor(2^T / q) into kappa-bit chunks b_j, low chunk first, so
+    that pi = prod_j checkpoint_j^(b_j).  Multiply each checkpoint into
+    the bucket of its chunk value, then pi = prod_b bucket_b^b comes from
+    a running product over the buckets, high values first.
     """
     kappa = _checkpoint_interval(delay_t)
+    mask = (1 << kappa) - 1
     buckets = [1] * (1 << kappa)
-    bits = format((1 << delay_t) // prime, "b")
-    for j, end in enumerate(range(len(bits), 0, -kappa)):
-        chunk = int(bits[max(end - kappa, 0) : end], 2)
+    quotient = (1 << delay_t) // prime
+    j = 0
+    while quotient:
+        chunk = quotient & mask
         if chunk:
             buckets[chunk] = buckets[chunk] * checkpoints[j] % modulus_n
+        quotient >>= kappa
+        j += 1
     pi = running = 1
     for bucket in reversed(buckets[1:]):
         running = running * bucket % modulus_n
@@ -520,28 +521,39 @@ def prove(
     return _proof(y, checkpoints, delay_t, challenge_prime, modulus_n)
 
 
+def _relation_holds(
+    g: int, delay_t: int, proof: VdfProof, prime: int, modulus_n: int
+) -> bool:
+    """pi^q * g^r == +-y (mod N) under ``prime``, with canonical y and pi.
+
+    The one per-instance check of ``verify`` and ``batch_verify``: the
+    proof must name ``prime``, its remainder must be 2^T mod q, and y
+    and pi must be canonical, so the relation holds in Z_N*/{+-1}; the
+    relation itself is one two-base multi-exponentiation.
+    """
+    if proof.challenge_prime != prime:
+        return False
+    if not _is_canonical(proof.output_y, modulus_n):
+        return False
+    if not _is_canonical(proof.pi, modulus_n):
+        return False
+    if proof.remainder_r != pow(2, delay_t, prime):
+        return False
+    lhs = _multi_exp([proof.pi, g], [prime, proof.remainder_r], modulus_n)
+    return lhs in (proof.output_y, modulus_n - proof.output_y)
+
+
 def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) -> bool:
-    """Check pi^q * g^r == +-y (mod N) under the transcript-derived prime.
+    """Check pi^q * g^r == +-y (mod N) under the instance-transcript prime.
 
     One two-base multi-exponentiation replaces the T-squaring chain; the
     prime is recomputed locally so a prover cannot pick a convenient one.
     y and pi must be canonical, so the relation holds in Z_N*/{+-1}.
     """
-    if not _is_canonical(proof.output_y, modulus_n):
-        return False
-    if not _is_canonical(proof.pi, modulus_n):
-        return False
     if not 2 <= g <= modulus_n - 1 or delay_t < 0:
         return False
-    expected_prime = hash_to_prime(
-        _instance_transcript(g, proof.output_y, delay_t, modulus_n, sid)
-    )
-    if proof.challenge_prime != expected_prime:
-        return False
-    if proof.remainder_r != pow(2, delay_t, expected_prime):
-        return False
-    lhs = _multi_exp([proof.pi, g], [expected_prime, proof.remainder_r], modulus_n)
-    return lhs in (proof.output_y, modulus_n - proof.output_y)
+    prime = hash_to_prime(_instance_transcript(g, proof.output_y, delay_t, modulus_n, sid))
+    return _relation_holds(g, delay_t, proof, prime, modulus_n)
 
 
 def _batch_proofs(
@@ -593,45 +605,27 @@ def batch_verify(
     modulus_n: int,
     sid: bytes,
 ) -> bool:
-    """Verify C instances through one aggregated congruence.
+    """Verify C instances, each on its own, under the batch's shared prime.
 
-    With transcript scalars alpha_i and shared prime q, checks
+    The prime q is hashed from the batch transcript (N, every g_i, y_i
+    and T_i, and sid), so no y_i can change once q is known.  Each
+    instance must then pass the check ``verify`` runs, under q: a
+    canonical y_i and pi_i, r_i = 2^(T_i) mod q, and
 
-        (prod pi_i^alpha_i)^q * prod g_i^(alpha_i r_i) == +-prod y_i^alpha_i
+        pi_i^q * g_i^(r_i) == +-y_i  (mod N),
 
-    in Z_N*/{+-1}, which holds whenever every individual relation holds.
-    Every y_i and pi_i must be canonical: in Z_N* itself a sign flip
-    (N - pi_i for pi_i) would pass whenever its alpha_i is even, but in
-    the quotient it is a non-canonical encoding and is refused, as
-    ``verify`` refuses it.  A forged batch then passes with probability
-    about 2^-128 over the scalars, unless the forger knows an element of
-    order 2 other than -1, which factors N.  Each side is one
-    multi-exponentiation, the left one with exponents alpha_i q and
-    alpha_i r_i.  Each r_i is also recomputed, so remainder tampering is
-    caught deterministically.
+    one two-base multi-exponentiation per instance.  Every proof is
+    bound on its own, so moving a factor from one pi_i to another, which
+    leaves a product of the relations intact, fails both instances.
     """
     if len(instances) != len(proofs):
         raise ValueError("instances and proofs differ in length")
     if not instances:
         raise ValueError("empty batch")
-    outputs = [p.output_y for p in proofs]
-    prime, scalars = hash_to_prime_and_scalars(
-        batch_transcript(modulus_n, instances, outputs, sid), len(instances)
+    prime = hash_to_prime(
+        batch_transcript(modulus_n, instances, [p.output_y for p in proofs], sid)
     )
-    for inst, proof in zip(instances, proofs):
-        if proof.challenge_prime != prime:
-            return False
-        if not _is_canonical(proof.output_y, modulus_n):
-            return False
-        if not _is_canonical(proof.pi, modulus_n):
-            return False
-        if proof.remainder_r != pow(2, inst.delay_T, prime):
-            return False
-    lhs = _multi_exp(
-        [p.pi for p in proofs] + [inst.generator_g for inst in instances],
-        [alpha * prime for alpha in scalars]
-        + [alpha * p.remainder_r for alpha, p in zip(scalars, proofs)],
-        modulus_n,
+    return all(
+        _relation_holds(inst.generator_g, inst.delay_T, proof, prime, modulus_n)
+        for inst, proof in zip(instances, proofs)
     )
-    rhs = _multi_exp(outputs, scalars, modulus_n)
-    return lhs in (rhs, modulus_n - rhs)

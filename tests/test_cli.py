@@ -138,17 +138,39 @@ def test_challenger_refuses_an_unusable_gemm_size_before_connecting(
 def test_challenger_refuses_bad_residency_values_before_connecting(
     tmp_path, daemon, monkeypatch, capsys, key, value
 ):
+    _assert_refused_before_connecting(
+        tmp_path, daemon, monkeypatch, capsys, "residency", {key: value}, key
+    )
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ({"instances": 0}, "instances"),
+        ({"instances": -1}, "instances"),
+        ({"t_min": 0}, "t_min"),
+        ({"t_min": 10, "t_max": 5}, "t_max"),
+        ({"modulus_n": 1080}, "modulus_n"),
+    ],
+)
+def test_challenger_refuses_bad_vdf_values_before_connecting(
+    tmp_path, daemon, monkeypatch, capsys, block, key
+):
+    _assert_refused_before_connecting(tmp_path, daemon, monkeypatch, capsys, "vdf", block, key)
+
+
+def _assert_refused_before_connecting(tmp_path, daemon, monkeypatch, capsys, mode, block, key):
     monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
-    config = _config_file(tmp_path, daemon, residency={key: value})
+    config = _config_file(tmp_path, daemon, **{mode: block})
     code = cli.challenger_main(
-        ["run", "--mode", "residency", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+        ["run", "--mode", mode, "--config", str(config), "--out", str(tmp_path / "r.csv")]
     )
     assert code == cli.EXIT_ERROR
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
     # the in-process path refuses it too, rather than rejecting the worker
     with pytest.raises(ValueError, match=key):
-        netcli.run_local_session("residency", WorkerProfile(), {"residency": {key: value}}, seed=1)
+        netcli.run_local_session(mode, WorkerProfile(), {mode: block}, seed=1)
 
 
 def test_challenger_unreachable_worker(tmp_path, capsys):

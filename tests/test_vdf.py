@@ -227,6 +227,20 @@ def test_checkpoint_pi_matches_direct_exponentiation(rsa_group):
             assert pi == vdf.canonical(pow(9, (1 << t) // q, 1081), 1081)
 
 
+def test_chain_matches_a_plain_squaring_loop(rsa_group):
+    n = rsa_group.modulus_N
+    g = vdf.hash_to_qr(b"chain", 0, n)
+    kappa = vdf._checkpoint_interval(4096)
+    for t in (0, 1, kappa - 1, kappa, kappa + 1, 200, 4096):
+        step = vdf._checkpoint_interval(t)
+        y, expected = g, [g]
+        for k in range(1, t + 1):
+            y = y * y % n
+            if k % step == 0:
+                expected.append(y)
+        assert vdf._chain(g, t, n) == (y, expected), t
+
+
 def test_checkpoint_interval_minimises_prover_cost():
     for t in (0, 1, 7, 100, 4096, 1 << 20):
         kappa = vdf._checkpoint_interval(t)
@@ -318,15 +332,6 @@ def test_hash_to_prime_determinism_and_width():
     assert sympy.isprime(p1)
 
 
-def test_hash_to_prime_and_scalars_shapes():
-    prime, scalars = vdf.hash_to_prime_and_scalars(b"t", 8)
-    assert len(scalars) == 8
-    assert len(set(scalars)) == 8
-    assert all(0 <= a < 1 << 128 for a in scalars)
-    with pytest.raises(ValueError):
-        vdf.hash_to_prime_and_scalars(b"t", 0)
-
-
 # --- batches ---------------------------------------------------------------------
 
 
@@ -393,23 +398,21 @@ def test_batch_swap_between_instances_fails(rsa_group):
 
 
 def _reference_batch_verify(instances, proofs, n, sid):
-    """The aggregated congruence in Z_N*/{+-1} with one ``pow`` per term."""
-    outputs = [p.output_y for p in proofs]
-    prime, scalars = vdf.hash_to_prime_and_scalars(
-        vdf.batch_transcript(n, instances, outputs, sid), len(instances)
+    """One check per instance under the shared prime, one ``pow`` per term."""
+    prime = vdf.hash_to_prime(
+        vdf.batch_transcript(n, instances, [p.output_y for p in proofs], sid)
     )
-    agg_pi = lhs_g = rhs = 1
-    for inst, proof, alpha in zip(instances, proofs, scalars):
+    for inst, proof in zip(instances, proofs):
         if proof.challenge_prime != prime:
             return False
         if not (1 <= proof.output_y <= (n - 1) // 2 and 1 <= proof.pi <= (n - 1) // 2):
             return False
         if proof.remainder_r != pow(2, inst.delay_T, prime):
             return False
-        agg_pi = agg_pi * pow(proof.pi, alpha, n) % n
-        lhs_g = lhs_g * pow(inst.generator_g, alpha * proof.remainder_r, n) % n
-        rhs = rhs * pow(proof.output_y, alpha, n) % n
-    return pow(agg_pi, prime, n) * lhs_g % n in (rhs, n - rhs)
+        lhs = pow(proof.pi, prime, n) * pow(inst.generator_g, proof.remainder_r, n) % n
+        if lhs not in (proof.output_y, n - proof.output_y):
+            return False
+    return True
 
 
 def test_batch_verify_agrees_with_per_term_exponentiation(rsa_group):
@@ -446,8 +449,7 @@ def _sign_flipped_batch(instances, outputs, n, sid, flips):
     """Batch proofs with ``flips`` (instance, field) negated mod N.
 
     A flipped y is proved under the transcript it changes, so apart from
-    the signs every relation holds: the forgery that passed the aggregated
-    congruence in Z_N* whenever the victim's scalar was even.
+    the signs every relation holds.
     """
     ys = [vdf.canonical(y, n) for y in outputs]
     for victim, field in flips:
@@ -485,6 +487,46 @@ def test_sign_flips_are_rejected_by_verify_and_batch_verify(rsa_group):
         for field in ("pi", "output_y"):
             flipped = dataclasses.replace(proof, **{field: n - getattr(proof, field)})
             assert not vdf.verify(inst.generator_g, inst.delay_T, flipped, n, sid), field
+
+
+def test_batch_verify_rejects_a_factor_moved_between_proofs(rsa_group):
+    """pi_0 * w^(alpha_1) and pi_1 * w^(-alpha_0) keep every y but break both proofs.
+
+    alpha_i = H(transcript || "alpha" || encode_fields(i)) mod 2^128 is the
+    scalar a batch check that folds the instances with transcript-derived
+    128-bit scalars would use.  The prover can compute it, since pi is not
+    in the transcript, and the moved factor cancels in the fold; each
+    instance's own relation fails.
+    """
+    rng = random.Random("moved-factor")
+    n = rsa_group.modulus_N
+    for _ in range(20):
+        sid = rng.randbytes(16)
+        instances, outputs = _batch(rsa_group, sid, 4, rng)
+        proofs = vdf.prove_batch(instances, outputs, n, sid)
+        transcript = vdf.batch_transcript(n, instances, [p.output_y for p in proofs], sid)
+        alpha = [
+            int.from_bytes(hash_bytes(transcript + b"alpha" + encode_fields(i)), "big") % (1 << 128)
+            for i in range(4)
+        ]
+        w = rng.randrange(2, n - 1)
+        forged = list(proofs)
+        forged[0] = dataclasses.replace(
+            proofs[0], pi=vdf.canonical(proofs[0].pi * pow(w, alpha[1], n) % n, n)
+        )
+        forged[1] = dataclasses.replace(
+            proofs[1], pi=vdf.canonical(proofs[1].pi * pow(w, -alpha[0], n) % n, n)
+        )
+        # the forgery is the one a fold cannot see: up to sign, the folded
+        # relation prod (pi_i^q g_i^(r_i) / y_i)^(alpha_i) is still 1
+        q = proofs[0].challenge_prime
+        fold = 1
+        for inst, proof, a in zip(instances, forged, alpha):
+            term = pow(proof.pi, q, n) * pow(inst.generator_g, proof.remainder_r, n)
+            fold = fold * pow(term * pow(proof.output_y, -1, n) % n, a, n) % n
+        assert fold in (1, n - 1)
+        assert not vdf.batch_verify(instances, forged, n, sid)
+        assert not _reference_batch_verify(instances, forged, n, sid)
 
 
 def test_verify_agrees_with_two_exponentiations(rsa_group):
