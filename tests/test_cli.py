@@ -151,6 +151,7 @@ def test_challenger_refuses_bad_residency_values_before_connecting(
         ({"t_min": 0}, "t_min"),
         ({"t_min": 10, "t_max": 5}, "t_max"),
         ({"modulus_n": 1080}, "modulus_n"),
+        ({"modulus_bits": 32}, "modulus_bits"),
     ],
 )
 def test_challenger_refuses_bad_vdf_values_before_connecting(

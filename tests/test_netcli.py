@@ -321,6 +321,14 @@ def test_vdf_modulus_bits_goes_through_the_parser():
         netcli.run_local_session("vdf", WorkerProfile(), config, seed=1)
 
 
+@pytest.mark.parametrize("bits", [32, 64, 127, 256, 4096])
+def test_a_fresh_vdf_group_is_a_production_size(bits):
+    # setup_group takes 12-127 bits as fixture sizes; a session must not
+    config = {"rounds": 2, "vdf": {"modulus_bits": bits, "t_min": 16, "t_max": 32}}
+    with pytest.raises(ValueError, match="modulus_bits"):
+        netcli.run_local_session("vdf", WorkerProfile(), config, seed=1)
+
+
 def test_session_keys_accept_yaml_number_strings():
     config = {"rounds": "2e1", "lambda_min": "1e-3", "pow": _SMALL_BLOCKS["pow"]}
     report = netcli.run_local_session("pow", WorkerProfile(), config, seed=1)

@@ -8,11 +8,12 @@ hand-checkable numbers in play next to the 512-bit fixture.
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gputelem import vdf
@@ -44,8 +45,9 @@ def test_probable_prime_agrees_with_sympy_to_2_140(n):
 
 
 def test_probable_prime_rejects_strong_pseudoprimes():
-    # 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7 collectively
-    # only up to base 11; the multi-base battery must catch these
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7, the other
+    # two to every prime base up to 17; base 2 passes all three, so the
+    # strong Lucas half of Baillie-PSW must catch them
     for n in (3215031751, 3825123056546413051, 341550071728321):
         assert not vdf.is_probable_prime(n)
         assert not sympy.isprime(n)
@@ -106,6 +108,77 @@ def test_setup_group_known_moduli():
     assert digest.hexdigest() == (
         "735008484be4c68e83c02ebf09ca667d75851bd5af69ddd16384055005afd1ce"
     )
+
+
+def _reference_safe_prime(bits, rng):
+    """The candidate-by-candidate scan the window sieve replaced."""
+    half_bits = bits - 1
+    top = (1 << (half_bits - 1)) | (1 << (half_bits - 2)) if half_bits >= 8 else 1 << (half_bits - 1)
+    while True:
+        cand = rng.getrandbits(half_bits)
+        cand |= top | 1
+        cand += (5 - cand % 6) % 6
+        for _ in range(4096):
+            if cand.bit_length() > half_bits:
+                break
+            if vdf.is_probable_prime(cand) and vdf.is_probable_prime(2 * cand + 1):
+                return 2 * cand + 1
+            cand += 6
+
+
+def _assert_same_safe_prime(bits, seed):
+    sieved, scanned = random.Random(seed), random.Random(seed)
+    assert vdf._random_safe_prime(bits, sieved) == _reference_safe_prime(bits, scanned)
+    assert sieved.getstate() == scanned.getstate()  # the next draw is the same too
+
+
+@given(st.integers(min_value=5, max_value=63), st.integers(min_value=0, max_value=1 << 64))
+@settings(max_examples=300, deadline=None)
+def test_window_sieve_finds_the_prime_the_plain_scan_finds(bits, seed):
+    # up to 12 bits the window reaches values the exact lookup answers,
+    # and below about 17 bits the bit-length cut shortens it
+    _assert_same_safe_prime(bits, seed)
+
+
+@pytest.mark.parametrize("seed", ["safe:0", "safe:1", "safe:2"])
+def test_window_sieve_finds_the_prime_the_plain_scan_finds_at_256_bits(seed):
+    _assert_same_safe_prime(256, seed)
+
+
+_TABLE = list(sympy.primerange(5, 1 << 16))
+_TABLE_SET = frozenset(_TABLE)
+_TABLE_PRODUCT = math.prod(_TABLE)
+
+
+def _has_smaller_table_factor(value):
+    """A prime in [5, 2^16) below ``value`` divides it."""
+    smaller = _TABLE_PRODUCT // value if value in _TABLE_SET else _TABLE_PRODUCT
+    return math.gcd(value, smaller) > 1
+
+
+def test_window_sieve_table_is_the_primes_from_5_below_2_16():
+    assert vdf._WINDOW_PRIMES.tolist() == _TABLE
+    assert vdf._SIEVE_PRIMES == list(sympy.primerange(2, 2049))
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=5, max_value=1 << 17),
+        st.integers(min_value=1 << 254, max_value=(1 << 255) - 7),
+    ),
+    st.integers(min_value=0, max_value=4096),
+)
+@example(5, 4096)
+@example((1 << 16) - 17, 4096)  # a window across the table's last prime, 65521
+@settings(max_examples=40, deadline=None)
+def test_window_sieve_drops_exactly_the_steps_a_smaller_table_prime_divides(cand, length):
+    cand += (5 - cand % 6) % 6
+    kept = set(vdf._window_survivors(cand, length))
+    assert kept <= set(range(length))
+    for j in range(length):
+        value = cand + 6 * j
+        dropped = _has_smaller_table_factor(value) or _has_smaller_table_factor(2 * value + 1)
+        assert (j not in kept) == dropped, (cand, j)
 
 
 def test_setup_group_produces_safe_prime_modulus():
