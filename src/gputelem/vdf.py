@@ -3,7 +3,7 @@
 A worker that claims T sequential squarings must spend real wall time,
 because squaring in Z_N* has no known shortcut without the factors of
 N.  The succinct proof (Wesolowski-style) lets the challenger check the
-claim with one two-base multi-exponentiation instead of redoing the
+claim with two 128-bit-exponent exponentiations instead of redoing the
 chain.  A batch of instances shares one challenge prime q, hashed from
 the whole batch transcript, and each instance is checked on its own
 under that q: one 128-bit-exponent check per instance costs less than a
@@ -20,11 +20,11 @@ Verifiable Delay Functions*, ITCS 2019; Boneh, Bunz & Fisch, *A Survey
 of Two Verifiable Delay Functions*, 2018).  eval itself still returns
 g^(2^T) in Z_N*.
 
-The chain runs as one pow(y, 2^kappa, N) per segment of kappa
-squarings, still T dependent squarings, and the prover keeps every
-segment's end as a checkpoint to build the proof from (Wesolowski 2019,
-section 4.1), so proving adds about T/kappa + 2^(kappa+1)
-multiplications to the T squarings.
+Every large exponentiation is one ``_modexp``: OpenSSL's Montgomery
+BN_mod_exp where libcrypto loads, the built-in pow otherwise
+(``_bignum``).  eval is g^(2^T) and a proof pi = g^floor(2^T / q), so a
+prover runs about 2T squarings per instance (Wesolowski, *Efficient
+Verifiable Delay Functions*, 2019).
 Challenge primes come from a Baillie-PSW test, which is deterministic,
 so challenger and worker derive the same prime from a transcript.
 
@@ -47,11 +47,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._bignum import modexp as _modexp
 from .core import encode_fields, hash_bytes
 
 CHALLENGE_PRIME_BITS = 128
 
 _PRODUCTION_BITS = (128, 512, 1024, 2048)
+
+# The largest delay and batch a challenge may name: a worker builds 2^T
+# (2 MiB at most) and runs about 2T squarings for each instance.
+MAX_DELAY = 1 << 24
+MAX_INSTANCES = 4096
 
 
 def _small_primes(limit: int) -> np.ndarray:
@@ -122,7 +128,7 @@ def _strong_probable_prime_base_2(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    x = pow(2, d, n)
+    x = _modexp(2, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -306,8 +312,10 @@ class VdfParams:
             raise ValueError("modulus_n must be odd and >= 15")
         if not 1 <= self.t_min <= self.t_max:
             raise ValueError("need 1 <= t_min <= t_max")
-        if self.instances < 1:
-            raise ValueError("instances must be >= 1")
+        if self.t_max > MAX_DELAY:
+            raise ValueError(f"t_max must be at most {MAX_DELAY}")
+        if not 1 <= self.instances <= MAX_INSTANCES:
+            raise ValueError(f"instances must lie in [1, {MAX_INSTANCES}]")
 
     def derive_instances(self, sid: bytes) -> list[VdfInstance]:
         return [
@@ -414,12 +422,18 @@ def derive_instance(
 
 
 def eval(g: int, delay_t: int, modulus_n: int) -> int:  # noqa: A001 - contract name
-    """y = g^(2^T) mod N by exactly T dependent squarings.
+    """y = g^(2^T) mod N by T dependent squarings.
 
     This chain is the delay: each squaring consumes the previous result,
-    so no amount of parallel hardware shortens it.
+    so no amount of parallel hardware shortens it.  It runs as one
+    ``_modexp(g, 2^T, N)``; on OpenSSL that also builds the fixed window
+    table of about 32 multiplications, whatever T is.
     """
-    return _chain(g, delay_t, modulus_n)[0]
+    if not 2 <= g <= modulus_n - 1:
+        raise ValueError("generator out of range")
+    if delay_t < 0:
+        raise ValueError("delay must be non-negative")
+    return _modexp(g, 1 << delay_t, modulus_n)
 
 
 def trapdoor_eval(g: int, delay_t: int, group: GroupParams) -> int:
@@ -473,92 +487,14 @@ def batch_transcript(
     return encode_fields(*parts)
 
 
-def _checkpoint_interval(delay_t: int) -> int:
-    """kappa minimising the prover's T/kappa + 2^(kappa+1) multiplications."""
-    return min(range(1, 40), key=lambda k: delay_t / k + 2 ** (k + 1))
-
-
-def _chain(g: int, delay_t: int, modulus_n: int) -> tuple[int, list[int]]:
-    """(g^(2^T), checkpoints) by T squarings, kappa of them per pow() call.
-
-    checkpoints[j] = g^(2^(j kappa)) for j = 0 .. T // kappa, which is
-    O(T / kappa) integers of the modulus width.  pow(y, 2^kappa, N) is
-    kappa dependent squarings done in C.
-    """
-    if not 2 <= g <= modulus_n - 1:
-        raise ValueError("generator out of range")
-    if delay_t < 0:
-        raise ValueError("delay must be non-negative")
-    kappa = _checkpoint_interval(delay_t)
-    segment = 1 << kappa
-    y = g
-    checkpoints = [g]
-    for _ in range(delay_t // kappa):
-        y = pow(y, segment, modulus_n)
-        checkpoints.append(y)
-    return pow(y, 1 << (delay_t % kappa), modulus_n), checkpoints
-
-
-def _proof(
-    y: int, checkpoints: list[int], delay_t: int, prime: int, modulus_n: int
-) -> VdfProof:
-    """Proof for y from the checkpoints of its chain (Wesolowski 2019, 4.1).
-
-    Split floor(2^T / q) into kappa-bit chunks b_j, low chunk first, so
-    that pi = prod_j checkpoint_j^(b_j).  Multiply each checkpoint into
-    the bucket of its chunk value, then pi = prod_b bucket_b^b comes from
-    a running product over the buckets, high values first.
-    """
-    kappa = _checkpoint_interval(delay_t)
-    mask = (1 << kappa) - 1
-    buckets = [1] * (1 << kappa)
-    quotient = (1 << delay_t) // prime
-    j = 0
-    while quotient:
-        chunk = quotient & mask
-        if chunk:
-            buckets[chunk] = buckets[chunk] * checkpoints[j] % modulus_n
-        quotient >>= kappa
-        j += 1
-    pi = running = 1
-    for bucket in reversed(buckets[1:]):
-        running = running * bucket % modulus_n
-        pi = pi * running % modulus_n
+def _proof(g: int, y: int, delay_t: int, prime: int, modulus_n: int) -> VdfProof:
+    """Proof for y = g^(2^T) under ``prime``: pi = g^floor(2^T / q), r = 2^T mod q."""
     return VdfProof(
         output_y=canonical(y, modulus_n),
-        pi=canonical(pi, modulus_n),
+        pi=canonical(_modexp(g, (1 << delay_t) // prime, modulus_n), modulus_n),
         remainder_r=pow(2, delay_t, prime),
         challenge_prime=prime,
     )
-
-
-_WINDOW = 4
-
-
-def _multi_exp(bases: list[int], exponents: list[int], modulus_n: int) -> int:
-    """prod b_i^(e_i) mod N by Straus' interleaving: one shared squaring chain.
-
-    Each base gets a table of its first 2^w powers, and the exponents are
-    read together w bits at a time, so C exponentiations of k bits cost
-    k squarings plus about C * (k/w + 2^w) multiplications.
-    """
-    tables = []
-    for base in bases:
-        row = [1, base % modulus_n]
-        for _ in range((1 << _WINDOW) - 2):
-            row.append(row[-1] * row[1] % modulus_n)
-        tables.append(row)
-    mask = (1 << _WINDOW) - 1
-    top = max(e.bit_length() for e in exponents)
-    acc = 1
-    for shift in range((top - 1) // _WINDOW * _WINDOW, -1, -_WINDOW):
-        for _ in range(_WINDOW):
-            acc = acc * acc % modulus_n
-        for row, e in zip(tables, exponents):
-            digit = (e >> shift) & mask
-            if digit:
-                acc = acc * row[digit] % modulus_n
-    return acc
 
 
 def prove(
@@ -572,17 +508,15 @@ def prove(
     """Produce the succinct proof for y = g^(2^T) mod N.
 
     The challenge prime comes from the instance transcript of the
-    canonical y unless a test supplies one explicitly.  The chain is
-    re-run to recover its checkpoints, so proving costs T squarings plus
-    about T/kappa + 2^(kappa+1) multiplications; a worker that evaluates
-    and proves in one pass uses solve_batch instead.
+    canonical y unless a test supplies one explicitly.  pi is one
+    exponentiation by floor(2^T / q), a (T - 127)-bit exponent, so
+    proving costs about as much as eval again.
     """
     if challenge_prime is None:
         challenge_prime = hash_to_prime(
             _instance_transcript(g, canonical(y, modulus_n), delay_t, modulus_n, sid)
         )
-    _, checkpoints = _chain(g, delay_t, modulus_n)
-    return _proof(y, checkpoints, delay_t, challenge_prime, modulus_n)
+    return _proof(g, y, delay_t, challenge_prime, modulus_n)
 
 
 def _relation_holds(
@@ -593,7 +527,7 @@ def _relation_holds(
     The one per-instance check of ``verify`` and ``batch_verify``: the
     proof must name ``prime``, its remainder must be 2^T mod q, and y
     and pi must be canonical, so the relation holds in Z_N*/{+-1}; the
-    relation itself is one two-base multi-exponentiation.
+    relation itself is two exponentiations by exponents below q.
     """
     if proof.challenge_prime != prime:
         return False
@@ -603,15 +537,15 @@ def _relation_holds(
         return False
     if proof.remainder_r != pow(2, delay_t, prime):
         return False
-    lhs = _multi_exp([proof.pi, g], [prime, proof.remainder_r], modulus_n)
-    return lhs in (proof.output_y, modulus_n - proof.output_y)
+    lhs = _modexp(proof.pi, prime, modulus_n) * _modexp(g, proof.remainder_r, modulus_n)
+    return lhs % modulus_n in (proof.output_y, modulus_n - proof.output_y)
 
 
 def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) -> bool:
     """Check pi^q * g^r == +-y (mod N) under the instance-transcript prime.
 
-    One two-base multi-exponentiation replaces the T-squaring chain; the
-    prime is recomputed locally so a prover cannot pick a convenient one.
+    Two exponentiations by 128-bit exponents replace the T-squaring
+    chain; the prime is recomputed locally so a prover cannot choose it.
     y and pi must be canonical, so the relation holds in Z_N*/{+-1}.
     """
     if not 2 <= g <= modulus_n - 1 or delay_t < 0:
@@ -620,47 +554,26 @@ def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) ->
     return _relation_holds(g, delay_t, proof, prime, modulus_n)
 
 
-def _batch_proofs(
-    instances: list[VdfInstance],
-    outputs: list[int],
-    checkpoints: list[list[int]],
-    modulus_n: int,
-    sid: bytes,
-) -> list[VdfProof]:
-    outputs = [canonical(y, modulus_n) for y in outputs]
-    prime = hash_to_prime(batch_transcript(modulus_n, instances, outputs, sid))
-    return [
-        _proof(y, points, inst.delay_T, prime, modulus_n)
-        for inst, y, points in zip(instances, outputs, checkpoints)
-    ]
-
-
 def prove_batch(
     instances: list[VdfInstance], outputs: list[int], modulus_n: int, sid: bytes
 ) -> list[VdfProof]:
-    """Proofs for a batch sharing one transcript-wide challenge prime."""
+    """Proofs for a batch sharing one transcript-wide challenge prime, as ``prove`` makes them."""
     if len(instances) != len(outputs):
         raise ValueError("instances and outputs differ in length")
-    checkpoints = [_chain(inst.generator_g, inst.delay_T, modulus_n)[1] for inst in instances]
-    return _batch_proofs(instances, outputs, checkpoints, modulus_n, sid)
+    outputs = [canonical(y, modulus_n) for y in outputs]
+    prime = hash_to_prime(batch_transcript(modulus_n, instances, outputs, sid))
+    return [
+        _proof(inst.generator_g, y, inst.delay_T, prime, modulus_n)
+        for inst, y in zip(instances, outputs)
+    ]
 
 
 def solve_batch(
     instances: list[VdfInstance], modulus_n: int, sid: bytes
 ) -> list[VdfProof]:
-    """Evaluate and prove a batch in one pass over each chain.
-
-    Returns what eval() on every instance followed by prove_batch()
-    returns, with each chain run once instead of twice.
-    """
-    chains = [_chain(inst.generator_g, inst.delay_T, modulus_n) for inst in instances]
-    return _batch_proofs(
-        instances,
-        [y for y, _ in chains],
-        [points for _, points in chains],
-        modulus_n,
-        sid,
-    )
+    """Evaluate every instance of a batch, then prove them under one prime."""
+    outputs = [eval(inst.generator_g, inst.delay_T, modulus_n) for inst in instances]
+    return prove_batch(instances, outputs, modulus_n, sid)
 
 
 def batch_verify(
@@ -678,9 +591,9 @@ def batch_verify(
 
         pi_i^q * g_i^(r_i) == +-y_i  (mod N),
 
-    one two-base multi-exponentiation per instance.  Every proof is
-    bound on its own, so moving a factor from one pi_i to another, which
-    leaves a product of the relations intact, fails both instances.
+    two exponentiations by exponents below q per instance.  Every proof
+    is bound on its own, so moving a factor from one pi_i to another,
+    which leaves a product of the relations intact, fails both instances.
     """
     if len(instances) != len(proofs):
         raise ValueError("instances and proofs differ in length")

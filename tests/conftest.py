@@ -1,10 +1,10 @@
-"""Shared fixtures: RSA groups are expensive, so build them once."""
+"""Shared fixtures (RSA groups are expensive, so build them once) and the report header."""
 
 import random
 
 import pytest
 
-from gputelem import vdf
+from gputelem import _bignum, vdf
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,8 @@ def tiny_group():
     return vdf.GroupParams(
         modulus_N=1081, bit_length=11, trapdoor=(23, 47, 11 * 23)
     )
+
+
+def pytest_report_header(config):
+    """Name the backend the vdf exponentiations of this run execute on."""
+    return f"vdf modexp backend: {_bignum.backend()}"

@@ -152,6 +152,8 @@ def test_challenger_refuses_bad_residency_values_before_connecting(
         ({"t_min": 10, "t_max": 5}, "t_max"),
         ({"modulus_n": 1080}, "modulus_n"),
         ({"modulus_bits": 32}, "modulus_bits"),
+        ({"instances": 10**8}, "instances"),
+        ({"t_max": 2**40}, "t_max"),
     ],
 )
 def test_challenger_refuses_bad_vdf_values_before_connecting(

@@ -17,7 +17,13 @@ import pytest
 import yaml
 
 from gputelem import netcli
-from gputelem.protocol import ProtocolError, build_challenge, challenge_record
+from gputelem.protocol import (
+    ProtocolError,
+    build_challenge,
+    challenge_record,
+    parse_response,
+    validate_response,
+)
 from gputelem.residency import (
     BandwidthModel,
     ResidencySessionReport,
@@ -445,6 +451,35 @@ def test_daemon_error_reply_keeps_connection_alive(daemon):
             ),
         )
         assert netcli.recv_frame(sock).msg_type == MSG_PRE_RESPONSE
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize(
+    "bad", [{"t_max": 1 << 40}, {"instances": 10**8}], ids=["t_max", "instances"]
+)
+def test_daemon_refuses_an_unbounded_vdf_challenge_then_answers_a_good_one(daemon, bad):
+    # a 2^40 delay or 10^8 instances would hold a serving thread for good;
+    # the worker parses the params, answers an Error frame and keeps serving
+    params = {"modulus_n": 0xA83F7B1F0A6E7073B59999D6A360EA01, "t_min": 16, "t_max": 32}
+    sock = socket.create_connection(daemon.address, timeout=10)
+
+    def round_trip(index, round_params):
+        challenge = build_challenge(
+            b"\x55" * 32, index, "vdf", random.Random(index), 0.0, round_params
+        )
+        record = encode_record(challenge_record(challenge))
+        netcli.send_frame(sock, WireMessage(MSG_CHALLENGE_BATCH, record))
+        return challenge, netcli.recv_frame(sock)
+
+    try:
+        _, refused = round_trip(0, dict(params, **bad))
+        assert refused.msg_type == MSG_ERROR
+        (key,) = bad
+        assert key in decode_record(refused.payload)["detail"]
+        challenge, reply = round_trip(1, params)
+        assert reply.msg_type == MSG_RESPONSE_BATCH
+        assert validate_response(challenge, parse_response(decode_record(reply.payload)))
     finally:
         sock.close()
 

@@ -6,17 +6,22 @@ retained factorization) for evaluation. The tiny N = 1081 group keeps
 hand-checkable numbers in play next to the 512-bit fixture.
 """
 
+import ctypes.util
 import dataclasses
 import hashlib
+import inspect
 import math
 import random
+import sys
+import threading
+import time
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gputelem import vdf
+from gputelem import _bignum, vdf
 from gputelem.core import encode_fields, hash_bytes
 
 # --- primality and group setup -----------------------------------------------
@@ -280,45 +285,32 @@ def test_eval_input_validation():
 
 
 def test_checkpoint_pi_matches_direct_exponentiation(rsa_group):
+    """pi is g^floor(2^T / q) for T from 0 to 4096 and q from 2 to 128 bits."""
     n = rsa_group.modulus_N
     g = vdf.hash_to_qr(b"checkpoints", 0, n)
-    kappa = vdf._checkpoint_interval(4096)
     primes = (3, 5, 97, 12289, vdf.hash_to_prime(b"checkpoints"))
-    for t in (0, 1, kappa - 1, kappa, kappa + 1, 127, 128, 129, 4096):
-        y, checkpoints = vdf._chain(g, t, n)
-        assert y == vdf.eval(g, t, n)
+    for t in (0, 1, 5, 6, 7, 127, 128, 129, 4096):
+        y = vdf.eval(g, t, n)
         for q in primes:
-            proof = vdf._proof(y, checkpoints, t, q, n)
+            proof = vdf.prove(g, t, y, n, b"", challenge_prime=q)
             assert proof.pi == vdf.canonical(pow(g, (1 << t) // q, n), n), (t, q)
             assert proof.output_y == vdf.canonical(y, n)
             assert proof.remainder_r == pow(2, t, q)
-    # the tiny group too, where T spans few checkpoints
     for t in (1, 4, 13, 40):
-        y, checkpoints = vdf._chain(9, t, 1081)
+        y = vdf.eval(9, t, 1081)
         for q in (3, 5, 97, 12289):
-            pi = vdf._proof(y, checkpoints, t, q, 1081).pi
+            pi = vdf.prove(9, t, y, 1081, b"", challenge_prime=q).pi
             assert pi == vdf.canonical(pow(9, (1 << t) // q, 1081), 1081)
 
 
 def test_chain_matches_a_plain_squaring_loop(rsa_group):
     n = rsa_group.modulus_N
     g = vdf.hash_to_qr(b"chain", 0, n)
-    kappa = vdf._checkpoint_interval(4096)
-    for t in (0, 1, kappa - 1, kappa, kappa + 1, 200, 4096):
-        step = vdf._checkpoint_interval(t)
-        y, expected = g, [g]
-        for k in range(1, t + 1):
+    for t in (0, 1, 5, 6, 7, 200, 4096):
+        y = g
+        for _ in range(t):
             y = y * y % n
-            if k % step == 0:
-                expected.append(y)
-        assert vdf._chain(g, t, n) == (y, expected), t
-
-
-def test_checkpoint_interval_minimises_prover_cost():
-    for t in (0, 1, 7, 100, 4096, 1 << 20):
-        kappa = vdf._checkpoint_interval(t)
-        cost = t / kappa + 2 ** (kappa + 1)
-        assert all(cost <= t / k + 2 ** (k + 1) for k in range(1, 40))
+        assert vdf.eval(g, t, n) == y, t
 
 
 def test_proofs_known_answers(rsa_group):
@@ -626,13 +618,110 @@ def test_solve_batch_equals_eval_then_prove_batch(rsa_group):
         assert vdf.solve_batch(instances, n, sid) == vdf.prove_batch(instances, outputs, n, sid)
 
 
-def test_multi_exp_matches_pow_products():
-    rng = random.Random(11)
-    n = 1081 * 1000003
-    for size in (1, 2, 7):
-        bases = [rng.randrange(0, 2 * n) for _ in range(size)]
-        exps = [rng.choice((0, 1, 15, 16, rng.getrandbits(rng.randrange(1, 300)))) for _ in range(size)]
-        expected = 1
-        for b, e in zip(bases, exps):
-            expected = expected * pow(b, e, n) % n
-        assert vdf._multi_exp(bases, exps, n) == expected
+# --- the exponentiation primitive ------------------------------------------------
+
+
+@st.composite
+def _modexp_inputs(draw):
+    """Odd m of 3 to 2048 bits, b in [0, 2m), e of up to 4096 bits."""
+    m = 2 * draw(st.integers(min_value=1, max_value=(1 << 2047) - 1)) + 1
+    return (
+        draw(st.integers(min_value=0, max_value=2 * m - 1)),
+        draw(st.integers(min_value=0, max_value=(1 << 4096) - 1)),
+        m,
+    )
+
+
+@given(_modexp_inputs())
+@example((5, 0, 1081))  # e = 0
+@example((0, 7, 1081))  # b = 0
+@example((1081, 3, 1081))  # b = m
+@example((14, (1 << 4096) - 1, 15))
+@example((2 * 1081 - 1, 1 << 4095, 1081))
+@settings(max_examples=100, deadline=None)
+def test_modexp_equals_pow(args):
+    assert vdf._modexp(*args) == pow(*args)
+
+
+def test_modexp_is_exact_on_concurrent_threads():
+    """8 threads, switching every microsecond, each get pow's answer every time."""
+    rng = random.Random("modexp-threads")
+    cases = []
+    for _ in range(32):
+        exponent = rng.getrandbits(rng.choice((1, 128, 2048)))
+        cases.append((rng.getrandbits(512), exponent, rng.getrandbits(512) | 1 << 511 | 1))
+    expected = [pow(*case) for case in cases]
+    wrong, passes = [], []
+    deadline = time.monotonic() + 2.0
+
+    def work(offset):
+        while time.monotonic() < deadline:
+            for k in range(len(cases)):
+                i = (k + offset) % len(cases)
+                if vdf._modexp(*cases[i]) != expected[i]:
+                    wrong.append(i)
+            passes.append(offset)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert set(passes) == set(range(8))
+    assert wrong == []
+
+
+def test_modexp_is_pow_unless_a_versioned_libcrypto_loads_and_agrees(monkeypatch):
+    try:
+        # an unversioned libcrypto aborts the process on macOS, so it is never loaded
+        for name in (None, "libcrypto.so", "/usr/lib/libcrypto.dylib", "libcrypto.dylib"):
+            monkeypatch.setattr(ctypes.util, "find_library", lambda _, name=name: name)
+            _bignum._libcrypto.cache_clear()
+            assert _bignum._libcrypto() is None
+            assert _bignum.backend() == "builtin pow"
+            assert _bignum.modexp(3, 1 << 70, 1081) == pow(3, 1 << 70, 1081)
+        monkeypatch.undo()
+        signatures = dict(_bignum._SIGNATURES, BN_no_such_function=(None, []))
+        monkeypatch.setattr(_bignum, "_SIGNATURES", signatures)
+        _bignum._libcrypto.cache_clear()
+        assert _bignum._libcrypto() is None
+        monkeypatch.undo()
+        monkeypatch.setattr(_bignum, "_bn_mod_exp", lambda lib, base, exp, mod: 0)
+        _bignum._libcrypto.cache_clear()
+        assert _bignum._libcrypto() is None
+    finally:
+        monkeypatch.undo()
+        _bignum._libcrypto.cache_clear()
+
+
+@pytest.fixture
+def builtin_pow(monkeypatch):
+    """Every vdf exponentiation on the fallback backend, the built-in pow."""
+    monkeypatch.setattr(vdf, "_modexp", pow)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_hash_to_prime_known_answers,
+        test_setup_group_known_moduli,
+        test_proofs_known_answers,
+        test_batch_verify_rejects_single_perturbation,
+        test_batch_swap_between_instances_fails,
+        test_batch_verify_agrees_with_per_term_exponentiation,
+        test_sign_flips_are_rejected_by_verify_and_batch_verify,
+        test_batch_verify_rejects_a_factor_moved_between_proofs,
+        test_solve_batch_equals_eval_then_prove_batch,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_on_builtin_pow(check, builtin_pow, request):
+    """The known answers, batch tampering and solve_batch, on the fallback backend."""
+    names = inspect.signature(check).parameters
+    check(*(request.getfixturevalue(name) for name in names))
