@@ -3,15 +3,18 @@
 The solver walks a hash chain where each step costs one full matrix
 product; the verifier replays only the chain hashes and spot-checks the
 shipped product with random 0/1 vectors instead of redoing the GEMM.
+Exits 1 if a verdict is not the expected one.
 """
 
 import random
+import sys
 import time
 
 from gputelem.core import hash_bytes
 from gputelem.gemm import (
     FIELD_MODULUS,
     GemmParams,
+    GemmProof,
     derive_matrices,
     field_matmul,
     freivalds_check,
@@ -20,7 +23,7 @@ from gputelem.gemm import (
 )
 
 
-def main() -> None:
+def main() -> int:
     rng = random.Random(33)
     params = GemmParams(dimension_n=64, difficulty_d=4, freivalds_k=5)
     sid = rng.randbytes(32)
@@ -35,6 +38,13 @@ def main() -> None:
     print(f"  winning chain index j* = {proof.index_jstar}")
     print(f"  solve  {solve_ms:8.1f}ms  (one matmul per chain step)")
     print(f"  verify {verify_ms:8.1f}ms  ({ok}; hashes plus a {params.freivalds_k}-vector Freivalds check)")
+    # at d = 0 every digest clears the target, so only the Freivalds
+    # check stands between a wrong product and acceptance
+    easy = GemmParams(dimension_n=64, difficulty_d=0, freivalds_k=5)
+    honest = solve_gemm_puzzle(sid, easy)
+    wrong = (honest.product_C + 1) % FIELD_MODULUS
+    forged_ok = verify_gemm_puzzle(sid, easy, GemmProof(0, wrong, honest.chain_state_sigma))
+    print(f"  wrong product at d=0 rejected: {not forged_ok}")
 
     print()
     print("Freivalds spot-check against a single corrupted entry (n=32):")
@@ -54,7 +64,8 @@ def main() -> None:
             f"(escape bound 2^-{k} = {2 ** -k:.4f})"
         )
     print("Each extra round halves the escape probability; k=5 leaves ~3%.")
+    return 0 if ok and not forged_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

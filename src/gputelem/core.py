@@ -221,21 +221,40 @@ def _field_types(cls) -> dict:
     return types
 
 
-def _parse_fields(cls, raw: dict | None, strict: bool = True, block: str = ""):
+def _refuse_unknown(raw: dict, known, block: str) -> None:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{block} must be a key-value block, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(known), key=str)
+    if unknown:
+        raise ValueError(f"unknown {block} fields: {unknown}")
+
+
+def _split_block(raw: dict | None, classes: tuple, block: str, extra: tuple = ()) -> list[dict]:
+    """A config block cut into the keys of each class that reads it.
+
+    A key that is neither a field of one of ``classes`` nor in ``extra``
+    is read by nothing, so it is refused, naming ``block``: a misspelt
+    key must not leave its field at the default.
+    """
+    raw = raw or {}
+    owners = [_field_types(cls) for cls in classes]
+    _refuse_unknown(raw, set(extra).union(*owners), block)
+    return [{k: v for k, v in raw.items() if k in types} for types in owners]
+
+
+def _parse_fields(cls, raw: dict | None, block: str = ""):
     """An instance of the config dataclass ``cls`` from a config block.
 
     Keys and types are the fields of ``cls`` (int, float, str, or one of
     them ``| None``); an omitted key takes the field default, so a
     block's defaults live only in its class.  Numbers may be YAML number
-    strings, and an int field needs a whole number.  ``strict`` refuses
-    keys that are not fields, naming ``block`` (default: the class);
-    otherwise they are ignored.
+    strings, and an int field needs a whole number.  A key that is not a
+    field is refused, naming ``block`` (default: the class); a block
+    that several classes read goes through ``_split_block`` first.
     """
     types = _field_types(cls)
     raw = raw or {}
-    if strict and not types.keys() >= raw.keys():
-        unknown = sorted(set(raw) - types.keys())
-        raise ValueError(f"unknown {block or cls.__name__} fields: {unknown}")
+    _refuse_unknown(raw, types, block or cls.__name__)
     values = {}
     for key, (kind, optional) in types.items():
         if key in raw:

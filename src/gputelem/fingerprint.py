@@ -99,18 +99,6 @@ def mask_chal_inplace(chal: ChalDataset, r_gpu: bytes) -> None:
         chal.blocks[j] = keyed_xor(r_gpu, block, domain=encode_fields("fpmask", j))
 
 
-def mask_chal(chal: ChalDataset, r_gpu: bytes) -> ChalDataset:
-    """Masked copy of the dataset; the input is left untouched."""
-    masked = ChalDataset(
-        size_bytes=chal.size_bytes,
-        block_size_bytes=chal.block_size_bytes,
-        seed=chal.seed,
-        blocks=list(chal.blocks),
-    )
-    mask_chal_inplace(masked, r_gpu)
-    return masked
-
-
 def masked_chal_from_seed(
     seed: bytes, size_bytes: int, block_size_bytes: int, r_gpu: bytes
 ) -> ChalDataset:

@@ -232,12 +232,6 @@ def freivalds_check(
     return np.array_equal(field_matmul(a, br), cr)
 
 
-def _verification_rng(sid: bytes, digest: bytes) -> random.Random:
-    """Deterministic Freivalds source bound to the proof being checked."""
-    seed = int.from_bytes(hash_bytes(encode_fields(sid, "freivalds", digest)), "big")
-    return random.Random(seed)
-
-
 def verify_gemm_puzzle(
     sid: bytes,
     params: GemmParams,
@@ -249,10 +243,10 @@ def verify_gemm_puzzle(
 
     Recomputes the chain state by index_jstar hash applications, the
     threshold digest, and Freivalds-checks the shipped product against
-    freshly derived matrices.  With rng omitted the check vectors are
-    derived from (sid, proof digest), making the verdict reproducible
-    but open to a prover who grinds wrong products against them; a
-    challenger passes random.SystemRandom() to keep them private.
+    freshly derived matrices.  The check vectors come from
+    ``random.SystemRandom()`` unless the caller passes ``rng``: vectors
+    the prover could compute (from the session id or the proof, say)
+    let it grind wrong products until one passes.
     """
     if max_attempts is None:
         max_attempts = 1 << min(params.difficulty_d + 8, 40)
@@ -268,10 +262,8 @@ def verify_gemm_puzzle(
         sigma = hash_bytes(sigma)
     if sigma != proof.chain_state_sigma:
         return False
-    digest = puzzle_digest(sid, sigma, product)
-    if not digest_below_target(digest, params.difficulty_d):
+    if not digest_below_target(puzzle_digest(sid, sigma, product), params.difficulty_d):
         return False
     a, b = derive_matrices(sigma, params.dimension_n)
-    if rng is None:
-        rng = _verification_rng(sid, digest)
+    rng = rng if rng is not None else random.SystemRandom()
     return freivalds_check(a, b, product, params.freivalds_k, rng)

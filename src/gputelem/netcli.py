@@ -19,11 +19,11 @@ session replays from it, a vdf session that drew a fresh group included.
 Each config block is read by the dataclass it configures
 (``core._parse_fields``), whose field defaults are the only defaults:
 the top-level keys by ``SessionSettings``, ``profile`` by
-``worksim.WorkerProfile``, ``bandwidth`` by ``residency.BandwidthModel``
-(both refuse unknown keys), a mode block by its challenge params class
-(``protocol.params_for``), and the ``vdf`` and ``residency`` blocks also
-by ``vdf.VdfSettings`` and ``residency.ResidencySettings``.  The
-``worker``/``listen`` addresses are read by ``_parse_address``.
+``worksim.WorkerProfile``, ``bandwidth`` by ``residency.BandwidthModel``,
+a mode block by its challenge params class (``protocol.params_for``),
+and the ``vdf`` and ``residency`` blocks also by ``vdf.VdfSettings`` and
+``residency.ResidencySettings``.  The ``worker``/``listen`` addresses
+are read by ``_parse_address``.  A key that nothing reads is refused.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import yaml
 
-from .core import Response, _parse_fields
+from .core import Response, _parse_fields, _split_block
 from .protocol import (
     MODES,
     ProtocolError,
@@ -53,12 +53,13 @@ from .protocol import (
 )
 from .residency import (
     BandwidthModel,
+    ResidencyParams,
     ResidencySessionReport,
     ResidencySettings,
     run_residency_session,
 )
 from .stattests import Decision, Verdict, continuous_measurement
-from .vdf import VdfSettings, setup_group
+from .vdf import VdfParams, VdfSettings, setup_group
 from .wire import (
     HEADER_LEN,
     MSG_CHALLENGE_BATCH,
@@ -229,7 +230,7 @@ def run_worker(config: dict) -> None:
     server = _WorkerServer(
         config.get("listen", "127.0.0.1:9333"),
         profile_from_dict(config.get("profile")),
-        _parse_fields(SessionSettings, config, strict=False).seed,
+        _session_settings(config).seed,
         bandwidth_model_from_dict(config.get("bandwidth")),
     )
     try:
@@ -286,22 +287,12 @@ class RemoteWorker:
         )
         if reply.msg_type != MSG_RESPONSE_BATCH:
             raise ProtocolError("expected a response batch")
-        return parse_response(
-            decode_record(reply.payload),
-            dimension_n=challenge.params.get("dimension_n"),
-        )
+        # n comes from the challenge as the worker parses it, defaults included
+        n = params_for("gemm", challenge.params).dimension_n if challenge.mode == "gemm" else None
+        return parse_response(decode_record(reply.payload), dimension_n=n)
 
 
 # --- session reports ---------------------------------------------------------
-
-_RATE_HEADER = ("session_id", "round", "kind", "total_time_ns", "valid")
-ROUND_HEADERS = {
-    "pow": _RATE_HEADER,
-    "vdf": _RATE_HEADER,
-    "gemm": _RATE_HEADER,
-    "residency": ("round", "nonce_digest", "total_ns", "kernel_ns", "verdict", "valid"),
-}
-
 
 @dataclass
 class SessionReport:
@@ -346,9 +337,12 @@ def write_report(report: SessionReport, out_path: str) -> None:
     """CSV of per-round rows next to a JSON summary at ``out_path``.
 
     out_path names the CSV; the summary lands at out_path + ".json".
+    The CSV columns are the keys of the first row, in order: a session
+    of any mode runs at least one round, and its rows share one layout.
     """
+    header = tuple(report.rows[0]) if report.rows else ()
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(report.rows, ROUND_HEADERS[report.kind]))
+        fh.write(rows_to_csv(report.rows, header))
     summary = {
         "session_id": report.session_id,
         "kind": report.kind,
@@ -383,19 +377,22 @@ def _session_plan(session: SessionSettings, config: dict):
     raises ValueError here, before any worker is contacted.
     """
     kind = session.kind
-    section = dict(config.get(kind) or {})
+    section = config.get(kind)
     if kind == "residency":
+        settings, params = _split_block(section, (ResidencySettings, ResidencyParams), kind)
         if "rounds" in config:  # a session-wide round count, unless overridden
-            section.setdefault("rounds", session.rounds)
+            settings.setdefault("rounds", session.rounds)
         return (
-            _parse_fields(ResidencySettings, section, strict=False),
-            params_for("residency", section),
+            _parse_fields(ResidencySettings, settings),
+            params_for("residency", params),
             bandwidth_model_from_dict(config.get("bandwidth")),
         )
-    if kind == "vdf" and "modulus_n" not in section:
-        bits = _parse_fields(VdfSettings, section, strict=False).modulus_bits
-        group_rng = random.Random(f"vdf-group-{session.seed}")
-        section["modulus_n"] = setup_group(bits, group_rng).modulus_N
+    if kind == "vdf":
+        settings, section = _split_block(section, (VdfSettings, VdfParams), kind)
+        if "modulus_n" not in section:
+            bits = _parse_fields(VdfSettings, settings).modulus_bits
+            group_rng = random.Random(f"vdf-group-{session.seed}")
+            section["modulus_n"] = setup_group(bits, group_rng).modulus_N
     return asdict(params_for(kind, section))
 
 
@@ -414,7 +411,7 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     contacted; TransportError means no worker answered or the connection
     failed mid-session.  Both map to exit code 2 at the CLI.
     """
-    session = _parse_fields(SessionSettings, config, strict=False)
+    session = _session_settings(config)
     plan = _session_plan(session, config)
     rng = random.Random(session.seed)
     remote = RemoteWorker(_parse_address(config.get("worker", "127.0.0.1:9333")))
@@ -506,7 +503,7 @@ def run_local_session(
     on ``seed``; a config ``seed`` that differs from it is refused, so
     the report's config snapshot never names a seed that did not run.
     """
-    session = _parse_fields(SessionSettings, {**config, "kind": kind}, strict=False)
+    session = _session_settings({**config, "kind": kind})
     if "seed" in config and session.seed != seed:
         raise ValueError(f"config seed {session.seed} differs from the session seed {seed}")
     session = replace(session, seed=seed)
@@ -552,6 +549,15 @@ class SessionSettings:
             raise ValueError(f"interval_s cannot be negative, got {self.interval_s}")
         if self.t0_ns < 0:
             raise ValueError(f"t0_ns cannot be negative, got {self.t0_ns}")
+
+
+# the top level holds, besides the session keys, the blocks and addresses
+_TOP_LEVEL_KEYS = ("worker", "listen", "profile", "bandwidth", *MODES)
+
+
+def _session_settings(config: dict) -> SessionSettings:
+    (keys,) = _split_block(config, (SessionSettings,), "top-level", _TOP_LEVEL_KEYS)
+    return _parse_fields(SessionSettings, keys)
 
 
 def profile_from_dict(raw: dict | None) -> WorkerProfile:

@@ -15,7 +15,7 @@ virtual-clock worker is reached by identical code against a live one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,6 @@ _PARAM_TYPES = {
     "gemm": GemmParams,
     "residency": ResidencyParams,
 }
-# the challenge params of each mode are the fields of its settings class
-PARAM_KEYS = {
-    mode: tuple(f.name for f in fields(cls)) for mode, cls in _PARAM_TYPES.items()
-}
 
 
 class ProtocolError(ValueError):
@@ -61,14 +57,15 @@ def params_for(mode: str, params: dict):
     """Typed settings of a ``mode`` challenge from its params dict.
 
     The one parser of challenge params, for challenger and worker alike.
-    A key the dict omits takes its dataclass default; keys outside
-    ``PARAM_KEYS[mode]`` are ignored, since config blocks carry session
-    keys (``modulus_bits``, ``dataset_mib``) beside the params.
+    A key the dict omits takes its dataclass default, and a key that is
+    not a field of the mode's params class is refused (ValueError): a
+    challenge carries only params, and a config block that also holds
+    session keys (``modulus_bits``, ``dataset_mib``) is split first.
     """
     cls = _PARAM_TYPES.get(mode)
     if cls is None:
         raise ProtocolError(f"unknown mode {mode!r}")
-    return _parse_fields(cls, params, strict=False)
+    return _parse_fields(cls, params, block=mode)
 
 
 def bytes_field(value) -> bytes:
@@ -236,9 +233,7 @@ def _validate_gemm(challenge: Challenge, response: Response) -> bool:
         product_C=np.asarray(response.payload["product_c"], dtype=np.int64),
         chain_state_sigma=bytes_field(response.payload["chain_state_sigma"]),
     )
-    # the prover knows (sid, digest), so the default proof-derived check
-    # vectors could be ground against; draw them privately instead
-    return verify_gemm_puzzle(challenge.salt, params, proof, rng=random.SystemRandom())
+    return verify_gemm_puzzle(challenge.salt, params, proof)
 
 
 def _validate_vdf(challenge: Challenge, response: Response) -> bool:

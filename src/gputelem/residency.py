@@ -186,11 +186,10 @@ class ChalDataset:
 
     ``blocks`` is the only copy of the data; nothing derived from it is
     cached, so masking the blocks in place leaves nothing stale.
+    ``spec`` is the seed and shape the blocks were generated from.
     """
 
-    size_bytes: int
-    block_size_bytes: int
-    seed: bytes
+    spec: DatasetSpec
     blocks: list[bytes]
 
     @property
@@ -201,10 +200,6 @@ class ChalDataset:
     def block_digests(self) -> list[bytes]:
         """SHA-256 of each block, computed from the blocks when read."""
         return [hash_bytes(block) for block in self.blocks]
-
-    @property
-    def spec(self) -> DatasetSpec:
-        return DatasetSpec(self.seed, self.size_bytes, self.block_size_bytes)
 
 
 @dataclass(frozen=True)
@@ -234,12 +229,7 @@ def init_chal(
     """
     spec = DatasetSpec(seed, size_bytes, block_size_bytes)
     blocks = [chal_block(seed, i, spec.block_len(i)) for i in range(spec.block_count)]
-    return ChalDataset(
-        size_bytes=size_bytes,
-        block_size_bytes=block_size_bytes,
-        seed=seed,
-        blocks=blocks,
-    )
+    return ChalDataset(spec, blocks)
 
 
 def mask_block(nonce: bytes, index: int, block: bytes) -> bytes:

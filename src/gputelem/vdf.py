@@ -10,7 +10,9 @@ under that q: one 128-bit-exponent check per instance costs less than a
 fold of the batch with 128-bit random scalars, which is only cheaper
 when the scalars are much shorter than the exponents (Bellare, Garay &
 Rabin, *Fast Batch Verification for Modular Exponentiation*, 1998), and
-it binds every proof, not only their product.
+it binds every proof, not only their product.  There is one Fiat-Shamir
+transcript: a single proof is a batch of one, so ``prove`` and
+``verify`` run the code a session runs.
 
 Proofs live in Z_N*/{+-1}: x and N - x are one element, written as its
 canonical representative min(x, N - x) in [1, (N-1)/2], and the
@@ -263,7 +265,6 @@ class GroupParams:
     """
 
     modulus_N: int
-    bit_length: int
     trapdoor: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
@@ -294,13 +295,15 @@ class GroupParams:
 class VdfInstance:
     generator_g: int
     delay_T: int
-    sid: bytes
-    index_i: int
 
 
 @dataclass(frozen=True)
 class VdfParams:
-    """Per-round settings: the modulus, the delay range, instances per round."""
+    """Per-round settings: the modulus, the delay range, instances per round.
+
+    The modulus is at most 2048 bits, the largest production size: a
+    worker runs its squarings on whatever modulus a challenge names.
+    """
 
     modulus_n: int
     t_min: int = 1 << 10
@@ -310,6 +313,8 @@ class VdfParams:
     def __post_init__(self) -> None:
         if self.modulus_n < 15 or self.modulus_n % 2 == 0:
             raise ValueError("modulus_n must be odd and >= 15")
+        if self.modulus_n.bit_length() > max(_PRODUCTION_BITS):
+            raise ValueError(f"modulus_n must have at most {max(_PRODUCTION_BITS)} bits")
         if not 1 <= self.t_min <= self.t_max:
             raise ValueError("need 1 <= t_min <= t_max")
         if self.t_max > MAX_DELAY:
@@ -376,7 +381,7 @@ def setup_group(
         raise RuntimeError(f"could not find two distinct safe primes at {half} bits")
     n = p * q
     trapdoor = (p, q, ((p - 1) // 2) * ((q - 1) // 2)) if keep_trapdoor else None
-    return GroupParams(modulus_N=n, bit_length=n.bit_length(), trapdoor=trapdoor)
+    return GroupParams(modulus_N=n, trapdoor=trapdoor)
 
 
 def hash_to_qr(sid: bytes, index: int, modulus_n: int) -> int:
@@ -416,8 +421,6 @@ def derive_instance(
     return VdfInstance(
         generator_g=hash_to_qr(sid, index, modulus_n),
         delay_T=derive_delay(sid, index, t_min, t_max),
-        sid=sid,
-        index_i=index,
     )
 
 
@@ -473,10 +476,6 @@ def hash_to_prime(transcript: bytes) -> int:
     return cand
 
 
-def _instance_transcript(g: int, y: int, delay_t: int, modulus_n: int, sid: bytes) -> bytes:
-    return encode_fields(g, y, delay_t, modulus_n, sid)
-
-
 def batch_transcript(
     modulus_n: int, instances: list[VdfInstance], outputs: list[int], sid: bytes
 ) -> bytes:
@@ -497,26 +496,15 @@ def _proof(g: int, y: int, delay_t: int, prime: int, modulus_n: int) -> VdfProof
     )
 
 
-def prove(
-    g: int,
-    delay_t: int,
-    y: int,
-    modulus_n: int,
-    sid: bytes,
-    challenge_prime: int | None = None,
-) -> VdfProof:
-    """Produce the succinct proof for y = g^(2^T) mod N.
+def prove(g: int, delay_t: int, y: int, modulus_n: int, sid: bytes) -> VdfProof:
+    """The succinct proof for y = g^(2^T) mod N: ``prove_batch`` on a batch of one.
 
-    The challenge prime comes from the instance transcript of the
-    canonical y unless a test supplies one explicitly.  pi is one
-    exponentiation by floor(2^T / q), a (T - 127)-bit exponent, so
-    proving costs about as much as eval again.
+    The challenge prime is hashed from the batch transcript of the one
+    instance and its canonical y.  pi is one exponentiation by
+    floor(2^T / q), a (T - 127)-bit exponent, so proving costs about as
+    much as eval again.
     """
-    if challenge_prime is None:
-        challenge_prime = hash_to_prime(
-            _instance_transcript(g, canonical(y, modulus_n), delay_t, modulus_n, sid)
-        )
-    return _proof(g, y, delay_t, challenge_prime, modulus_n)
+    return prove_batch([VdfInstance(g, delay_t)], [y], modulus_n, sid)[0]
 
 
 def _relation_holds(
@@ -524,8 +512,7 @@ def _relation_holds(
 ) -> bool:
     """pi^q * g^r == +-y (mod N) under ``prime``, with canonical y and pi.
 
-    The one per-instance check of ``verify`` and ``batch_verify``: the
-    proof must name ``prime``, its remainder must be 2^T mod q, and y
+    The per-instance check of ``batch_verify``: the proof must name ``prime``, its remainder must be 2^T mod q, and y
     and pi must be canonical, so the relation holds in Z_N*/{+-1}; the
     relation itself is two exponentiations by exponents below q.
     """
@@ -542,22 +529,22 @@ def _relation_holds(
 
 
 def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) -> bool:
-    """Check pi^q * g^r == +-y (mod N) under the instance-transcript prime.
+    """Check one proof: ``batch_verify`` on a batch of one.
 
-    Two exponentiations by 128-bit exponents replace the T-squaring
-    chain; the prime is recomputed locally so a prover cannot choose it.
-    y and pi must be canonical, so the relation holds in Z_N*/{+-1}.
+    g must lie in [2, N - 1] and T be non-negative; then pi^q * g^r ==
+    +-y (mod N) is checked under the prime of the one-instance batch
+    transcript, recomputed locally so a prover cannot choose it.  Two
+    exponentiations by 128-bit exponents replace the T-squaring chain.
     """
     if not 2 <= g <= modulus_n - 1 or delay_t < 0:
         return False
-    prime = hash_to_prime(_instance_transcript(g, proof.output_y, delay_t, modulus_n, sid))
-    return _relation_holds(g, delay_t, proof, prime, modulus_n)
+    return batch_verify([VdfInstance(g, delay_t)], [proof], modulus_n, sid)
 
 
 def prove_batch(
     instances: list[VdfInstance], outputs: list[int], modulus_n: int, sid: bytes
 ) -> list[VdfProof]:
-    """Proofs for a batch sharing one transcript-wide challenge prime, as ``prove`` makes them."""
+    """Proofs for a batch sharing one challenge prime, hashed from the batch transcript."""
     if len(instances) != len(outputs):
         raise ValueError("instances and outputs differ in length")
     outputs = [canonical(y, modulus_n) for y in outputs]
@@ -586,8 +573,7 @@ def batch_verify(
 
     The prime q is hashed from the batch transcript (N, every g_i, y_i
     and T_i, and sid), so no y_i can change once q is known.  Each
-    instance must then pass the check ``verify`` runs, under q: a
-    canonical y_i and pi_i, r_i = 2^(T_i) mod q, and
+    instance must then pass its own check under q: a canonical y_i and pi_i, r_i = 2^(T_i) mod q, and
 
         pi_i^q * g_i^(r_i) == +-y_i  (mod N),
 

@@ -18,8 +18,8 @@ import time
 from dataclasses import dataclass, replace
 
 from .core import Challenge, Response, generate_salt
-from .gemm import GemmParams, solve_gemm_puzzle
-from .pow import PowParams, solve_pow
+from .gemm import solve_gemm_puzzle
+from .pow import solve_pow
 from .protocol import MODES, bytes_field, params_for
 from .residency import (
     BandwidthModel,
@@ -105,20 +105,14 @@ def _search_time(
     return _finalize(profile, rng.expovariate(lam), rng)
 
 
-def simulate_pow_time(
-    profile: WorkerProfile, difficulty: int | PowParams, rng: random.Random
-) -> float:
+def simulate_pow_time(profile: WorkerProfile, difficulty: int, rng: random.Random) -> float:
     """Draw one nonce-search solve time, slowed by scalar contention."""
-    d = difficulty.difficulty if isinstance(difficulty, PowParams) else difficulty
-    return _search_time(profile, d, profile.contention_factor, rng)
+    return _search_time(profile, difficulty, profile.contention_factor, rng)
 
 
-def simulate_gemm_time(
-    profile: WorkerProfile, difficulty: int | GemmParams, rng: random.Random
-) -> float:
+def simulate_gemm_time(profile: WorkerProfile, difficulty: int, rng: random.Random) -> float:
     """Chained-product search time: same law as the nonce search, tensor path."""
-    d = difficulty.difficulty_d if isinstance(difficulty, GemmParams) else difficulty
-    return _search_time(profile, d, profile.tensor_contention, rng)
+    return _search_time(profile, difficulty, profile.tensor_contention, rng)
 
 
 def occupancy(profile: WorkerProfile, c_instances: int) -> float:
@@ -220,13 +214,12 @@ class SimWorker:
         self,
         profile: WorkerProfile,
         seed: int = 0,
-        clock=None,
         model: BandwidthModel | None = None,
         session_id: bytes | None = None,
     ) -> None:
         self.profile = profile
         self.rng = random.Random(seed)
-        self.clock = clock if clock is not None else VirtualClock()
+        self.clock = VirtualClock()
         self.model = model if model is not None else BandwidthModel()
         self.session_id = (
             session_id if session_id is not None else generate_salt(self.rng)
@@ -290,7 +283,7 @@ class SimWorker:
         solution = solve_pow(challenge, params)
         if solution is None:
             raise RuntimeError("solve cap exhausted on an honest worker")
-        duration = simulate_pow_time(self.profile, params, self.rng)
+        duration = simulate_pow_time(self.profile, params.difficulty, self.rng)
         payload = {
             "nonce": solution.nonce,
             "digest": solution.digest,
@@ -300,7 +293,7 @@ class SimWorker:
 
     def _answer_gemm(self, challenge: Challenge, params) -> tuple[dict, float]:
         proof = solve_gemm_puzzle(challenge.salt, params)
-        duration = simulate_gemm_time(self.profile, params, self.rng)
+        duration = simulate_gemm_time(self.profile, params.difficulty_d, self.rng)
         payload = {
             "index_jstar": proof.index_jstar,
             "chain_state_sigma": proof.chain_state_sigma,
@@ -362,10 +355,10 @@ class SimWorker:
             self.dataset, nonce, argon_memory_kib=argon_memory_kib
         )
         duration = simulate_residency_time(
-            self.profile, self.dataset.size_bytes, self.model, self.rng, hot=hot
+            self.profile, self.dataset.spec.size_bytes, self.model, self.rng, hot=hot
         )
         return replace(
             real,
             timing=replace(real.timing, duration=duration),
-            kernel_time_s=self.dataset.size_bytes / self.model.hbm_bw,
+            kernel_time_s=self.dataset.spec.size_bytes / self.model.hbm_bw,
         )

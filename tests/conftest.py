@@ -17,7 +17,7 @@ def rsa_group():
 def tiny_group():
     """N = 1081 = 23 * 47, both safe primes (11, 23 Sophie Germain)."""
     return vdf.GroupParams(
-        modulus_N=1081, bit_length=11, trapdoor=(23, 47, 11 * 23)
+        modulus_N=1081, trapdoor=(23, 47, 11 * 23)
     )
 
 

@@ -139,7 +139,7 @@ def test_challenger_refuses_bad_residency_values_before_connecting(
     tmp_path, daemon, monkeypatch, capsys, key, value
 ):
     _assert_refused_before_connecting(
-        tmp_path, daemon, monkeypatch, capsys, "residency", {key: value}, key
+        tmp_path, daemon, monkeypatch, capsys, "residency", {"residency": {key: value}}, key
     )
 
 
@@ -154,26 +154,49 @@ def test_challenger_refuses_bad_residency_values_before_connecting(
         ({"modulus_bits": 32}, "modulus_bits"),
         ({"instances": 10**8}, "instances"),
         ({"t_max": 2**40}, "t_max"),
+        ({"modulus_n": (1 << 14279) | 1}, "modulus_n"),
     ],
 )
 def test_challenger_refuses_bad_vdf_values_before_connecting(
     tmp_path, daemon, monkeypatch, capsys, block, key
 ):
-    _assert_refused_before_connecting(tmp_path, daemon, monkeypatch, capsys, "vdf", block, key)
+    _assert_refused_before_connecting(
+        tmp_path, daemon, monkeypatch, capsys, "vdf", {"vdf": block}, key
+    )
 
 
-def _assert_refused_before_connecting(tmp_path, daemon, monkeypatch, capsys, mode, block, key):
+@pytest.mark.parametrize(
+    "mode, config, key",
+    [
+        ("pow", {"lamda_min": 50.0}, "lamda_min"),
+        ("pow", {"pow": {"difficuly": 20, "argon_memory_kib": 8}}, "difficuly"),
+        ("vdf", {"vdf": {"modulus_bitz": 1024}}, "modulus_bitz"),
+        ("gemm", {"gemm": {"dimension": 8}}, "dimension"),
+        ("residency", {"residency": {"dataset_mb": 1}}, "dataset_mb"),
+        ("pow", {"pow": 5}, "pow must be a key-value block"),
+    ],
+    ids=["top-level", "pow", "vdf", "gemm", "residency", "pow-not-a-block"],
+)
+def test_challenger_refuses_a_key_nothing_reads(
+    tmp_path, daemon, monkeypatch, capsys, mode, config, key
+):
+    # a misspelt key would leave its field at the default, lambda_min a
+    # 50 times laxer acceptance floor, say
+    _assert_refused_before_connecting(tmp_path, daemon, monkeypatch, capsys, mode, config, key)
+
+
+def _assert_refused_before_connecting(tmp_path, daemon, monkeypatch, capsys, mode, config, key):
     monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
-    config = _config_file(tmp_path, daemon, **{mode: block})
+    path = _config_file(tmp_path, daemon, **config)
     code = cli.challenger_main(
-        ["run", "--mode", mode, "--config", str(config), "--out", str(tmp_path / "r.csv")]
+        ["run", "--mode", mode, "--config", str(path), "--out", str(tmp_path / "r.csv")]
     )
     assert code == cli.EXIT_ERROR
     assert key in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
     # the in-process path refuses it too, rather than rejecting the worker
     with pytest.raises(ValueError, match=key):
-        netcli.run_local_session(mode, WorkerProfile(), {mode: block}, seed=1)
+        netcli.run_local_session(mode, WorkerProfile(), config, seed=1)
 
 
 def test_challenger_unreachable_worker(tmp_path, capsys):

@@ -19,6 +19,7 @@ import yaml
 from gputelem import netcli
 from gputelem.protocol import (
     ProtocolError,
+    SessionDriver,
     build_challenge,
     challenge_record,
     parse_response,
@@ -455,12 +456,27 @@ def test_daemon_error_reply_keeps_connection_alive(daemon):
         sock.close()
 
 
+def test_remote_gemm_round_on_the_default_dimension_is_valid(daemon):
+    """n comes from the params as the worker parses them, so a challenge
+    without ``dimension_n`` is judged as it is in process."""
+    remote = netcli.RemoteWorker(daemon.address)
+    try:
+        driver = SessionDriver(
+            worker=remote, mode="gemm", params={"difficulty_d": 0}, rng=random.Random(5)
+        )
+        assert driver.step(0).valid
+    finally:
+        remote.close()
+
+
 @pytest.mark.parametrize(
-    "bad", [{"t_max": 1 << 40}, {"instances": 10**8}], ids=["t_max", "instances"]
+    "bad",
+    [{"t_max": 1 << 40}, {"instances": 10**8}, {"modulus_n": (1 << 14279) | 1}],
+    ids=["t_max", "instances", "modulus_n"],
 )
 def test_daemon_refuses_an_unbounded_vdf_challenge_then_answers_a_good_one(daemon, bad):
-    # a 2^40 delay or 10^8 instances would hold a serving thread for good;
-    # the worker parses the params, answers an Error frame and keeps serving
+    # a 2^40 delay, 10^8 instances or a 14280-bit modulus would hold a
+    # serving thread for good; the worker parses the params, answers an Error frame and keeps serving
     params = {"modulus_n": 0xA83F7B1F0A6E7073B59999D6A360EA01, "t_min": 16, "t_max": 32}
     sock = socket.create_connection(daemon.address, timeout=10)
 
@@ -671,7 +687,7 @@ def test_run_local_session_accept_and_reject():
     assert fast.decision.verdict is Verdict.ACCEPT
     assert slow.decision.verdict is Verdict.REJECT
     assert fast.rows[0]["kind"] == "pow"
-    assert set(netcli.ROUND_HEADERS["pow"]) <= set(fast.rows[0])
+    assert tuple(fast.rows[0]) == ("session_id", "round", "kind", "total_time_ns", "valid")
 
 
 def test_run_local_session_residency_report_shape():
@@ -694,7 +710,7 @@ def test_run_local_session_residency_report_shape():
     assert report.config["residency"]["threshold_ns"] == default_threshold_ns(1 << 20, BandwidthModel())
     assert report.config["bandwidth"] == dataclasses.asdict(BandwidthModel())
     assert len(report.rows) == 4
-    assert set(netcli.ROUND_HEADERS["residency"]) == set(report.rows[0])
+    assert tuple(report.rows[0]) == ("round", "nonce_digest", "total_ns", "kernel_ns", "verdict", "valid")
 
 
 def test_run_local_session_residency_flags_eviction():

@@ -7,13 +7,13 @@ exercised, not just the in-memory dict shapes.
 """
 
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gputelem import gemm, netcli, protocol, wire
-from gputelem.core import Challenge, Response, issued_at_micros
+from gputelem.core import Challenge, Response, encode_fields, hash_bytes, issued_at_micros
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.pow import PowParams
 from gputelem.residency import SPOT_CHECKS, DatasetSpec, ResidencyParams
@@ -264,27 +264,35 @@ def test_validate_response_integer_byte_fields_are_invalid_not_a_crash():
     assert protocol.validate_response(challenge, huge) is False
 
 
+def _proof_derived_rng(sid: bytes, sigma: bytes, product) -> random.Random:
+    """Check vectors anyone can compute from the proof: the grinding attacker's model."""
+    digest = gemm.puzzle_digest(sid, sigma, product)
+    return random.Random(int.from_bytes(hash_bytes(encode_fields(sid, "freivalds", digest)), "big"))
+
+
 def test_validate_gemm_draws_freivalds_vectors_privately():
-    """A product ground against the proof-derived check vectors still fails."""
+    """A product ground against proof-derived check vectors fails both gemm verifiers."""
     params = {"dimension_n": 16, "difficulty_d": 0, "freivalds_k": 5}
     challenge, response = _answered("gemm", params)
     gemm_params = GemmParams(dimension_n=16, difficulty_d=0, freivalds_k=5)
     honest = response.payload["product_c"]
+    sigma = response.payload["chain_state_sigma"]
     grind = random.Random(8)
     for _ in range(2000):  # about 32 tries at k=5
         bad = honest.copy()
         row, col = grind.randrange(16), grind.randrange(16)
         bad[row, col] = (int(bad[row, col]) + 1 + grind.randrange(FIELD_MODULUS - 1)) % FIELD_MODULUS
-        proof = GemmProof(
-            response.payload["index_jstar"], bad, response.payload["chain_state_sigma"]
-        )
-        if verify_gemm_puzzle(challenge.salt, gemm_params, proof):
+        proof = GemmProof(response.payload["index_jstar"], bad, sigma)
+        rng = _proof_derived_rng(challenge.salt, sigma, bad)
+        if verify_gemm_puzzle(challenge.salt, gemm_params, proof, rng=rng):
             break
     else:
         pytest.fail("no wrong product passed the proof-derived check")
+    # private vectors accept with chance 2^-5: mean 6.25, sd 2.4
+    accepted = sum(verify_gemm_puzzle(challenge.salt, gemm_params, proof) for _ in range(200))
+    assert accepted <= 20
     forged = replace(response, payload={**response.payload, "product_c": bad})
     accepted = sum(protocol.validate_response(challenge, forged) for _ in range(200))
-    # private vectors accept with chance 2^-5: mean 6.25, sd 2.4
     assert accepted <= 20
 
 
@@ -394,7 +402,10 @@ def test_params_for_defaults_are_the_dataclass_defaults():
     assert protocol.params_for("gemm", {}) == GemmParams()
     assert protocol.params_for("vdf", {"modulus_n": 77}) == VdfParams(modulus_n=77)
     assert protocol.params_for("residency", {}) == ResidencyParams()
-    assert protocol.params_for("pow", {"difficulty": "3", "extra": 1}) == PowParams(difficulty=3)
+    assert protocol.params_for("pow", {"difficulty": "3"}) == PowParams(difficulty=3)
+    # a challenge carries only params: a key nothing reads is refused
+    with pytest.raises(ValueError, match="unknown pow fields: \\['extra'\\]"):
+        protocol.params_for("pow", {"difficulty": "3", "extra": 1})
     with pytest.raises(protocol.ProtocolError):
         protocol.params_for("quantum", {})
     # the challenger fills the same defaults into the params it sends
@@ -418,19 +429,6 @@ def test_params_for_defaults_are_the_dataclass_defaults():
         "t_max": 1 << 12,
         "instances": 4,
     }
-
-
-def test_param_keys_are_the_fields_of_each_params_class():
-    classes = {
-        "pow": PowParams,
-        "vdf": VdfParams,
-        "gemm": GemmParams,
-        "residency": ResidencyParams,
-    }
-    assert protocol.PARAM_KEYS == {
-        mode: tuple(f.name for f in fields(cls)) for mode, cls in classes.items()
-    }
-    assert protocol.PARAM_KEYS["gemm"] == ("dimension_n", "difficulty_d", "freivalds_k")
 
 
 def test_params_for_coerces_by_the_config_rules():

@@ -292,14 +292,14 @@ def test_checkpoint_pi_matches_direct_exponentiation(rsa_group):
     for t in (0, 1, 5, 6, 7, 127, 128, 129, 4096):
         y = vdf.eval(g, t, n)
         for q in primes:
-            proof = vdf.prove(g, t, y, n, b"", challenge_prime=q)
+            proof = vdf._proof(g, y, t, q, n)
             assert proof.pi == vdf.canonical(pow(g, (1 << t) // q, n), n), (t, q)
             assert proof.output_y == vdf.canonical(y, n)
             assert proof.remainder_r == pow(2, t, q)
     for t in (1, 4, 13, 40):
         y = vdf.eval(9, t, 1081)
         for q in (3, 5, 97, 12289):
-            pi = vdf.prove(9, t, y, 1081, b"", challenge_prime=q).pi
+            pi = vdf._proof(9, y, t, q, 1081).pi
             assert pi == vdf.canonical(pow(9, (1 << t) // q, 1081), 1081)
 
 
@@ -314,7 +314,11 @@ def test_chain_matches_a_plain_squaring_loop(rsa_group):
 
 
 def test_proofs_known_answers(rsa_group):
-    """Pins the proof bytes of wire version 4, whose y and pi are canonical in Z_N*/{+-1}."""
+    """Pins the proof bytes of wire version 4, whose y and pi are canonical in Z_N*/{+-1}.
+
+    The single proofs and the batches are pinned apart: a single proof
+    is a batch of one, so its prime comes from the batch transcript.
+    """
     n = rsa_group.modulus_N
     digest = hashlib.sha256()
     rng = random.Random("kat-proofs")
@@ -325,6 +329,10 @@ def test_proofs_known_answers(rsa_group):
         p = vdf.prove(g, t, vdf.eval(g, t, n), n, sid)
         assert vdf.verify(g, t, p, n, sid) and 2 * p.output_y < n and 2 * p.pi < n
         digest.update(encode_fields(p.output_y, p.pi, p.remainder_r, p.challenge_prime))
+    assert digest.hexdigest() == (
+        "1bd69582c6163d30f7869e52a242e18009cd8bfe35d58ffc60c765cb570b2460"
+    )
+    digest = hashlib.sha256()
     for count in (1, 3, 5):
         sid = rng.randbytes(8)
         insts = [vdf.derive_instance(sid, i, n, 1, 700) for i in range(count)]
@@ -334,14 +342,14 @@ def test_proofs_known_answers(rsa_group):
         for p in batch:
             digest.update(encode_fields(p.output_y, p.pi, p.remainder_r, p.challenge_prime))
     assert digest.hexdigest() == (
-        "8be3fa1e01fc13b8f32cb6e6145d078df26b4df06bf861bfce5f008b2311a3d4"
+        "bb05663d28cd1b69b09ded72d7f15e78618482516e3073697c07fe53286284fa"
     )
 
 
 def test_prove_tiny_fixture_forced_prime():
     """Hand-checkable numbers: q = 5, T = 4 gives quotient 3, remainder 1."""
     y = vdf.eval(9, 4, 1081)
-    proof = vdf.prove(9, 4, y, 1081, b"sid", challenge_prime=5)
+    proof = vdf._proof(9, y, 4, 5, 1081)
     assert (y, proof.pi, proof.remainder_r) == (836, 352, 1)  # 9^3 = 729 = -352
     assert proof.output_y == 245 == 1081 - 836  # canonical: at most 540
     # Wesolowski relation with the forced prime, up to sign
@@ -387,6 +395,55 @@ def test_verify_rejects_degenerate_elements(rsa_group):
     # pi = 0 or y = 0 must fail fast, never divide or accept
     assert not vdf.verify(g, t, dataclasses.replace(proof, pi=n), n, b"degen")
     assert not vdf.verify(g, t, dataclasses.replace(proof, output_y=n), n, b"degen")
+
+
+def test_prove_is_prove_batch_of_one(rsa_group):
+    n = rsa_group.modulus_N
+    rng = random.Random("batch-of-one")
+    for i in range(20):
+        sid = rng.randbytes(8)
+        g = vdf.hash_to_qr(sid, i, n)
+        t = rng.choice([0, 1, 127, 128, rng.randint(1, 3000)])
+        y = vdf.eval(g, t, n)
+        for claimed in (y, n - y):  # y and -y are one element
+            batch = vdf.prove_batch([vdf.VdfInstance(g, t)], [claimed], n, sid)
+            assert vdf.prove(g, t, claimed, n, sid) == batch[0]
+
+
+def test_verify_is_batch_verify_of_one_on_every_tamper(rsa_group):
+    """The inputs of acceptance criterion 3, honest and tampered, one verdict each way."""
+    n = rsa_group.modulus_N
+    rng = random.Random("acceptance-vdf")  # criterion 3's bank
+    bank = []
+    for i in range(100):
+        sid = rng.randbytes(16)
+        g = vdf.hash_to_qr(sid, i, n)
+        t = rng.randint(1, 1 << 12)
+        bank.append((sid, g, t, vdf.prove(g, t, vdf.eval(g, t, n), n, sid)))
+    verdicts = []
+    for trial in range(1100):
+        sid, g, t, proof = bank[trial % 100]
+        kind = trial % 6 if trial < 1000 else None  # the last 100 untampered
+        if kind == 0:
+            proof = dataclasses.replace(
+                proof, output_y=proof.output_y + 1 if proof.output_y + 1 < n else 2
+            )
+        elif kind == 1:
+            proof = dataclasses.replace(proof, pi=proof.pi + 1 if proof.pi + 1 < n else 2)
+        elif kind == 2:
+            proof = dataclasses.replace(
+                proof, remainder_r=(proof.remainder_r + 1) % proof.challenge_prime
+            )
+        elif kind == 3:
+            proof = dataclasses.replace(proof, challenge_prime=proof.challenge_prime + 2)
+        elif kind == 4:
+            t += 1
+        elif kind == 5:
+            sid += b"x"
+        single = vdf.verify(g, t, proof, n, sid)
+        assert single == vdf.batch_verify([vdf.VdfInstance(g, t)], [proof], n, sid), trial
+        verdicts.append(single)
+    assert verdicts == [False] * 1000 + [True] * 100
 
 
 def test_hash_to_prime_determinism_and_width():
