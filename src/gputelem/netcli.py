@@ -11,7 +11,8 @@ every answer and shapes its reply latency to the behavioral profile:
 a challenger cannot tell (and should not care) whether it is talking to
 a simulation.
 
-Reports come out as CSV rows plus a JSON summary; with seeded configs
+Every mode reports a ``protocol.SessionReport``, written as CSV rows
+(one layout for all modes) plus a JSON summary; with seeded configs
 and virtual clocks both are byte-deterministic.  The summary's
 ``config`` is the settings that ran, in config form, so a virtual-clock
 session replays from it, a vdf session that drew a fresh group included.
@@ -23,7 +24,8 @@ the top-level keys by ``SessionSettings``, ``profile`` by
 a mode block by its challenge params class (``protocol.params_for``),
 and the ``vdf`` and ``residency`` blocks also by ``vdf.VdfSettings`` and
 ``residency.ResidencySettings``.  The ``worker``/``listen`` addresses
-are read by ``_parse_address``.  A key that nothing reads is refused.
+are read by ``_parse_address``.  A key that nothing reads is refused,
+and every block the config holds is parsed, whichever mode runs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import yaml
 
@@ -43,6 +45,7 @@ from .protocol import (
     MODES,
     ProtocolError,
     SessionDriver,
+    SessionReport,
     TransportError,
     challenge_record,
     new_session_id,
@@ -54,11 +57,11 @@ from .protocol import (
 from .residency import (
     BandwidthModel,
     ResidencyParams,
-    ResidencySessionReport,
     ResidencySettings,
+    default_threshold_ns,
     run_residency_session,
 )
-from .stattests import Decision, Verdict, continuous_measurement
+from .stattests import continuous_measurement
 from .vdf import VdfParams, VdfSettings, setup_group
 from .wire import (
     HEADER_LEN,
@@ -294,30 +297,6 @@ class RemoteWorker:
 
 # --- session reports ---------------------------------------------------------
 
-@dataclass
-class SessionReport:
-    """One session's rows and decision.  ``config`` holds the settings
-    that ran, typed and with defaults filled in, in config-block form."""
-
-    session_id: str
-    kind: str
-    decision: Decision
-    rows: list[dict] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.decision.accepted else 1
-
-    def verdict_line(self) -> str:
-        d = self.decision
-        return (
-            f"{self.kind}: {d.verdict.value} "
-            f"(statistic={d.statistic:.6g}, threshold={d.threshold:.6g}, "
-            f"alpha={d.alpha}, rounds={d.samples_used}, invalid={d.invalid_count})"
-        )
-
-
 def rows_to_csv(rows: list[dict], header: tuple[str, ...]) -> str:
     out = [",".join(header)]
     for row in rows:
@@ -338,7 +317,8 @@ def write_report(report: SessionReport, out_path: str) -> None:
 
     out_path names the CSV; the summary lands at out_path + ".json".
     The CSV columns are the keys of the first row, in order: a session
-    of any mode runs at least one round, and its rows share one layout.
+    of any mode runs at least one round, and every mode writes the
+    columns of ``protocol.run_session``.
     """
     header = tuple(report.rows[0]) if report.rows else ()
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -368,32 +348,48 @@ def write_report(report: SessionReport, out_path: str) -> None:
 def _session_plan(session: SessionSettings, config: dict):
     """What a session runs on besides its session keys, parsed, defaults filled in.
 
-    A residency session gets its settings, challenge params and bandwidth
-    model; a pow, vdf or gemm session its challenge params, as the dict
-    it sends.  A vdf block without ``modulus_n`` gets a fresh group of
+    A residency session gets its settings (``threshold_ns`` worked out
+    if left out), challenge params and bandwidth model; a pow, vdf or
+    gemm session its challenge params, as the dict it sends.  Every
+    block the config holds is parsed, whichever mode runs, so a bad key
+    or value raises ValueError here, before any worker is contacted.
+    """
+    model = bandwidth_model_from_dict(config.get("bandwidth"))
+    profile_from_dict(config.get("profile"))
+    plans = {m: _block_plan(m, session, config) for m in MODES if m in config or m == session.kind}
+    if session.kind != "residency":
+        return plans[session.kind]
+    settings, params = plans["residency"]
+    if settings.threshold_ns is None:
+        threshold_ns = default_threshold_ns(settings.dataset_mib << 20, model)
+        settings = replace(settings, threshold_ns=threshold_ns)
+    return settings, params, model
+
+
+def _block_plan(mode: str, session: SessionSettings, config: dict):
+    """The ``mode`` block, parsed by the classes that read it.
+
+    A vdf block without ``modulus_n`` gets a fresh group of
     ``VdfSettings.modulus_bits``, drawn from an rng of its own seeded by
     the session seed, not from the session rng: a replay that reads the
-    recorded ``modulus_n`` then draws the same challenges.  A bad value
-    raises ValueError here, before any worker is contacted.
+    recorded ``modulus_n`` then draws the same challenges.  A vdf block
+    that does not run draws none; 15, the least modulus, stands in.
     """
-    kind = session.kind
-    section = config.get(kind)
-    if kind == "residency":
-        settings, params = _split_block(section, (ResidencySettings, ResidencyParams), kind)
+    section = config.get(mode)
+    if mode == "residency":
+        settings, params = _split_block(section, (ResidencySettings, ResidencyParams), mode)
         if "rounds" in config:  # a session-wide round count, unless overridden
             settings.setdefault("rounds", session.rounds)
-        return (
-            _parse_fields(ResidencySettings, settings),
-            params_for("residency", params),
-            bandwidth_model_from_dict(config.get("bandwidth")),
-        )
-    if kind == "vdf":
-        settings, section = _split_block(section, (VdfSettings, VdfParams), kind)
-        if "modulus_n" not in section:
-            bits = _parse_fields(VdfSettings, settings).modulus_bits
+        return _parse_fields(ResidencySettings, settings), params_for(mode, params)
+    if mode == "vdf":
+        settings, section = _split_block(section, (VdfSettings, VdfParams), mode)
+        bits = _parse_fields(VdfSettings, settings).modulus_bits
+        if session.kind != "vdf":
+            section.setdefault("modulus_n", 15)
+        elif "modulus_n" not in section:
             group_rng = random.Random(f"vdf-group-{session.seed}")
             section["modulus_n"] = setup_group(bits, group_rng).modulus_N
-    return asdict(params_for(kind, section))
+    return asdict(params_for(mode, section))
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -430,10 +426,9 @@ def _run_session(
     kind = session.kind
     session_id = new_session_id(rng)
     worker.session_id = session_id
-    rows: list[dict] = []
     if kind == "residency":
         settings, params, model = plan
-        res_report = run_residency_session(
+        report = run_residency_session(
             worker,
             rounds=settings.rounds,
             t_max_s=settings.t_max_s,
@@ -443,10 +438,7 @@ def _run_session(
             threshold_ns=settings.threshold_ns,
             argon_memory_kib=params.argon_memory_kib,
             rng=rng,
-            sink=rows.append,
         )
-        decision = _residency_decision(res_report)
-        settings = replace(settings, threshold_ns=res_report.threshold_ns)
         session = replace(session, rounds=settings.rounds)
         ran = {
             "residency": {**asdict(settings), **asdict(params)},
@@ -458,35 +450,18 @@ def _run_session(
         driver = SessionDriver(
             worker=worker, mode=kind, params=params, rng=rng, session_id=session_id
         )
+        rows: list[dict] = []
         decision = continuous_measurement(
             driver,
             n=session.rounds,
             lambda_min=session.lambda_min,
-            interval_s=session.interval_s,
             t0_s=session.t0_ns * 1e-9,
             kind=kind,
             sink=rows.append,
         )
+        report = SessionReport(session_id.hex(), kind, decision, rows)
         ran = {kind: params}
-    return SessionReport(
-        session_id=session_id.hex(),
-        kind=kind,
-        decision=decision,
-        rows=rows,
-        config={**asdict(session), **ran},
-    )
-
-
-def _residency_decision(res_report: ResidencySessionReport) -> Decision:
-    flagged = res_report.cold_count + res_report.invalid_count
-    verdict = Verdict.ACCEPT if res_report.overall_pass else Verdict.REJECT
-    return Decision(
-        verdict=verdict,
-        statistic=float(flagged),
-        threshold=0.0,
-        samples_used=len(res_report.rows),
-        invalid_count=res_report.invalid_count,
-    )
+    return replace(report, config={**asdict(session), **ran})
 
 
 def run_local_session(
@@ -535,7 +510,6 @@ class SessionSettings:
     seed: int = 0
     rounds: int = 20
     lambda_min: float = 1.0
-    interval_s: float = 0.0
     t0_ns: int = 0
 
     def __post_init__(self) -> None:
@@ -545,8 +519,6 @@ class SessionSettings:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if self.lambda_min <= 0:
             raise ValueError(f"lambda_min must be positive, got {self.lambda_min}")
-        if self.interval_s < 0:
-            raise ValueError(f"interval_s cannot be negative, got {self.interval_s}")
         if self.t0_ns < 0:
             raise ValueError(f"t0_ns cannot be negative, got {self.t0_ns}")
 

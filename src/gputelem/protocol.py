@@ -1,21 +1,23 @@
-"""Challenge construction, response validation, and session driving.
+"""Challenge construction, response validation, and the session loop.
 
 This layer owns the record schemas that travel inside wire payloads and
 the verification dispatch that turns a raw response into a valid/invalid
 verdict.  A response record carries the solution and nothing that
 vouches for it: host and device may both be untrusted, so a round is
 valid only if the challenger's own recomputation accepts it.  Every
-mode, residency included, runs through one round step
-(``SessionDriver.step``): issue a challenge, time the worker's answer on
-the challenger's clock, validate the response.  The in-process fast path
-and the TCP daemons share it, so a decision reached against a
-virtual-clock worker is reached by identical code against a live one.
+mode, residency included, runs through one session loop
+(``run_session``) of one round (``SessionDriver.run_round``): issue a
+challenge, time the worker's answer on the challenger's clock, validate
+the response, write one row.  The in-process fast path and the TCP
+daemons share it, so a decision reached against a virtual-clock worker
+is reached by identical code against a live one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,13 +25,16 @@ from . import vdf as vdf_mod
 from .core import (
     Challenge,
     Response,
+    TimingSample,
     _parse_fields,
     generate_salt,
+    hash_bytes,
     issued_at_micros,
 )
 from .gemm import GemmParams, GemmProof, matrix_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
 from .residency import DatasetSpec, ResidencyParams, verify_probe
+from .stattests import Decision, Verdict
 
 MODES = ("pow", "vdf", "gemm", "residency")
 
@@ -272,19 +277,18 @@ def _validate_residency(
     )
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     """One round on the challenger's clock; no response if the worker failed it."""
 
-    challenge: Challenge
-    response: Response | None
     duration: float
     valid: bool
+    challenge: Challenge | None = None
+    response: Response | None = None
 
 
 @dataclass
 class SessionDriver:
-    """The round step of every session, whatever the mode or transport.
+    """The round of every session, whatever the mode or transport.
 
     Issues a fresh challenge each round, times the worker's answer on
     the challenger's clock, and validates the response; a residency
@@ -310,7 +314,7 @@ class SessionDriver:
     def sleep_until(self, deadline: float) -> None:
         self.worker.sleep_until(deadline)
 
-    def step(self, index: int, kind: str | None = None) -> Round:
+    def run_round(self, index: int, kind: str | None = None) -> Round:
         challenge = build_challenge(
             self.session_id, index, kind or self.mode, self.rng, self.now(), self.params
         )
@@ -320,11 +324,91 @@ class SessionDriver:
         except TransportError:
             raise
         except Exception:  # a worker that fails a round has answered it wrongly
-            return Round(challenge, None, self.now() - started, False)
+            return Round(self.now() - started, False, challenge)
         duration = self.now() - started
         valid = validate_response(challenge, response, self.dataset)
-        return Round(challenge, response, duration, valid)
+        return Round(duration, valid, challenge, response)
 
-    def run_round(self, index: int, kind: str | None = None) -> tuple[float, bool]:
-        result = self.step(index, kind)
-        return result.duration, result.valid
+
+@dataclass
+class SessionReport:
+    """One session's rows and decision.  ``config`` holds the settings
+    that ran, typed and with defaults filled in, in config-block form."""
+
+    session_id: str
+    kind: str
+    decision: Decision
+    rows: list[dict] = field(default_factory=list)
+    config: dict = field(default_factory=dict)
+
+    @property
+    def overall_pass(self) -> bool:
+        return self.decision.accepted
+
+    @property
+    def invalid_count(self) -> int:
+        return self.decision.invalid_count
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.overall_pass else 1
+
+    def verdict_line(self) -> str:
+        d = self.decision
+        return (
+            f"{self.kind}: {d.verdict.value} "
+            f"(statistic={d.statistic:.6g}, threshold={d.threshold:.6g}, "
+            f"alpha={d.alpha}, rounds={d.samples_used}, invalid={d.invalid_count})"
+        )
+
+
+def run_session(
+    driver,
+    rounds: int,
+    kind: str,
+    decide: Callable[[list[TimingSample]], Decision],
+    wait: Callable[[], float] | None = None,
+    classify: Callable[[TimingSample], str] | None = None,
+    sink: Callable[[dict], None] | None = None,
+) -> SessionReport:
+    """The session loop of every mode: ``rounds`` rounds, then ``decide``.
+
+    ``driver`` has ``session_id``, ``now()``, ``sleep_until(t)`` and
+    ``run_round(index, kind)``, returning a ``Round`` or a bare
+    ``(duration, valid)`` pair.  A round first waits ``wait()`` seconds,
+    if given, then writes one row, handed to ``sink`` too: the salt's
+    SHA-256, the challenger-clock ``total_ns``, the ``kernel_ns`` the
+    worker reported on a valid round (else 0), the ``classify`` label
+    (else empty) and ``valid``.  After ``decide``, any invalid round
+    rejects the session, so a worker cannot drop its slow rounds.
+    """
+    if rounds < 1:
+        raise ValueError("need at least one round")
+    session_id = driver.session_id.hex()
+    samples: list[TimingSample] = []
+    rows: list[dict] = []
+    for i in range(rounds):
+        if wait is not None:
+            driver.sleep_until(driver.now() + wait())
+        result = Round(*driver.run_round(i, kind))
+        sample = TimingSample(index=i, mode=kind, duration=result.duration, valid=result.valid)
+        samples.append(sample)
+        challenge, response = result.challenge, result.response
+        row = {
+            "session_id": session_id,
+            "round": i,
+            "kind": kind,
+            "salt_digest": hash_bytes(challenge.salt).hex() if challenge else "",
+            "total_ns": int(result.duration * 1e9),
+            "kernel_ns": response.payload.get("kernel_time_ns", 0) if result.valid and response else 0,
+            "verdict": classify(sample) if classify else "",
+            "valid": result.valid,
+        }
+        rows.append(row)
+        if sink is not None:
+            sink(row)
+    decision = decide(samples)
+    invalid = sum(not s.valid for s in samples)
+    if invalid:
+        decision = replace(decision, verdict=Verdict.REJECT, invalid_count=invalid)
+    return SessionReport(session_id, kind, decision, rows)

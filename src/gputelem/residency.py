@@ -57,6 +57,7 @@ from .core import (
     keyed_stream,
     keyed_xor,
 )
+from .stattests import Decision, Verdict
 
 DEFAULT_BLOCK_BYTES = 1 << 20  # matches the per-instance Argon2id memory cost
 SKETCH_WORDS = 512  # mu has about max(SKETCH_WORDS, block count) words
@@ -426,15 +427,6 @@ def classify_residency(timing: TimingSample, threshold_ns: int) -> Residency:
     return Residency.HOT if timing.duration * 1e9 < threshold_ns else Residency.COLD
 
 
-@dataclass
-class ResidencySessionReport:
-    rows: list[dict]
-    overall_pass: bool
-    cold_count: int
-    invalid_count: int
-    threshold_ns: int
-
-
 def run_residency_session(
     worker,
     rounds: int,
@@ -446,22 +438,20 @@ def run_residency_session(
     argon_memory_kib: int = ResidencyParams.argon_memory_kib,
     rng: random.Random | None = None,
     sink=None,
-) -> ResidencySessionReport:
+):
     """Full session: plant the dataset, then probe at random times.
 
-    The pre-challenge plants the dataset on the worker; the challenger
-    keeps only its ``DatasetSpec``.  Each round waits a uniform interval,
-    then takes the session driver's round step: a fresh nonce (the
-    challenge salt), the answer timed on the challenger's clock, and its
-    digest checked by ``verify_probe`` against the seed.  The measured
-    time is classified Hot or Cold.  A digest that fails verification
-    marks the round invalid regardless of how fast it was; any Cold or
-    invalid round fails the session overall.  A row's ``kernel_ns`` is
-    the worker's report on a valid round and 0 on an invalid one.
+    The pre-challenge plants the dataset; the challenger keeps only its
+    ``DatasetSpec``.  ``protocol.run_session`` then runs the rounds and
+    returns its ``SessionReport``: each round waits ``schedule_next``,
+    sends a fresh nonce (the challenge salt) and checks the digest by
+    ``verify_probe`` against the seed.  A row's verdict is Hot or Cold
+    against ``threshold_ns``; the statistic counts Cold or invalid
+    rounds, with threshold 0 and no level, so any such round fails.
     """
-    from .protocol import SessionDriver  # protocol imports this module
+    from .protocol import SessionDriver, run_session  # protocol imports this module
 
-    if rounds < 1:
+    if rounds < 1:  # before the dataset is planted
         raise ValueError("need at least one round")
     rng = rng if rng is not None else random.Random()
     model = model if model is not None else BandwidthModel()
@@ -472,45 +462,16 @@ def run_residency_session(
     worker.pre_challenge(
         {"session_id": session_id, "kind": "residency", "residency": asdict(spec)}
     )
-    driver = SessionDriver(
-        worker=worker,
-        mode="residency",
-        params=asdict(ResidencyParams(argon_memory_kib)),
-        rng=rng,
-        session_id=session_id,
-        dataset=spec,
-    )
-    rows: list[dict] = []
-    cold = 0
-    invalid = 0
-    for i in range(rounds):
-        driver.sleep_until(driver.now() + schedule_next(t_max_s, rng))
-        step = driver.step(i)
-        timing = TimingSample(
-            index=i, mode="residency", duration=step.duration, valid=step.valid
-        )
-        verdict = classify_residency(timing, threshold_ns)
-        if not step.valid:
-            invalid += 1
-        elif verdict is Residency.COLD:
-            cold += 1
-        row = {
-            "round": i,
-            "nonce_digest": hash_bytes(step.challenge.salt).hex(),
-            "total_ns": int(step.duration * 1e9),
-            "kernel_ns": (
-                step.response.payload.get("kernel_time_ns", 0) if step.valid else 0
-            ),
-            "verdict": verdict.value,
-            "valid": step.valid,
-        }
-        rows.append(row)
-        if sink is not None:
-            sink(row)
-    return ResidencySessionReport(
-        rows=rows,
-        overall_pass=(cold == 0 and invalid == 0),
-        cold_count=cold,
-        invalid_count=invalid,
-        threshold_ns=threshold_ns,
-    )
+    params = asdict(ResidencyParams(argon_memory_kib))
+    driver = SessionDriver(worker, "residency", params, rng, session_id, dataset=spec)
+
+    def classify(sample: TimingSample) -> str:
+        return classify_residency(sample, threshold_ns).value
+
+    def decide(samples: list[TimingSample]) -> Decision:
+        flagged = sum(not s.valid or classify(s) == Residency.COLD for s in samples)
+        verdict = Verdict.REJECT if flagged else Verdict.ACCEPT
+        return Decision(verdict, float(flagged), threshold=0.0, samples_used=len(samples))
+
+    wait = functools.partial(schedule_next, t_max_s, rng)
+    return run_session(driver, rounds, "residency", decide, wait, classify, sink)

@@ -10,16 +10,18 @@ inverting the regularized incomplete gamma function; no statistics
 library is involved, which keeps the challenger's accept/reject rule
 bit-for-bit reproducible everywhere.
 
-A pow, vdf or gemm session (``continuous_measurement``) decides with the
+A pow, vdf or gemm session (``continuous_measurement``) runs the one
+session loop, ``protocol.run_session``, and decides with the
 fixed-sample test at level ``SESSION_ALPHA``: the statistic is the
-challenger-clock time of all its rounds, and any invalid round rejects
-the session, so a worker cannot drop the rounds it finds slow.
+challenger-clock time of all its rounds.  The loop then rejects a
+session with any invalid round, whatever its mode, so a worker cannot
+drop the rounds it finds slow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -278,47 +280,24 @@ def continuous_measurement(
     worker,
     n: int,
     lambda_min: float,
-    interval_s: float = 0.0,
     t0_s: float = 0.0,
     kind: str = "pow",
     sink: Callable[[dict], None] | None = None,
 ) -> Decision:
-    """Run n challenge rounds against a live worker session and decide.
+    """Run n back-to-back rounds of a pow, vdf or gemm session and decide.
 
-    ``worker`` is any session handle exposing run_round(index, kind) ->
-    (total_time_s, valid), now() -> s, and sleep_until(deadline_s).
-    The decision is ``fixed_sample_test`` at level ``SESSION_ALPHA`` on
-    the raw times of all n rounds, with the latency floor t0 added to the
-    threshold once per round.  Any invalid round rejects the session:
-    dropping a slow round by answering garbage would otherwise discard
-    exactly the samples that carry the test's power.
+    ``worker`` is any handle ``protocol.run_session`` drives, and
+    ``sink`` gets each round's row.  The decision is
+    ``fixed_sample_test`` at level ``SESSION_ALPHA`` on the raw times of
+    all n rounds, with the latency floor t0 added to the threshold once
+    per round; then any invalid round rejects the session.
     """
-    if n < 1:
-        raise ValueError("need at least one round")
+    from .protocol import run_session  # protocol imports this module
+
     cfg = TestConfig(lambda_min, SESSION_ALPHA, n=n, t0_ns=round(t0_s * 1e9))
-    session_id = getattr(worker, "session_id", b"")
-    samples = []
-    for i in range(n):
-        round_start = worker.now()
-        total_time, valid = worker.run_round(i, kind)
-        samples.append(TimingSample(index=i, mode=kind, duration=total_time, valid=valid))
-        if sink is not None:
-            sink(
-                {
-                    "session_id": session_id.hex() if isinstance(session_id, bytes) else str(session_id),
-                    "round": i,
-                    "kind": kind,
-                    "total_time_ns": int(total_time * 1e9),
-                    "valid": valid,
-                }
-            )
-        if interval_s > 0:
-            worker.sleep_until(round_start + interval_s)
-    decision = fixed_sample_test(samples, cfg)
-    invalid = sum(not s.valid for s in samples)
-    if invalid:
-        decision = replace(decision, verdict=Verdict.REJECT, invalid_count=invalid)
-    return decision
+    return run_session(
+        worker, n, kind, lambda samples: fixed_sample_test(samples, cfg), sink=sink
+    ).decision
 
 
 def utilization_proxy(batch_times: Mapping[int, float]) -> dict[int, float]:

@@ -57,7 +57,8 @@ CHALLENGE_PRIME_BITS = 128
 _PRODUCTION_BITS = (128, 512, 1024, 2048)
 
 # The largest delay and batch a challenge may name: a worker builds 2^T
-# (2 MiB at most) and runs about 2T squarings for each instance.
+# (2 MiB at most) and runs about 2T squarings for each instance, and the
+# delays of one challenge sum to at most MAX_DELAY.
 MAX_DELAY = 1 << 24
 MAX_INSTANCES = 4096
 
@@ -317,10 +318,11 @@ class VdfParams:
             raise ValueError(f"modulus_n must have at most {max(_PRODUCTION_BITS)} bits")
         if not 1 <= self.t_min <= self.t_max:
             raise ValueError("need 1 <= t_min <= t_max")
-        if self.t_max > MAX_DELAY:
-            raise ValueError(f"t_max must be at most {MAX_DELAY}")
         if not 1 <= self.instances <= MAX_INSTANCES:
             raise ValueError(f"instances must lie in [1, {MAX_INSTANCES}]")
+        # the total, not each chain: one serving thread may run all of them
+        if self.instances * self.t_max > MAX_DELAY:
+            raise ValueError(f"instances * t_max must be at most {MAX_DELAY}")
 
     def derive_instances(self, sid: bytes) -> list[VdfInstance]:
         return [

@@ -96,7 +96,7 @@ def test_challenger_refuses_a_fractional_round_count(tmp_path, daemon, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("rounds", 0), ("lambda_min", 0.0), ("lambda_min", -1.0), ("interval_s", -0.5), ("t0_ns", -1)],
+    [("rounds", 0), ("lambda_min", 0.0), ("lambda_min", -1.0), ("t0_ns", -1)],
 )
 def test_challenger_refuses_bad_session_values_before_connecting(
     tmp_path, daemon, monkeypatch, capsys, key, value
@@ -155,6 +155,8 @@ def test_challenger_refuses_bad_residency_values_before_connecting(
         ({"instances": 10**8}, "instances"),
         ({"t_max": 2**40}, "t_max"),
         ({"modulus_n": (1 << 14279) | 1}, "modulus_n"),
+        # each in range, but 4096 chains of 2^24 squarings for one serving thread
+        ({"instances": 4096, "t_max": 1 << 24}, "t_max must be at most"),
     ],
 )
 def test_challenger_refuses_bad_vdf_values_before_connecting(
@@ -174,8 +176,32 @@ def test_challenger_refuses_bad_vdf_values_before_connecting(
         ("gemm", {"gemm": {"dimension": 8}}, "dimension"),
         ("residency", {"residency": {"dataset_mb": 1}}, "dataset_mb"),
         ("pow", {"pow": 5}, "pow must be a key-value block"),
+        ("pow", {"interval_s": -0.5}, "interval_s"),
+        # a block the session does not read is parsed all the same
+        ("pow", {"vdf": {"modulus_bitz": 1}}, "modulus_bitz"),
+        ("pow", {"bandwidth": {"hbm_bww": 1}}, "hbm_bww"),
+        ("pow", {"gemm": {"dimension": 8}}, "dimension"),
+        ("gemm", {"residency": {"dataset_mb": 1}}, "dataset_mb"),
+        ("pow", {"profile": {"hash_rate": 1}}, "hash_rate"),
+        ("pow", {"vdf": {"t_min": 0}}, "t_min"),
+        ("pow", {"residency": {"dataset_mib": 0}}, "dataset_mib"),
     ],
-    ids=["top-level", "pow", "vdf", "gemm", "residency", "pow-not-a-block"],
+    ids=[
+        "top-level",
+        "pow",
+        "vdf",
+        "gemm",
+        "residency",
+        "pow-not-a-block",
+        "interval_s",
+        "unread-vdf",
+        "unread-bandwidth",
+        "unread-gemm",
+        "unread-residency",
+        "unread-profile",
+        "unread-vdf-value",
+        "unread-residency-value",
+    ],
 )
 def test_challenger_refuses_a_key_nothing_reads(
     tmp_path, daemon, monkeypatch, capsys, mode, config, key

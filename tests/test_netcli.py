@@ -20,6 +20,7 @@ from gputelem import netcli
 from gputelem.protocol import (
     ProtocolError,
     SessionDriver,
+    SessionReport,
     build_challenge,
     challenge_record,
     parse_response,
@@ -27,7 +28,6 @@ from gputelem.protocol import (
 )
 from gputelem.residency import (
     BandwidthModel,
-    ResidencySessionReport,
     default_threshold_ns,
     run_residency_session,
 )
@@ -148,6 +148,10 @@ def test_session_report_exit_codes():
     assert line == "pow: Accept (statistic=0.1, threshold=0.5, alpha=0.05, rounds=10, invalid=0)"
     line = netcli.SessionReport("s", "residency", decision=reject).verdict_line()
     assert "Reject" in line and "alpha=None" in line and "invalid=10" in line
+    # the one report of every mode, read the same way
+    assert netcli.SessionReport is SessionReport
+    report = SessionReport("s", "residency", decision=reject)
+    assert (report.overall_pass, report.invalid_count) == (False, 10)
 
 
 def test_write_report_emits_csv_and_json(tmp_path):
@@ -269,9 +273,9 @@ def test_config_block_fields_round_trip_from_yaml_number_strings(cls, parse):
 def test_residency_config_without_session_keys_keeps_its_defaults(monkeypatch):
     calls = []
 
-    def fake_session(worker, rng, sink, **kwargs):
+    def fake_session(worker, rng, **kwargs):
         calls.append(kwargs)
-        return ResidencySessionReport([], True, 0, 0, 1)
+        return SessionReport("", "residency", Decision(Verdict.ACCEPT, 0.0, 0.0, 1))
 
     monkeypatch.setattr(netcli, "run_residency_session", fake_session)
     configs = [
@@ -288,7 +292,8 @@ def test_residency_config_without_session_keys_keeps_its_defaults(monkeypatch):
         "dataset_bytes": 64 << 20,
         "block_size_bytes": 1 << 20,
         "model": BandwidthModel(),
-        "threshold_ns": None,
+        # worked out before the session, so the sidecar records it
+        "threshold_ns": default_threshold_ns(64 << 20, BandwidthModel()),
         "argon_memory_kib": 1024,
     }
     assert calls == [
@@ -347,7 +352,6 @@ def test_session_keys_accept_yaml_number_strings():
         "seed": 1,
         "rounds": 20,
         "lambda_min": 1e-3,
-        "interval_s": 0.0,
         "t0_ns": 0,
         "pow": {"difficulty": 1, "argon_passes": 1, "argon_lanes": 1, "argon_memory_kib": 8},
     }
@@ -464,7 +468,7 @@ def test_remote_gemm_round_on_the_default_dimension_is_valid(daemon):
         driver = SessionDriver(
             worker=remote, mode="gemm", params={"difficulty_d": 0}, rng=random.Random(5)
         )
-        assert driver.step(0).valid
+        assert driver.run_round(0).valid
     finally:
         remote.close()
 
@@ -687,7 +691,29 @@ def test_run_local_session_accept_and_reject():
     assert fast.decision.verdict is Verdict.ACCEPT
     assert slow.decision.verdict is Verdict.REJECT
     assert fast.rows[0]["kind"] == "pow"
-    assert tuple(fast.rows[0]) == ("session_id", "round", "kind", "total_time_ns", "valid")
+
+
+def test_every_mode_writes_one_row_layout():
+    configs = {
+        "pow": {"pow": {"difficulty": 1, "argon_memory_kib": 8}},
+        "gemm": {"gemm": {"dimension_n": 8, "difficulty_d": 0}},
+        "vdf": {"vdf": {"modulus_n": _SMALL_BLOCKS["vdf"]["modulus_n"], "t_min": 16, "t_max": 32}},
+        "residency": {"residency": {"dataset_mib": 1, "block_kib": 256, "argon_memory_kib": 8}},
+    }
+    reports = {
+        kind: netcli.run_local_session(kind, WorkerProfile(), {"rounds": 2, **config}, seed=3)
+        for kind, config in configs.items()
+    }
+    assert {tuple(report.rows[0]) for report in reports.values()} == {
+        ("session_id", "round", "kind", "salt_digest", "total_ns", "kernel_ns", "verdict", "valid")
+    }
+    for kind, report in reports.items():
+        assert [row["kind"] for row in report.rows] == [kind, kind]
+        assert all(row["session_id"] == report.session_id for row in report.rows)
+        # only residency labels its rounds; every mode keeps the kernel time
+        labels = {row["verdict"] for row in report.rows}
+        assert labels <= ({"Hot", "Cold"} if kind == "residency" else {""})
+        assert all(row["kernel_ns"] > 0 for row in report.rows)
 
 
 def test_run_local_session_residency_report_shape():
@@ -710,7 +736,6 @@ def test_run_local_session_residency_report_shape():
     assert report.config["residency"]["threshold_ns"] == default_threshold_ns(1 << 20, BandwidthModel())
     assert report.config["bandwidth"] == dataclasses.asdict(BandwidthModel())
     assert len(report.rows) == 4
-    assert tuple(report.rows[0]) == ("round", "nonce_digest", "total_ns", "kernel_ns", "verdict", "valid")
 
 
 def test_run_local_session_residency_flags_eviction():

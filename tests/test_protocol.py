@@ -17,6 +17,7 @@ from gputelem.core import Challenge, Response, encode_fields, hash_bytes, issued
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.pow import PowParams
 from gputelem.residency import SPOT_CHECKS, DatasetSpec, ResidencyParams
+from gputelem.stattests import Verdict, continuous_measurement
 from gputelem.vdf import VdfParams
 from gputelem.worksim import SimWorker, WorkerProfile
 
@@ -444,6 +445,14 @@ def test_params_for_coerces_by_the_config_rules():
         protocol.params_for("pow", {"difficulty": 2.5})
 
 
+def test_params_for_bounds_the_squarings_of_a_whole_vdf_challenge():
+    # each field is in range, but one serving thread may run all the chains
+    at_cap = {"modulus_n": 77, "t_min": 1, "t_max": 1 << 12, "instances": 4096}
+    assert protocol.params_for("vdf", at_cap).instances == 4096
+    with pytest.raises(ValueError, match="instances \\* t_max"):
+        protocol.params_for("vdf", {**at_cap, "t_max": 1 << 24})
+
+
 # --- session driver -----------------------------------------------------------------
 
 
@@ -457,13 +466,15 @@ def test_session_driver_rounds_validate_and_advance_the_clock():
     )
     assert len(driver.session_id) == 32
     t0 = driver.now()
-    duration, valid = driver.run_round(0)
-    assert valid and duration > 0
-    assert driver.now() == pytest.approx(t0 + duration)
-    # per-round kind override reuses the same session
-    params_any = {"difficulty": 3, "argon_memory_kib": 8}
-    duration2, valid2 = driver.run_round(1, kind="pow")
-    assert valid2 and params_any  # round 1 also verified
+    first = driver.run_round(0)
+    assert first.valid and first.duration > 0
+    assert driver.now() == pytest.approx(t0 + first.duration)
+    # a kind given per round runs in the same session, on a fresh salt
+    second = driver.run_round(1, kind="pow")
+    assert second.valid and second.challenge.mode == "pow"
+    assert second.challenge.session_id == first.challenge.session_id == driver.session_id
+    assert (second.challenge.index, first.challenge.index) == (1, 0)
+    assert second.challenge.salt != first.challenge.salt
 
 
 def test_session_driver_reports_worker_exception_as_invalid():
@@ -480,8 +491,9 @@ def test_session_driver_reports_worker_exception_as_invalid():
     driver = protocol.SessionDriver(
         worker=_Exploding(), mode="pow", params={"difficulty": 1}, rng=random.Random(4)
     )
-    duration, valid = driver.run_round(0)
-    assert not valid
+    result = driver.run_round(0)
+    assert not result.valid and result.response is None
+    assert result.challenge.mode == "pow"
 
 
 def test_session_driver_lets_a_transport_error_end_the_session():
@@ -500,7 +512,7 @@ def test_session_driver_lets_a_transport_error_end_the_session():
     assert netcli.TransportError is protocol.TransportError
 
 
-def test_session_driver_step_keeps_the_round_for_the_caller():
+def test_session_driver_round_keeps_the_challenge_and_response():
     worker = SimWorker(WorkerProfile(), seed=21)
     driver = protocol.SessionDriver(
         worker=worker,
@@ -508,6 +520,88 @@ def test_session_driver_step_keeps_the_round_for_the_caller():
         params={"difficulty": 2, "argon_memory_kib": 8},
         rng=random.Random(3),
     )
-    step = driver.step(0)
-    assert step.valid and step.response.matches(step.challenge)
-    assert step.duration == pytest.approx(step.response.solve_time)
+    result = driver.run_round(0)
+    assert result.valid and result.response.matches(result.challenge)
+    assert result.duration == pytest.approx(result.response.solve_time)
+
+
+# --- session loop ------------------------------------------------------------------
+#
+# The handles below are the two shapes a benchmark or a tracer hands the
+# loop: a replay with nothing but the four names the loop reads, whose
+# rounds are bare (duration, valid) pairs, and a proxy that forwards
+# run_round(index, kind) positionally to a real SessionDriver.
+
+
+class _BarePairs:
+    session_id = b"\x01" * 32
+
+    def __init__(self, outcomes):
+        self._outcomes = outcomes
+
+    def now(self):
+        return 0.0
+
+    def sleep_until(self, deadline):
+        pass
+
+    def run_round(self, index, kind=None):
+        return self._outcomes[index]
+
+
+class _Proxy:
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def session_id(self):
+        return self._inner.session_id
+
+    def now(self):
+        return self._inner.now()
+
+    def sleep_until(self, deadline):
+        self._inner.sleep_until(deadline)
+
+    def run_round(self, index, kind=None):
+        return self._inner.run_round(index, kind)
+
+
+def test_a_handle_of_bare_pairs_drives_the_session_loop():
+    rows = []
+    d = continuous_measurement(
+        _BarePairs([(0.5, True)] * 3), n=3, lambda_min=1.0, kind="pow", sink=rows.append
+    )
+    assert d.accepted and d.statistic == pytest.approx(1.5)
+    assert rows[0] == {
+        "session_id": "01" * 32,
+        "round": 0,
+        "kind": "pow",
+        "salt_digest": "",
+        "total_ns": 500_000_000,
+        "kernel_ns": 0,
+        "verdict": "",
+        "valid": True,
+    }
+    d = continuous_measurement(
+        _BarePairs([(0.5, True), (0.1, False)]), n=2, lambda_min=1.0, kind="vdf"
+    )
+    assert (d.verdict, d.invalid_count, d.samples_used) == (Verdict.REJECT, 1, 2)
+
+
+def test_a_positional_proxy_drives_a_real_session_driver():
+    def driver():
+        return protocol.SessionDriver(
+            worker=SimWorker(WorkerProfile(hash_rate_r=64.0), seed=5),
+            mode="pow",
+            params={"difficulty": 1, "argon_memory_kib": 8},
+            rng=random.Random(6),
+        )
+
+    proxied, direct = [], []
+    d = continuous_measurement(_Proxy(driver()), n=3, lambda_min=1.0, sink=proxied.append)
+    assert d == continuous_measurement(driver(), n=3, lambda_min=1.0, sink=direct.append)
+    assert d.accepted and proxied == direct
+    for row in proxied:
+        assert row["valid"] and len(row["salt_digest"]) == 64
+        assert 0 < row["kernel_ns"] <= row["total_ns"]

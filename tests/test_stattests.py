@@ -225,13 +225,11 @@ class ScriptedWorker:
         self.script = list(script)
         self.session_id = b"\xaa" * 32
         self.t = 0.0
-        self.slept = []
 
     def now(self):
         return self.t
 
     def sleep_until(self, deadline):
-        self.slept.append(deadline)
         self.t = max(self.t, deadline)
 
     def run_round(self, index, kind):
@@ -294,8 +292,7 @@ def test_continuous_measurement_any_invalid_round_rejects():
     assert d.threshold == pytest.approx(_gamma_threshold(4), rel=1e-12)
     assert (d.samples_used, d.invalid_count) == (4, 1)
     assert [r["valid"] for r in rows] == [True, False, True, True]
-    assert [r["total_time_ns"] for r in rows] == [100_000_000] * 4
-    assert set(rows[0]) == {"session_id", "round", "kind", "total_time_ns", "valid"}
+    assert [r["total_ns"] for r in rows] == [100_000_000] * 4
 
 
 def test_continuous_measurement_all_invalid_is_reject():
@@ -303,14 +300,6 @@ def test_continuous_measurement_all_invalid_is_reject():
     assert d.verdict is Verdict.REJECT
     assert d.statistic == pytest.approx(3.0)
     assert (d.samples_used, d.invalid_count, d.alpha) == (3, 3, SESSION_ALPHA)
-
-
-def test_continuous_measurement_interval_scheduling():
-    worker = ScriptedWorker([(0.1, True)] * 3)
-    d = continuous_measurement(worker, n=3, lambda_min=1.0, interval_s=1.0)
-    assert worker.slept == [1.0, 2.0, 3.0]
-    # the waits between rounds are not round time
-    assert d.statistic == pytest.approx(0.3)
 
 
 def test_continuous_measurement_t0_adjustment():
