@@ -47,7 +47,7 @@ def main() -> None:
     digests = {}
     for name, r_gpu in sorted(vectors.items()):
         chal = masked_chal_from_seed(seed, size, block, r_gpu)
-        digests[name] = residency_probe(chal, nonce, argon_memory_kib=8).response_digest
+        digests[name] = residency_probe(chal, nonce).response_digest
         print(f"  {name:<11} {digests[name].hex()[:32]}...")
     names = sorted(digests)
     match = digests[names[0]] == digests[names[1]]

@@ -30,7 +30,6 @@ def run(profile: WorkerProfile, label: str, model: BandwidthModel) -> None:
         dataset_bytes=DATASET,
         block_size_bytes=BLOCK,
         model=model,
-        argon_memory_kib=8,
         rng=random.Random(f"residency-demo:{label}"),
     )
     verdicts = " ".join(

@@ -14,9 +14,8 @@ import sys
 from .netcli import (
     TransportError,
     load_config,
-    profile_from_dict,
     run_challenger,
-    run_worker,
+    worker_server,
 )
 from .protocol import MODES, ProtocolError
 from .scenarios import ScenarioError, run_scenario_file
@@ -80,16 +79,16 @@ def worker_main(argv: list[str] | None = None) -> int:
     doc["listen"] = args.listen
     doc["seed"] = args.seed
     try:
-        profile_from_dict(doc["profile"])
-    except ValueError as exc:
+        server = worker_server(doc)
+    except (OSError, ValueError) as exc:
         return _fail(f"profile: {exc}")
     print(f"worker: serving on {args.listen}", file=sys.stderr)
     try:
-        run_worker(doc)
+        server.serve_forever()
     except KeyboardInterrupt:
         return 0
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    finally:
+        server.server_close()
     return 0
 
 

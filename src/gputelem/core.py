@@ -157,13 +157,18 @@ class Challenge:
 
 @dataclass(frozen=True)
 class Response:
-    """Worker's answer to one challenge: an opaque payload plus timing."""
+    """Worker's answer to one challenge: an opaque payload plus timing.
+
+    ``solve_time`` is the worker's own modeled duration, which a daemon
+    shapes its reply latency to; it never crosses the wire, so a parsed
+    response holds the default 0.0.
+    """
 
     session_id: bytes
     index: int
     mode: str
     payload: dict
-    solve_time: float
+    solve_time: float = 0.0
 
     def matches(self, challenge: Challenge) -> bool:
         return (

@@ -21,11 +21,13 @@ Each config block is read by the dataclass it configures
 (``core._parse_fields``), whose field defaults are the only defaults:
 the top-level keys by ``SessionSettings``, ``profile`` by
 ``worksim.WorkerProfile``, ``bandwidth`` by ``residency.BandwidthModel``,
-a mode block by its challenge params class (``protocol.params_for``),
-and the ``vdf`` and ``residency`` blocks also by ``vdf.VdfSettings`` and
+the ``pow``, ``vdf`` and ``gemm`` blocks by their challenge params
+class (``protocol.params_for``), the ``vdf`` block also by
+``vdf.VdfSettings`` and the ``residency`` block by
 ``residency.ResidencySettings``.  The ``worker``/``listen`` addresses
 are read by ``_parse_address``.  A key that nothing reads is refused,
-and every block the config holds is parsed, whichever mode runs.
+and every block the config holds is parsed, whichever mode runs, by
+``challenger run`` and ``worker serve`` alike.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .protocol import (
 )
 from .residency import (
     BandwidthModel,
-    ResidencyParams,
     ResidencySettings,
     default_threshold_ns,
     run_residency_session,
@@ -228,18 +229,20 @@ def serve_worker_background(
     return WorkerDaemon(server=server, thread=thread)
 
 
-def run_worker(config: dict) -> None:
-    """Blocking daemon entry point; serves until interrupted."""
-    server = _WorkerServer(
+def worker_server(config: dict) -> _WorkerServer:
+    """The ``worker serve`` daemon of ``config``, bound but not yet serving.
+
+    Every block is parsed as ``challenger run`` parses it, so a bad key
+    or value raises ValueError before the port is bound.
+    """
+    session = _session_settings(config)
+    _session_plan(session, config)
+    return _WorkerServer(
         config.get("listen", "127.0.0.1:9333"),
         profile_from_dict(config.get("profile")),
-        _session_settings(config).seed,
+        session.seed,
         bandwidth_model_from_dict(config.get("bandwidth")),
     )
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
 
 
 # --- challenger-side client --------------------------------------------------
@@ -349,21 +352,21 @@ def _session_plan(session: SessionSettings, config: dict):
     """What a session runs on besides its session keys, parsed, defaults filled in.
 
     A residency session gets its settings (``threshold_ns`` worked out
-    if left out), challenge params and bandwidth model; a pow, vdf or
-    gemm session its challenge params, as the dict it sends.  Every
-    block the config holds is parsed, whichever mode runs, so a bad key
-    or value raises ValueError here, before any worker is contacted.
+    if left out) and bandwidth model; a pow, vdf or gemm session its
+    challenge params, as the dict it sends.  Every block the config
+    holds is parsed, whichever mode runs, so a bad key or value raises
+    ValueError here, before any worker is contacted.
     """
     model = bandwidth_model_from_dict(config.get("bandwidth"))
     profile_from_dict(config.get("profile"))
     plans = {m: _block_plan(m, session, config) for m in MODES if m in config or m == session.kind}
     if session.kind != "residency":
         return plans[session.kind]
-    settings, params = plans["residency"]
+    settings = plans["residency"]
     if settings.threshold_ns is None:
         threshold_ns = default_threshold_ns(settings.dataset_mib << 20, model)
         settings = replace(settings, threshold_ns=threshold_ns)
-    return settings, params, model
+    return settings, model
 
 
 def _block_plan(mode: str, session: SessionSettings, config: dict):
@@ -374,13 +377,15 @@ def _block_plan(mode: str, session: SessionSettings, config: dict):
     the session seed, not from the session rng: a replay that reads the
     recorded ``modulus_n`` then draws the same challenges.  A vdf block
     that does not run draws none; 15, the least modulus, stands in.
+    A residency block may still name ``argon_memory_kib``, which is
+    accepted and ignored: a probe has no memory-hard phase.
     """
     section = config.get(mode)
     if mode == "residency":
-        settings, params = _split_block(section, (ResidencySettings, ResidencyParams), mode)
+        (settings,) = _split_block(section, (ResidencySettings,), mode, ("argon_memory_kib",))
         if "rounds" in config:  # a session-wide round count, unless overridden
             settings.setdefault("rounds", session.rounds)
-        return _parse_fields(ResidencySettings, settings), params_for(mode, params)
+        return _parse_fields(ResidencySettings, settings)
     if mode == "vdf":
         settings, section = _split_block(section, (VdfSettings, VdfParams), mode)
         bits = _parse_fields(VdfSettings, settings).modulus_bits
@@ -427,7 +432,7 @@ def _run_session(
     session_id = new_session_id(rng)
     worker.session_id = session_id
     if kind == "residency":
-        settings, params, model = plan
+        settings, model = plan
         report = run_residency_session(
             worker,
             rounds=settings.rounds,
@@ -436,14 +441,10 @@ def _run_session(
             block_size_bytes=settings.block_kib << 10,
             model=model,
             threshold_ns=settings.threshold_ns,
-            argon_memory_kib=params.argon_memory_kib,
             rng=rng,
         )
         session = replace(session, rounds=settings.rounds)
-        ran = {
-            "residency": {**asdict(settings), **asdict(params)},
-            "bandwidth": asdict(model),
-        }
+        ran = {"residency": asdict(settings), "bandwidth": asdict(model)}
     else:
         params = plan
         worker.pre_challenge({"session_id": session_id, "kind": kind, "params": params})

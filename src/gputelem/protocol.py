@@ -33,7 +33,7 @@ from .core import (
 )
 from .gemm import GemmParams, GemmProof, matrix_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
-from .residency import DatasetSpec, ResidencyParams, verify_probe
+from .residency import DatasetSpec, verify_probe
 from .stattests import Decision, Verdict
 
 MODES = ("pow", "vdf", "gemm", "residency")
@@ -42,7 +42,6 @@ _PARAM_TYPES = {
     "pow": PowParams,
     "vdf": vdf_mod.VdfParams,
     "gemm": GemmParams,
-    "residency": ResidencyParams,
 }
 
 
@@ -65,7 +64,8 @@ def params_for(mode: str, params: dict):
     A key the dict omits takes its dataclass default, and a key that is
     not a field of the mode's params class is refused (ValueError): a
     challenge carries only params, and a config block that also holds
-    session keys (``modulus_bits``, ``dataset_mib``) is split first.
+    session keys (``modulus_bits``) is split first.  A residency
+    challenge carries no params, so its mode has no class here.
     """
     cls = _PARAM_TYPES.get(mode)
     if cls is None:
@@ -115,14 +115,18 @@ def build_challenge(
 
 
 def challenge_record(challenge: Challenge) -> dict:
-    return {
+    """Wire form of a challenge; empty params are left out, as the codec
+    refuses an empty mapping and ``parse_challenge`` defaults them."""
+    record = {
         "session_id": challenge.session_id,
         "index": challenge.index,
         "mode": challenge.mode,
         "salt": challenge.salt,
         "issued_at_us": issued_at_micros(challenge.issued_at),
-        "params": {k: v for k, v in sorted(challenge.params.items())},
     }
+    if challenge.params:
+        record["params"] = dict(sorted(challenge.params.items()))
+    return record
 
 
 def parse_challenge(record: dict) -> Challenge:
@@ -147,7 +151,11 @@ def _matrix_from_bytes(data: bytes, n: int) -> np.ndarray:
 
 
 def response_record(response: Response) -> dict:
-    """Wire form of a response; matrices flatten to canonical bytes."""
+    """Wire form of a response; matrices flatten to canonical bytes.
+
+    The worker's own ``solve_time`` stays behind: the challenger times
+    the round on its own clock.
+    """
     payload = dict(response.payload)
     if response.mode == "gemm":
         payload["product_c"] = matrix_bytes(payload["product_c"])
@@ -155,7 +163,6 @@ def response_record(response: Response) -> dict:
         "session_id": response.session_id,
         "index": response.index,
         "mode": response.mode,
-        "solve_time_ns": int(response.solve_time * 1e9),
         "payload": payload,
     }
 
@@ -183,7 +190,6 @@ def parse_response(record: dict, dimension_n: int | None = None) -> Response:
             index=int(record["index"]),
             mode=mode,
             payload=payload,
-            solve_time=int(record["solve_time_ns"]) / 1e9,
         )
     except ProtocolError:
         raise
@@ -272,7 +278,6 @@ def _validate_residency(
         dataset,
         challenge.salt,
         bytes_field(response.payload["response_digest"]),
-        params_for("residency", challenge.params).argon_memory_kib,
         random.SystemRandom(),
     )
 

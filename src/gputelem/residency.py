@@ -7,12 +7,11 @@ worker that evicted it must haul every byte back across the slow bus
 first, which shows up as a timing gap of roughly dataset_size / bus
 bandwidth.
 
-A probe is a linear sketch of the whole dataset, then ceil(sqrt(B))
-Argon2id instances on columns the sketch picks.  Each block of the
-dataset is read as little-endian u64 words and cut into contiguous
-columns of R words (``DatasetSpec.column_words``), about
-ceil(512 / B) columns per block, so no column crosses a block.  With
-nonce-derived odd weights nu_1..nu_R the sketch is
+A probe is a linear sketch of the whole dataset, and the sketch is the
+digest.  Each block of the dataset is read as little-endian u64 words
+and cut into contiguous columns of R words (``DatasetSpec.column_words``),
+about ceil(512 / B) columns per block, so no column crosses a block.
+With nonce-derived odd weights nu_1..nu_R the sketch is
 
     mu_c = sum_i nu_i * word_(c, i)  mod 2^64,
 
@@ -20,46 +19,38 @@ one matrix-vector product per block, read in place at memory speed.
 The ring is Z/2^64 because numpy's uint64 arithmetic wraps there
 exactly; the weights are odd, so w -> nu * w is a bijection and a word
 the worker does not hold enters mu_c as a uniformly random term.  The
-response is mu (about max(512, B) words) followed by the phase-2 end
-state, so the challenger never holds the dataset: it regenerates only
-the ``SPOT_CHECKS`` columns it draws privately, by seeking ChaCha20 to
-them, and the columns phase 2 picks.  A worker whose mu is wrong in a
-fraction f of the columns passes one round with probability
+response is mu, about max(512, B) words, so the challenger never holds
+the dataset: it regenerates only the ``SPOT_CHECKS`` columns it draws
+privately, by seeking ChaCha20 to them.  A worker whose mu is wrong in
+a fraction f of the columns passes one round with probability
 (1 - f)^32, so it is caught with probability 1 - (1 - f)^32 per round
 (private verification in Shacham & Waters, *Compact Proofs of
 Retrievability*, ASIACRYPT 2008; cf. Ateniese et al., *Provable Data
-Possession at Untrusted Stores*, CCS 2007).  A mu altered without
-redoing phase 2 fails deterministically, since phase 2 starts from it.
+Possession at Untrusted Stores*, CCS 2007).
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import random
 import time
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
-from cryptography.hazmat.primitives.kdf.argon2 import Argon2id
 
 from .core import (
-    DIGEST_LEN,
     TimingSample,
-    digest_to_int,
     encode_fields,
     generate_salt,
     hash_bytes,
-    keyed_hash,
     keyed_stream,
     keyed_xor,
 )
 from .stattests import Decision, Verdict
 
-DEFAULT_BLOCK_BYTES = 1 << 20  # matches the per-instance Argon2id memory cost
+DEFAULT_BLOCK_BYTES = 1 << 20
 SKETCH_WORDS = 512  # mu has about max(SKETCH_WORDS, block count) words
 SPOT_CHECKS = 32  # sketch columns the challenger regenerates per round
 
@@ -82,17 +73,6 @@ class BandwidthModel:
             raise ValueError("need hbm_bw > pci_bw > 0")
         if self.base_latency_ns < 0:
             raise ValueError("base latency cannot be negative")
-
-
-@dataclass(frozen=True)
-class ResidencyParams:
-    """Challenge params of one probe: the phase-2 Argon2id memory cost."""
-
-    argon_memory_kib: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.argon_memory_kib < 8:  # Argon2id's floor for one lane
-            raise ValueError("argon_memory_kib must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -225,8 +205,10 @@ def init_chal(
     """Materialize the dataset from its seed, block by block.
 
     The last block may be short when the size is not a block multiple.
-    Pseudorandom bytes are incompressible, so a worker cannot keep a
-    cheaper representation than the data itself.
+    Pseudorandom bytes are incompressible to anyone without the seed,
+    but today the pre-challenge tells the worker the seed: a worker may
+    keep the seed alone and regenerate the blocks for each probe, and
+    its digest verifies, so only the probe's time tells it apart.
     """
     spec = DatasetSpec(seed, size_bytes, block_size_bytes)
     blocks = [chal_block(seed, i, spec.block_len(i)) for i in range(spec.block_count)]
@@ -242,11 +224,6 @@ def mask_block(nonce: bytes, index: int, block: bytes) -> bytes:
     ``mask`` domain is used only here.
     """
     return keyed_xor(nonce, block, domain=encode_fields("mask", index))
-
-
-def default_instance_count(block_count: int) -> int:
-    """Phase-2 memory-hard instances per probe: ceil(sqrt(block count))."""
-    return math.isqrt(max(block_count - 1, 0)) + 1
 
 
 def _sketch_weights(nonce: bytes, width: int) -> np.ndarray:
@@ -281,107 +258,42 @@ def _sketch(blocks: list[bytes], nu: np.ndarray) -> bytes:
     return np.concatenate(parts).astype("<u8").tobytes()
 
 
-def _probe_state(nonce: bytes, mu: bytes) -> bytes:
-    """Phase 1's state: SHA-256(keyed_hash(nonce, "probe-init") || mu)."""
-    return hash_bytes(keyed_hash(nonce, b"probe-init") + mu)
-
-
-def _phase2(
-    state: bytes,
-    nonce: bytes,
-    spec: DatasetSpec,
-    argon_memory_kib: int,
-    column: Callable[[int], bytes],
-) -> bytes:
-    """``default_instance_count`` Argon2id instances on state-picked columns.
-
-    Each instance's password is SHA-256(state || column bytes), and the
-    next pick depends on its tag, so the columns are visited in an order
-    unknown until each tag exists.  Returns the end state.
-    """
-    columns = spec.column_count
-    for i in range(default_instance_count(spec.block_count)):
-        c = digest_to_int(keyed_hash(state, encode_fields("pick", i))) % columns
-        kdf = Argon2id(
-            salt=state,
-            length=32,
-            iterations=1,
-            lanes=1,
-            memory_cost=argon_memory_kib,
-            secret=nonce,
-            ad=encode_fields(c),
-        )
-        password = hashlib.sha256(state)
-        password.update(column(c))
-        tag = kdf.derive(password.digest())
-        state = keyed_hash(state, encode_fields(tag, c))
-    return state
-
-
 def residency_probe(
-    chal: ChalDataset,
-    nonce: bytes,
-    argon_memory_kib: int = ResidencyParams.argon_memory_kib,
+    chal: ChalDataset, nonce: bytes, argon_memory_kib: int | None = None
 ) -> ResidencyProbeResult:
-    """Run the two-phase probe over the dataset; the digest is mu || state.
+    """Sketch the dataset under the nonce; the digest is mu, 8 * C bytes.
 
-    Phase 1 reads every byte once into the sketch mu under the
-    nonce-derived odd weights; its state is SHA-256 of the nonce-keyed
-    ``keyed_hash(nonce, b"probe-init")`` and mu.  Phase 2 runs
-    ``default_instance_count`` single-pass, single-lane Argon2id
-    instances on columns that the evolving state picks, forcing
-    randomized access instead of a prefetched linear pass.
-    ``kernel_time_s`` times phase 2.
+    Every byte is read once, in place, under the nonce-derived odd
+    weights; ``kernel_time_s`` times the sketch.  ``argon_memory_kib``
+    is accepted and ignored: a probe has no memory-hard phase.
     """
     t_start = time.perf_counter()
-    spec = chal.spec
-    mu = _sketch(chal.blocks, _sketch_weights(nonce, spec.column_words))
-    state = _probe_state(nonce, mu)
-    t_phase2 = time.perf_counter()
-
-    def column(c: int) -> memoryview:
-        index, start, stop = spec.column(c)
-        return memoryview(chal.blocks[index])[start:stop]
-
-    state = _phase2(state, nonce, spec, argon_memory_kib, column)
-    t_end = time.perf_counter()
-    timing = TimingSample(
-        index=0, mode="residency", duration=t_end - t_start, valid=True
-    )
-    return ResidencyProbeResult(
-        response_digest=mu + state,
-        timing=timing,
-        kernel_time_s=t_end - t_phase2,
-    )
+    mu = _sketch(chal.blocks, _sketch_weights(nonce, chal.spec.column_words))
+    elapsed = time.perf_counter() - t_start
+    timing = TimingSample(index=0, mode="residency", duration=elapsed, valid=True)
+    return ResidencyProbeResult(response_digest=mu, timing=timing, kernel_time_s=elapsed)
 
 
 def verify_probe(
-    spec: DatasetSpec,
-    nonce: bytes,
-    response_digest: bytes,
-    argon_memory_kib: int,
-    rng: random.Random,
+    spec: DatasetSpec, nonce: bytes, response_digest: bytes, rng: random.Random
 ) -> bool:
     """Check a probe digest against the dataset's seed, never its bytes.
 
-    A digest of the wrong length is refused.  Then ``SPOT_CHECKS``
-    columns drawn from ``rng`` are regenerated and summed against mu,
-    and phase 2 is recomputed from the received mu, regenerating only
-    the columns it picks.  A challenger passes ``random.SystemRandom()``
-    so the worker cannot know which columns are checked.
+    A digest that is not 8 * C bytes is refused.  Then ``SPOT_CHECKS``
+    columns drawn from ``rng`` are regenerated and summed against mu.  A
+    challenger passes ``random.SystemRandom()`` so the worker cannot
+    know which columns are checked.
     """
     columns = spec.column_count
-    if len(response_digest) != 8 * columns + DIGEST_LEN:
+    if len(response_digest) != 8 * columns:
         return False
-    mu = np.frombuffer(response_digest, dtype="<u8", count=columns)
+    mu = np.frombuffer(response_digest, dtype="<u8")
     nu = _sketch_weights(nonce, spec.column_words)
     for _ in range(SPOT_CHECKS):
         c = rng.randrange(columns)
         if _column_sum(spec.column_bytes(c), nu) != int(mu[c]):
             return False
-    state = _probe_state(nonce, response_digest[:-DIGEST_LEN])
-    end = _phase2(state, nonce, spec, argon_memory_kib, spec.column_bytes)
-    return end == response_digest[-DIGEST_LEN:]
+    return True
 
 
 def expected_gap(size_bytes: int, model: BandwidthModel) -> float:
@@ -399,8 +311,7 @@ def default_threshold_ns(size_bytes: int, model: BandwidthModel) -> int:
 
     The hot estimate covers base latency plus a fast-memory scan of the
     dataset; probe compute must stay under half the gap for the default
-    to separate cleanly, which holds whenever the dataset dwarfs the
-    phase-2 working set (square-root sampling guarantees that).
+    to separate cleanly.
     """
     hot_estimate_s = model.base_latency_ns * 1e-9 + size_bytes / model.hbm_bw
     return int(round((hot_estimate_s + expected_gap(size_bytes, model) / 2) * 1e9))
@@ -435,7 +346,7 @@ def run_residency_session(
     block_size_bytes: int = DEFAULT_BLOCK_BYTES,
     model: BandwidthModel | None = None,
     threshold_ns: int | None = None,
-    argon_memory_kib: int = ResidencyParams.argon_memory_kib,
+    argon_memory_kib: int | None = None,
     rng: random.Random | None = None,
     sink=None,
 ):
@@ -448,6 +359,7 @@ def run_residency_session(
     ``verify_probe`` against the seed.  A row's verdict is Hot or Cold
     against ``threshold_ns``; the statistic counts Cold or invalid
     rounds, with threshold 0 and no level, so any such round fails.
+    ``argon_memory_kib`` is accepted and ignored.
     """
     from .protocol import SessionDriver, run_session  # protocol imports this module
 
@@ -462,8 +374,7 @@ def run_residency_session(
     worker.pre_challenge(
         {"session_id": session_id, "kind": "residency", "residency": asdict(spec)}
     )
-    params = asdict(ResidencyParams(argon_memory_kib))
-    driver = SessionDriver(worker, "residency", params, rng, session_id, dataset=spec)
+    driver = SessionDriver(worker, "residency", {}, rng, session_id, dataset=spec)
 
     def classify(sample: TimingSample) -> str:
         return classify_residency(sample, threshold_ns).value

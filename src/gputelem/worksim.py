@@ -17,14 +17,13 @@ import random
 import time
 from dataclasses import dataclass, replace
 
-from .core import Challenge, Response, generate_salt
+from .core import Challenge, Response, _refuse_unknown, generate_salt
 from .gemm import solve_gemm_puzzle
 from .pow import solve_pow
 from .protocol import MODES, bytes_field, params_for
 from .residency import (
     BandwidthModel,
     ChalDataset,
-    ResidencyParams,
     ResidencyProbeResult,
     init_chal,
     residency_probe,
@@ -255,7 +254,11 @@ class SimWorker:
         }
 
     def answer(self, challenge: Challenge) -> Response:
-        """Solve one challenge; advance the clock by the modeled duration."""
+        """Solve one challenge; advance the clock by the modeled duration.
+
+        A residency challenge carries no params, and one that names any
+        is refused.
+        """
         handler = {
             "pow": self._answer_pow,
             "gemm": self._answer_gemm,
@@ -264,7 +267,10 @@ class SimWorker:
         }.get(challenge.mode)
         if handler is None:
             raise ValueError(f"unsupported challenge mode {challenge.mode!r}")
-        payload, duration = handler(challenge, params_for(challenge.mode, challenge.params))
+        params = challenge.params
+        if challenge.mode != "residency":
+            params = params_for(challenge.mode, params)
+        payload, duration = handler(challenge, params)
         payload.setdefault(
             "kernel_time_ns", max(int(duration * 1e9) - self.profile.network_t0_ns, 0)
         )
@@ -320,8 +326,9 @@ class SimWorker:
         }
         return payload, duration
 
-    def _answer_residency(self, challenge: Challenge, params) -> tuple[dict, float]:
-        result = self.probe(challenge.salt, argon_memory_kib=params.argon_memory_kib)
+    def _answer_residency(self, challenge: Challenge, params: dict) -> tuple[dict, float]:
+        _refuse_unknown(params, (), "residency")  # a probe takes no params
+        result = self.probe(challenge.salt)
         payload = {
             "response_digest": result.response_digest,
             "kernel_time_ns": int(result.kernel_time_s * 1e9),
@@ -341,19 +348,18 @@ class SimWorker:
         return duration
 
     def probe(
-        self, nonce: bytes, argon_memory_kib: int = ResidencyParams.argon_memory_kib
+        self, nonce: bytes, argon_memory_kib: int | None = None
     ) -> ResidencyProbeResult:
         """One residency probe: a real digest and a modeled time.
 
         The clock advances when ``answer`` returns the probe's response.
+        ``argon_memory_kib`` is accepted and ignored.
         """
         if self.dataset is None:
             raise RuntimeError("probe before init_dataset")
         hot = residency_hot_at(self.profile, self._probe_round)
         self._probe_round += 1
-        real = residency_probe(
-            self.dataset, nonce, argon_memory_kib=argon_memory_kib
-        )
+        real = residency_probe(self.dataset, nonce)
         duration = simulate_residency_time(
             self.profile, self.dataset.spec.size_bytes, self.model, self.rng, hot=hot
         )

@@ -132,7 +132,6 @@ def test_challenger_refuses_an_unusable_gemm_size_before_connecting(
         ("block_kib", 0),
         ("threshold_ns", -5),
         ("rounds", 0),
-        ("argon_memory_kib", 4),
     ],
 )
 def test_challenger_refuses_bad_residency_values_before_connecting(
@@ -307,6 +306,41 @@ def test_worker_invalid_profile_value_fails_before_serving(tmp_path, capsys):
     assert code == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert "squaring_rate" in err
+    assert "serving" not in err
+
+
+@pytest.mark.parametrize(
+    "blocks, key",
+    [
+        ({"vdf": {"modulus_bitz": 1}, "pow": {"difficuly": 3}}, "difficuly"),
+        ({"vdf": {"modulus_bitz": 1}}, "modulus_bitz"),
+        ({"residency": {"dataset_mib": 0}}, "dataset_mib"),
+        ({"gemm": {"dimension_n": gemm._MAX_DIM + 1}}, "dimension"),
+        ({"bandwidth": {"hbm_bww": 1}}, "hbm_bww"),
+        ({"lamda_min": 5.0}, "lamda_min"),
+    ],
+    ids=["pow", "vdf", "residency", "gemm", "bandwidth", "top-level"],
+)
+def test_worker_refuses_a_bad_block_before_serving(tmp_path, monkeypatch, capsys, blocks, key):
+    """``worker serve`` parses every block of its file, as ``challenger run`` does."""
+
+    def serve_forever(self, *args):
+        pytest.fail("the worker served a config it should have refused")
+
+    monkeypatch.setattr(netcli._WorkerServer, "serve_forever", serve_forever)
+    lines = ["profile:", "  hash_rate_r: 64.0"]
+    for name, value in blocks.items():
+        if isinstance(value, dict):
+            lines.append(f"{name}:")
+            lines.extend(f"  {k}: {v}" for k, v in value.items())
+        else:
+            lines.append(f"{name}: {value}")
+    bad = tmp_path / "profile.yaml"
+    bad.write_text("\n".join(lines) + "\n")
+    code = cli.worker_main(["serve", "--profile", str(bad), "--listen", "127.0.0.1:0"])
+    assert code == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert key in err
     assert "serving" not in err
 
 

@@ -165,8 +165,8 @@ def test_wrong_class_mask_breaks_probe_digests():
     r_wrong = fp.fingerprint_digest(fp.device_error_vector(profiles["sim-turing"]))
     challenger_side = fp.masked_chal_from_seed(b"fp-seed", 24_000, 8_192, r_right)
     worker_side = fp.masked_chal_from_seed(b"fp-seed", 24_000, 8_192, r_wrong)
-    expected = residency_probe(challenger_side, b"n0", argon_memory_kib=8)
-    got = residency_probe(worker_side, b"n0", argon_memory_kib=8)
+    expected = residency_probe(challenger_side, b"n0")
+    got = residency_probe(worker_side, b"n0")
     assert expected.response_digest != got.response_digest
 
 

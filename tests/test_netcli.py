@@ -294,11 +294,10 @@ def test_residency_config_without_session_keys_keeps_its_defaults(monkeypatch):
         "model": BandwidthModel(),
         # worked out before the session, so the sidecar records it
         "threshold_ns": default_threshold_ns(64 << 20, BandwidthModel()),
-        "argon_memory_kib": 1024,
     }
     assert calls == [
         defaults,
-        {**defaults, "argon_memory_kib": 8},
+        defaults,  # argon_memory_kib is accepted and ignored
         {**defaults, "rounds": 7},
         {**defaults, "rounds": 3, "t_max_s": 0.5, "threshold_ns": 1_000_000},
     ]
@@ -508,7 +507,7 @@ def test_daemon_residency_challenge_before_pre_challenge_is_an_error(daemon):
     sock = socket.create_connection(daemon.address, timeout=10)
     try:
         challenge = build_challenge(
-            b"\x44" * 32, 0, "residency", random.Random(2), 0.0, {"argon_memory_kib": 8}
+            b"\x44" * 32, 0, "residency", random.Random(2), 0.0, {}
         )
         netcli.send_frame(
             sock,
@@ -591,7 +590,6 @@ def test_run_challenger_residency_over_tcp(daemon):
             "t_max_s": 0.01,
             "dataset_mib": 1,
             "block_kib": 256,
-            "argon_memory_kib": 8,
             # unshaped replies arrive in microseconds; classify against
             # a generous bound so the round validity is what is tested
             "threshold_ns": 2_000_000_000,
@@ -621,7 +619,6 @@ def test_a_malformed_kernel_time_makes_the_round_invalid(monkeypatch, kernel_tim
         "t_max_s": 0.01,
         "dataset_mib": 1,
         "block_kib": 256,
-        "argon_memory_kib": 8,
         "threshold_ns": 2_000_000_000,
     }
     if over_tcp:
@@ -698,7 +695,7 @@ def test_every_mode_writes_one_row_layout():
         "pow": {"pow": {"difficulty": 1, "argon_memory_kib": 8}},
         "gemm": {"gemm": {"dimension_n": 8, "difficulty_d": 0}},
         "vdf": {"vdf": {"modulus_n": _SMALL_BLOCKS["vdf"]["modulus_n"], "t_min": 16, "t_max": 32}},
-        "residency": {"residency": {"dataset_mib": 1, "block_kib": 256, "argon_memory_kib": 8}},
+        "residency": {"residency": {"dataset_mib": 1, "block_kib": 256}},
     }
     reports = {
         kind: netcli.run_local_session(kind, WorkerProfile(), {"rounds": 2, **config}, seed=3)
@@ -723,7 +720,6 @@ def test_run_local_session_residency_report_shape():
             "t_max_s": 1.0,
             "dataset_mib": 1,
             "block_kib": 256,
-            "argon_memory_kib": 8,
         }
     }
     report = netcli.run_local_session("residency", WorkerProfile(), config, seed=2)
@@ -745,7 +741,6 @@ def test_run_local_session_residency_flags_eviction():
             "t_max_s": 1.0,
             "dataset_mib": 1,
             "block_kib": 256,
-            "argon_memory_kib": 8,
         }
     }
     profile = WorkerProfile(residency_state="evict_after", evict_after_round=3)

@@ -16,7 +16,7 @@ from gputelem import gemm, netcli, protocol, wire
 from gputelem.core import Challenge, Response, encode_fields, hash_bytes, issued_at_micros
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.pow import PowParams
-from gputelem.residency import SPOT_CHECKS, DatasetSpec, ResidencyParams
+from gputelem.residency import SPOT_CHECKS, DatasetSpec
 from gputelem.stattests import Verdict, continuous_measurement
 from gputelem.vdf import VdfParams
 from gputelem.worksim import SimWorker, WorkerProfile
@@ -106,6 +106,23 @@ def test_pow_response_round_trip():
     assert protocol.validate_response(challenge, parsed)
 
 
+def test_no_response_record_carries_a_solve_time(rsa_group):
+    """The challenger times each round on its own clock, so the worker's
+    own duration stays behind, and a parsed response holds 0.0."""
+    answered = [
+        _answered("pow", {"difficulty": 2, "argon_memory_kib": 8})[1],
+        _answered("gemm", {"dimension_n": 4, "difficulty_d": 0, "freivalds_k": 2})[1],
+        _answered("vdf", {"modulus_n": rsa_group.modulus_N, "t_min": 16, "t_max": 32, "instances": 1})[1],
+        _residency_answered()[1],
+    ]
+    for response in answered:
+        assert response.solve_time > 0
+        record = protocol.response_record(response)
+        assert "solve_time_ns" not in record
+        parsed = protocol.parse_response(wire.decode_record(wire.encode_record(record)), dimension_n=4)
+        assert parsed.solve_time == 0.0
+
+
 def test_gemm_response_round_trip_preserves_matrix():
     params = {"dimension_n": 8, "difficulty_d": 2, "freivalds_k": 3}
     challenge, response = _answered("gemm", params)
@@ -189,11 +206,10 @@ _TAMPERS = {
     ("vdf", "challenge_prime"): _tamper_proof(
         "challenge_prime", lambda q: q["challenge_prime"] + 2
     ),
+    # every word of mu is wrong, so the first spot check sees it; one wrong
+    # word of 512 slips past the 32 checks with chance (511/512)^32
     ("residency", "mu_word"): lambda p: {
-        **p, "response_digest": _flip(p["response_digest"], 8 * 3)
-    },
-    ("residency", "end_state"): lambda p: {
-        **p, "response_digest": _flip(p["response_digest"], len(p["response_digest"]) - 1)
+        **p, "response_digest": bytes(b ^ 1 for b in p["response_digest"])
     },
 }
 
@@ -344,7 +360,7 @@ def _residency_answered():
             "residency": {"seed": b"d", "size_bytes": 1 << 16, "block_size_bytes": 1 << 14},
         }
     )
-    challenge = _challenge("residency", {"argon_memory_kib": 8})
+    challenge = _challenge("residency", {})
     return challenge, worker.answer(challenge), DatasetSpec(b"d", 1 << 16, 1 << 14)
 
 
@@ -358,19 +374,17 @@ def test_validate_residency_accepts_honest_digest_through_the_wire():
 def test_validate_residency_rejects_forged_or_misdirected_digests():
     challenge, response, dataset = _residency_answered()
     digest = response.payload["response_digest"]
-    flipped = replace(
-        response,
-        payload=dict(response.payload, response_digest=bytes([digest[0] ^ 1]) + digest[1:]),
-    )
+    # wrong in every column, so the first spot check sees it
+    flipped = bytes(b ^ 1 if i % 8 == 0 else b for i, b in enumerate(digest))
+    flipped = replace(response, payload=dict(response.payload, response_digest=flipped))
     assert not protocol.validate_response(challenge, flipped, dataset)
+    # the digest of another nonce
+    assert not protocol.validate_response(replace(challenge, salt=b"other"), response, dataset)
     for stranger in (
         replace(response, session_id=b"T" * 32),
         replace(response, index=response.index + 1),
     ):
         assert not protocol.validate_response(challenge, stranger, dataset)
-    # answered at 8 KiB, but the challenge asked for 16 KiB
-    costlier = replace(challenge, params={"argon_memory_kib": 16})
-    assert not protocol.validate_response(costlier, response, dataset)
     # another dataset of the same shape
     other = DatasetSpec(b"e", 1 << 16, 1 << 14)
     assert not protocol.validate_response(challenge, response, other)
@@ -402,7 +416,9 @@ def test_params_for_defaults_are_the_dataclass_defaults():
     assert protocol.params_for("pow", {}) == PowParams()
     assert protocol.params_for("gemm", {}) == GemmParams()
     assert protocol.params_for("vdf", {"modulus_n": 77}) == VdfParams(modulus_n=77)
-    assert protocol.params_for("residency", {}) == ResidencyParams()
+    # a residency challenge carries no params
+    with pytest.raises(protocol.ProtocolError):
+        protocol.params_for("residency", {})
     assert protocol.params_for("pow", {"difficulty": "3"}) == PowParams(difficulty=3)
     # a challenge carries only params: a key nothing reads is refused
     with pytest.raises(ValueError, match="unknown pow fields: \\['extra'\\]"):

@@ -10,26 +10,19 @@ import dataclasses
 import hashlib
 import random
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gputelem import residency
-from gputelem.core import (
-    TimingSample,
-    digest_to_int,
-    encode_fields,
-    hash_bytes,
-    keyed_hash,
-    keyed_stream,
-)
+from gputelem.core import TimingSample, encode_fields, hash_bytes, keyed_stream
 from gputelem.worksim import SimWorker, WorkerProfile
 
-# small dataset, small argon: fast enough to probe dozens of times
+# small dataset: fast enough to probe dozens of times
 DATASET = 64 * 1024
 BLOCK = 16 * 1024
-ARGON_KIB = 8
 MODEL = residency.BandwidthModel(hbm_bw=100e9, pci_bw=10e9, base_latency_ns=1_000)
 
 
@@ -79,60 +72,61 @@ def test_mask_block_depends_on_nonce_and_index():
     assert a != residency.mask_block(b"n1", 1, block)
 
 
-def test_default_instance_count_is_sqrt_ceiling():
-    assert residency.default_instance_count(1) == 1
-    assert residency.default_instance_count(4) == 2
-    assert residency.default_instance_count(16) == 4
-    assert residency.default_instance_count(17) == 5
-    assert residency.default_instance_count(100) == 10
-
-
 # --- probe ----------------------------------------------------------------------
 
 
 def test_probe_digest_reproducible_across_dataset_copies():
     """Challenger-side recomputation: an equal dataset gives an equal digest."""
-    a = residency.residency_probe(_dataset(), b"nonce-1", argon_memory_kib=ARGON_KIB)
-    b = residency.residency_probe(_dataset(), b"nonce-1", argon_memory_kib=ARGON_KIB)
+    a = residency.residency_probe(_dataset(), b"nonce-1")
+    b = residency.residency_probe(_dataset(), b"nonce-1")
     assert a.response_digest == b.response_digest
-    # mu (512 words) || the 32-byte phase-2 end state
-    assert len(a.response_digest) == 8 * 512 + 32
+    # the digest is mu: one word per column, 512 of them here
+    assert len(a.response_digest) == 8 * _dataset().spec.column_count == 8 * 512
 
 
 def test_probe_digest_binds_nonce_and_data():
     chal = _dataset()
-    base = residency.residency_probe(chal, b"n", argon_memory_kib=ARGON_KIB)
-    other_nonce = residency.residency_probe(chal, b"m", argon_memory_kib=ARGON_KIB)
+    base = residency.residency_probe(chal, b"n")
+    other_nonce = residency.residency_probe(chal, b"m")
     assert base.response_digest != other_nonce.response_digest
     other_data = residency.residency_probe(
-        _dataset(b"seed-b"), b"n", argon_memory_kib=ARGON_KIB
+        _dataset(b"seed-b"), b"n"
     )
     assert base.response_digest != other_data.response_digest
 
 
-def test_probe_digest_binds_argon_parameters():
+def test_ignored_argon_memory_leaves_the_digest_and_the_session_unchanged():
+    """``argon_memory_kib`` is still accepted by the probe, the simulated
+    worker and the session, and changes nothing in any of them."""
     chal = _dataset()
-    a = residency.residency_probe(chal, b"n", argon_memory_kib=8)
-    b = residency.residency_probe(chal, b"n", argon_memory_kib=16)
-    assert a.response_digest != b.response_digest
+    base = residency.residency_probe(chal, b"n").response_digest
+    for kib in (8, 16, 1024):
+        assert residency.residency_probe(chal, b"n", argon_memory_kib=kib).response_digest == base
+    worker = _worker(WorkerProfile())
+    worker.init_dataset(b"seed-a", DATASET, BLOCK)
+    assert worker.probe(b"n", argon_memory_kib=16).response_digest == base
 
+    def session(**kwargs):
+        return residency.run_residency_session(
+            _worker(WorkerProfile(residency_state="evict_after", evict_after_round=2)),
+            rounds=4,
+            t_max_s=1.0,
+            dataset_bytes=DATASET,
+            block_size_bytes=BLOCK,
+            model=MODEL,
+            rng=random.Random(46),
+            **kwargs,
+        )
 
-def test_probe_runs_the_default_instance_count(monkeypatch):
-    derived = []
-    argon2id = residency.Argon2id
-
-    def counting_argon2id(**kwargs):
-        derived.append(kwargs)
-        return argon2id(**kwargs)
-
-    monkeypatch.setattr(residency, "Argon2id", counting_argon2id)
-    chal = _dataset()  # 4 blocks -> 2 instances
-    residency.residency_probe(chal, b"n", argon_memory_kib=ARGON_KIB)
-    assert len(derived) == residency.default_instance_count(chal.block_count) == 2
+    plain = session()
+    for kib in (8, 16):
+        ignored = session(argon_memory_kib=kib)
+        assert ignored.rows == plain.rows
+        assert asdict(ignored.decision) == asdict(plain.decision)
 
 
 def test_probe_reports_its_timing():
-    got = residency.residency_probe(_dataset(), b"n", argon_memory_kib=ARGON_KIB)
+    got = residency.residency_probe(_dataset(), b"n")
     assert got.timing.valid and got.timing.mode == "residency"
     assert 0 <= got.kernel_time_s <= got.timing.duration
 
@@ -165,32 +159,6 @@ def _reference_mu(columns: list[bytes], nonce: bytes) -> bytes:
     return mu
 
 
-def _reference_finish(columns: list[bytes], blocks: int, nonce: bytes, argon_memory_kib: int, mu: bytes) -> bytes:
-    """The digest mu || state, with phase 2 run from ``mu`` as given."""
-    state = hashlib.sha256(keyed_hash(nonce, b"probe-init") + mu).digest()
-    for i in range(residency.default_instance_count(blocks)):
-        c = digest_to_int(keyed_hash(state, encode_fields("pick", i))) % len(columns)
-        kdf = residency.Argon2id(
-            salt=state,
-            length=32,
-            iterations=1,
-            lanes=1,
-            memory_cost=argon_memory_kib,
-            secret=nonce,
-            ad=encode_fields(c),
-        )
-        tag = kdf.derive(hashlib.sha256(state + columns[c]).digest())
-        state = keyed_hash(state, encode_fields(tag, c))
-    return mu + state
-
-
-def _reference_probe(chal: residency.ChalDataset, nonce: bytes, argon_memory_kib: int) -> bytes:
-    """The probe digest from its definition, in pure Python."""
-    columns = _reference_columns(chal)
-    mu = _reference_mu(columns, nonce)
-    return _reference_finish(columns, chal.block_count, nonce, argon_memory_kib, mu)
-
-
 # (size, block size): 1, 4, 16 and 17 blocks, three blocks with a short
 # last one, and a size that is not a multiple of 8
 _KAT_DATASETS = (
@@ -202,47 +170,35 @@ _KAT_DATASETS = (
     (10_003, 4096),
 )
 _KAT_NONCES = (b"a", b"kat-nonce-2", bytes(range(100)))
-# (first word of mu, phase-2 end state) of four probes
+# (first word, last word) of mu of four probes
 _KAT_LITERALS = {
-    (4096, 8, b"a"): (
-        "9c96ee9d8c96f155",
-        "1e5ba832c2ef1f46dd5b97acb984e275e3960651e3040b94c090ee76ed67f1a0",
-    ),
-    (16_384, 16, b"kat-nonce-2"): (
-        "ccb6fb32dbc41997",
-        "b3af6ebbb0d923884704c5bfe92320f5b3d06f0444d0cd53c9a7c4b6406c9cb8",
-    ),
-    (69_632, 8, bytes(range(100))): (
-        "453fcd4809f1a7ff",
-        "ad591e363514131993e0ba9aef4e8d978e18451a69488475a8e0951ea6a860c8",
-    ),
-    (10_003, 16, b"a"): (
-        "c15cc0f2d1813bfe",
-        "48f3a63d886475fc56f4dfb2bce845970d0d020be95fb85adc6fa98cecc43512",
-    ),
+    (4096, b"a"): ("9c96ee9d8c96f155", "873bf36760352f33"),
+    (16_384, b"kat-nonce-2"): ("ccb6fb32dbc41997", "a5bc0b8f8bfa3446"),
+    (69_632, bytes(range(100))): ("453fcd4809f1a7ff", "88fa4672a14bf09d"),
+    (10_003, b"a"): ("c15cc0f2d1813bfe", "6c66bb3fe4d17c67"),
 }
 
 
 def test_residency_probe_known_answers():
-    """Pins the probe bytes of wire version 4: a grid digest plus four literals."""
+    """Pins the probe bytes of wire version 6: a grid digest plus four literals."""
     digests = {}
     for size, block in _KAT_DATASETS:
         chal = residency.init_chal(size, b"kat-seed", block)
-        for argon_kib in (8, 16):
-            for nonce in _KAT_NONCES:
-                got = residency.residency_probe(chal, nonce, argon_memory_kib=argon_kib)
-                assert got.response_digest == _reference_probe(chal, nonce, argon_kib)
-                digests[size, argon_kib, nonce] = got.response_digest
-    assert len(set(digests.values())) == len(digests) == 36
+        columns = _reference_columns(chal)
+        for nonce in _KAT_NONCES:
+            got = residency.residency_probe(chal, nonce)
+            assert got.response_digest == _reference_mu(columns, nonce)
+            digests[size, nonce] = got.response_digest
+    assert len(set(digests.values())) == len(digests) == 18
     grid = hashlib.sha256(b"".join(digests.values())).hexdigest()
-    assert grid == "a2ddc42be29a057b930dd86aa4e4a288fa2bf1a4317b96a733d527cb6170a4f1"
-    got = {key: (digests[key][:8].hex(), digests[key][-32:].hex()) for key in _KAT_LITERALS}
+    assert grid == "70f5d413e753edda94bab2090d2082133877e6060298ccd6d1a9c095c4fd18dd"
+    got = {key: (digests[key][:8].hex(), digests[key][-8:].hex()) for key in _KAT_LITERALS}
     assert got == _KAT_LITERALS
 
 
 def test_probe_digest_changes_with_any_flipped_byte():
     chal = residency.init_chal(65_536, b"flip-seed", 4096)  # 16 blocks
-    base = residency.residency_probe(chal, b"n", argon_memory_kib=ARGON_KIB).response_digest
+    base = residency.residency_probe(chal, b"n").response_digest
     seen = {base}
     for block_index, byte_index in ((0, 0), (0, 4095), (8, 2048), (15, 4095)):
         blocks = list(chal.blocks)
@@ -250,7 +206,7 @@ def test_probe_digest_changes_with_any_flipped_byte():
         flipped[byte_index] ^= 0x01
         blocks[block_index] = bytes(flipped)
         tampered = dataclasses.replace(chal, blocks=blocks)
-        got = residency.residency_probe(tampered, b"n", argon_memory_kib=ARGON_KIB)
+        got = residency.residency_probe(tampered, b"n")
         seen.add(got.response_digest)
     assert len(seen) == 5
 
@@ -266,7 +222,7 @@ def test_probe_reads_the_dataset_in_place(monkeypatch):
     chal = residency.init_chal(4 << 20, b"mem-seed", 256 << 10)
     tracemalloc.start()
     try:
-        residency.residency_probe(chal, b"n", argon_memory_kib=64)
+        residency.residency_probe(chal, b"n")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -307,46 +263,50 @@ def test_spec_validation():
 
 def _honest(size: int, block: int, nonce: bytes = b"n"):
     chal = residency.init_chal(size, b"verify-seed", block)
-    digest = residency.residency_probe(chal, nonce, argon_memory_kib=ARGON_KIB).response_digest
+    digest = residency.residency_probe(chal, nonce).response_digest
     return chal, digest
 
 
 def test_verify_probe_accepts_honest_digests_from_the_seed_alone():
     for size, block in ((DATASET, BLOCK), (10_003, 4096), (100, 7)):
         chal, digest = _honest(size, block)
-        assert residency.verify_probe(chal.spec, b"n", digest, ARGON_KIB, random.SystemRandom())
-        assert not residency.verify_probe(chal.spec, b"m", digest, ARGON_KIB, random.SystemRandom())
+        assert residency.verify_probe(chal.spec, b"n", digest, random.SystemRandom())
+        assert not residency.verify_probe(chal.spec, b"m", digest, random.SystemRandom())
         other = residency.DatasetSpec(b"other-seed", size, block)
-        assert not residency.verify_probe(other, b"n", digest, ARGON_KIB, random.SystemRandom())
+        assert not residency.verify_probe(other, b"n", digest, random.SystemRandom())
 
 
 def test_verify_probe_refuses_a_digest_of_the_wrong_length_without_raising():
     chal, digest = _honest(DATASET, BLOCK)
-    for bad in (b"", digest[-32:], digest[:-8], digest + bytes(8), digest[:-1], digest + b"x"):
-        assert residency.verify_probe(chal.spec, b"n", bad, ARGON_KIB, random.Random(0)) is False
+    for bad in (b"", digest[-32:], digest[:-8], digest + bytes(8), digest[:-1], digest + b"x", digest + bytes(32)):
+        assert residency.verify_probe(chal.spec, b"n", bad, random.Random(0)) is False
 
 
-def test_verify_probe_catches_mu_altered_without_phase_2():
-    """Phase 2 starts from mu, so any change to mu alone fails every time."""
+def test_verify_probe_regenerates_exactly_the_spot_checked_columns(monkeypatch):
+    """Verification costs SPOT_CHECKS column regenerations and nothing more."""
     chal, digest = _honest(DATASET, BLOCK)
-    for c in (0, 1, 511):
-        bad = bytearray(digest)
-        bad[8 * c] ^= 1
-        assert not residency.verify_probe(chal.spec, b"n", bytes(bad), ARGON_KIB, random.Random(c))
-    bad = bytearray(digest)
-    bad[-1] ^= 1
-    assert not residency.verify_probe(chal.spec, b"n", bytes(bad), ARGON_KIB, random.Random(1))
+    regenerated = []
+    column_bytes = residency.DatasetSpec.column_bytes
+
+    def counting(spec, c):
+        regenerated.append(c)
+        return column_bytes(spec, c)
+
+    monkeypatch.setattr(residency.DatasetSpec, "column_bytes", counting)
+    drawn = random.Random(5)
+    assert residency.verify_probe(chal.spec, b"n", digest, drawn)
+    assert len(regenerated) == residency.SPOT_CHECKS
+    again = random.Random(5)
+    assert regenerated == [again.randrange(chal.spec.column_count) for _ in regenerated]
 
 
 def _forged(chal: residency.ChalDataset, nonce: bytes, wrong: list[int]) -> bytes:
-    """A digest whose mu is wrong in the ``wrong`` columns, with phase 2
-    redone from that mu, so only a spot check on those columns sees it."""
-    honest = residency.residency_probe(chal, nonce, argon_memory_kib=ARGON_KIB).response_digest
-    mu = bytearray(honest[:-32])
+    """A digest whose mu is wrong in the ``wrong`` columns and right
+    elsewhere, so only a spot check on those columns sees it."""
+    mu = bytearray(residency.residency_probe(chal, nonce).response_digest)
     for c in wrong:
         mu[8 * c] ^= 0x5A
-    columns = _reference_columns(chal)
-    return _reference_finish(columns, chal.block_count, nonce, ARGON_KIB, bytes(mu))
+    return bytes(mu)
 
 
 def test_worker_wrong_in_a_fifth_of_the_columns_fails_nearly_every_round():
@@ -359,7 +319,7 @@ def test_worker_wrong_in_a_fifth_of_the_columns_fails_nearly_every_round():
     for i in range(300):
         nonce = rng.randbytes(16)
         digest = _forged(chal, nonce, rng.sample(range(columns), columns // 5))
-        failed += not residency.verify_probe(spec, nonce, digest, ARGON_KIB, rng)
+        failed += not residency.verify_probe(spec, nonce, digest, rng)
     assert failed >= 297, f"only {failed}/300 rounds failed"
 
 
@@ -374,7 +334,7 @@ def test_one_wrong_column_is_caught_at_the_spot_check_rate():
     caught = 0
     for _ in range(trials):
         digest = _forged(chal, b"n", [rng.randrange(columns)])
-        caught += not residency.verify_probe(spec, b"n", digest, ARGON_KIB, rng)
+        caught += not residency.verify_probe(spec, b"n", digest, rng)
     p = 1 - (1 - 1 / columns) ** residency.SPOT_CHECKS
     sigma = (p * (1 - p) / trials) ** 0.5
     assert abs(caught / trials - p) < 4 * sigma, (caught, p)
@@ -386,7 +346,7 @@ def test_verifying_against_a_64_mib_description_holds_no_dataset():
     del chal
     tracemalloc.start()
     try:
-        ok = residency.verify_probe(spec, b"n", digest, ARGON_KIB, random.SystemRandom())
+        ok = residency.verify_probe(spec, b"n", digest, random.SystemRandom())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -466,7 +426,6 @@ def test_session_hot_worker_passes():
         dataset_bytes=DATASET,
         block_size_bytes=BLOCK,
         model=MODEL,
-        argon_memory_kib=ARGON_KIB,
         rng=random.Random(42),
         sink=rows_seen.append,
     )
@@ -485,7 +444,6 @@ def test_session_cold_worker_fails_every_round():
         dataset_bytes=DATASET,
         block_size_bytes=BLOCK,
         model=MODEL,
-        argon_memory_kib=ARGON_KIB,
         rng=random.Random(43),
     )
     assert not report.overall_pass
@@ -505,7 +463,6 @@ def test_session_eviction_flagged_from_the_eviction_round():
         dataset_bytes=DATASET,
         block_size_bytes=BLOCK,
         model=MODEL,
-        argon_memory_kib=ARGON_KIB,
         rng=random.Random(44),
     )
     verdicts = [r["verdict"] for r in report.rows]
@@ -516,8 +473,8 @@ def test_session_eviction_flagged_from_the_eviction_round():
 class _ForgingWorker(SimWorker):
     """Answers fast but with a fabricated digest."""
 
-    def probe(self, nonce, argon_memory_kib=1024):
-        result = super().probe(nonce, argon_memory_kib=argon_memory_kib)
+    def probe(self, nonce):
+        result = super().probe(nonce)
         return dataclasses.replace(result, response_digest=hash_bytes(b"forged"))
 
 
@@ -530,7 +487,6 @@ def test_session_digest_mismatch_is_invalid_not_cold():
         dataset_bytes=DATASET,
         block_size_bytes=BLOCK,
         model=MODEL,
-        argon_memory_kib=ARGON_KIB,
         rng=random.Random(45),
     )
     assert not report.overall_pass

@@ -28,7 +28,6 @@ _RESIDENCY = {
     "t_max_s": 1.0,
     "dataset_mib": 1,
     "block_kib": 256,
-    "argon_memory_kib": 8,
 }
 
 SESSIONS = {

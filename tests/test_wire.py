@@ -22,10 +22,12 @@ from gputelem import wire
 
 def test_frame_known_bytes():
     msg = wire.WireMessage(wire.MSG_CHALLENGE_BATCH, b"abc")
-    # 0x05: response records dropped their unkeyed aggregate; 0x04 carried
-    # it, 0x03 answered residency with one SHA-256 scan, 0x02 masked each block
-    assert wire.VERSION == 0x05
-    assert wire.encode_message(msg) == b"\x05\x01\x00\x00\x00\x03abc"
+    # 0x06: a residency digest is its sketch alone and responses carry no
+    # solve_time_ns; 0x05 appended a phase-2 end state, 0x04 carried an
+    # unkeyed aggregate, 0x03 answered residency with one SHA-256 scan,
+    # 0x02 masked each block
+    assert wire.VERSION == 0x06
+    assert wire.encode_message(msg) == b"\x06\x01\x00\x00\x00\x03abc"
 
 
 def test_readme_names_the_current_wire_version():

@@ -324,10 +324,10 @@ def test_answer_residency_matches_probe():
     probing = SimWorker(WorkerProfile(residency_state="cold"), seed=10)
     for worker in (answering, probing):
         worker.pre_challenge(_residency_pre_challenge())
-    challenge = _challenge("residency", {"argon_memory_kib": 8})
+    challenge = _challenge("residency", {})
     started = answering.now()
     response = answering.answer(challenge)
-    result = probing.probe(challenge.salt, argon_memory_kib=8)
+    result = probing.probe(challenge.salt)
     assert response.matches(challenge)
     assert response.payload == {
         "response_digest": result.response_digest,
@@ -335,4 +335,8 @@ def test_answer_residency_matches_probe():
     }
     assert response.solve_time == result.timing.duration
     assert answering.now() == started + response.solve_time
+    # a probe takes no params, so a challenge that names one is refused
+    for params in ({"argon_memory_kib": 8}, {"extra": 1}):
+        with pytest.raises(ValueError, match="unknown residency fields"):
+            answering.answer(_challenge("residency", params))
 
