@@ -6,39 +6,9 @@ sequential-squaring delay functions, hash-chained matrix puzzles, and
 memory-residency timing probes) combined with exponential and Poisson
 decision tests on the observed solve times.
 
-Submodules are imported lazily; ``import gputelem`` stays cheap and the
-heavyweight numeric dependencies load only when the relevant probe is
-actually used.
+``import gputelem`` imports no submodule: import the ones you use
+(``from gputelem import protocol``), so numpy and the cryptographic
+backends load only with the probes that need them.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "core",
-    "pow",
-    "stattests",
-    "vdf",
-    "gemm",
-    "residency",
-    "fingerprint",
-    "worksim",
-    "wire",
-    "protocol",
-    "netcli",
-    "scenarios",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

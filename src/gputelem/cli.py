@@ -1,9 +1,10 @@
 """Command-line entry points: challenger, worker, scenario.
 
 Exit codes follow the measurement semantics rather than Unix habit:
-0 = Accept, 1 = Reject, 2 = an error that prevented the session (bad
-config or session value, unreachable worker, lost connection).  Every
-session that runs to its end is an Accept or a Reject.
+0 = Accept, 1 = Reject, 2 = an error that prevented the session or its
+report (an unreadable config, a bad value, no worker, a lost connection,
+an unwritable ``--out``).  Every session that runs to its end is an
+Accept or a Reject.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def challenger_main(argv: list[str] | None = None) -> int:
         config["seed"] = args.seed
     try:
         report = run_challenger(config, out_path=args.out)
-    except (TransportError, ProtocolError, ValueError) as exc:
+    except (OSError, TransportError, ProtocolError, ValueError) as exc:
         return _fail(str(exc))
     print(report.verdict_line())
     return report.exit_code

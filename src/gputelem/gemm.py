@@ -60,8 +60,9 @@ class GemmParams:
             raise ValueError(f"matrix dimension must lie in [1, {_MAX_DIM}]")
         if not 0 <= self.difficulty_d <= 32:
             raise ValueError("difficulty must lie in [0, 32]")
-        if self.freivalds_k < 1:
-            raise ValueError("freivalds_k must be >= 1")
+        # at k = 64 a wrong product passes with chance 2^-64 already
+        if not 1 <= self.freivalds_k <= 64:
+            raise ValueError("freivalds_k must lie in [1, 64]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +77,13 @@ class GemmProof:
 def matrix_bytes(matrix: np.ndarray) -> bytes:
     """Canonical encoding hashed into h_j: row-major, 8-byte big-endian."""
     return np.ascontiguousarray(matrix, dtype=np.int64).astype(">u8").tobytes()
+
+
+def matrix_from_bytes(data: bytes, n: int) -> np.ndarray:
+    """The n x n matrix of ``matrix_bytes``; a wrong length is a ValueError."""
+    if len(data) != 8 * n * n:
+        raise ValueError("matrix byte length does not match dimension")
+    return np.frombuffer(data, dtype=">u8").astype(np.int64).reshape(n, n)
 
 
 def derive_matrices(sigma: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -293,9 +293,7 @@ class RemoteWorker:
         )
         if reply.msg_type != MSG_RESPONSE_BATCH:
             raise ProtocolError("expected a response batch")
-        # n comes from the challenge as the worker parses it, defaults included
-        n = params_for("gemm", challenge.params).dimension_n if challenge.mode == "gemm" else None
-        return parse_response(decode_record(reply.payload), dimension_n=n)
+        return parse_response(decode_record(reply.payload))
 
 
 # --- session reports ---------------------------------------------------------
@@ -493,12 +491,16 @@ def run_local_session(
 
 
 def load_config(path: str) -> dict:
+    """The YAML document at ``path``; one that does not parse is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        loaded = yaml.safe_load(fh)
+        try:
+            loaded = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"cannot parse {path}: {exc}") from exc
     if loaded is None:
         return {}
     if not isinstance(loaded, dict):
-        raise ValueError("config must be a key-value document")
+        raise ValueError(f"{path} is not a key-value document")
     return loaded
 
 

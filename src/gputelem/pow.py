@@ -16,6 +16,7 @@ from cryptography.hazmat.primitives.kdf.argon2 import Argon2id
 from .core import Challenge, digest_below_target, hash_bytes, issued_at_micros
 
 NONCE_LEN = 8
+MAX_ARGON_KIB = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,7 @@ class PowParams:
     difficulty: leading zero bits demanded of the final digest, in [0, 64].
     argon_memory_kib: memory cost per attempt; the knob that makes
         attempts expensive on machines without fast RAM.
+    argon_memory_kib * argon_passes: at most MAX_ARGON_KIB, one GiB per attempt.
     """
 
     difficulty: int = 12
@@ -40,6 +42,8 @@ class PowParams:
         # Argon2id requires memory >= 8 * lanes KiB
         if self.argon_memory_kib < 8 * self.argon_lanes:
             raise ValueError("argon memory must be >= 8 KiB per lane")
+        if self.argon_memory_kib * self.argon_passes > MAX_ARGON_KIB:
+            raise ValueError(f"argon_memory_kib * argon_passes must be at most {MAX_ARGON_KIB}")
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ This layer owns the record schemas that travel inside wire payloads and
 the verification dispatch that turns a raw response into a valid/invalid
 verdict.  A response record carries the solution and nothing that
 vouches for it: host and device may both be untrusted, so a round is
-valid only if the challenger's own recomputation accepts it.  Every
-mode, residency included, runs through one session loop
-(``run_session``) of one round (``SessionDriver.run_round``): issue a
-challenge, time the worker's answer on the challenger's clock, validate
-the response, write one row.  The in-process fast path and the TCP
-daemons share it, so a decision reached against a virtual-clock worker
-is reached by identical code against a live one.
+valid only if the challenger's own recomputation accepts it.  A
+payload is the same in process and on the wire (a gemm product is its
+canonical bytes), so records know no mode.  Every mode, residency
+included, runs through one session loop (``run_session``) of one round
+(``SessionDriver.run_round``): issue a challenge, time the worker's
+answer on the challenger's clock, validate the response, write one
+row.  The in-process fast path and the TCP daemons share it, so a
+decision reached against a virtual-clock worker is reached by identical
+code against a live one.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import vdf as vdf_mod
 from .core import (
@@ -31,7 +31,7 @@ from .core import (
     hash_bytes,
     issued_at_micros,
 )
-from .gemm import GemmParams, GemmProof, matrix_bytes, verify_gemm_puzzle
+from .gemm import GemmParams, GemmProof, matrix_from_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
 from .residency import DatasetSpec, verify_probe
 from .stattests import Decision, Verdict
@@ -130,69 +130,51 @@ def challenge_record(challenge: Challenge) -> dict:
 
 
 def parse_challenge(record: dict) -> Challenge:
+    """A Challenge from its record; a malformed one, or an issue stamp outside
+    [0, 2^51) us, where ``issued_at_micros`` is exact, is a ProtocolError."""
     try:
+        issued_at_us = int(record["issued_at_us"])
+        if not 0 <= issued_at_us < 1 << 51:
+            raise ValueError("issued_at_us lies outside [0, 2^51)")
         return Challenge(
             session_id=bytes_field(record["session_id"]),
             index=int(record["index"]),
             mode=str(record["mode"]),
             salt=bytes_field(record["salt"]),
-            issued_at=int(record["issued_at_us"]) / 1e6,
+            issued_at=issued_at_us / 1e6,
             params=dict(record.get("params", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad challenge record: {exc}") from exc
 
 
-def _matrix_from_bytes(data: bytes, n: int) -> np.ndarray:
-    if len(data) != 8 * n * n:
-        raise ProtocolError("matrix byte length does not match dimension")
-    flat = np.frombuffer(data, dtype=">u8").astype(np.int64)
-    return flat.reshape(n, n)
-
-
 def response_record(response: Response) -> dict:
-    """Wire form of a response; matrices flatten to canonical bytes.
+    """Wire form of a response: the payload as the worker built it.
 
     The worker's own ``solve_time`` stays behind: the challenger times
     the round on its own clock.
     """
-    payload = dict(response.payload)
-    if response.mode == "gemm":
-        payload["product_c"] = matrix_bytes(payload["product_c"])
     return {
         "session_id": response.session_id,
         "index": response.index,
         "mode": response.mode,
-        "payload": payload,
+        "payload": dict(response.payload),
     }
 
 
 def parse_response(record: dict, dimension_n: int | None = None) -> Response:
     """Rebuild a Response from its record; a malformed one is a ProtocolError.
 
-    Nothing here vouches for the payload: every solution field is
-    checked by ``validate_response``, against what the challenger
-    recomputes itself.  ``dimension_n`` is required for gemm responses
-    so the matrix bytes can be shaped; the challenger takes it from its
-    own challenge params, never from the worker.
+    Nothing here vouches for the payload, which ``validate_response``
+    checks in full.  ``dimension_n`` is accepted and ignored.
     """
     try:
-        mode = str(record["mode"])
-        payload = dict(record["payload"])
-        if mode == "gemm":
-            if dimension_n is None:
-                raise ProtocolError("gemm response needs dimension_n to parse")
-            payload["product_c"] = _matrix_from_bytes(
-                bytes_field(payload["product_c"]), dimension_n
-            )
         return Response(
             session_id=bytes_field(record["session_id"]),
             index=int(record["index"]),
-            mode=mode,
-            payload=payload,
+            mode=str(record["mode"]),
+            payload=dict(record["payload"]),
         )
-    except ProtocolError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad response record: {exc}") from exc
 
@@ -241,7 +223,7 @@ def _validate_gemm(challenge: Challenge, response: Response) -> bool:
     params = params_for("gemm", challenge.params)
     proof = GemmProof(
         index_jstar=int(response.payload["index_jstar"]),
-        product_C=np.asarray(response.payload["product_c"], dtype=np.int64),
+        product_C=matrix_from_bytes(bytes_field(response.payload["product_c"]), params.dimension_n),
         chain_state_sigma=bytes_field(response.payload["chain_state_sigma"]),
     )
     return verify_gemm_puzzle(challenge.salt, params, proof)

@@ -17,9 +17,7 @@ import random
 import statistics
 from collections.abc import Callable
 
-import yaml
-
-from .netcli import _csv_cell, rows_to_csv
+from .netcli import _csv_cell, load_config, rows_to_csv
 from .residency import BandwidthModel
 from .stattests import utilization_proxy
 from .worksim import (
@@ -220,12 +218,10 @@ def _write_summary(out_dir: str, summaries: list[dict]) -> None:
 
 def run_scenario_file(path: str, out_dir: str, seed: int | None = None) -> list[dict]:
     """Scenario-file entry point: YAML with ``scenarios`` and ``seed`` keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario file must be a key-value document")
+    try:
+        doc = load_config(path)
+    except ValueError as exc:  # unparsable, or not a key-value document
+        raise ScenarioError(str(exc)) from exc
     names = doc.get("scenarios", [])
     if names == "all":
         names = sorted(SCENARIOS)

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .core import Challenge, Response, _refuse_unknown, generate_salt
-from .gemm import solve_gemm_puzzle
+from .gemm import matrix_bytes, solve_gemm_puzzle
 from .pow import solve_pow
 from .protocol import MODES, bytes_field, params_for
 from .residency import (
@@ -214,15 +214,12 @@ class SimWorker:
         profile: WorkerProfile,
         seed: int = 0,
         model: BandwidthModel | None = None,
-        session_id: bytes | None = None,
     ) -> None:
         self.profile = profile
         self.rng = random.Random(seed)
         self.clock = VirtualClock()
         self.model = model if model is not None else BandwidthModel()
-        self.session_id = (
-            session_id if session_id is not None else generate_salt(self.rng)
-        )
+        self.session_id = generate_salt(self.rng)
         self.dataset: ChalDataset | None = None
         self._probe_round = 0
 
@@ -303,7 +300,7 @@ class SimWorker:
         payload = {
             "index_jstar": proof.index_jstar,
             "chain_state_sigma": proof.chain_state_sigma,
-            "product_c": proof.product_C,
+            "product_c": matrix_bytes(proof.product_C),
         }
         return payload, duration
 

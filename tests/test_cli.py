@@ -1,8 +1,9 @@
 """Command-line entry point tests.
 
-These call the mains directly with argv lists; the acceptance suite
-additionally runs them as real subprocesses through the console
-scripts. Exit-code semantics: 0 Accept, 1 Reject, 2 an error.
+These call the mains directly with argv lists; criterion 8 of the
+acceptance suite runs them as subprocesses through ``python -m
+gputelem.cli``, and CI runs the installed console scripts on a
+malformed config. Exit-code semantics: 0 Accept, 1 Reject, 2 an error.
 """
 
 import pytest
@@ -83,6 +84,27 @@ def test_challenger_missing_config(tmp_path, capsys):
     )
     assert code == cli.EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+MALFORMED_YAML = "rounds: [1\n"  # an unclosed flow sequence
+
+
+def test_challenger_malformed_config_is_an_error(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(MALFORMED_YAML)
+    code = cli.challenger_main(
+        ["run", "--mode", "pow", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == cli.EXIT_ERROR
+    assert "cannot parse" in capsys.readouterr().err
+
+
+def test_challenger_unwritable_report_is_an_error_not_a_verdict(tmp_path, daemon, capsys):
+    config = _config_file(tmp_path, daemon)
+    out = tmp_path / "missing-dir" / "r.csv"
+    code = cli.challenger_main(["run", "--mode", "pow", "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_ERROR
+    assert "missing-dir" in capsys.readouterr().err
 
 
 def test_challenger_refuses_a_fractional_round_count(tmp_path, daemon, capsys):
@@ -291,6 +313,14 @@ def test_worker_missing_profile(tmp_path, capsys):
     assert "profile" in capsys.readouterr().err
 
 
+def test_worker_malformed_profile_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "profile.yaml"
+    bad.write_text(MALFORMED_YAML)
+    code = cli.worker_main(["serve", "--profile", str(bad), "--listen", "127.0.0.1:0"])
+    assert code == cli.EXIT_ERROR
+    assert "cannot parse" in capsys.readouterr().err
+
+
 def test_worker_invalid_profile_field(tmp_path, capsys):
     bad = tmp_path / "profile.yaml"
     bad.write_text("hash_rate: 10\n")  # typo for hash_rate_r
@@ -368,6 +398,14 @@ def test_scenario_missing_file(tmp_path, capsys):
         ["run", "--file", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "o")]
     )
     assert code == cli.EXIT_ERROR
+
+
+def test_scenario_malformed_file_is_an_error(tmp_path, capsys):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(MALFORMED_YAML)
+    code = cli.scenario_main(["run", "--file", str(plan), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_ERROR
+    assert "cannot parse" in capsys.readouterr().err
 
 
 def test_main_dispatcher(tmp_path, capsys):

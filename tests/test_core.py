@@ -1,13 +1,17 @@
 """Primitive-layer tests: encodings, digests, streams, timestamps."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gputelem
 from gputelem.core import (
     DIGEST_LEN,
     KAPPA,
@@ -24,6 +28,26 @@ from gputelem.core import (
     keyed_stream,
     keyed_xor,
 )
+
+
+def test_import_gputelem_imports_nothing():
+    """The package module holds no lazy loader: numpy and every submodule
+    load only when imported, and none is an attribute until then."""
+    src = os.path.dirname(os.path.dirname(gputelem.__file__))
+    probe = (
+        "import sys, gputelem; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('gputelem.')), "
+        "hasattr(gputelem, 'protocol'), gputelem.__version__)"
+    )
+    ran = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert ran.stdout.split() == ["[]", "False", gputelem.__version__]
 
 
 def test_hash_bytes_is_sha256():

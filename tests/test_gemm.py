@@ -157,6 +157,15 @@ def test_matrix_bytes_is_row_major_big_endian():
     assert raw[30:32] == b"\x01\x02"  # 258
 
 
+def test_matrix_from_bytes_inverts_matrix_bytes():
+    m = np.array([[0, 1], [258, P - 1]], dtype=np.int64)
+    back = gemm.matrix_from_bytes(gemm.matrix_bytes(m), 2)
+    assert back.dtype == np.int64 and np.array_equal(back, m)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="length"):
+            gemm.matrix_from_bytes(gemm.matrix_bytes(m), n)
+
+
 # --- Freivalds check --------------------------------------------------------------
 
 
@@ -335,6 +344,15 @@ def test_params_validation():
     assert gemm.GemmParams(dimension_n=gemm._MAX_DIM).dimension_n == gemm._MAX_DIM
     with pytest.raises(ValueError):
         gemm.GemmParams(dimension_n=gemm._MAX_DIM + 1)
+
+
+def test_freivalds_k_is_at_most_64():
+    """k = 64 already bounds a false accept by 2^-64; a larger k only
+    makes each verification slower, without bound."""
+    assert gemm.GemmParams(freivalds_k=64).freivalds_k == 64
+    for k in (65, 1 << 20, 1 << 30):
+        with pytest.raises(ValueError, match="freivalds_k"):
+            gemm.GemmParams(freivalds_k=k)
 
 
 def test_attempt_count_is_geometric_at_difficulty():

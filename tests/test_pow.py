@@ -127,6 +127,22 @@ def test_params_validation():
         PowParams(difficulty=8, argon_lanes=2, argon_memory_kib=8)
 
 
+def test_params_bound_the_argon_memory_filled_per_attempt():
+    """memory * passes is at most 2^20 KiB, one GiB per attempt, so neither
+    field can make one verification run unbounded or overflow Argon2."""
+    assert PowParams(argon_memory_kib=1 << 20).argon_memory_kib == 1 << 20
+    assert PowParams(argon_memory_kib=1 << 10, argon_passes=1 << 10).argon_passes == 1 << 10
+    for fields in (
+        {"argon_memory_kib": 1 << 20, "argon_passes": 2},
+        {"argon_passes": 1 << 31},
+        {"argon_memory_kib": 1 << 31},
+        {"argon_passes": 1 << 63},
+        {"argon_memory_kib": 1 << 64},
+    ):
+        with pytest.raises(ValueError, match="argon_memory_kib \\* argon_passes"):
+            PowParams(**fields)
+
+
 def test_attempts_are_plausibly_geometric():
     """Coarse sanity on the attempt distribution; the full chi-square
     fit runs in the acceptance suite at d = 8 with 2000 puzzles."""

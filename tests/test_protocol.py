@@ -7,9 +7,9 @@ exercised, not just the in-memory dict shapes.
 """
 
 import random
+import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from gputelem import gemm, netcli, protocol, wire
@@ -86,6 +86,18 @@ def test_parse_challenge_refuses_integer_byte_fields():
         SimWorker(WorkerProfile(), seed=1).pre_challenge({"session_id": 32, "kind": "pow"})
 
 
+def test_parse_challenge_refuses_an_issue_stamp_outside_the_exact_range():
+    """issued_at_micros round-trips exactly only below 2^51 microseconds,
+    and pow_hash packs the stamp into 8 bytes."""
+    for stamp in (0, (1 << 51) - 1):
+        record = {**protocol.challenge_record(_challenge()), "issued_at_us": stamp}
+        assert issued_at_micros(protocol.parse_challenge(record).issued_at) == stamp
+    for stamp in (10**400, 1 << 64, 1 << 51, -1, -5):
+        record = {**protocol.challenge_record(_challenge()), "issued_at_us": stamp}
+        with pytest.raises(protocol.ProtocolError, match="issued_at_us"):
+            protocol.parse_challenge(record)
+
+
 def test_parse_challenge_missing_field():
     record = protocol.challenge_record(_challenge())
     del record["salt"]
@@ -119,7 +131,7 @@ def test_no_response_record_carries_a_solve_time(rsa_group):
         assert response.solve_time > 0
         record = protocol.response_record(response)
         assert "solve_time_ns" not in record
-        parsed = protocol.parse_response(wire.decode_record(wire.encode_record(record)), dimension_n=4)
+        parsed = protocol.parse_response(wire.decode_record(wire.encode_record(record)))
         assert parsed.solve_time == 0.0
 
 
@@ -127,35 +139,64 @@ def test_gemm_response_round_trip_preserves_matrix():
     params = {"dimension_n": 8, "difficulty_d": 2, "freivalds_k": 3}
     challenge, response = _answered("gemm", params)
     raw = wire.encode_record(protocol.response_record(response))
-    parsed = protocol.parse_response(wire.decode_record(raw), dimension_n=8)
-    assert np.array_equal(parsed.payload["product_c"], response.payload["product_c"])
-    assert parsed.payload["product_c"].dtype == np.int64
+    parsed = protocol.parse_response(wire.decode_record(raw))
+    assert parsed.payload == response.payload
     assert protocol.validate_response(challenge, parsed)
 
 
-def test_gemm_response_needs_dimension():
-    params = {"dimension_n": 8, "difficulty_d": 2, "freivalds_k": 3}
-    _, response = _answered("gemm", params)
-    record = protocol.response_record(response)
-    with pytest.raises(protocol.ProtocolError):
-        protocol.parse_response(record)
-    with pytest.raises(protocol.ProtocolError):
-        protocol.parse_response(record, dimension_n=16)  # wrong byte length
+def test_gemm_product_of_the_wrong_size_parses_and_is_invalid():
+    """The parser needs no dimension: the validator shapes the product
+    from the challenge's own n, and a product for another n is refused."""
+    _, larger = _answered("gemm", {"dimension_n": 16, "difficulty_d": 0, "freivalds_k": 3})
+    challenge, response = _answered("gemm", {"dimension_n": 8, "difficulty_d": 2, "freivalds_k": 3})
+    assert len(larger.payload["product_c"]) == 8 * 16 * 16
+    record = protocol.response_record(
+        replace(response, payload={**response.payload, "product_c": larger.payload["product_c"]})
+    )
+    parsed = protocol.parse_response(wire.decode_record(wire.encode_record(record)))
+    assert protocol.validate_response(challenge, parsed) is False
 
 
 def test_parse_response_refuses_integer_byte_fields():
     params = {"dimension_n": 4, "difficulty_d": 0, "freivalds_k": 2}
-    _, response = _answered("gemm", params)
-    record = protocol.response_record(response)
+    challenge, response = _answered("gemm", params)
     # bytes(8 * n * n) of this integer would decode as the all-zero matrix
-    record["payload"]["product_c"] = 8 * 4 * 4
-    with pytest.raises(protocol.ProtocolError):
-        protocol.parse_response(record, dimension_n=4)
+    integer = replace(response, payload={**response.payload, "product_c": 8 * 4 * 4})
+    parsed = protocol.parse_response(protocol.response_record(integer))
+    assert protocol.validate_response(challenge, parsed) is False
+    zeros = replace(response, payload={**response.payload, "product_c": bytes(8 * 4 * 4)})
+    assert protocol.validate_response(challenge, zeros) is False
     _, response = _answered("pow", {"difficulty": 2, "argon_memory_kib": 8})
     record = protocol.response_record(response)
     record["session_id"] = 32
     with pytest.raises(protocol.ProtocolError):
         protocol.parse_response(record)
+
+
+def _every_mode_answered(rsa_group):
+    """An honest (challenge, response, dataset) of each mode."""
+    answered = {
+        mode: (*_answered(mode, params), None)
+        for mode, params in (
+            ("pow", {"difficulty": 3, "argon_passes": 1, "argon_lanes": 1, "argon_memory_kib": 8}),
+            ("gemm", {"dimension_n": 8, "difficulty_d": 2, "freivalds_k": 3}),
+            ("vdf", {"modulus_n": rsa_group.modulus_N, "t_min": 16, "t_max": 32, "instances": 2}),
+        )
+    }
+    answered["residency"] = _residency_answered()
+    assert sorted(answered) == sorted(protocol.MODES)
+    return answered
+
+
+def test_every_payload_is_the_same_in_process_and_after_the_wire(rsa_group):
+    """A worker's payload is already in wire form, so record, bytes and
+    parser hand the validator exactly what the worker built, and the
+    parser needs nothing from the challenge."""
+    for mode, (challenge, response, dataset) in _every_mode_answered(rsa_group).items():
+        record = wire.decode_record(wire.encode_record(protocol.response_record(response)))
+        parsed = protocol.parse_response(record)
+        assert parsed.payload == response.payload, mode
+        assert protocol.validate_response(challenge, parsed, dataset), mode
 
 
 def test_vdf_response_round_trip(rsa_group):
@@ -176,9 +217,9 @@ def _flip(value: bytes, at: int = 0) -> bytes:
 
 
 def _tamper_gemm_entry(payload):
-    product = payload["product_c"].copy()
+    product = gemm.matrix_from_bytes(payload["product_c"], 8).copy()
     product[1, 2] = (int(product[1, 2]) + 1) % FIELD_MODULUS
-    return {**payload, "product_c": product}
+    return {**payload, "product_c": gemm.matrix_bytes(product)}
 
 
 def _tamper_proof(name, change):
@@ -232,9 +273,7 @@ def test_a_changed_solution_field_fails_validation_after_the_wire(rsa_group, mod
 
     def through_the_wire(r):
         raw = wire.encode_record(protocol.response_record(r))
-        return protocol.parse_response(
-            wire.decode_record(raw), dimension_n=challenge.params.get("dimension_n")
-        )
+        return protocol.parse_response(wire.decode_record(raw))
 
     assert protocol.validate_response(challenge, through_the_wire(response), dataset)
     forged = replace(response, payload=_TAMPERS[mode, field](response.payload))
@@ -242,6 +281,43 @@ def test_a_changed_solution_field_fails_validation_after_the_wire(rsa_group, mod
     # the record carries the solution fields and nothing else
     assert protocol.response_record(forged)["payload"].keys() == forged.payload.keys()
     assert protocol.validate_response(challenge, parsed, dataset) is False
+
+
+_SUBSTITUTES = (10**400, -1, 2**64, b"", "x", [1], {"k": 1}, 0)
+
+
+def _mutants(value):
+    """Copies of ``value`` with one field or item, at any depth, set to each substitute."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            for inner in (*_SUBSTITUTES, *_mutants(item)):
+                yield {**value, key: inner}
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            for inner in (*_SUBSTITUTES, *_mutants(item)):
+                yield [*value[:i], inner, *value[i + 1 :]]
+
+
+def test_a_mutated_record_is_refused_or_judged(rsa_group):
+    """Decoders are total and every param is bounded: with any field of a
+    valid challenge or response record replaced by a value of another
+    type or size, parsing returns or raises ProtocolError, and validation
+    returns a bool, quickly."""
+    started = time.monotonic()
+    mutants = 0
+    for challenge, response, dataset in _every_mode_answered(rsa_group).values():
+        sent = protocol.challenge_record(challenge)
+        received = protocol.response_record(response)
+        cases = [(m, received) for m in _mutants(sent)] + [(sent, m) for m in _mutants(received)]
+        for challenge_record, response_record in cases:
+            mutants += 1
+            try:
+                parsed = protocol.parse_challenge(challenge_record), protocol.parse_response(response_record)
+            except protocol.ProtocolError:
+                continue
+            assert type(protocol.validate_response(*parsed, dataset)) is bool
+    assert mutants > 500
+    assert time.monotonic() - started < 30
 
 
 # --- validation dispatch -----------------------------------------------------------
@@ -292,7 +368,7 @@ def test_validate_gemm_draws_freivalds_vectors_privately():
     params = {"dimension_n": 16, "difficulty_d": 0, "freivalds_k": 5}
     challenge, response = _answered("gemm", params)
     gemm_params = GemmParams(dimension_n=16, difficulty_d=0, freivalds_k=5)
-    honest = response.payload["product_c"]
+    honest = gemm.matrix_from_bytes(response.payload["product_c"], 16)
     sigma = response.payload["chain_state_sigma"]
     grind = random.Random(8)
     for _ in range(2000):  # about 32 tries at k=5
@@ -308,7 +384,7 @@ def test_validate_gemm_draws_freivalds_vectors_privately():
     # private vectors accept with chance 2^-5: mean 6.25, sd 2.4
     accepted = sum(verify_gemm_puzzle(challenge.salt, gemm_params, proof) for _ in range(200))
     assert accepted <= 20
-    forged = replace(response, payload={**response.payload, "product_c": bad})
+    forged = replace(response, payload={**response.payload, "product_c": gemm.matrix_bytes(bad)})
     accepted = sum(protocol.validate_response(challenge, forged) for _ in range(200))
     assert accepted <= 20
 

@@ -13,7 +13,7 @@ import pytest
 
 from gputelem import vdf, worksim
 from gputelem.core import Challenge
-from gputelem.gemm import GemmParams, GemmProof, verify_gemm_puzzle
+from gputelem.gemm import GemmParams, GemmProof, matrix_from_bytes, verify_gemm_puzzle
 from gputelem.pow import PowParams, PowSolution, verify_pow
 from gputelem.residency import BandwidthModel
 from gputelem.worksim import SimWorker, VirtualClock, WallClock, WorkerProfile
@@ -223,7 +223,7 @@ def test_answer_gemm_is_genuinely_valid():
     response = worker.answer(challenge)
     proof = GemmProof(
         index_jstar=response.payload["index_jstar"],
-        product_C=response.payload["product_c"],
+        product_C=matrix_from_bytes(response.payload["product_c"], 8),
         chain_state_sigma=response.payload["chain_state_sigma"],
     )
     params = GemmParams(dimension_n=8, difficulty_d=2, freivalds_k=4)
