@@ -33,42 +33,35 @@ def keyed_hash(key: bytes, data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=32, key=key).digest()
 
 
-def keyed_xor(key: bytes, data: bytes, domain: bytes = b"") -> bytes:
+def keyed_xor(key: bytes, data: bytes, domain: bytes = b"", offset: int = 0) -> bytes:
     """XOR ``data`` with the keyed ChaCha20 (RFC 8439) stream for (key, domain).
 
-    The cipher key is ``keyed_hash(key, domain)`` and the 16-byte nonce
-    (block counter and IV) is all zeros.  A fixed nonce is safe because
-    every caller passes its own domain (dataset block, probe mask,
-    fingerprint mask, matrix pair), so no two uses share a cipher key.
-    XOR makes the map an involution: applying it twice restores ``data``.
+    The one ChaCha20 call.  The cipher key is ``keyed_hash(key, domain)``
+    and the 16-byte nonce is the 4-byte little-endian block counter
+    followed by a 12-byte all-zero IV.  A fixed IV is safe because every
+    caller passes its own domain (dataset block, probe mask, fingerprint
+    mask, matrix pair), so no two uses share a cipher key.  ``offset``
+    seeks: ``data`` meets stream bytes [offset, offset + len(data)),
+    generated from the 64-byte block that holds ``offset``.  XOR makes
+    the map an involution: applying it twice restores ``data``.
     """
-    encryptor = _chacha20(key, domain, 0).encryptor()
-    return encryptor.update(data) + encryptor.finalize()
+    counter, skip = divmod(offset, 64)
+    nonce = counter.to_bytes(4, "little") + bytes(12)
+    cipher = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), nonce), mode=None)
+    encryptor = cipher.encryptor()
+    if skip:
+        encryptor.update(bytes(skip))
+    return encryptor.update(data)
 
 
 def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"", offset: int = 0) -> bytes:
-    """Expand a key into ``nbytes`` of pseudorandom stream.
+    """Bytes [offset, offset + nbytes) of the keyed stream: ``keyed_xor`` of zeros.
 
-    The raw ChaCha20 keystream of ``keyed_xor``; a shorter request is a
-    prefix of a longer one.  Used where a digest has to be stretched
-    over a large buffer (dataset blocks, matrices) without changing the
-    32-byte digest convention elsewhere.  ``offset`` seeks: the result
-    is bytes [offset, offset + nbytes) of the stream, generated from the
-    64-byte ChaCha20 block that holds ``offset``, whose counter goes in
-    the first 4 (little-endian) bytes of the nonce.
+    A shorter request is a prefix of a longer one.  Used where a digest
+    has to be stretched over a large buffer (dataset blocks, matrices)
+    without changing the 32-byte digest convention elsewhere.
     """
-    counter, skip = divmod(offset, 64)
-    return _chacha20(key, domain, counter).encryptor().update(bytes(skip + nbytes))[skip:]
-
-
-def _chacha20(key: bytes, domain: bytes, counter: int) -> Cipher:
-    """ChaCha20 keyed by ``keyed_hash(key, domain)``, starting at block ``counter``.
-
-    The 16-byte nonce is the 4-byte little-endian block counter followed
-    by a 12-byte all-zero IV.
-    """
-    nonce = counter.to_bytes(4, "little") + bytes(12)
-    return Cipher(algorithms.ChaCha20(keyed_hash(key, domain), nonce), mode=None)
+    return keyed_xor(key, bytes(nbytes), domain, offset)
 
 
 def encode_fields(*parts: bytes | int | str) -> bytes:
@@ -159,9 +152,10 @@ class Challenge:
 class Response:
     """Worker's answer to one challenge: an opaque payload plus timing.
 
-    ``solve_time`` is the worker's own modeled duration, which a daemon
-    shapes its reply latency to; it never crosses the wire, so a parsed
-    response holds the default 0.0.
+    ``solve_time`` is the worker's own modeled duration, which its clock
+    has already waited out when the response is returned.  Nothing in
+    this package reads it (the challenger times each round itself), and
+    it never crosses the wire, so a parsed response holds the default 0.0.
     """
 
     session_id: bytes

@@ -6,10 +6,11 @@ the dataset to plant), then one challenge per round, each answered
 before the next is sent; a transport failure ends the session with
 ``TransportError``.  ``RemoteWorker`` has the worker interface of the
 in-process ``SimWorker``, and the daemon hands each message to a
-``SimWorker`` (``pre_challenge`` or ``answer``), so it actually computes
-every answer and shapes its reply latency to the behavioral profile:
-a challenger cannot tell (and should not care) whether it is talking to
-a simulation.
+``SimWorker`` on a ``WallClock`` (``pre_challenge`` or ``answer``), so
+it actually computes every answer and replies once the profile's
+modeled latency has passed on the wall clock: a challenger cannot tell
+(and should not care) whether it is talking to a simulation.  The
+daemon itself only moves frames; it reads no time.
 
 Every mode reports a ``protocol.SessionReport``, written as CSV rows
 (one layout for all modes) plus a JSON summary; with seeded configs
@@ -37,7 +38,6 @@ import random
 import socket
 import socketserver
 import threading
-import time
 from dataclasses import asdict, dataclass, replace
 
 import yaml
@@ -129,11 +129,10 @@ class _WorkerServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, listen, profile, seed=0, model=None, shape_latency=True):
+    def __init__(self, listen, profile, seed=0, model=None):
         self.profile = profile
         self.base_seed = seed
         self.model = model if model is not None else BandwidthModel()
-        self.shape_latency = shape_latency
         self._session_counter = 0
         self._counter_lock = threading.Lock()
         super().__init__(_parse_address(listen), _WorkerHandler)
@@ -152,7 +151,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         server: _WorkerServer = self.server
         worker = SimWorker(
-            server.profile, seed=server.next_seed(), model=server.model
+            server.profile, seed=server.next_seed(), model=server.model, clock=WallClock()
         )
         sock = self.request
         while True:
@@ -161,7 +160,7 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             except TransportError:
                 return
             try:
-                reply = self._dispatch(worker, msg, server.shape_latency)
+                reply = self._dispatch(worker, msg)
             except (WireDecodeError, ProtocolError, ValueError, KeyError) as exc:
                 reply = _error_message(str(exc))
             except Exception as exc:  # no crash on any challenge content
@@ -171,32 +170,16 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
             except TransportError:
                 return
 
-    def _dispatch(
-        self, worker: SimWorker, msg: WireMessage, shape_latency: bool
-    ) -> WireMessage:
+    def _dispatch(self, worker: SimWorker, msg: WireMessage) -> WireMessage:
         if msg.msg_type == MSG_PRE_CHALLENGE:
-            record = decode_record(msg.payload)
-            started = time.monotonic()
-            ack = worker.pre_challenge(record)
-            if shape_latency:
-                _sleep_remainder(ack["init_time_ns"] / 1e9, started)
+            ack = worker.pre_challenge(decode_record(msg.payload))
             return WireMessage(MSG_PRE_RESPONSE, encode_record(ack))
         if msg.msg_type == MSG_CHALLENGE_BATCH:
-            challenge = parse_challenge(decode_record(msg.payload))
-            started = time.monotonic()
-            response = worker.answer(challenge)
-            if shape_latency:
-                _sleep_remainder(response.solve_time, started)
+            response = worker.answer(parse_challenge(decode_record(msg.payload)))
             return WireMessage(
                 MSG_RESPONSE_BATCH, encode_record(response_record(response))
             )
         return _error_message(f"unexpected message type {msg.msg_type}")
-
-
-def _sleep_remainder(target_s: float, started_monotonic: float) -> None:
-    remaining = target_s - (time.monotonic() - started_monotonic)
-    if remaining > 0:
-        time.sleep(remaining)
 
 
 @dataclass
@@ -221,9 +204,8 @@ def serve_worker_background(
     listen: str = "127.0.0.1:0",
     seed: int = 0,
     model: BandwidthModel | None = None,
-    shape_latency: bool = True,
 ) -> WorkerDaemon:
-    server = _WorkerServer(listen, profile, seed, model, shape_latency)
+    server = _WorkerServer(listen, profile, seed, model)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return WorkerDaemon(server=server, thread=thread)
@@ -406,12 +388,16 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     """Drive one measurement session against a (remote) worker.
 
     Every session ends in Accept or Reject, in the returned report.
-    A bad session setting raises ValueError before any worker is
-    contacted; TransportError means no worker answered or the connection
-    failed mid-session.  Both map to exit code 2 at the CLI.
+    A bad session setting raises ValueError, and an ``out_path`` that
+    cannot be written OSError, before any worker is contacted;
+    TransportError means no worker answered or the connection failed
+    mid-session.  All three map to exit code 2 at the CLI.
     """
     session = _session_settings(config)
     plan = _session_plan(session, config)
+    if out_path:  # an unwritable report path fails here, before any round is spent
+        for path in (out_path, out_path + ".json"):
+            open(path, "a", encoding="utf-8").close()
     rng = random.Random(session.seed)
     remote = RemoteWorker(_parse_address(config.get("worker", "127.0.0.1:9333")))
     try:
@@ -464,18 +450,16 @@ def _run_session(
 
 
 def run_local_session(
-    kind: str,
-    profile: WorkerProfile,
-    config: dict,
-    seed: int = 0,
-    model: BandwidthModel | None = None,
+    kind: str, profile: WorkerProfile, config: dict, seed: int = 0
 ) -> SessionReport:
     """Virtual-clock session against an in-process worker.
 
     Same decision path as the TCP flow, minus sockets: thousands of
-    sessions per minute, identical verdict semantics.  The session runs
-    on ``seed``; a config ``seed`` that differs from it is refused, so
-    the report's config snapshot never names a seed that did not run.
+    sessions per minute, identical verdict semantics.  The worker
+    simulates the config's ``bandwidth`` block, the bus the challenger
+    judges residency against.  The session runs on ``seed``; a config
+    ``seed`` that differs from it is refused, so the report's config
+    snapshot never names a seed that did not run.
     """
     session = _session_settings({**config, "kind": kind})
     if "seed" in config and session.seed != seed:
@@ -483,6 +467,7 @@ def run_local_session(
     session = replace(session, seed=seed)
     plan = _session_plan(session, config)
     rng = random.Random(seed)
+    model = bandwidth_model_from_dict(config.get("bandwidth"))
     worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=model)
     return _run_session(worker, session, plan, rng)
 

@@ -5,10 +5,13 @@ hashes, squarings and matrix products are genuine, so verification
 exercises the real code paths), but the time it *reports into the
 session* is drawn from a behavioral latency model: exponential solve
 times for nonce searches, near-deterministic times for the squaring
-chain, bandwidth-derived times for residency probes.  An in-process
-worker advances a virtual clock by those drawn times, which lets
+chain, bandwidth-derived times for residency probes.  The worker waits
+each drawn time out on its own clock, counted from when the request
+arrived: an in-process worker's virtual clock jumps, which lets
 thousand-session Monte-Carlo runs finish in seconds while producing the
-same decisions a patient wall-clock run would.
+same decisions a patient wall-clock run would, and a daemon's worker
+sleeps on the wall clock for whatever of the time its real computation
+left, so a challenger over TCP measures the modeled latency.
 """
 
 from __future__ import annotations
@@ -177,10 +180,6 @@ class VirtualClock:
     def now(self) -> float:
         return self._now
 
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            self._now += seconds
-
     def sleep_until(self, deadline: float) -> None:
         if deadline > self._now:
             self._now = deadline
@@ -192,12 +191,10 @@ class WallClock:
     def now(self) -> float:
         return time.monotonic()
 
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
     def sleep_until(self, deadline: float) -> None:
-        self.sleep(deadline - self.now())
+        remaining = deadline - self.now()
+        if remaining > 0:
+            time.sleep(remaining)
 
 
 class SimWorker:
@@ -206,7 +203,9 @@ class SimWorker:
     The handle has the worker interface that ``netcli.RemoteWorker``
     shares: now/sleep_until (session drivers schedule against the same
     timeline the worker advances), session_id, pre_challenge and answer.
-    One handle serves one session at a time.
+    ``clock`` is the one place a modeled duration becomes elapsed time:
+    a ``VirtualClock`` (the default) jumps, a ``WallClock`` sleeps.  One
+    handle serves one session at a time.
     """
 
     def __init__(
@@ -214,10 +213,11 @@ class SimWorker:
         profile: WorkerProfile,
         seed: int = 0,
         model: BandwidthModel | None = None,
+        clock: VirtualClock | WallClock | None = None,
     ) -> None:
         self.profile = profile
         self.rng = random.Random(seed)
-        self.clock = VirtualClock()
+        self.clock = clock if clock is not None else VirtualClock()
         self.model = model if model is not None else BandwidthModel()
         self.session_id = generate_salt(self.rng)
         self.dataset: ChalDataset | None = None
@@ -231,7 +231,11 @@ class SimWorker:
         self.clock.sleep_until(deadline)
 
     def pre_challenge(self, record: dict) -> dict:
-        """Session announcement; a residency session plants its dataset here."""
+        """Session announcement; a residency session plants its dataset here.
+
+        The ack's ``init_time_ns`` is the modeled planting time, already
+        waited out; nothing in this package reads it.
+        """
         kind = str(record["kind"])
         if kind not in MODES:
             raise ValueError(f"unknown kind {kind!r}")
@@ -251,11 +255,13 @@ class SimWorker:
         }
 
     def answer(self, challenge: Challenge) -> Response:
-        """Solve one challenge; advance the clock by the modeled duration.
+        """Solve one challenge; return once the modeled duration has passed.
 
-        A residency challenge carries no params, and one that names any
-        is refused.
+        The duration counts from the call, so on a wall clock the real
+        computation is part of it.  A residency challenge carries no
+        params, and one that names any is refused.
         """
+        started = self.clock.now()
         handler = {
             "pow": self._answer_pow,
             "gemm": self._answer_gemm,
@@ -271,7 +277,7 @@ class SimWorker:
         payload.setdefault(
             "kernel_time_ns", max(int(duration * 1e9) - self.profile.network_t0_ns, 0)
         )
-        self.clock.sleep(duration)
+        self.clock.sleep_until(started + duration)
         return Response(
             session_id=challenge.session_id,
             index=challenge.index,
@@ -336,12 +342,13 @@ class SimWorker:
         self, seed: bytes, size_bytes: int, block_size_bytes: int
     ) -> float:
         """Pre-challenge: materialize the dataset; costs one bus transfer."""
+        started = self.clock.now()
         self.dataset = init_chal(size_bytes, seed, block_size_bytes)
         self._probe_round = 0
         duration = _finalize(
             self.profile, size_bytes / self.model.pci_bw, self.rng
         )
-        self.clock.sleep(duration)
+        self.clock.sleep_until(started + duration)
         return duration
 
     def probe(
@@ -349,7 +356,7 @@ class SimWorker:
     ) -> ResidencyProbeResult:
         """One residency probe: a real digest and a modeled time.
 
-        The clock advances when ``answer`` returns the probe's response.
+        ``answer`` waits the modeled time out; ``probe`` alone does not.
         ``argon_memory_kib`` is accepted and ignored.
         """
         if self.dataset is None:

@@ -14,9 +14,7 @@ from gputelem.worksim import WorkerProfile
 
 @pytest.fixture(scope="module")
 def daemon():
-    handle = netcli.serve_worker_background(
-        WorkerProfile(hash_rate_r=4096.0), seed=80, shape_latency=False
-    )
+    handle = netcli.serve_worker_background(WorkerProfile(hash_rate_r=4096.0), seed=80)
     yield handle
     handle.close()
 
@@ -58,9 +56,7 @@ def test_challenger_accept_path(tmp_path, daemon, capsys):
 
 
 def test_challenger_reject_path(tmp_path, capsys):
-    slow = netcli.serve_worker_background(
-        WorkerProfile(hash_rate_r=32.0), seed=81, shape_latency=True
-    )
+    slow = netcli.serve_worker_background(WorkerProfile(hash_rate_r=32.0), seed=81)
     try:
         config = _config_file(tmp_path, slow, lambda_min=40.0)
         out = tmp_path / "slow.csv"
@@ -99,7 +95,10 @@ def test_challenger_malformed_config_is_an_error(tmp_path, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
-def test_challenger_unwritable_report_is_an_error_not_a_verdict(tmp_path, daemon, capsys):
+def test_challenger_unwritable_report_is_an_error_not_a_verdict(
+    tmp_path, daemon, monkeypatch, capsys
+):
+    monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
     config = _config_file(tmp_path, daemon)
     out = tmp_path / "missing-dir" / "r.csv"
     code = cli.challenger_main(["run", "--mode", "pow", "--config", str(config), "--out", str(out)])

@@ -406,7 +406,6 @@ def daemon():
     handle = netcli.serve_worker_background(
         WorkerProfile(hash_rate_r=4096.0, squaring_rate=1e6),
         seed=70,
-        shape_latency=False,
     )
     yield handle
     handle.close()
@@ -622,7 +621,7 @@ def test_a_malformed_kernel_time_makes_the_round_invalid(monkeypatch, kernel_tim
         "threshold_ns": 2_000_000_000,
     }
     if over_tcp:
-        handle = netcli.serve_worker_background(WorkerProfile(), seed=72, shape_latency=False)
+        handle = netcli.serve_worker_background(WorkerProfile(), seed=72)
         try:
             worker = "%s:%d" % handle.address
             report = netcli.run_challenger({"kind": "residency", "worker": worker, "residency": block})
@@ -650,9 +649,11 @@ def test_run_challenger_rejects_unknown_kind():
 
 
 def test_shaped_latency_reject_over_tcp(tmp_path):
-    """A slow worker with shaped wall latency earns a Reject verdict."""
+    """A slow worker waits out its modeled latency on the wall clock and
+    earns a Reject verdict; every round the challenger times includes
+    the profile's 50 ms network offset."""
     handle = netcli.serve_worker_background(
-        WorkerProfile(hash_rate_r=32.0), seed=71, shape_latency=True
+        WorkerProfile(hash_rate_r=32.0, network_t0_ns=50_000_000), seed=71
     )
     try:
         config = {
@@ -666,6 +667,8 @@ def test_shaped_latency_reject_over_tcp(tmp_path):
         report = netcli.run_challenger(config)
         assert report.decision.verdict is Verdict.REJECT
         assert report.exit_code == 1
+        assert len(report.rows) == 6
+        assert all(row["total_ns"] >= 50_000_000 for row in report.rows)
     finally:
         handle.close()
 
@@ -748,6 +751,17 @@ def test_run_local_session_residency_flags_eviction():
     assert report.decision.verdict is Verdict.REJECT
     verdicts = [row["verdict"] for row in report.rows]
     assert verdicts == ["Hot"] * 3 + ["Cold"] * 3
+
+
+@pytest.mark.parametrize("state, verdict", [("hot", Verdict.ACCEPT), ("cold", Verdict.REJECT)])
+def test_run_local_session_worker_simulates_the_configured_bus(state, verdict):
+    """The worker's cold probes pay the config's slow bus, the one the
+    threshold was worked out from, not the default ten times faster one."""
+    config = {"residency": {"rounds": 3, "dataset_mib": 4}, "bandwidth": {"pci_bw": 1e9}}
+    report = netcli.run_local_session("residency", WorkerProfile(residency_state=state), config, seed=1)
+    assert report.config["bandwidth"]["pci_bw"] == 1e9
+    assert report.decision.verdict is verdict
+    assert [row["verdict"] for row in report.rows] == [state.capitalize()] * 3
 
 
 def test_local_session_reports_are_byte_deterministic(tmp_path):

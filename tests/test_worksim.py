@@ -166,11 +166,9 @@ def test_jitter_draws_stay_within_three_sigma():
 def test_virtual_clock_jumps():
     clock = VirtualClock(start=5.0)
     assert clock.now() == 5.0
-    clock.sleep(2.5)
+    clock.sleep_until(clock.now() + 2.5)
     assert clock.now() == 7.5
-    clock.sleep(-1.0)  # never goes backwards
-    assert clock.now() == 7.5
-    clock.sleep_until(7.0)
+    clock.sleep_until(7.0)  # never goes backwards
     assert clock.now() == 7.5
     clock.sleep_until(10.0)
     assert clock.now() == 10.0
@@ -271,6 +269,20 @@ def test_same_seed_same_latency_sequence():
         for _ in range(1)
     ]
     assert times_a == times_b
+
+
+def test_wall_clock_worker_waits_out_its_modeled_time():
+    """On a wall clock the modeled duration is elapsed time, counted from the call."""
+    # the network offset puts a 30 ms floor under every modeled duration
+    profile = WorkerProfile(network_t0_ns=30_000_000)
+    worker = SimWorker(profile, seed=3, clock=WallClock())
+    challenge = _challenge("pow", {"difficulty": 2, "argon_memory_kib": 8})
+    started = time.monotonic()
+    response = worker.answer(challenge)
+    assert time.monotonic() - started >= response.solve_time > 0.030
+    started = time.monotonic()
+    ack = worker.pre_challenge(_residency_pre_challenge())
+    assert time.monotonic() - started >= ack["init_time_ns"] / 1e9 > 0.030
 
 
 def test_init_dataset_costs_one_bus_transfer():
