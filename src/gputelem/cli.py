@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .netcli import (
+    DEFAULT_ADDRESS,
     TransportError,
     load_config,
     run_challenger,
@@ -66,24 +67,27 @@ def worker_main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     serve_p = sub.add_parser("serve", help="listen for challenger sessions")
-    serve_p.add_argument("--listen", default="127.0.0.1:9333")
-    serve_p.add_argument("--profile", required=True, help="worker profile (YAML)")
-    serve_p.add_argument("--seed", type=int, default=0)
+    serve_p.add_argument(
+        "--listen", default=None, help=f"host:port, overriding the config (default {DEFAULT_ADDRESS})"
+    )
+    serve_p.add_argument("--profile", required=True, help="worker config (YAML)")
+    serve_p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
     args = parser.parse_args(argv)
 
     try:
-        doc = load_config(args.profile)
+        config = load_config(args.profile)
     except (OSError, ValueError) as exc:
         return _fail(f"profile: {exc}")
-    if "profile" not in doc:
-        doc = {"profile": doc}
-    doc["listen"] = args.listen
-    doc["seed"] = args.seed
+    if args.listen is not None:
+        config["listen"] = args.listen
+    if args.seed is not None:
+        config["seed"] = args.seed
     try:
-        server = worker_server(doc)
+        server = worker_server(config)
     except (OSError, ValueError) as exc:
         return _fail(f"profile: {exc}")
-    print(f"worker: serving on {args.listen}", file=sys.stderr)
+    host, port = server.server_address[:2]
+    print(f"worker: serving on {host}:{port}", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -17,8 +17,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping
 
-import yaml
-
 from .core import encode_fields, keyed_hash, keyed_xor
 from .residency import ChalDataset, init_chal
 
@@ -127,25 +125,6 @@ def verify_fingerprint(
         expected = registry[expected]
     reference = fingerprint_digest(device_error_vector(expected, canonical_input))
     return claimed_r_gpu == reference
-
-
-def load_profiles(path: str) -> dict[str, DeviceClassProfile]:
-    """Read device-class profiles from a YAML key-value document.
-
-    Expected shape per class id: drift_seed (hex string), layers (list
-    of [rows, cols]), reshapes (list of batch sizes).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    profiles = {}
-    for class_id, spec in raw.items():
-        profiles[class_id] = DeviceClassProfile(
-            class_id=class_id,
-            drift_seed=bytes.fromhex(spec["drift_seed"]),
-            layer_spec=tuple((int(r), int(c)) for r, c in spec["layers"]),
-            reshape_schedule=tuple(int(b) for b in spec["reshapes"]),
-        )
-    return profiles
 
 
 def builtin_profiles() -> dict[str, DeviceClassProfile]:

@@ -18,7 +18,8 @@ and virtual clocks both are byte-deterministic.  The summary's
 ``config`` is the settings that ran, in config form, so a virtual-clock
 session replays from it, a vdf session that drew a fresh group included.
 
-Each config block is read by the dataclass it configures
+A config is parsed in one place, ``_session_plan``, once per session
+or daemon: each block is read by the dataclass it configures
 (``core._parse_fields``), whose field defaults are the only defaults:
 the top-level keys by ``SessionSettings``, ``profile`` by
 ``worksim.WorkerProfile``, ``bandwidth`` by ``residency.BandwidthModel``,
@@ -26,9 +27,10 @@ the ``pow``, ``vdf`` and ``gemm`` blocks by their challenge params
 class (``protocol.params_for``), the ``vdf`` block also by
 ``vdf.VdfSettings`` and the ``residency`` block by
 ``residency.ResidencySettings``.  The ``worker``/``listen`` addresses
-are read by ``_parse_address``.  A key that nothing reads is refused,
-and every block the config holds is parsed, whichever mode runs, by
-``challenger run`` and ``worker serve`` alike.
+are read by ``_parse_address``, default ``DEFAULT_ADDRESS``.  A key
+that nothing reads is refused, and every block the config holds is
+parsed, whichever mode runs.  ``challenger run`` and ``worker serve``
+read the same config shape; each takes what it needs from the plan.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import socket
 import socketserver
 import threading
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import yaml
 
@@ -129,13 +132,13 @@ class _WorkerServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, listen, profile, seed=0, model=None):
+    def __init__(self, address, profile, seed=0, model=None):
         self.profile = profile
         self.base_seed = seed
         self.model = model if model is not None else BandwidthModel()
         self._session_counter = 0
         self._counter_lock = threading.Lock()
-        super().__init__(_parse_address(listen), _WorkerHandler)
+        super().__init__(address, _WorkerHandler)
 
     def next_seed(self) -> int:
         with self._counter_lock:
@@ -205,7 +208,7 @@ def serve_worker_background(
     seed: int = 0,
     model: BandwidthModel | None = None,
 ) -> WorkerDaemon:
-    server = _WorkerServer(listen, profile, seed, model)
+    server = _WorkerServer(_parse_address(listen, "listen"), profile, seed, model)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return WorkerDaemon(server=server, thread=thread)
@@ -214,17 +217,14 @@ def serve_worker_background(
 def worker_server(config: dict) -> _WorkerServer:
     """The ``worker serve`` daemon of ``config``, bound but not yet serving.
 
-    Every block is parsed as ``challenger run`` parses it, so a bad key
-    or value raises ValueError before the port is bound.
+    ``config`` is a session config, parsed by ``_session_plan`` as
+    ``challenger run`` parses it, so a bad key or value raises
+    ValueError before the port is bound.  The daemon listens on the
+    plan's ``listen`` address and simulates its ``profile`` and
+    ``bandwidth``, its sessions seeded from the plan's ``seed``.
     """
-    session = _session_settings(config)
-    _session_plan(session, config)
-    return _WorkerServer(
-        config.get("listen", "127.0.0.1:9333"),
-        profile_from_dict(config.get("profile")),
-        session.seed,
-        bandwidth_model_from_dict(config.get("bandwidth")),
-    )
+    plan = _session_plan(config)
+    return _WorkerServer(plan.listen, plan.profile, plan.session.seed, plan.model)
 
 
 # --- challenger-side client --------------------------------------------------
@@ -328,25 +328,42 @@ def write_report(report: SessionReport, out_path: str) -> None:
 # --- challenger --------------------------------------------------------------
 
 
-def _session_plan(session: SessionSettings, config: dict):
-    """What a session runs on besides its session keys, parsed, defaults filled in.
+class SessionPlan(NamedTuple):
+    """A config, parsed once, with every default filled in.
 
-    A residency session gets its settings (``threshold_ns`` worked out
-    if left out) and bandwidth model; a pow, vdf or gemm session its
-    challenge params, as the dict it sends.  Every block the config
-    holds is parsed, whichever mode runs, so a bad key or value raises
-    ValueError here, before any worker is contacted.
+    ``block`` is the running mode's part: a pow, vdf or gemm session's
+    challenge params, as the dict it sends, or a residency session's
+    ``ResidencySettings`` with ``threshold_ns`` worked out if left out.
     """
-    model = bandwidth_model_from_dict(config.get("bandwidth"))
-    profile_from_dict(config.get("profile"))
-    plans = {m: _block_plan(m, session, config) for m in MODES if m in config or m == session.kind}
-    if session.kind != "residency":
-        return plans[session.kind]
-    settings = plans["residency"]
-    if settings.threshold_ns is None:
-        threshold_ns = default_threshold_ns(settings.dataset_mib << 20, model)
-        settings = replace(settings, threshold_ns=threshold_ns)
-    return settings, model
+
+    session: SessionSettings
+    profile: WorkerProfile
+    model: BandwidthModel
+    block: dict | ResidencySettings
+    worker: tuple[str, int]
+    listen: tuple[str, int]
+
+
+def _session_plan(config: dict) -> SessionPlan:
+    """The one parse of a config: each key read once, or refused.
+
+    The top-level keys, ``profile``, ``bandwidth``, every mode block the
+    config holds (whichever mode runs) and the ``worker`` and ``listen``
+    addresses are each parsed once, so a bad key or value raises
+    ValueError here, before any file is written, worker contacted or
+    port bound.
+    """
+    (keys,) = _split_block(config, (SessionSettings,), "top-level", _TOP_LEVEL_KEYS)
+    session = _parse_fields(SessionSettings, keys)
+    profile = _parse_fields(WorkerProfile, config.get("profile"), block="profile")
+    model = _parse_fields(BandwidthModel, config.get("bandwidth"), block="bandwidth")
+    blocks = {m: _block_plan(m, session, config) for m in MODES if m in config or m == session.kind}
+    block = blocks[session.kind]
+    if session.kind == "residency" and block.threshold_ns is None:
+        threshold_ns = default_threshold_ns(block.dataset_mib << 20, model)
+        block = replace(block, threshold_ns=threshold_ns)
+    worker, listen = (_parse_address(config.get(k, DEFAULT_ADDRESS), k) for k in ("worker", "listen"))
+    return SessionPlan(session, profile, model, block, worker, listen)
 
 
 def _block_plan(mode: str, session: SessionSettings, config: dict):
@@ -377,10 +394,11 @@ def _block_plan(mode: str, session: SessionSettings, config: dict):
     return asdict(params_for(mode, section))
 
 
-def _parse_address(text: str) -> tuple[str, int]:
+def _parse_address(text: str, key: str) -> tuple[str, int]:
+    """``host:port`` as a socket address; the host defaults to loopback."""
     host, _, port = str(text).rpartition(":")
-    if not port.isdigit():
-        raise ValueError(f"bad worker address {text!r}")
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"bad {key} address {text!r}: expected host:port, port in [0, 65535]")
     return (host or "127.0.0.1", int(port))
 
 
@@ -393,15 +411,14 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     TransportError means no worker answered or the connection failed
     mid-session.  All three map to exit code 2 at the CLI.
     """
-    session = _session_settings(config)
-    plan = _session_plan(session, config)
+    plan = _session_plan(config)
     if out_path:  # an unwritable report path fails here, before any round is spent
         for path in (out_path, out_path + ".json"):
             open(path, "a", encoding="utf-8").close()
-    rng = random.Random(session.seed)
-    remote = RemoteWorker(_parse_address(config.get("worker", "127.0.0.1:9333")))
+    rng = random.Random(plan.session.seed)
+    remote = RemoteWorker(plan.worker)
     try:
-        report = _run_session(remote, session, plan, rng)
+        report = _run_session(remote, plan, rng)
     finally:
         remote.close()
     if out_path:
@@ -409,14 +426,12 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     return report
 
 
-def _run_session(
-    worker, session: SessionSettings, plan, rng: random.Random
-) -> SessionReport:
-    kind = session.kind
+def _run_session(worker, plan: SessionPlan, rng: random.Random) -> SessionReport:
+    session, model, kind = plan.session, plan.model, plan.session.kind
     session_id = new_session_id(rng)
     worker.session_id = session_id
     if kind == "residency":
-        settings, model = plan
+        settings = plan.block
         report = run_residency_session(
             worker,
             rounds=settings.rounds,
@@ -430,7 +445,7 @@ def _run_session(
         session = replace(session, rounds=settings.rounds)
         ran = {"residency": asdict(settings), "bandwidth": asdict(model)}
     else:
-        params = plan
+        params = plan.block
         worker.pre_challenge({"session_id": session_id, "kind": kind, "params": params})
         driver = SessionDriver(
             worker=worker, mode=kind, params=params, rng=rng, session_id=session_id
@@ -461,15 +476,12 @@ def run_local_session(
     ``seed`` that differs from it is refused, so the report's config
     snapshot never names a seed that did not run.
     """
-    session = _session_settings({**config, "kind": kind})
-    if "seed" in config and session.seed != seed:
-        raise ValueError(f"config seed {session.seed} differs from the session seed {seed}")
-    session = replace(session, seed=seed)
-    plan = _session_plan(session, config)
+    plan = _session_plan({"seed": seed, **config, "kind": kind})
+    if plan.session.seed != seed:
+        raise ValueError(f"config seed {plan.session.seed} differs from the session seed {seed}")
     rng = random.Random(seed)
-    model = bandwidth_model_from_dict(config.get("bandwidth"))
-    worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=model)
-    return _run_session(worker, session, plan, rng)
+    worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=plan.model)
+    return _run_session(worker, plan, rng)
 
 
 # --- config plumbing ---------------------------------------------------------
@@ -514,15 +526,5 @@ class SessionSettings:
 # the top level holds, besides the session keys, the blocks and addresses
 _TOP_LEVEL_KEYS = ("worker", "listen", "profile", "bandwidth", *MODES)
 
-
-def _session_settings(config: dict) -> SessionSettings:
-    (keys,) = _split_block(config, (SessionSettings,), "top-level", _TOP_LEVEL_KEYS)
-    return _parse_fields(SessionSettings, keys)
-
-
-def profile_from_dict(raw: dict | None) -> WorkerProfile:
-    return _parse_fields(WorkerProfile, raw, block="profile")
-
-
-def bandwidth_model_from_dict(raw: dict | None) -> BandwidthModel:
-    return _parse_fields(BandwidthModel, raw, block="bandwidth")
+# where a challenger looks for its worker, and a worker listens, by default
+DEFAULT_ADDRESS = "127.0.0.1:9333"

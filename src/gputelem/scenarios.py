@@ -17,6 +17,7 @@ import random
 import statistics
 from collections.abc import Callable
 
+from .core import _coerce, _refuse_unknown
 from .netcli import _csv_cell, load_config, rows_to_csv
 from .residency import BandwidthModel
 from .stattests import utilization_proxy
@@ -217,15 +218,22 @@ def _write_summary(out_dir: str, summaries: list[dict]) -> None:
 
 
 def run_scenario_file(path: str, out_dir: str, seed: int | None = None) -> list[dict]:
-    """Scenario-file entry point: YAML with ``scenarios`` and ``seed`` keys."""
+    """Scenario-file entry point: YAML with ``scenarios`` and ``seed`` keys.
+
+    ``scenarios`` is a list of names or ``all``; ``seed`` is a whole
+    number, default 0, which a ``seed`` argument overrides.  Any other
+    key, or a seed that is not a whole number, is refused (ScenarioError)
+    before a scenario runs.
+    """
     try:
         doc = load_config(path)
-    except ValueError as exc:  # unparsable, or not a key-value document
+        _refuse_unknown(doc, ("scenarios", "seed"), "scenario file")
+        file_seed = _coerce("seed", int, doc.get("seed", 0))
+    except ValueError as exc:  # unparsable, not a key-value document, or a bad key
         raise ScenarioError(str(exc)) from exc
     names = doc.get("scenarios", [])
     if names == "all":
         names = sorted(SCENARIOS)
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ScenarioError("'scenarios' must be a list of names (or 'all')")
-    effective_seed = int(doc.get("seed", 0)) if seed is None else seed
-    return run_scenarios(names, out_dir, seed=effective_seed)
+    return run_scenarios(names, out_dir, seed=file_seed if seed is None else seed)

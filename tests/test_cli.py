@@ -322,7 +322,7 @@ def test_worker_malformed_profile_is_an_error(tmp_path, capsys):
 
 def test_worker_invalid_profile_field(tmp_path, capsys):
     bad = tmp_path / "profile.yaml"
-    bad.write_text("hash_rate: 10\n")  # typo for hash_rate_r
+    bad.write_text("profile:\n  hash_rate: 10\n")  # typo for hash_rate_r
     code = cli.worker_main(["serve", "--profile", str(bad), "--listen", "127.0.0.1:0"])
     assert code == cli.EXIT_ERROR
     assert "unknown profile fields" in capsys.readouterr().err
@@ -373,6 +373,63 @@ def test_worker_refuses_a_bad_block_before_serving(tmp_path, monkeypatch, capsys
     assert "serving" not in err
 
 
+def _record_serving(monkeypatch) -> list:
+    served = []
+
+    def serve_forever(self, *args):
+        served.append(self)
+
+    monkeypatch.setattr(netcli._WorkerServer, "serve_forever", serve_forever)
+    return served
+
+
+def test_worker_serves_a_config_of_only_a_bandwidth_block(tmp_path, monkeypatch, capsys):
+    # a worker file is a config: its blocks sit under their names
+    served = _record_serving(monkeypatch)
+    path = tmp_path / "worker.yaml"
+    path.write_text("bandwidth:\n  pci_bw: 5.0e+9\n")
+    code = cli.worker_main(["serve", "--profile", str(path), "--listen", "127.0.0.1:0"])
+    assert code == 0
+    assert "serving on" in capsys.readouterr().err
+    assert [server.model.pci_bw for server in served] == [5e9]
+
+
+def test_worker_reads_listen_and_seed_from_its_config(tmp_path, monkeypatch, capsys):
+    served = _record_serving(monkeypatch)
+    path = tmp_path / "worker.yaml"
+    path.write_text("listen: 127.0.0.1:0\nseed: 5\n")
+    assert cli.worker_main(["serve", "--profile", str(path)]) == 0
+    host, port = served[0].server_address[:2]
+    assert port != 9333 and served[0].base_seed == 5
+    # the bound address, so port 0 names the port it was given
+    assert f"serving on {host}:{port}" in capsys.readouterr().err
+    # a flag overrides the file only when given
+    assert cli.worker_main(["serve", "--profile", str(path), "--seed", "9"]) == 0
+    assert served[1].base_seed == 9
+
+
+def test_worker_refuses_a_port_above_65535(tmp_path, capsys):
+    path = tmp_path / "worker.yaml"
+    path.write_text("")
+    code = cli.worker_main(["serve", "--profile", str(path), "--listen", "127.0.0.1:70000"])
+    assert code == cli.EXIT_ERROR
+    assert "70000" in capsys.readouterr().err
+
+
+def test_challenger_refuses_a_bad_worker_address_before_writing_its_report(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
+    path = tmp_path / "config.yaml"
+    path.write_text("worker: nohost\nrounds: 2\n")
+    code = cli.challenger_main(
+        ["run", "--mode", "pow", "--config", str(path), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == cli.EXIT_ERROR
+    assert "nohost" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_scenario_run(tmp_path, capsys):
     plan = tmp_path / "plan.yaml"
     plan.write_text("scenarios: [vdf-saturation]\n")
@@ -405,6 +462,25 @@ def test_scenario_malformed_file_is_an_error(tmp_path, capsys):
     code = cli.scenario_main(["run", "--file", str(plan), "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_ERROR
     assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("scenario: all\n", "scenario"),
+        ("scenarios: [vdf-saturation]\nseed: 2.7\n", "seed"),
+        ("scenarios: [vdf-saturation]\nseed: true\n", "seed"),
+    ],
+    ids=["misspelt-key", "fractional-seed", "boolean-seed"],
+)
+def test_scenario_file_refuses_a_key_or_seed_nothing_reads(tmp_path, capsys, body, key):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(body)
+    out_dir = tmp_path / "o"
+    code = cli.scenario_main(["run", "--file", str(plan), "--out", str(out_dir)])
+    assert code == cli.EXIT_ERROR
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_main_dispatcher(tmp_path, capsys):

@@ -168,28 +168,3 @@ def test_wrong_class_mask_breaks_probe_digests():
     expected = residency_probe(challenger_side, b"n0")
     got = residency_probe(worker_side, b"n0")
     assert expected.response_digest != got.response_digest
-
-
-# --- profile loading --------------------------------------------------------------
-
-
-def test_load_profiles_round_trip(tmp_path):
-    path = tmp_path / "classes.yaml"
-    path.write_text(
-        "lab-a:\n"
-        "  drift_seed: '00ff00ff'\n"
-        "  layers: [[4, 4], [4, 2]]\n"
-        "  reshapes: [1, 2]\n"
-    )
-    profiles = fp.load_profiles(str(path))
-    assert set(profiles) == {"lab-a"}
-    prof = profiles["lab-a"]
-    assert prof.drift_seed == bytes.fromhex("00ff00ff")
-    assert prof.layer_spec == ((4, 4), (4, 2))
-    assert prof.reshape_schedule == (1, 2)
-
-
-def test_load_profiles_empty_file(tmp_path):
-    path = tmp_path / "empty.yaml"
-    path.write_text("")
-    assert fp.load_profiles(str(path)) == {}

@@ -6,6 +6,7 @@ real waiting. Byte-determinism of reports is checked on virtual-clock
 sessions, the only place it is promised.
 """
 
+import collections
 import dataclasses
 import inspect
 import json
@@ -203,14 +204,22 @@ def test_load_config_round_trip(tmp_path):
         netcli.load_config(str(tmp_path / "list.yaml"))
 
 
+def _profile(raw):
+    return netcli._session_plan({"profile": raw}).profile
+
+
+def _bandwidth(raw):
+    return netcli._session_plan({"bandwidth": raw}).model
+
+
 def test_profile_from_dict_rejects_unknown_fields():
-    profile = netcli.profile_from_dict({"hash_rate_r": 99.0, "network_t0_ns": 5})
+    profile = _profile({"hash_rate_r": 99.0, "network_t0_ns": 5})
     assert profile.hash_rate_r == 99.0 and profile.network_t0_ns == 5
-    assert netcli.profile_from_dict({}) == WorkerProfile()
+    assert _profile({}) == WorkerProfile()
     with pytest.raises(ValueError):
-        netcli.profile_from_dict({"hash_rate": 99.0})  # typo must not pass silently
+        _profile({"hash_rate": 99.0})  # typo must not pass silently
     with pytest.raises(ValueError, match="behavior"):
-        netcli.profile_from_dict({"behavior": "honest"})
+        _profile({"behavior": "honest"})
 
 
 def test_profile_from_dict_coerces_yaml_number_strings():
@@ -218,41 +227,37 @@ def test_profile_from_dict_coerces_yaml_number_strings():
     # the string "2.0e6", which must still land as a float.
     loaded = yaml.safe_load("squaring_rate: 2.0e6\nthreads_M: '4'\n")
     assert loaded["squaring_rate"] == "2.0e6"
-    profile = netcli.profile_from_dict(loaded)
+    profile = _profile(loaded)
     assert profile.squaring_rate == 2_000_000.0
     assert profile.threads_M == 4
-    assert netcli.profile_from_dict({"evict_after_round": None}) == WorkerProfile()
+    assert _profile({"evict_after_round": None}) == WorkerProfile()
 
 
 def test_profile_from_dict_rejects_garbage_values():
     with pytest.raises(ValueError, match="jitter_rel"):
-        netcli.profile_from_dict({"jitter_rel": "fast"})
+        _profile({"jitter_rel": "fast"})
     with pytest.raises(ValueError, match="threads_M"):
-        netcli.profile_from_dict({"threads_M": 2.5})  # counts must be whole
+        _profile({"threads_M": 2.5})  # counts must be whole
     with pytest.raises(ValueError, match="hash_rate_r"):
-        netcli.profile_from_dict({"hash_rate_r": True})
+        _profile({"hash_rate_r": True})
 
 
 def test_bandwidth_model_from_dict():
-    assert netcli.bandwidth_model_from_dict({}).hbm_bw == 100e9
-    model = netcli.bandwidth_model_from_dict({"pci_bw": 5e9, "base_latency_ns": 100})
+    assert _bandwidth({}).hbm_bw == 100e9
+    model = _bandwidth({"pci_bw": 5e9, "base_latency_ns": 100})
     assert model.pci_bw == 5e9 and model.base_latency_ns == 100
-    wart = netcli.bandwidth_model_from_dict({"hbm_bw": "100e9", "base_latency_ns": "5e4"})
+    wart = _bandwidth({"hbm_bw": "100e9", "base_latency_ns": "5e4"})
     assert wart.hbm_bw == 100e9 and wart.base_latency_ns == 50_000
     with pytest.raises(ValueError, match="pci_bw"):
-        netcli.bandwidth_model_from_dict({"pci_bw": "wide"})
+        _bandwidth({"pci_bw": "wide"})
     with pytest.raises(ValueError, match="bandwidth"):
-        netcli.bandwidth_model_from_dict({"pci_bandwidth": 5e9})  # typo for pci_bw
+        _bandwidth({"pci_bandwidth": 5e9})  # typo for pci_bw
 
 
 @pytest.mark.parametrize(
-    "cls, parse",
-    [
-        (WorkerProfile, netcli.profile_from_dict),
-        (BandwidthModel, netcli.bandwidth_model_from_dict),
-    ],
+    "cls, block", [(WorkerProfile, "profile"), (BandwidthModel, "bandwidth")]
 )
-def test_config_block_fields_round_trip_from_yaml_number_strings(cls, parse):
+def test_config_block_fields_round_trip_from_yaml_number_strings(cls, block):
     expected, lines = {}, []
     for f in dataclasses.fields(cls):
         value = getattr(cls(), f.name)
@@ -263,7 +268,7 @@ def test_config_block_fields_round_trip_from_yaml_number_strings(cls, parse):
         lines.append(f"{f.name}: {text}")
     loaded = yaml.safe_load("\n".join(lines))
     assert all(isinstance(v, str) for v in loaded.values())
-    parsed = parse(loaded)
+    parsed = netcli._parse_fields(cls, loaded, block=block)
     assert parsed == cls(**expected)
     assert {k: type(v) for k, v in dataclasses.asdict(parsed).items()} == {
         k: type(v) for k, v in expected.items()
@@ -392,10 +397,15 @@ def test_a_null_mode_block_takes_the_defaults():
 
 
 def test_parse_address():
-    assert netcli._parse_address("10.0.0.1:9000") == ("10.0.0.1", 9000)
-    assert netcli._parse_address(":8000") == ("127.0.0.1", 8000)
+    assert netcli._parse_address("10.0.0.1:9000", "worker") == ("10.0.0.1", 9000)
+    assert netcli._parse_address(":8000", "listen") == ("127.0.0.1", 8000)
+    assert netcli._parse_address("h:65535", "worker") == ("h", 65535)
     with pytest.raises(ValueError):
-        netcli._parse_address("no-port")
+        netcli._parse_address("no-port", "worker")
+    # bind() and connect() raise OverflowError on it, which no caller maps to exit 2
+    for key in ("worker", "listen"):
+        with pytest.raises(ValueError, match=f"bad {key} address"):
+            netcli._session_plan({key: "127.0.0.1:70000"})
 
 
 # --- daemon over TCP ------------------------------------------------------------------
@@ -632,6 +642,33 @@ def test_a_malformed_kernel_time_makes_the_round_invalid(monkeypatch, kernel_tim
     assert report.decision.verdict is Verdict.REJECT and report.exit_code == 1
     assert report.decision.invalid_count == 2
     assert [(row["valid"], row["kernel_ns"]) for row in report.rows] == [(False, 0)] * 2
+
+
+@pytest.mark.parametrize("entry", ["run_challenger", "run_local_session", "worker_server"])
+def test_each_entry_point_parses_each_block_once(monkeypatch, daemon, entry):
+    counts = collections.Counter()
+    parse = netcli._parse_fields
+
+    def counting_parse(cls, raw, block=""):
+        counts[cls.__name__] += 1
+        return parse(cls, raw, block)
+
+    monkeypatch.setattr(netcli, "_parse_fields", counting_parse)
+    config = {
+        "kind": "pow",
+        "rounds": 1,
+        "pow": {"difficulty": 1, "argon_memory_kib": 8},
+        "profile": {"hash_rate_r": 4096.0},
+        "bandwidth": {"pci_bw": 5e9},
+    }
+    if entry == "run_challenger":
+        netcli.run_challenger({**config, "worker": "%s:%d" % daemon.address})
+    elif entry == "run_local_session":
+        netcli.run_local_session("pow", WorkerProfile(), config, seed=1)
+    else:
+        netcli.worker_server({**config, "listen": "127.0.0.1:0"}).server_close()
+    blocks = ("SessionSettings", "WorkerProfile", "BandwidthModel")
+    assert {name: counts[name] for name in blocks} == dict.fromkeys(blocks, 1)
 
 
 def test_run_challenger_no_worker_raises_transport_error():

@@ -503,7 +503,7 @@ def test_params_for_defaults_are_the_dataclass_defaults():
         protocol.params_for("quantum", {})
     # the challenger fills the same defaults into the params it sends
     def plan(kind, config):
-        return netcli._session_plan(netcli.SessionSettings(kind=kind), config)
+        return netcli._session_plan({**config, "kind": kind}).block
 
     assert plan("pow", {}) == {
         "difficulty": 12,
