@@ -17,6 +17,7 @@ from .netcli import (
     TransportError,
     load_config,
     run_challenger,
+    with_flags,
     worker_server,
 )
 from .protocol import MODES, ProtocolError
@@ -46,12 +47,9 @@ def challenger_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
+        config = with_flags(load_config(args.config), kind=args.mode, seed=args.seed)
     except (OSError, ValueError) as exc:
         return _fail(f"config: {exc}")
-    config["kind"] = args.mode
-    if args.seed is not None:
-        config["seed"] = args.seed
     try:
         report = run_challenger(config, out_path=args.out)
     except (OSError, TransportError, ProtocolError, ValueError) as exc:
@@ -75,13 +73,9 @@ def worker_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.profile)
+        config = with_flags(load_config(args.profile), listen=args.listen, seed=args.seed)
     except (OSError, ValueError) as exc:
         return _fail(f"profile: {exc}")
-    if args.listen is not None:
-        config["listen"] = args.listen
-    if args.seed is not None:
-        config["seed"] = args.seed
     try:
         server = worker_server(config)
     except (OSError, ValueError) as exc:

@@ -31,6 +31,8 @@ are read by ``_parse_address``, default ``DEFAULT_ADDRESS``.  A key
 that nothing reads is refused, and every block the config holds is
 parsed, whichever mode runs.  ``challenger run`` and ``worker serve``
 read the same config shape; each takes what it needs from the plan.
+Their flags replace top-level keys through ``with_flags``, which
+parses the file's own value of each replaced key first.
 """
 
 from __future__ import annotations
@@ -392,6 +394,22 @@ def _block_plan(mode: str, session: SessionSettings, config: dict):
             group_rng = random.Random(f"vdf-group-{session.seed}")
             section["modulus_n"] = setup_group(bits, group_rng).modulus_N
     return asdict(params_for(mode, section))
+
+
+def with_flags(config: dict, **flags) -> dict:
+    """``config`` with each flag that is not None in place of its top-level key.
+
+    The config's own value of each key a flag replaces is parsed first,
+    by the rule ``_session_plan`` reads it with, so a flag never hides a
+    bad value in the file: ``seed: 2.7`` is refused with ``--seed 3`` too.
+    """
+    given = {key: value for key, value in flags.items() if value is not None}
+    for key in given.keys() & config.keys():
+        if key in ("worker", "listen"):
+            _parse_address(config[key], key)
+        else:
+            _parse_fields(SessionSettings, {key: config[key]}, block="top-level")
+    return {**config, **given}
 
 
 def _parse_address(text: str, key: str) -> tuple[str, int]:

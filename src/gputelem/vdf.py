@@ -26,9 +26,15 @@ Every large exponentiation is one ``_modexp``: OpenSSL's Montgomery
 BN_mod_exp where libcrypto loads, the built-in pow otherwise
 (``_bignum``).  eval is g^(2^T) and a proof pi = g^floor(2^T / q), so a
 prover runs about 2T squarings per instance (Wesolowski, *Efficient
-Verifiable Delay Functions*, 2019).
+Verifiable Delay Functions*, 2019).  A verifier's relation pi^q * g^r
+is one ``_modexp2``, a single BN_mod_exp2_mont whose two exponents
+share their squarings.
 Challenge primes come from a Baillie-PSW test, which is deterministic,
-so challenger and worker derive the same prime from a transcript.
+so challenger and worker derive the same prime from a transcript.  The
+search sieves a window of odd candidates at once by the odd primes up
+to 2048, and only the survivors pay for a base-2 strong test, then a
+strong Lucas test run as a V-only ladder; this search is most of what
+a small-delay batch costs to verify, and the prover runs it too.
 
 Group setup uses safe primes so the quadratic-residue subgroup has
 prime-order structure; test fixtures keep the factorization around as a
@@ -38,7 +44,8 @@ safe-prime search sieves each window of candidates p' for both p' and
 2p' + 1 at once with the primes below 2^16 (Wiener, *Safe Prime
 Generation with a Combined Sieve*, 2003), so the strong tests run on
 about 80 of every 4096 candidates, in the order a plain scan would
-test them.
+test them.  Both prime searches share one window sieve,
+``_WindowSieve``.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bignum import modexp as _modexp
+from ._bignum import modexp2 as _modexp2
 from .core import encode_fields, hash_bytes
 
 CHALLENGE_PRIME_BITS = 128
@@ -73,7 +81,8 @@ def _small_primes(limit: int) -> np.ndarray:
 
 
 # the one small-prime table: the window sieve of the safe-prime search
-# uses its primes from 5 up, is_probable_prime those up to _SIEVE_LIMIT
+# uses its primes from 5 up, is_probable_prime and the challenge-prime
+# sieve those up to _SIEVE_LIMIT
 _WINDOW_SIEVE_BOUND = 1 << 16
 _TABLE_PRIMES = _small_primes(_WINDOW_SIEVE_BOUND)
 _SIEVE_LIMIT = 2048
@@ -83,47 +92,87 @@ _PRIMORIAL = math.prod(_SIEVE_PRIMES)
 
 _SAFE_PRIME_DRAWS = 2_000_000
 _SAFE_PRIME_WINDOW = 4096
-
-# The window sieve has two rows per window prime l: a row of the first
-# half marks the j where l divides p' = cand + 6j, one of the second half
-# those where l divides 2p' + 1, that is where p' = 0 or p' = (l - 1) / 2
-# (mod l).  A row's marks are j0 + k*l, so one slot per (row, k) covers
-# every mark in the window.
-_WINDOW_PRIMES = _TABLE_PRIMES[2:].astype(np.int64)
-_ROW_PRIME = np.tile(_WINDOW_PRIMES, 2)
-_ROW_TARGET = np.concatenate((np.zeros_like(_WINDOW_PRIMES), (_WINDOW_PRIMES - 1) // 2))
-# 1/6 mod l: l is 1 or 5 mod 6, and 6 divides 5l + 1 or l + 1 accordingly
-_ROW_INVERSE_6 = np.where(_ROW_PRIME % 6 == 1, 5 * _ROW_PRIME + 1, _ROW_PRIME + 1) // 6
-_ROW_SLOTS = -(-_SAFE_PRIME_WINDOW // _ROW_PRIME)
-_SLOT_ROW = np.repeat(np.arange(len(_ROW_PRIME), dtype=np.int32), _ROW_SLOTS)
-_SLOT_STEP = (
-    (np.arange(len(_SLOT_ROW)) - np.repeat(np.cumsum(_ROW_SLOTS) - _ROW_SLOTS, _ROW_SLOTS))
-    * _ROW_PRIME[_SLOT_ROW]
-).astype(np.int32)
+# odd candidates per window of the challenge-prime search: a 128-bit
+# prime lies within 128 odd steps of a hash point about 94% of the time
+_PRIME_WINDOW = 128
 
 
-def _window_survivors(cand: int, length: int) -> list[int]:
-    """The j < length where no window prime below the value divides p' or 2p' + 1.
+def _inverse_mod(step: int, primes: np.ndarray) -> np.ndarray:
+    """step^-1 mod each of ``primes``, none of which divides step.
 
-    p' = cand + 6j, for cand = 5 (mod 6) and length <= _SAFE_PRIME_WINDOW.
-    cand mod every prime comes from its 32-bit limbs, high limb first,
-    so no Python loop runs over the primes.  A prime is never used on a
-    value it equals, so a window of values below 2^16 keeps the primes
-    among them.
+    For each l exactly one k < step makes k*l + 1 a multiple of step,
+    and (k*l + 1) / step is the inverse.
     """
-    residue = np.zeros_like(_WINDOW_PRIMES)
-    for shift in range(-(-cand.bit_length() // 32) * 32 - 32, -1, -32):
-        residue = ((residue << 32) | ((cand >> shift) & 0xFFFFFFFF)) % _WINDOW_PRIMES
-    first = (_ROW_TARGET - np.tile(residue, 2)) % _ROW_PRIME * _ROW_INVERSE_6 % _ROW_PRIME
-    marks = first[_SLOT_ROW] + _SLOT_STEP
-    valid = marks < length
-    if cand < _WINDOW_SIEVE_BOUND:
-        values = cand + 6 * marks
-        doubled = _SLOT_ROW >= len(_WINDOW_PRIMES)
-        valid &= np.where(doubled, 2 * values + 1, values) != _ROW_PRIME[_SLOT_ROW]
-    sieve = np.zeros(length, dtype=bool)
-    sieve[marks[valid]] = True
-    return np.flatnonzero(~sieve).tolist()
+    inverse = np.zeros_like(primes)
+    for k in range(step):
+        whole = (k * primes + 1) % step == 0
+        inverse[whole] = (k * primes[whole] + 1) // step
+    return inverse
+
+
+class _WindowSieve:
+    """A sieve over the values v = cand + step*j, j < window, by a table of odd primes.
+
+    Each row pairs a table prime l with a form of v, v itself or, for a
+    ``doubled`` sieve, also 2v + 1, and marks the j where l divides the
+    form's value, that is where v = 0 or v = (l - 1) / 2 (mod l).  A
+    row's marks are j0 + k*l, so one slot per (row, k) covers every mark
+    in the window.  cand mod every prime comes from its limbs, high limb
+    first, so no Python loop runs over the primes; a limb is as wide as
+    keeps (residue << limb bits) | limb below 2^63.  A prime is never
+    used on a value it equals, so a window of values below the largest
+    table prime keeps the primes among them.
+    """
+
+    def __init__(self, primes: np.ndarray, step: int, window: int, doubled: bool) -> None:
+        self.primes = primes.astype(np.int64)
+        self.step = step
+        self.limb_bits = 63 - int(self.primes[-1]).bit_length()
+        self.forms = 2 if doubled else 1
+        self.row_prime = np.tile(self.primes, self.forms)
+        self.row_doubled = np.arange(len(self.row_prime)) >= len(self.primes)
+        # the row's target plus l, so that target - residue stays positive
+        self.row_lifted = np.where(self.row_doubled, (self.row_prime - 1) // 2, 0) + self.row_prime
+        self.row_inverse = _inverse_mod(step, self.row_prime)
+        # a slot's mark lies below window + l, so a sieve this long takes every mark
+        self.span = window + int(self.primes[-1])
+        slots = -(-window // self.row_prime)
+        self.slot_row = np.repeat(np.arange(len(self.row_prime), dtype=np.int32), slots)
+        self.slot_step = (
+            (np.arange(len(self.slot_row)) - np.repeat(np.cumsum(slots) - slots, slots))
+            * self.row_prime[self.slot_row]
+        ).astype(np.int32)
+
+    def survivors(self, cand: int, length: int) -> list[int]:
+        """The j < length, in order, where no row marks cand + step*j; length <= window."""
+        bits, mask = self.limb_bits, (1 << self.limb_bits) - 1
+        top = -(-cand.bit_length() // bits) * bits - bits
+        residue = (cand >> top) % self.primes
+        for shift in range(top - bits, -1, -bits):
+            residue = ((residue << bits) | ((cand >> shift) & mask)) % self.primes
+        if self.forms > 1:
+            residue = np.tile(residue, self.forms)
+        first = (self.row_lifted - residue) * self.row_inverse % self.row_prime
+        marks = first[self.slot_row] + self.slot_step
+        if cand <= self.primes[-1]:
+            values = cand + self.step * marks
+            doubled = self.row_doubled[self.slot_row]
+            marks = marks[np.where(doubled, 2 * values + 1, values) != self.row_prime[self.slot_row]]
+        sieve = np.ones(self.span, dtype=bool)
+        sieve[marks] = False
+        return np.flatnonzero(sieve[:length]).tolist()
+
+
+# The safe-prime search sieves p' = cand + 6j for both p' and 2p' + 1
+# with the primes from 5 below 2^16 (3 is dealt with by cand = 5 mod 6);
+# the challenge-prime search sieves odd n = cand + 2j with the odd
+# primes up to _SIEVE_LIMIT, which drops exactly the n whose gcd with
+# _PRIMORIAL is_probable_prime refuses.
+_WINDOW_PRIMES = _TABLE_PRIMES[2:].astype(np.int64)
+_SAFE_PRIME_SIEVE = _WindowSieve(_WINDOW_PRIMES, 6, _SAFE_PRIME_WINDOW, doubled=True)
+_CHALLENGE_PRIME_SIEVE = _WindowSieve(
+    _TABLE_PRIMES[1 : len(_SIEVE_PRIMES)], 2, _PRIME_WINDOW, doubled=False
+)
 
 
 def _strong_probable_prime_base_2(n: int) -> bool:
@@ -162,7 +211,9 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
     D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
     P = 1 and Q = (1 - D) / 4.  With n + 1 = d * 2^s, n passes when
-    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A ladder over
+    the bits of d keeps only (V_m, V_(m+1), Q^m), and U_d = 0 is read as
+    2 V_(d+1) - V_d = D U_d = 0: (D/n) = -1 makes D invertible mod n.
     """
     if math.isqrt(n) ** 2 == n:
         return False  # no D with (D/n) = -1 exists for a square
@@ -175,25 +226,25 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     k = n + 1
     s = (k & -k).bit_length() - 1
     k >>= s
-    # U_1 = 1, V_1 = P = 1; walk the bits of k doubling the index
-    u, v, qk = 1, 1, q_param % n
+    # (V_1, V_2, Q^1); each bit takes m to 2m or 2m + 1 by
+    # V_2m = V_m^2 - 2Q^m, V_(2m+1) = V_m V_(m+1) - P Q^m and
+    # V_(2m+2) = V_(m+1)^2 - 2Q^(m+1)
+    v, w, qm = 1, (1 - 2 * q_param) % n, q_param % n
     for bit in bin(k)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
         if bit == "1":
-            # index + 1: U' = (P U + V) / 2, V' = (D U + P V) / 2
-            u, v = (u + v) % n, (d_param * u + v) % n
-            u = (u + n if u & 1 else u) >> 1
-            v = (v + n if v & 1 else v) >> 1
-            qk = qk * q_param % n
-    if u == 0 or v == 0:
+            qw = qm * q_param  # Q^(m+1), reduced in the two uses below
+            v, w = (v * w - qm) % n, (w * w - 2 * qw) % n
+            qm = qm * qw % n
+        else:
+            v, w = (v * v - 2 * qm) % n, (v * w - qm) % n
+            qm = qm * qm % n
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
+        v = (v * v - 2 * qm) % n
         if v == 0:
             return True
-        qk = qk * qk % n
+        qm = qm * qm % n
     return False
 
 
@@ -238,7 +289,7 @@ def _random_safe_prime(bits: int, rng: random.Random) -> int:
         cand |= top | 1
         cand += (5 - cand % 6) % 6
         length = min(_SAFE_PRIME_WINDOW, max(0, ((1 << half_bits) - 1 - cand) // 6 + 1))
-        for step in _window_survivors(cand, length):
+        for step in _SAFE_PRIME_SIEVE.survivors(cand, length):
             p_half = cand + 6 * step
             p = 2 * p_half + 1
             if p_half <= _SIEVE_LIMIT:
@@ -464,18 +515,34 @@ def _is_canonical(x: int, modulus_n: int) -> bool:
 
 
 def hash_to_prime(transcript: bytes) -> int:
-    """Smallest prime at or above the hash point, forced to 128 bits.
+    """Smallest Baillie-PSW probable prime at or above the hash point, forced to 128 bits.
 
     The candidate is the low 128 bits of H(transcript || "prime") with
     the top bit set (so the prime always has full width), scanned upward
-    over odd integers.
+    over odd integers by ``_next_probable_prime``.
     """
     h = hash_bytes(transcript + b"prime")
     cand = int.from_bytes(h, "big") % (1 << CHALLENGE_PRIME_BITS)
     cand |= (1 << (CHALLENGE_PRIME_BITS - 1)) | 1
-    while not is_probable_prime(cand):
-        cand += 2
-    return cand
+    return _next_probable_prime(cand)
+
+
+def _next_probable_prime(cand: int) -> int:
+    """The least odd n >= cand with is_probable_prime(n), for odd cand > _SIEVE_LIMIT.
+
+    Each window of _PRIME_WINDOW odd candidates is sieved once by the
+    odd primes up to _SIEVE_LIMIT, which drops exactly the n that
+    is_probable_prime's gcd refuses, so no candidate pays for a gcd; the
+    survivors get the base-2 strong test and then the Lucas test, in
+    order.  The residues are taken afresh for each window, so a search
+    that crosses 2^128 sieves the wider values by their own limbs.
+    """
+    while True:
+        for j in _CHALLENGE_PRIME_SIEVE.survivors(cand, _PRIME_WINDOW):
+            n = cand + 2 * j
+            if _strong_probable_prime_base_2(n) and _strong_lucas_probable_prime(n):
+                return n
+        cand += 2 * _PRIME_WINDOW
 
 
 def batch_transcript(
@@ -514,9 +581,10 @@ def _relation_holds(
 ) -> bool:
     """pi^q * g^r == +-y (mod N) under ``prime``, with canonical y and pi.
 
-    The per-instance check of ``batch_verify``: the proof must name ``prime``, its remainder must be 2^T mod q, and y
-    and pi must be canonical, so the relation holds in Z_N*/{+-1}; the
-    relation itself is two exponentiations by exponents below q.
+    The per-instance check of ``batch_verify``: the proof must name
+    ``prime``, its remainder must be 2^T mod q, and y and pi must be
+    canonical, so the relation holds in Z_N*/{+-1}; the relation itself
+    is one ``_modexp2`` of two exponents below q.
     """
     if proof.challenge_prime != prime:
         return False
@@ -526,8 +594,8 @@ def _relation_holds(
         return False
     if proof.remainder_r != pow(2, delay_t, prime):
         return False
-    lhs = _modexp(proof.pi, prime, modulus_n) * _modexp(g, proof.remainder_r, modulus_n)
-    return lhs % modulus_n in (proof.output_y, modulus_n - proof.output_y)
+    lhs = _modexp2(proof.pi, prime, g, proof.remainder_r, modulus_n)
+    return lhs in (proof.output_y, modulus_n - proof.output_y)
 
 
 def verify(g: int, delay_t: int, proof: VdfProof, modulus_n: int, sid: bytes) -> bool:
@@ -579,9 +647,11 @@ def batch_verify(
 
         pi_i^q * g_i^(r_i) == +-y_i  (mod N),
 
-    two exponentiations by exponents below q per instance.  Every proof
+    one ``_modexp2`` of two exponents below q per instance.  Every proof
     is bound on its own, so moving a factor from one pi_i to another,
     which leaves a product of the relations intact, fails both instances.
+    The one prime search, ``hash_to_prime``, is shared by the batch; on
+    small delays it costs more than the relations.
     """
     if len(instances) != len(proofs):
         raise ValueError("instances and proofs differ in length")

@@ -49,6 +49,9 @@ HEADER_LEN = 6
 MAX_INT_DIGITS = 4300
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
+# a record path: non-empty components of ASCII letters, digits, "_" and
+# "-", joined by "."
+_PATH_RE = re.compile(r"[A-Za-z0-9_-]+(?:\.[A-Za-z0-9_-]+)*")
 
 
 class WireDecodeError(ValueError):
@@ -202,11 +205,11 @@ def decode_record(data: bytes) -> dict:
         tag, colon, value = rest.partition(":")
         if not eq or not colon or tag not in ("i", "x", "s"):
             raise WireDecodeError(f"malformed line {line!r}")
+        if not _PATH_RE.fullmatch(path):
+            raise WireDecodeError(f"bad record path {path!r}")
         parts = path.split(".")
         for part in parts:
-            if not part or not all(c.isalnum() or c in "_-" for c in part):
-                raise WireDecodeError(f"bad path component {part!r}")
-            if part.isdigit() and len(part) > 1 and part[0] == "0":
+            if part[0] == "0" and len(part) > 1 and part.isdigit():
                 raise WireDecodeError(f"non-canonical list index {part!r}")
         if tag == "i":
             leaf = _parse_int(value)

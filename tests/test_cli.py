@@ -6,6 +6,8 @@ gputelem.cli``, and CI runs the installed console scripts on a
 malformed config. Exit-code semantics: 0 Accept, 1 Reject, 2 an error.
 """
 
+import json
+
 import pytest
 
 from gputelem import cli, gemm, netcli
@@ -304,6 +306,31 @@ def test_challenger_seed_flag_overrides_config(tmp_path, daemon):
     assert sid_a == sid_b
 
 
+def test_challenger_seed_flag_does_not_hide_a_bad_file_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
+    config = tmp_path / "config.yaml"
+    out = tmp_path / "r.csv"
+    for body, key in (("seed: 2.7\n", "seed"), ("kind: nope\n", "kind")):
+        config.write_text(body + "pow:\n  difficulty: 2\n")
+        code = cli.challenger_main(
+            ["run", "--mode", "pow", "--config", str(config), "--out", str(out), "--seed", "3"]
+        )
+        assert code == cli.EXIT_ERROR
+        assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_challenger_runs_a_well_formed_file_on_its_flags(tmp_path, daemon):
+    config = _config_file(tmp_path, daemon, seed=1, kind="vdf")
+    out = tmp_path / "r.csv"
+    code = cli.challenger_main(
+        ["run", "--mode", "pow", "--config", str(config), "--out", str(out), "--seed", "3"]
+    )
+    assert code in (cli.EXIT_ACCEPT, cli.EXIT_REJECT)
+    ran = json.loads((tmp_path / "r.csv.json").read_text())["config"]
+    assert (ran["kind"], ran["seed"]) == ("pow", 3)
+
+
 def test_worker_missing_profile(tmp_path, capsys):
     code = cli.worker_main(
         ["serve", "--profile", str(tmp_path / "absent.yaml"), "--listen", "127.0.0.1:0"]
@@ -406,6 +433,35 @@ def test_worker_reads_listen_and_seed_from_its_config(tmp_path, monkeypatch, cap
     # a flag overrides the file only when given
     assert cli.worker_main(["serve", "--profile", str(path), "--seed", "9"]) == 0
     assert served[1].base_seed == 9
+
+
+@pytest.mark.parametrize(
+    "body, flags, key",
+    [
+        ("seed: 2.7\n", ["--seed", "3"], "seed"),
+        ("seed: true\n", ["--seed", "3", "--listen", "127.0.0.1:0"], "seed"),
+        ("listen: 127.0.0.1:70000\n", ["--listen", "127.0.0.1:0"], "listen"),
+    ],
+    ids=["fractional-seed", "boolean-seed", "bad-listen"],
+)
+def test_worker_flag_does_not_hide_a_bad_file_value(tmp_path, monkeypatch, capsys, body, flags, key):
+    served = _record_serving(monkeypatch)
+    path = tmp_path / "worker.yaml"
+    path.write_text(body)
+    assert cli.worker_main(["serve", "--profile", str(path), *flags]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert key in err and "serving" not in err
+    assert served == []
+
+
+def test_worker_serves_a_well_formed_file_on_its_flags(tmp_path, monkeypatch, capsys):
+    served = _record_serving(monkeypatch)
+    path = tmp_path / "worker.yaml"
+    path.write_text("listen: 127.0.0.1:9\nseed: 5\n")
+    flags = ["--seed", "3", "--listen", "127.0.0.1:0"]
+    assert cli.worker_main(["serve", "--profile", str(path), *flags]) == 0
+    assert served[0].base_seed == 3
+    assert served[0].server_address[1] not in (0, 9)
 
 
 def test_worker_refuses_a_port_above_65535(tmp_path, capsys):

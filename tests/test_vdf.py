@@ -74,6 +74,67 @@ def test_baillie_psw_rejects_base_2_strong_pseudoprimes():
         assert not vdf.is_probable_prime(n)
 
 
+def _reference_strong_lucas(n):
+    """The strong Lucas test on the (U, V) ladder the V-only ladder replaced."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d_param = 5
+    while (symbol := vdf._jacobi(d_param, n)) != -1:
+        if symbol == 0:
+            return False
+        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
+    q_param = (1 - d_param) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    u, v, qk = 1, 1, q_param % n
+    for bit in bin(k)[3:]:
+        u = u * v % n
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (d_param * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            qk = qk * q_param % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
+
+
+def test_v_only_lucas_ladder_agrees_with_the_u_v_ladder_below_2e5():
+    for n in range(3, 200_000, 2):
+        assert vdf._strong_lucas_probable_prime(n) == _reference_strong_lucas(n), n
+
+
+def test_v_only_lucas_ladder_agrees_with_the_u_v_ladder_at_128_and_256_bits():
+    rng = random.Random("lucas-ladder")
+    passed = 0
+    for bits in (128, 256):
+        for _ in range(3000):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            verdict = vdf._strong_lucas_probable_prime(n)
+            assert verdict == _reference_strong_lucas(n), n
+            passed += verdict
+    # challenge primes: the verdict both ladders must give True
+    for i in range(50):
+        prime = vdf.hash_to_prime(encode_fields("lucas-ladder", i))
+        assert vdf._strong_lucas_probable_prime(prime) and _reference_strong_lucas(prime)
+    assert passed > 0  # random odd n at these widths include primes
+
+
+def test_strong_lucas_pseudoprimes_pass_both_ladders():
+    # the first five strong Lucas pseudoprimes (OEIS A217255)
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert not sympy.isprime(n)
+        assert vdf._strong_lucas_probable_prime(n) and _reference_strong_lucas(n), n
+
+
 def test_baillie_psw_rejects_carmichael_numbers():
     carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
     # Chernick numbers (6k+1)(12k+1)(18k+1) with all three factors prime
@@ -178,7 +239,7 @@ def test_window_sieve_table_is_the_primes_from_5_below_2_16():
 @settings(max_examples=40, deadline=None)
 def test_window_sieve_drops_exactly_the_steps_a_smaller_table_prime_divides(cand, length):
     cand += (5 - cand % 6) % 6
-    kept = set(vdf._window_survivors(cand, length))
+    kept = set(vdf._SAFE_PRIME_SIEVE.survivors(cand, length))
     assert kept <= set(range(length))
     for j in range(length):
         value = cand + 6 * j
@@ -454,6 +515,56 @@ def test_hash_to_prime_determinism_and_width():
     assert sympy.isprime(p1)
 
 
+def _reference_next_probable_prime(cand):
+    """The one-candidate-at-a-time scan the windowed sieve replaced."""
+    while not vdf.is_probable_prime(cand):
+        cand += 2
+    return cand
+
+
+def test_hash_to_prime_is_the_scan_from_its_hash_point():
+    for i in range(200):
+        transcript = encode_fields("scan", i)
+        h = int.from_bytes(hash_bytes(transcript + b"prime"), "big") % (1 << 128)
+        point = h | 1 << 127 | 1
+        assert vdf.hash_to_prime(transcript) == _reference_next_probable_prime(point), i
+
+
+@given(st.integers(min_value=1 << 127, max_value=(1 << 128) - 1))
+@example((1 << 128) - 1)  # the next prime is 2^128 + 51
+@example((1 << 128) - 157)  # one window from just above 2^128 - 159, a prime, to 2^128 + 51
+@example(0xBB298B9BF129C8C6D1CA4DC4EDFDE417)  # the next prime is 426 above
+@settings(max_examples=150, deadline=None)
+def test_next_probable_prime_is_the_scan(point):
+    point |= 1
+    found = vdf._next_probable_prime(point)
+    assert found == _reference_next_probable_prime(point)
+    if point >= (1 << 128) - 157:
+        assert found == (1 << 128) + 51  # the search crossed 2^128
+    if point == 0xBB298B9BF129C8C6D1CA4DC4EDFDE417:
+        assert found - point > 2 * vdf._PRIME_WINDOW  # beyond the first window
+
+
+_ODD_SET = frozenset(sympy.primerange(3, 2049))
+_ODD_PRODUCT = math.prod(_ODD_SET)
+
+
+@given(st.integers(min_value=3, max_value=1 << 140), st.integers(min_value=0, max_value=128))
+@example(3, 128)
+@example(2047, 128)  # a window across the table's last prime, 2039
+@settings(max_examples=60, deadline=None)
+def test_challenge_sieve_drops_exactly_the_odd_candidates_a_smaller_table_prime_divides(cand, length):
+    cand |= 1
+    kept = vdf._CHALLENGE_PRIME_SIEVE.survivors(cand, length)
+    expected = []
+    for j in range(length):
+        value = cand + 2 * j
+        smaller = _ODD_PRODUCT // value if value in _ODD_SET else _ODD_PRODUCT
+        if math.gcd(value, smaller) == 1:
+            expected.append(j)
+    assert kept == expected
+
+
 # --- batches ---------------------------------------------------------------------
 
 
@@ -700,8 +811,26 @@ def test_modexp_equals_pow(args):
     assert vdf._modexp(*args) == pow(*args)
 
 
+@given(_modexp_inputs(), st.integers(min_value=0), st.integers(min_value=0, max_value=(1 << 4096) - 1))
+@example((5, 0, 1081), 9, 0)  # both exponents 0
+@example((0, 0, 1081), 9, 5)  # base 0 to the power 0
+@example((0, 7, 1081), 9, 5)  # base 0
+@example((1081, 3, 1081), 2 * 1081 + 4, 0)  # bases m and above
+@example((2 * 1081 - 1, 1 << 4095, 1081), 1080, (1 << 4096) - 1)
+@settings(max_examples=50, deadline=None)
+def test_modexp2_equals_a_product_of_pows(args, base2, exp2):
+    base, exp, m = args
+    base2 %= 2 * m
+    expected = pow(base, exp, m) * pow(base2, exp2, m) % m
+    assert _bignum.modexp2(base, exp, base2, exp2, m) == expected
+    assert _bignum.modexp2(base2, exp2, base, exp, m) == expected
+
+
 def test_modexp_is_exact_on_concurrent_threads():
-    """8 threads, switching every microsecond, each get pow's answer every time."""
+    """8 threads, switching every microsecond, each get pow's answer every time.
+
+    Each thread runs modexp and modexp2 on its own BN_CTX and BIGNUMs.
+    """
     rng = random.Random("modexp-threads")
     cases = []
     for _ in range(32):
@@ -717,6 +846,9 @@ def test_modexp_is_exact_on_concurrent_threads():
                 i = (k + offset) % len(cases)
                 if vdf._modexp(*cases[i]) != expected[i]:
                     wrong.append(i)
+                base, exp, mod = cases[i]
+                if _bignum.modexp2(base, exp, 3, exp, mod) != expected[i] * pow(3, exp, mod) % mod:
+                    wrong.append(-i)
             passes.append(offset)
 
     threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(8)]
@@ -752,21 +884,62 @@ def test_modexp_is_pow_unless_a_versioned_libcrypto_loads_and_agrees(monkeypatch
         monkeypatch.setattr(_bignum, "_bn_mod_exp", lambda lib, base, exp, mod: 0)
         _bignum._libcrypto.cache_clear()
         assert _bignum._libcrypto() is None
+        monkeypatch.undo()
+        # a disagreeing modexp2 sends modexp to pow too: one backend for both
+        monkeypatch.setattr(_bignum, "_bn_mod_exp2", lambda lib, a1, e1, a2, e2, mod: 0)
+        _bignum._libcrypto.cache_clear()
+        assert _bignum._libcrypto() is None
+        assert _bignum.backend() == "builtin pow"
+        assert _bignum.modexp2(3, 1 << 70, 5, 7, 1081) == pow(3, 1 << 70, 1081) * pow(5, 7, 1081) % 1081
     finally:
         monkeypatch.undo()
         _bignum._libcrypto.cache_clear()
+
+
+def test_a_threads_bignum_context_is_freed_when_the_thread_ends(monkeypatch):
+    if _bignum._libcrypto() is None:
+        pytest.skip("libcrypto did not load: modexp is pow and keeps no context")
+    freed, made = [], []
+    free = _bignum._free
+
+    def counted_free(lib, ctx, nums):
+        freed.append(ctx)
+        free(lib, ctx, nums)
+
+    monkeypatch.setattr(_bignum, "_free", counted_free)
+
+    def work():
+        assert _bignum.modexp(3, 1 << 70, 1081) == pow(3, 1 << 70, 1081)
+        assert _bignum.modexp2(3, 5, 7, 9, 1081) == pow(3, 5, 1081) * pow(7, 9, 1081) % 1081
+        made.append(_bignum._local.scratch.ctx)
+
+    for _ in range(32):
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    deadline = time.monotonic() + 10
+    while len(freed) < 32 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # one context per thread, each freed once; a freed address may be reused
+    assert len(made) == 32
+    assert sorted(freed) == sorted(made)
 
 
 @pytest.fixture
 def builtin_pow(monkeypatch):
     """Every vdf exponentiation on the fallback backend, the built-in pow."""
     monkeypatch.setattr(vdf, "_modexp", pow)
+    monkeypatch.setattr(
+        vdf, "_modexp2", lambda a1, e1, a2, e2, mod: pow(a1, e1, mod) * pow(a2, e2, mod) % mod
+    )
 
 
 @pytest.mark.parametrize(
     "check",
     [
         test_hash_to_prime_known_answers,
+        test_hash_to_prime_is_the_scan_from_its_hash_point,
         test_setup_group_known_moduli,
         test_proofs_known_answers,
         test_batch_verify_rejects_single_perturbation,

@@ -12,7 +12,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gputelem import wire
@@ -168,6 +168,55 @@ def test_record_decode_malformations():
             wire.decode_record(bad)
     with pytest.raises(wire.WireDecodeError):
         wire.decode_record("text")  # type confusion
+
+
+def _reference_path_ok(path):
+    """The per-character path rule the compiled path pattern replaced."""
+    for part in path.split("."):
+        if not part or not all(c.isalnum() or c in "_-" for c in part):
+            return False
+        if part.isdigit() and len(part) > 1 and part[0] == "0":
+            return False
+    return True
+
+
+def _path_refused(path):
+    """decode_record refuses a one-line record for its path (not, say, a list hole)."""
+    try:
+        wire.decode_record(f"{path}=i:1\n".encode("ascii"))
+    except wire.WireDecodeError as exc:
+        return str(exc).startswith(("bad record path", "non-canonical list index"))
+    return False
+
+
+# an ASCII path as it can reach the path check: no "=" (the line is cut
+# at its first one) and no newline (the record is cut into lines there)
+_ascii_paths = st.text(
+    alphabet=st.characters(min_codepoint=0, max_codepoint=0x7F, blacklist_characters="=\n"),
+    max_size=12,
+)
+_path_like = st.lists(
+    st.text(alphabet="aZ09_-.", max_size=4), min_size=1, max_size=4
+).map(".".join)
+
+
+@given(st.one_of(_ascii_paths, _path_like))
+@example("")
+@example("a")
+@example("a..b")  # empty component
+@example(".a")  # leading dot
+@example("a.")  # trailing dot
+@example(".")
+@example("-.a_b.c-d._")  # "-" and "_" anywhere
+@example("a.01")  # non-canonical index
+@example("a.0.10")
+@example("a.00")
+@example("a.0b")  # a name that starts with 0
+@example("a b")
+@example("a\tb")
+@settings(max_examples=300, deadline=None)
+def test_path_pattern_accepts_what_the_per_character_rule_accepts(path):
+    assert _path_refused(path) != _reference_path_ok(path)
 
 
 _keys = st.from_regex(r"[A-Za-z_][A-Za-z0-9_-]{0,8}", fullmatch=True)
