@@ -17,7 +17,7 @@ LAMBDA_MIN = 10.0
 
 def session(label: str, hash_rate: float, out_dir: Path) -> None:
     daemon = serve_worker_background(
-        WorkerProfile(hash_rate_r=hash_rate), listen="127.0.0.1:0", seed=3
+        {"profile": {"hash_rate_r": hash_rate}, "listen": "127.0.0.1:0", "seed": 3}
     )
     try:
         host, port = daemon.address

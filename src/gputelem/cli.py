@@ -74,20 +74,17 @@ def worker_main(argv: list[str] | None = None) -> int:
 
     try:
         config = with_flags(load_config(args.profile), listen=args.listen, seed=args.seed)
+        daemon = worker_server(config)
     except (OSError, ValueError) as exc:
         return _fail(f"profile: {exc}")
-    try:
-        server = worker_server(config)
-    except (OSError, ValueError) as exc:
-        return _fail(f"profile: {exc}")
-    host, port = server.server_address[:2]
+    host, port = daemon.address
     print(f"worker: serving on {host}:{port}", file=sys.stderr)
     try:
-        server.serve_forever()
+        daemon.serve_forever()
     except KeyboardInterrupt:
         return 0
     finally:
-        server.server_close()
+        daemon.close()
     return 0
 
 

@@ -10,7 +10,10 @@ in-process ``SimWorker``, and the daemon hands each message to a
 it actually computes every answer and replies once the profile's
 modeled latency has passed on the wall clock: a challenger cannot tell
 (and should not care) whether it is talking to a simulation.  The
-daemon itself only moves frames; it reads no time.
+daemon itself only moves frames; it reads no time.  There is one
+daemon, ``WorkerDaemon``, and it is built only from a config:
+``worker_server`` returns it bound, ``serve_worker_background``
+serving on its own thread, and ``worker serve`` serves the first.
 
 Every mode reports a ``protocol.SessionReport``, written as CSV rows
 (one layout for all modes) plus a JSON summary; with seeded configs
@@ -130,22 +133,39 @@ def _error_message(detail: str, code: str = "protocol") -> WireMessage:
 # --- worker daemon -----------------------------------------------------------
 
 
-class _WorkerServer(socketserver.ThreadingTCPServer):
+class WorkerDaemon(socketserver.ThreadingTCPServer):
+    """The worker daemon of one parsed config, bound to its ``listen`` address.
+
+    Built by ``worker_server`` (bound) or ``serve_worker_background``
+    (serving on a thread of its own, which ``close()`` stops).
+    """
+
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, profile, seed=0, model=None):
-        self.profile = profile
-        self.base_seed = seed
-        self.model = model if model is not None else BandwidthModel()
+    def __init__(self, plan: SessionPlan) -> None:
+        self.plan = plan
         self._session_counter = 0
         self._counter_lock = threading.Lock()
-        super().__init__(address, _WorkerHandler)
+        self._thread: threading.Thread | None = None
+        super().__init__(plan.listen, _WorkerHandler)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
 
     def next_seed(self) -> int:
         with self._counter_lock:
             self._session_counter += 1
-            return self.base_seed + self._session_counter
+            return self.plan.session.seed + self._session_counter
+
+    def close(self) -> None:
+        # shutdown() waits for serve_forever to stop, so only a daemon
+        # serving on its own thread is shut down: on any other it waits forever
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join(timeout=5)
+        self.server_close()
 
 
 class _WorkerHandler(socketserver.BaseRequestHandler):
@@ -154,9 +174,9 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
     bad round and continue measuring."""
 
     def handle(self) -> None:
-        server: _WorkerServer = self.server
+        plan = self.server.plan
         worker = SimWorker(
-            server.profile, seed=server.next_seed(), model=server.model, clock=WallClock()
+            plan.profile, seed=self.server.next_seed(), model=plan.model, clock=WallClock()
         )
         sock = self.request
         while True:
@@ -187,46 +207,25 @@ class _WorkerHandler(socketserver.BaseRequestHandler):
         return _error_message(f"unexpected message type {msg.msg_type}")
 
 
-@dataclass
-class WorkerDaemon:
-    """Handle on a background worker daemon; close() shuts it down."""
-
-    server: _WorkerServer
-    thread: threading.Thread
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server.server_address[:2]
-
-    def close(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5)
-
-
-def serve_worker_background(
-    profile: WorkerProfile,
-    listen: str = "127.0.0.1:0",
-    seed: int = 0,
-    model: BandwidthModel | None = None,
-) -> WorkerDaemon:
-    server = _WorkerServer(_parse_address(listen, "listen"), profile, seed, model)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return WorkerDaemon(server=server, thread=thread)
-
-
-def worker_server(config: dict) -> _WorkerServer:
+def worker_server(config: dict) -> WorkerDaemon:
     """The ``worker serve`` daemon of ``config``, bound but not yet serving.
 
     ``config`` is a session config, parsed by ``_session_plan`` as
     ``challenger run`` parses it, so a bad key or value raises
     ValueError before the port is bound.  The daemon listens on the
-    plan's ``listen`` address and simulates its ``profile`` and
+    plan's ``listen`` address (default ``DEFAULT_ADDRESS``; port 0 binds
+    a free one, named by ``address``) and simulates its ``profile`` and
     ``bandwidth``, its sessions seeded from the plan's ``seed``.
     """
-    plan = _session_plan(config)
-    return _WorkerServer(plan.listen, plan.profile, plan.session.seed, plan.model)
+    return WorkerDaemon(_session_plan(config))
+
+
+def serve_worker_background(config: dict) -> WorkerDaemon:
+    """``worker_server(config)``, serving on a thread of its own until ``close()``."""
+    daemon = worker_server(config)
+    daemon._thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+    daemon._thread.start()
+    return daemon
 
 
 # --- challenger-side client --------------------------------------------------
@@ -490,13 +489,16 @@ def run_local_session(
     Same decision path as the TCP flow, minus sockets: thousands of
     sessions per minute, identical verdict semantics.  The worker
     simulates the config's ``bandwidth`` block, the bus the challenger
-    judges residency against.  The session runs on ``seed``; a config
-    ``seed`` that differs from it is refused, so the report's config
-    snapshot never names a seed that did not run.
+    judges residency against.  The session runs on ``seed`` and
+    simulates ``profile``; a config ``seed`` or ``profile`` block that
+    differs from them is refused, so a config never names a seed or a
+    worker that did not run.
     """
     plan = _session_plan({"seed": seed, **config, "kind": kind})
     if plan.session.seed != seed:
         raise ValueError(f"config seed {plan.session.seed} differs from the session seed {seed}")
+    if "profile" in config and plan.profile != profile:
+        raise ValueError(f"config profile {plan.profile} differs from the session profile {profile}")
     rng = random.Random(seed)
     worker = SimWorker(profile, seed=rng.randrange(1 << 62), model=plan.model)
     return _run_session(worker, plan, rng)

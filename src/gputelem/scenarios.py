@@ -62,7 +62,7 @@ def ks_exponential(samples: list[float]) -> tuple[float, float]:
 
 def _scenario_pow_solve_hist(out_dir: str, seed: int) -> dict:
     """Solve-time histogram at one difficulty; flags exponential shape."""
-    profile = WorkerProfile(hash_rate_r=1024.0, threads_M=1, jitter_rel=0.0)
+    profile = WorkerProfile(hash_rate_r=1024.0, jitter_rel=0.0)
     rng = random.Random(f"pow-solve-hist:{seed}")
     difficulty = 8
     times = [simulate_pow_time(profile, difficulty, rng) for _ in range(2000)]
@@ -84,7 +84,7 @@ def _scenario_pow_solve_hist(out_dir: str, seed: int) -> dict:
 
 def _scenario_pow_difficulty_shift(out_dir: str, seed: int) -> dict:
     """Same worker at d and d+1; flags the doubling of the mean."""
-    profile = WorkerProfile(hash_rate_r=1024.0, threads_M=1, jitter_rel=0.0)
+    profile = WorkerProfile(hash_rate_r=1024.0, jitter_rel=0.0)
     rng = random.Random(f"pow-difficulty-shift:{seed}")
     rows: list[tuple] = []
     means = {}

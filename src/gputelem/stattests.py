@@ -1,14 +1,14 @@
 """Decision procedures over solve-time observations.
 
 Solve times for the nonce-search puzzles are modeled as exponential
-with rate lambda = r * p * M (attempt rate times per-attempt success
-probability times parallelism), so sums of round times are Gamma and
-counts in a window are Poisson.  The two hypothesis tests here are the
-duals of each other: fix the sample count and test the elapsed time, or
-fix the window and test the count.  Quantiles are computed locally by
-inverting the regularized incomplete gamma function; no statistics
-library is involved, which keeps the challenger's accept/reject rule
-bit-for-bit reproducible everywhere.
+with rate lambda = r * p (the whole worker's attempt rate, every thread
+of it together, times the per-attempt success probability), so sums of
+round times are Gamma and counts in a window are Poisson.  The two
+hypothesis tests here are the duals of each other: fix the sample count
+and test the elapsed time, or fix the window and test the count.
+Quantiles are computed locally by inverting the regularized incomplete
+gamma function; no statistics library is involved, which keeps the
+challenger's accept/reject rule bit-for-bit reproducible everywhere.
 
 A pow, vdf or gemm session (``continuous_measurement``) runs the one
 session loop, ``protocol.run_session``, and decides with the

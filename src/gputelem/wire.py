@@ -48,6 +48,11 @@ HEADER_LEN = 6
 # interpreter refuses the same records (a 2048-bit modulus has 617 digits)
 MAX_INT_DIGITS = 4300
 
+# components of a record path, so that nesting stays far below the
+# interpreter's recursion limit; the protocol's deepest path,
+# payload.proofs.0.output_y, has 4
+MAX_PATH_DEPTH = 64
+
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 # a record path: non-empty components of ASCII letters, digits, "_" and
 # "-", joined by "."
@@ -105,7 +110,9 @@ def decode_message(data: bytes) -> WireMessage:
     return WireMessage(msg_type=msg_type, payload=bytes(data[HEADER_LEN:]))
 
 
-def _emit(path: str, value, lines: list[str]) -> None:
+def _emit(path: str, value, lines: list[str], depth: int = 1) -> None:
+    if depth > MAX_PATH_DEPTH:
+        raise TypeError(f"record path nests deeper than {MAX_PATH_DEPTH} components")
     if isinstance(value, bool):
         # booleans ride as integers; records are typed i/x/s only
         lines.append(f"{path}=i:{int(value)}")
@@ -123,12 +130,12 @@ def _emit(path: str, value, lines: list[str]) -> None:
         for key in value:
             if not isinstance(key, str) or not _KEY_RE.match(key):
                 raise TypeError(f"bad record key {key!r} under {path!r}")
-            _emit(f"{path}.{key}", value[key], lines)
+            _emit(f"{path}.{key}", value[key], lines, depth + 1)
     elif isinstance(value, (list, tuple)):
         if not value:
             raise TypeError(f"empty list at {path!r} is not encodable")
         for i, item in enumerate(value):
-            _emit(f"{path}.{i}", item, lines)
+            _emit(f"{path}.{i}", item, lines, depth + 1)
     else:
         raise TypeError(f"cannot encode {type(value).__name__} at {path!r}")
 
@@ -136,10 +143,11 @@ def _emit(path: str, value, lines: list[str]) -> None:
 def encode_record(record: Mapping) -> bytes:
     """Serialize a nested record to canonical sorted-line form.
 
-    Values may be int, bytes, str, and nested non-empty dicts/lists;
-    dict keys must be identifier-like (never all digits, which is how
-    list indices are spelled).  The output is the canonical encoding:
-    same record, same bytes, always.
+    Values may be int, bytes, str, and nested non-empty dicts/lists,
+    at most ``MAX_PATH_DEPTH`` path components deep; dict keys must be
+    identifier-like (never all digits, which is how list indices are
+    spelled).  The output is the canonical encoding: same record, same
+    bytes, always.
     """
     if not isinstance(record, Mapping):
         raise TypeError("top-level record must be a mapping")
@@ -208,6 +216,8 @@ def decode_record(data: bytes) -> dict:
         if not _PATH_RE.fullmatch(path):
             raise WireDecodeError(f"bad record path {path!r}")
         parts = path.split(".")
+        if len(parts) > MAX_PATH_DEPTH:
+            raise WireDecodeError(f"record path of {len(parts)} components exceeds the cap")
         for part in parts:
             if part[0] == "0" and len(part) > 1 and part.isdigit():
                 raise WireDecodeError(f"non-canonical list index {part!r}")

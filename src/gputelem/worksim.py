@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .core import Challenge, Response, _refuse_unknown, generate_salt
 from .gemm import matrix_bytes, solve_gemm_puzzle
@@ -40,15 +40,17 @@ _RESIDENCY_STATES = ("hot", "cold", "evict_after")
 class WorkerProfile:
     """Behavioral model of one worker.
 
-    hash_rate_r and threads_M set the nonce-search rate; the three
-    contention factors slow the scalar, tensor, and memory pathways
-    independently (a co-resident workload rarely loads all three the
-    same way).  network_t0_ns is a fixed latency added to every answer,
-    whether it comes from the link or from shipping work elsewhere.
+    hash_rate_r is the whole worker's nonce-search attempt rate, every
+    thread or device of it together; the three contention factors slow
+    the scalar, tensor, and memory pathways independently (a co-resident
+    workload rarely loads all three the same way).  residency_state is
+    hot, cold, or evict_after, which alone takes an evict_after_round:
+    the first round the dataset is gone.  network_t0_ns is a fixed
+    latency added to every answer, whether it comes from the link or
+    from shipping work elsewhere.
     """
 
     hash_rate_r: float = 1024.0
-    threads_M: int = 1
     contention_factor: float = 1.0
     tensor_contention: float = 1.0
     memory_contention: float = 1.0
@@ -62,8 +64,6 @@ class WorkerProfile:
     def __post_init__(self) -> None:
         if self.hash_rate_r <= 0 or self.squaring_rate <= 0:
             raise ValueError("rates must be positive")
-        if self.threads_M < 1:
-            raise ValueError("threads_M must be >= 1")
         for factor in (
             self.contention_factor,
             self.tensor_contention,
@@ -75,8 +75,10 @@ class WorkerProfile:
             raise ValueError("jitter_rel must lie in [0, 0.2]")
         if self.residency_state not in _RESIDENCY_STATES:
             raise ValueError(f"residency_state must be one of {_RESIDENCY_STATES}")
-        if self.residency_state == "evict_after" and not self.evict_after_round:
+        if self.residency_state == "evict_after" and (self.evict_after_round or 0) < 1:
             raise ValueError("evict_after state needs evict_after_round >= 1")
+        if self.residency_state != "evict_after" and self.evict_after_round is not None:
+            raise ValueError(f"{self.residency_state} state takes no evict_after_round")
         if self.network_t0_ns < 0:
             raise ValueError("network_t0_ns cannot be negative")
         if self.vdf_capacity < 1:
@@ -101,8 +103,8 @@ def _finalize(profile: WorkerProfile, core_s: float, rng: random.Random) -> floa
 def _search_time(
     profile: WorkerProfile, d: int, contention: float, rng: random.Random
 ) -> float:
-    """Memoryless, like independent hashing: rate r * M * 2^-d / contention."""
-    lam = profile.hash_rate_r * profile.threads_M * 2.0 ** (-d)
+    """Memoryless, like independent hashing: rate r * 2^-d / contention."""
+    lam = profile.hash_rate_r * 2.0 ** (-d)
     lam /= contention
     return _finalize(profile, rng.expovariate(lam), rng)
 
@@ -293,12 +295,7 @@ class SimWorker:
         if solution is None:
             raise RuntimeError("solve cap exhausted on an honest worker")
         duration = simulate_pow_time(self.profile, params.difficulty, self.rng)
-        payload = {
-            "nonce": solution.nonce,
-            "digest": solution.digest,
-            "attempts": solution.attempts,
-        }
-        return payload, duration
+        return asdict(solution), duration
 
     def _answer_gemm(self, challenge: Challenge, params) -> tuple[dict, float]:
         proof = solve_gemm_puzzle(challenge.salt, params)
@@ -316,18 +313,7 @@ class SimWorker:
         # concurrent instances finish with the slowest chain
         t_eff = max(inst.delay_T for inst in instances)
         duration = simulate_vdf_time(self.profile, t_eff, params.instances, self.rng)
-        payload = {
-            "proofs": [
-                {
-                    "output_y": p.output_y,
-                    "pi": p.pi,
-                    "remainder_r": p.remainder_r,
-                    "challenge_prime": p.challenge_prime,
-                }
-                for p in proofs
-            ]
-        }
-        return payload, duration
+        return {"proofs": [asdict(p) for p in proofs]}, duration
 
     def _answer_residency(self, challenge: Challenge, params: dict) -> tuple[dict, float]:
         _refuse_unknown(params, (), "residency")  # a probe takes no params

@@ -7,16 +7,20 @@ malformed config. Exit-code semantics: 0 Accept, 1 Reject, 2 an error.
 """
 
 import json
+import socket
+import threading
 
 import pytest
 
-from gputelem import cli, gemm, netcli
+from gputelem import cli, gemm, netcli, wire
 from gputelem.worksim import WorkerProfile
 
 
 @pytest.fixture(scope="module")
 def daemon():
-    handle = netcli.serve_worker_background(WorkerProfile(hash_rate_r=4096.0), seed=80)
+    handle = netcli.serve_worker_background(
+        {"profile": {"hash_rate_r": 4096.0}, "seed": 80, "listen": "127.0.0.1:0"}
+    )
     yield handle
     handle.close()
 
@@ -58,7 +62,9 @@ def test_challenger_accept_path(tmp_path, daemon, capsys):
 
 
 def test_challenger_reject_path(tmp_path, capsys):
-    slow = netcli.serve_worker_background(WorkerProfile(hash_rate_r=32.0), seed=81)
+    slow = netcli.serve_worker_background(
+        {"profile": {"hash_rate_r": 32.0}, "seed": 81, "listen": "127.0.0.1:0"}
+    )
     try:
         config = _config_file(tmp_path, slow, lambda_min=40.0)
         out = tmp_path / "slow.csv"
@@ -290,6 +296,35 @@ def test_challenger_dead_connection_is_an_error_not_a_verdict(
     assert answered == [0, 1, 2, 3]
 
 
+def test_challenger_exits_2_on_a_record_nested_past_the_depth_cap(tmp_path, capsys):
+    """A worker's 600-component record path is a decode error (exit 2),
+    refused before nesting that deep could overrun the recursion limit."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    deep = wire.WireMessage(wire.MSG_PRE_RESPONSE, ("a." * 599 + "a=i:1\n").encode())
+
+    def fake_worker():
+        conn, _ = listener.accept()
+        with conn:
+            netcli.recv_frame(conn)  # the pre-challenge
+            netcli.send_frame(conn, deep)
+            conn.recv(1)  # until the challenger hangs up
+
+    thread = threading.Thread(target=fake_worker, daemon=True)
+    thread.start()
+    try:
+        config = tmp_path / "c.yaml"
+        config.write_text("worker: 127.0.0.1:%d\nrounds: 2\n" % listener.getsockname()[1])
+        code = cli.challenger_main(
+            ["run", "--mode", "pow", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+        )
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert code == cli.EXIT_ERROR
+    assert "600 components" in capsys.readouterr().err
+
+
 def test_challenger_seed_flag_overrides_config(tmp_path, daemon):
     config = _config_file(tmp_path, daemon, seed=1)
     out_a = tmp_path / "a.csv"
@@ -383,7 +418,7 @@ def test_worker_refuses_a_bad_block_before_serving(tmp_path, monkeypatch, capsys
     def serve_forever(self, *args):
         pytest.fail("the worker served a config it should have refused")
 
-    monkeypatch.setattr(netcli._WorkerServer, "serve_forever", serve_forever)
+    monkeypatch.setattr(netcli.WorkerDaemon, "serve_forever", serve_forever)
     lines = ["profile:", "  hash_rate_r: 64.0"]
     for name, value in blocks.items():
         if isinstance(value, dict):
@@ -406,7 +441,7 @@ def _record_serving(monkeypatch) -> list:
     def serve_forever(self, *args):
         served.append(self)
 
-    monkeypatch.setattr(netcli._WorkerServer, "serve_forever", serve_forever)
+    monkeypatch.setattr(netcli.WorkerDaemon, "serve_forever", serve_forever)
     return served
 
 
@@ -418,7 +453,7 @@ def test_worker_serves_a_config_of_only_a_bandwidth_block(tmp_path, monkeypatch,
     code = cli.worker_main(["serve", "--profile", str(path), "--listen", "127.0.0.1:0"])
     assert code == 0
     assert "serving on" in capsys.readouterr().err
-    assert [server.model.pci_bw for server in served] == [5e9]
+    assert [server.plan.model.pci_bw for server in served] == [5e9]
 
 
 def test_worker_reads_listen_and_seed_from_its_config(tmp_path, monkeypatch, capsys):
@@ -427,12 +462,12 @@ def test_worker_reads_listen_and_seed_from_its_config(tmp_path, monkeypatch, cap
     path.write_text("listen: 127.0.0.1:0\nseed: 5\n")
     assert cli.worker_main(["serve", "--profile", str(path)]) == 0
     host, port = served[0].server_address[:2]
-    assert port != 9333 and served[0].base_seed == 5
+    assert port != 9333 and served[0].plan.session.seed == 5
     # the bound address, so port 0 names the port it was given
     assert f"serving on {host}:{port}" in capsys.readouterr().err
     # a flag overrides the file only when given
     assert cli.worker_main(["serve", "--profile", str(path), "--seed", "9"]) == 0
-    assert served[1].base_seed == 9
+    assert served[1].plan.session.seed == 9
 
 
 @pytest.mark.parametrize(
@@ -460,7 +495,7 @@ def test_worker_serves_a_well_formed_file_on_its_flags(tmp_path, monkeypatch, ca
     path.write_text("listen: 127.0.0.1:9\nseed: 5\n")
     flags = ["--seed", "3", "--listen", "127.0.0.1:0"]
     assert cli.worker_main(["serve", "--profile", str(path), *flags]) == 0
-    assert served[0].base_seed == 3
+    assert served[0].plan.session.seed == 3
     assert served[0].server_address[1] not in (0, 9)
 
 

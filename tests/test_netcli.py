@@ -220,24 +220,26 @@ def test_profile_from_dict_rejects_unknown_fields():
         _profile({"hash_rate": 99.0})  # typo must not pass silently
     with pytest.raises(ValueError, match="behavior"):
         _profile({"behavior": "honest"})
+    with pytest.raises(ValueError, match="threads_M"):
+        _profile({"threads_M": 2})  # hash_rate_r is the whole worker's rate
 
 
 def test_profile_from_dict_coerces_yaml_number_strings():
     # YAML 1.1 floats need a signed exponent: safe_load("2.0e6") gives
     # the string "2.0e6", which must still land as a float.
-    loaded = yaml.safe_load("squaring_rate: 2.0e6\nthreads_M: '4'\n")
+    loaded = yaml.safe_load("squaring_rate: 2.0e6\nvdf_capacity: '4'\n")
     assert loaded["squaring_rate"] == "2.0e6"
     profile = _profile(loaded)
     assert profile.squaring_rate == 2_000_000.0
-    assert profile.threads_M == 4
+    assert profile.vdf_capacity == 4
     assert _profile({"evict_after_round": None}) == WorkerProfile()
 
 
 def test_profile_from_dict_rejects_garbage_values():
     with pytest.raises(ValueError, match="jitter_rel"):
         _profile({"jitter_rel": "fast"})
-    with pytest.raises(ValueError, match="threads_M"):
-        _profile({"threads_M": 2.5})  # counts must be whole
+    with pytest.raises(ValueError, match="vdf_capacity"):
+        _profile({"vdf_capacity": 2.5})  # counts must be whole
     with pytest.raises(ValueError, match="hash_rate_r"):
         _profile({"hash_rate_r": True})
 
@@ -259,9 +261,10 @@ def test_bandwidth_model_from_dict():
 )
 def test_config_block_fields_round_trip_from_yaml_number_strings(cls, block):
     expected, lines = {}, []
+    # every field set: evict_after_round only with the state that reads it
+    sample = cls(residency_state="evict_after", evict_after_round=1) if cls is WorkerProfile else cls()
     for f in dataclasses.fields(cls):
-        value = getattr(cls(), f.name)
-        value = 1 if value is None else value
+        value = getattr(sample, f.name)
         expected[f.name] = value
         # a number with an unsigned exponent is a string to YAML 1.1
         text = value if isinstance(value, str) else f"{value!r}e0"
@@ -390,6 +393,23 @@ def test_run_local_session_refuses_a_config_seed_it_would_not_run():
     assert len(netcli.run_local_session("pow", WorkerProfile(), config, seed=0).rows) == 2
 
 
+def test_run_local_session_refuses_a_config_profile_it_would_not_run():
+    """A slow worker named in the config, not the fast argument that would be accepted."""
+    config = {
+        "rounds": 20,
+        "lambda_min": 10.0,
+        "pow": {"difficulty": 4, "argon_memory_kib": 8},
+        "profile": {"hash_rate_r": 1.0},
+    }
+    with pytest.raises(ValueError, match="profile"):
+        netcli.run_local_session("pow", WorkerProfile(hash_rate_r=4096.0), config, seed=0)
+    report = netcli.run_local_session("pow", WorkerProfile(hash_rate_r=1.0), config, seed=0)
+    assert report.decision.verdict is Verdict.REJECT
+    # the block is parsed before it is compared, so a misspelt key is named
+    with pytest.raises(ValueError, match="hash_rate_rr"):
+        netcli.run_local_session("pow", WorkerProfile(), {"profile": {"hash_rate_rr": 1.0}}, seed=0)
+
+
 def test_a_null_mode_block_takes_the_defaults():
     # YAML reads a block key with no value ("gemm:") as None
     report = netcli.run_local_session("gemm", WorkerProfile(), {"rounds": 2, "gemm": None}, seed=1)
@@ -414,11 +434,40 @@ def test_parse_address():
 @pytest.fixture(scope="module")
 def daemon():
     handle = netcli.serve_worker_background(
-        WorkerProfile(hash_rate_r=4096.0, squaring_rate=1e6),
-        seed=70,
+        {"profile": {"hash_rate_r": 4096.0, "squaring_rate": 1e6}, "seed": 70, "listen": "127.0.0.1:0"}
     )
     yield handle
     handle.close()
+
+
+def test_both_daemon_builders_hold_the_plan_of_one_config():
+    config = {
+        "seed": 12,
+        "listen": "127.0.0.1:0",
+        "profile": {"hash_rate_r": 64.0, "network_t0_ns": 5},
+        "bandwidth": {"pci_bw": 5e9},
+    }
+    bound = netcli.worker_server(config)
+    serving = netcli.serve_worker_background(config)
+    try:
+        assert bound.plan == serving.plan == netcli._session_plan(config)
+        assert bound.address[1] not in (0, serving.address[1])
+    finally:
+        serving.close()
+        # a daemon that never served closes without waiting for serve_forever
+        closer = threading.Thread(target=bound.close, daemon=True)
+        closer.start()
+        closer.join(timeout=5)
+    assert not closer.is_alive()
+
+
+def test_serve_worker_background_refuses_a_bad_key_before_binding(monkeypatch):
+    def bind(self, plan):
+        pytest.fail("the daemon was built from a config it should have refused")
+
+    monkeypatch.setattr(netcli.WorkerDaemon, "__init__", bind)
+    with pytest.raises(ValueError, match="hash_rate"):
+        netcli.serve_worker_background({"profile": {"hash_rate": 64.0}, "listen": "127.0.0.1:0"})
 
 
 def test_remote_worker_pow_round_trip(daemon):
@@ -631,7 +680,7 @@ def test_a_malformed_kernel_time_makes_the_round_invalid(monkeypatch, kernel_tim
         "threshold_ns": 2_000_000_000,
     }
     if over_tcp:
-        handle = netcli.serve_worker_background(WorkerProfile(), seed=72)
+        handle = netcli.serve_worker_background({"seed": 72, "listen": "127.0.0.1:0"})
         try:
             worker = "%s:%d" % handle.address
             report = netcli.run_challenger({"kind": "residency", "worker": worker, "residency": block})
@@ -664,7 +713,7 @@ def test_each_entry_point_parses_each_block_once(monkeypatch, daemon, entry):
     if entry == "run_challenger":
         netcli.run_challenger({**config, "worker": "%s:%d" % daemon.address})
     elif entry == "run_local_session":
-        netcli.run_local_session("pow", WorkerProfile(), config, seed=1)
+        netcli.run_local_session("pow", WorkerProfile(hash_rate_r=4096.0), config, seed=1)
     else:
         netcli.worker_server({**config, "listen": "127.0.0.1:0"}).server_close()
     blocks = ("SessionSettings", "WorkerProfile", "BandwidthModel")
@@ -690,7 +739,11 @@ def test_shaped_latency_reject_over_tcp(tmp_path):
     earns a Reject verdict; every round the challenger times includes
     the profile's 50 ms network offset."""
     handle = netcli.serve_worker_background(
-        WorkerProfile(hash_rate_r=32.0, network_t0_ns=50_000_000), seed=71
+        {
+            "profile": {"hash_rate_r": 32.0, "network_t0_ns": 50_000_000},
+            "seed": 71,
+            "listen": "127.0.0.1:0",
+        }
     )
     try:
         config = {

@@ -285,6 +285,22 @@ def test_decode_record_refuses_over_long_integers():
     assert wire.decode_record(f"a=i:{widest}\n".encode()) == {"a": int(widest)}
 
 
+def test_record_paths_are_refused_beyond_the_depth_cap():
+    """Nesting 600 deep would overrun the recursion limit; the cap refuses it first."""
+    with pytest.raises(wire.WireDecodeError, match="components"):
+        wire.decode_record(("a." * 599 + "a=i:1\n").encode())
+    deepest, too_deep = {"a": 1}, {"a": 1}
+    for _ in range(wire.MAX_PATH_DEPTH - 1):
+        deepest = {"a": deepest}
+    for _ in range(wire.MAX_PATH_DEPTH):
+        too_deep = {"a": too_deep}
+    assert wire.decode_record(wire.encode_record(deepest)) == deepest
+    with pytest.raises(wire.WireDecodeError):
+        wire.decode_record(("a." * wire.MAX_PATH_DEPTH + "a=i:1\n").encode())
+    with pytest.raises(TypeError, match="deeper"):
+        wire.encode_record(too_deep)
+
+
 def test_decode_record_refuses_over_long_list_indices():
     for record in (
         "a." + "1" * 5000 + "=i:1\n",

@@ -36,8 +36,6 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         WorkerProfile(hash_rate_r=0)
     with pytest.raises(ValueError):
-        WorkerProfile(threads_M=0)
-    with pytest.raises(ValueError):
         WorkerProfile(contention_factor=0.5)
     with pytest.raises(ValueError):
         WorkerProfile(jitter_rel=0.3)
@@ -45,6 +43,12 @@ def test_profile_validation():
         WorkerProfile(residency_state="warm")
     with pytest.raises(ValueError):
         WorkerProfile(residency_state="evict_after")  # missing round
+    with pytest.raises(ValueError, match=">= 1"):
+        WorkerProfile(residency_state="evict_after", evict_after_round=-3)  # read as cold
+    for state in ("hot", "cold"):  # a round that the state would ignore
+        with pytest.raises(ValueError, match="evict_after_round"):
+            WorkerProfile(residency_state=state, evict_after_round=2)
+    assert WorkerProfile(residency_state="cold", evict_after_round=None).evict_after_round is None
     with pytest.raises(ValueError):
         WorkerProfile(network_t0_ns=-1)
     with pytest.raises(ValueError):
@@ -55,10 +59,10 @@ def test_profile_validation():
 
 
 def test_pow_time_mean_tracks_rate_and_difficulty():
-    profile = WorkerProfile(hash_rate_r=512.0, threads_M=2, jitter_rel=0.0)
+    profile = WorkerProfile(hash_rate_r=1024.0, jitter_rel=0.0)
     rng = random.Random(7)
     draws = [worksim.simulate_pow_time(profile, 6, rng) for _ in range(4000)]
-    expected = 2.0**6 / (512.0 * 2)  # 62.5 ms
+    expected = 2.0**6 / 1024.0  # 62.5 ms
     assert expected * 0.90 <= _mean(draws) <= expected * 1.10
     assert 0.90 <= _cv(draws) <= 1.10  # exponential: CV = 1
 
