@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import random
 import typing
 from dataclasses import dataclass, field, fields
@@ -191,20 +192,31 @@ class TimingSample:
 
 
 def _coerce(name: str, kind: type, value):
-    """``value`` as an int, float or str field; bools are never numbers."""
+    """``value`` as an int, float or str field; bools are never numbers.
+
+    A number must be finite.  An int field reads an int, or a string
+    ``int()`` reads, exactly at any width (a vdf modulus has hundreds of
+    bits); any other number it reads through ``float()`` must be whole
+    and at most 2^53 in magnitude, below which a float holds every integer.
+    """
     if kind is str:
         if isinstance(value, str):
             return value
-    elif kind is int and type(value) is int:
-        return value  # exact at any width: a vdf modulus has hundreds of bits
     elif not isinstance(value, bool):
+        if kind is int and (type(value) is int or isinstance(value, str)):
+            try:
+                return int(value)
+            except ValueError:
+                pass
         # YAML 1.1 floats need a signed exponent, so "2.0e6" arrives as a
         # string; accept anything float() does
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):
-            number = None
-        if number is not None and (kind is float or number.is_integer()):
+            number = math.nan
+        if math.isfinite(number) and (
+            kind is float or (number.is_integer() and abs(number) <= 1 << 53)
+        ):
             return kind(number)
     raise ValueError(f"{name}: expected {kind.__name__}, got {value!r}")
 

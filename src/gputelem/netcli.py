@@ -299,7 +299,8 @@ def _csv_cell(value) -> str:
 def write_report(report: SessionReport, out_path: str) -> None:
     """CSV of per-round rows next to a JSON summary at ``out_path``.
 
-    out_path names the CSV; the summary lands at out_path + ".json".
+    out_path names the CSV; the summary, the ``SessionReport`` without
+    its rows plus their count as ``rounds``, lands at out_path + ".json".
     The CSV columns are the keys of the first row, in order: a session
     of any mode runs at least one round, and every mode writes the
     columns of ``protocol.run_session``.
@@ -307,20 +308,8 @@ def write_report(report: SessionReport, out_path: str) -> None:
     header = tuple(report.rows[0]) if report.rows else ()
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(rows_to_csv(report.rows, header))
-    summary = {
-        "session_id": report.session_id,
-        "kind": report.kind,
-        "rounds": len(report.rows),
-        "config": report.config,
-        "decision": {
-            "verdict": report.decision.verdict.value,
-            "statistic": report.decision.statistic,
-            "threshold": report.decision.threshold,
-            "alpha": report.decision.alpha,
-            "samples_used": report.decision.samples_used,
-            "invalid_count": report.decision.invalid_count,
-        },
-    }
+    summary = {**asdict(replace(report, rows=[])), "rounds": len(report.rows)}
+    del summary["rows"]
     with open(out_path + ".json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -463,7 +452,7 @@ def _run_session(worker, plan: SessionPlan, rng: random.Random) -> SessionReport
         ran = {"residency": asdict(settings), "bandwidth": asdict(model)}
     else:
         params = plan.block
-        worker.pre_challenge({"session_id": session_id, "kind": kind, "params": params})
+        worker.pre_challenge({"session_id": session_id, "kind": kind})
         driver = SessionDriver(
             worker=worker, mode=kind, params=params, rng=rng, session_id=session_id
         )

@@ -1,18 +1,19 @@
 """Challenge construction, response validation, and the session loop.
 
 This layer owns the record schemas that travel inside wire payloads and
-the verification dispatch that turns a raw response into a valid/invalid
-verdict.  A response record carries the solution and nothing that
-vouches for it: host and device may both be untrusted, so a round is
-valid only if the challenger's own recomputation accepts it.  A
-payload is the same in process and on the wire (a gemm product is its
-canonical bytes), so records know no mode.  Every mode, residency
-included, runs through one session loop (``run_session``) of one round
-(``SessionDriver.run_round``): issue a challenge, time the worker's
-answer on the challenger's clock, validate the response, write one
-row.  The in-process fast path and the TCP daemons share it, so a
-decision reached against a virtual-clock worker is reached by identical
-code against a live one.
+the modes: each has one challenge params class, which ``params_for``
+types for challenger and worker alike, and one validator, which turns a
+raw response into a valid/invalid verdict.  A response record carries
+the solution and nothing that vouches for it: host and device may both
+be untrusted, so a round is valid only if the challenger's own
+recomputation accepts it.  A payload is the same in process and on the
+wire (a gemm product is its canonical bytes), so records know no mode.
+Every mode, residency included, runs through one session loop
+(``run_session``) of one round (``SessionDriver.run_round``): issue a
+challenge, time the worker's answer on the challenger's clock, validate
+the response, write one row.  The in-process fast path and the TCP
+daemons share it, so a decision reached against a virtual-clock worker
+is reached by identical code against a live one.
 """
 
 from __future__ import annotations
@@ -33,16 +34,17 @@ from .core import (
 )
 from .gemm import GemmParams, GemmProof, matrix_from_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
-from .residency import DatasetSpec, verify_probe
+from .residency import DatasetSpec, ResidencyParams, verify_probe
 from .stattests import Decision, Verdict
 
-MODES = ("pow", "vdf", "gemm", "residency")
-
+# the challenge params class of each mode; its keys are the modes
 _PARAM_TYPES = {
     "pow": PowParams,
     "vdf": vdf_mod.VdfParams,
     "gemm": GemmParams,
+    "residency": ResidencyParams,
 }
+MODES = tuple(_PARAM_TYPES)
 
 
 class ProtocolError(ValueError):
@@ -64,8 +66,9 @@ def params_for(mode: str, params: dict):
     A key the dict omits takes its dataclass default, and a key that is
     not a field of the mode's params class is refused (ValueError): a
     challenge carries only params, and a config block that also holds
-    session keys (``modulus_bits``) is split first.  A residency
-    challenge carries no params, so its mode has no class here.
+    session keys (``modulus_bits``) is split first.  Every mode has a
+    class (residency's, ``ResidencyParams``, has no field), and an
+    unknown mode is a ProtocolError.
     """
     cls = _PARAM_TYPES.get(mode)
     if cls is None:
@@ -184,54 +187,50 @@ def validate_response(
 ) -> bool:
     """Cryptographic verification dispatch; False means a lying worker.
 
-    A residency response is checked against ``dataset``, the seed and
-    shape of what the worker was told to hold.  A ``kernel_time_ns``
-    report is never trusted, only recorded, so one that is present but
-    not a non-negative int makes the round invalid.
+    The mode's entry of ``_VALIDATORS`` judges the payload against the
+    params ``params_for`` parsed once; a mode with none is the
+    challenger's bug, a ProtocolError.  A residency response is checked
+    against ``dataset``, the seed and shape of what the worker was told
+    to hold.  A ``kernel_time_ns`` report is never trusted, only
+    recorded, so one that is not a non-negative int makes the round invalid.
     """
     if not response.matches(challenge):
         return False
+    validator = _VALIDATORS.get(challenge.mode)
+    if validator is None:
+        raise ProtocolError(f"no validator for mode {challenge.mode!r}")
     if challenge.mode == "residency" and dataset is None:
         raise ProtocolError("a residency response needs the dataset spec")
     kernel_ns = response.payload.get("kernel_time_ns", 0)
     if type(kernel_ns) is not int or kernel_ns < 0:
         return False
     try:
-        if challenge.mode == "pow":
-            return _validate_pow(challenge, response)
-        if challenge.mode == "gemm":
-            return _validate_gemm(challenge, response)
-        if challenge.mode == "vdf":
-            return _validate_vdf(challenge, response)
-        if challenge.mode == "residency":
-            return _validate_residency(challenge, response, dataset)
+        params = params_for(challenge.mode, challenge.params)
+        return validator(challenge, params, response.payload, dataset)
     except (KeyError, TypeError, ValueError):
         return False
-    raise ProtocolError(f"no validator for mode {challenge.mode!r}")
 
 
-def _validate_pow(challenge: Challenge, response: Response) -> bool:
+def _validate_pow(challenge: Challenge, params, payload: dict, dataset) -> bool:
     solution = PowSolution(
-        nonce=int(response.payload["nonce"]),
-        digest=bytes_field(response.payload["digest"]),
-        attempts=int(response.payload.get("attempts", 0)),
+        nonce=int(payload["nonce"]),
+        digest=bytes_field(payload["digest"]),
+        attempts=int(payload.get("attempts", 0)),
     )
-    return verify_pow(challenge, solution, params_for("pow", challenge.params))
+    return verify_pow(challenge, solution, params)
 
 
-def _validate_gemm(challenge: Challenge, response: Response) -> bool:
-    params = params_for("gemm", challenge.params)
+def _validate_gemm(challenge: Challenge, params, payload: dict, dataset) -> bool:
     proof = GemmProof(
-        index_jstar=int(response.payload["index_jstar"]),
-        product_C=matrix_from_bytes(bytes_field(response.payload["product_c"]), params.dimension_n),
-        chain_state_sigma=bytes_field(response.payload["chain_state_sigma"]),
+        index_jstar=int(payload["index_jstar"]),
+        product_C=matrix_from_bytes(bytes_field(payload["product_c"]), params.dimension_n),
+        chain_state_sigma=bytes_field(payload["chain_state_sigma"]),
     )
     return verify_gemm_puzzle(challenge.salt, params, proof)
 
 
-def _validate_vdf(challenge: Challenge, response: Response) -> bool:
-    params = params_for("vdf", challenge.params)
-    raw = response.payload["proofs"]
+def _validate_vdf(challenge: Challenge, params, payload: dict, dataset) -> bool:
+    raw = payload["proofs"]
     if len(raw) != params.instances:
         return False
     proofs = [
@@ -251,17 +250,24 @@ def _validate_vdf(challenge: Challenge, response: Response) -> bool:
     )
 
 
-def _validate_residency(
-    challenge: Challenge, response: Response, dataset: DatasetSpec
-) -> bool:
+def _validate_residency(challenge: Challenge, params, payload: dict, dataset) -> bool:
     # spot-check columns drawn after the answer arrived, from a source the
     # worker cannot see (never the session rng, which it could replay)
     return verify_probe(
         dataset,
         challenge.salt,
-        bytes_field(response.payload["response_digest"]),
+        bytes_field(payload["response_digest"]),
         random.SystemRandom(),
     )
+
+
+# the validator of each mode: (challenge, typed params, payload, dataset) -> valid
+_VALIDATORS = {
+    "pow": _validate_pow,
+    "vdf": _validate_vdf,
+    "gemm": _validate_gemm,
+    "residency": _validate_residency,
+}
 
 
 class Round(NamedTuple):

@@ -76,6 +76,11 @@ class BandwidthModel:
 
 
 @dataclass(frozen=True)
+class ResidencyParams:
+    """Challenge params of a residency probe: none, so naming one is refused."""
+
+
+@dataclass(frozen=True)
 class ResidencySettings:
     """Session settings of a ``residency`` config block.
 

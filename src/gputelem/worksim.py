@@ -20,7 +20,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, replace
 
-from .core import Challenge, Response, _refuse_unknown, generate_salt
+from .core import Challenge, Response, generate_salt
 from .gemm import matrix_bytes, solve_gemm_puzzle
 from .pow import solve_pow
 from .protocol import MODES, bytes_field, params_for
@@ -260,21 +260,13 @@ class SimWorker:
         """Solve one challenge; return once the modeled duration has passed.
 
         The duration counts from the call, so on a wall clock the real
-        computation is part of it.  A residency challenge carries no
-        params, and one that names any is refused.
+        computation is part of it.  ``protocol.params_for`` types the
+        params of every mode, so a challenge of an unknown mode, or one
+        that names a param its mode lacks, is refused before any work.
         """
         started = self.clock.now()
-        handler = {
-            "pow": self._answer_pow,
-            "gemm": self._answer_gemm,
-            "vdf": self._answer_vdf,
-            "residency": self._answer_residency,
-        }.get(challenge.mode)
-        if handler is None:
-            raise ValueError(f"unsupported challenge mode {challenge.mode!r}")
-        params = challenge.params
-        if challenge.mode != "residency":
-            params = params_for(challenge.mode, params)
+        params = params_for(challenge.mode, challenge.params)
+        handler = getattr(self, f"_answer_{challenge.mode}")
         payload, duration = handler(challenge, params)
         payload.setdefault(
             "kernel_time_ns", max(int(duration * 1e9) - self.profile.network_t0_ns, 0)
@@ -315,8 +307,7 @@ class SimWorker:
         duration = simulate_vdf_time(self.profile, t_eff, params.instances, self.rng)
         return {"proofs": [asdict(p) for p in proofs]}, duration
 
-    def _answer_residency(self, challenge: Challenge, params: dict) -> tuple[dict, float]:
-        _refuse_unknown(params, (), "residency")  # a probe takes no params
+    def _answer_residency(self, challenge: Challenge, params) -> tuple[dict, float]:
         result = self.probe(challenge.salt)
         payload = {
             "response_digest": result.response_digest,

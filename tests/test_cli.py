@@ -499,6 +499,37 @@ def test_worker_serves_a_well_formed_file_on_its_flags(tmp_path, monkeypatch, ca
     assert served[0].server_address[1] not in (0, 9)
 
 
+@pytest.mark.parametrize(
+    "body, key",
+    [("lambda_min: .nan\n", "lambda_min"), ("profile:\n  hash_rate_r: .inf\n", "hash_rate_r")],
+    ids=["nan", "inf"],
+)
+def test_both_mains_exit_2_on_a_number_that_is_not_finite(tmp_path, monkeypatch, capsys, body, key):
+    monkeypatch.setattr(netcli, "RemoteWorker", _no_connection)
+    served = _record_serving(monkeypatch)
+    path = tmp_path / "config.yaml"
+    path.write_text(body)
+    out = tmp_path / "r.csv"
+    run = ["run", "--mode", "pow", "--config", str(path), "--out", str(out)]
+    assert cli.challenger_main(run) == cli.EXIT_ERROR
+    assert cli.worker_main(["serve", "--profile", str(path), "--listen", "127.0.0.1:0"]) == cli.EXIT_ERROR
+    assert served == [] and not out.exists()
+    assert capsys.readouterr().err.count(f"{key}: expected float") == 2
+
+
+def test_challenger_runs_and_records_a_quoted_seed_exactly(tmp_path, daemon):
+    seed = (1 << 53) + 1  # through a float it would read as 2^53
+    config = _config_file(tmp_path, daemon, seed=f'"{seed}"')
+    quoted, flagged = tmp_path / "quoted.csv", tmp_path / "flagged.csv"
+    for out, flags in ((quoted, []), (flagged, ["--seed", str(seed)])):
+        run = ["run", "--mode", "pow", "--config", str(config), "--out", str(out), *flags]
+        assert cli.challenger_main(run) == cli.EXIT_ACCEPT
+    summary = json.loads((tmp_path / "quoted.csv.json").read_text())
+    assert summary["config"]["seed"] == seed
+    # the same seed draws the same session identity
+    assert quoted.read_text().splitlines()[1][:64] == flagged.read_text().splitlines()[1][:64]
+
+
 def test_worker_refuses_a_port_above_65535(tmp_path, capsys):
     path = tmp_path / "worker.yaml"
     path.write_text("")

@@ -1,6 +1,7 @@
 """Primitive-layer tests: encodings, digests, streams, timestamps."""
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gputelem
+from gputelem import core
 from gputelem.core import (
     DIGEST_LEN,
     KAPPA,
@@ -214,3 +216,27 @@ def test_response_matches_checks_identity_fields():
     assert not Response(b"s", 2, "pow", {}, 0.1).matches(ch)
     assert not Response(b"s", 1, "vdf", {}, 0.1).matches(ch)
     assert not Response(b"z", 1, "pow", {}, 0.1).matches(ch)
+
+
+# --- config numbers ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", [int, float])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan", "-inf", "1e400"])
+def test_coerce_refuses_a_number_that_is_not_finite(kind, value):
+    # a range check such as lambda_min <= 0 is false for NaN
+    with pytest.raises(ValueError, match="x: expected"):
+        core._coerce("x", kind, value)
+
+
+def test_coerce_reads_an_int_field_exactly():
+    # through a float, 2^53 + 1 would read as 2^53
+    assert core._coerce("seed", int, "9007199254740993") == 9007199254740993
+    assert core._coerce("modulus_n", int, str((1 << 127) - 1)) == (1 << 127) - 1
+    # a YAML number string still parses if it names a whole number a float holds
+    assert core._coerce("rounds", int, "2.0e6") == 2_000_000
+    assert core._coerce("rounds", int, 16.0) == 16
+    assert core._coerce("rounds", int, float(1 << 53)) == 1 << 53
+    for value in ("1e300", 1e300, float((1 << 53) + 2), "2.5", -2.5):
+        with pytest.raises(ValueError, match="rounds: expected int"):
+            core._coerce("rounds", int, value)

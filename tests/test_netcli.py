@@ -44,7 +44,7 @@ from gputelem.wire import (
     decode_record,
     encode_record,
 )
-from gputelem.worksim import WorkerProfile
+from gputelem.worksim import SimWorker, WorkerProfile
 
 import random
 
@@ -391,6 +391,46 @@ def test_run_local_session_refuses_a_config_seed_it_would_not_run():
     # a config without a seed runs on the argument
     del config["seed"]
     assert len(netcli.run_local_session("pow", WorkerProfile(), config, seed=0).rows) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"lambda_min": float("nan")}, {"profile": {"hash_rate_r": float("inf")}}, {"pow": {"difficulty": "nan"}}],
+    ids=["nan-lambda_min", "inf-hash_rate_r", "nan-difficulty"],
+)
+def test_a_number_that_is_not_finite_is_refused_before_a_verdict(config):
+    # a NaN threshold used to reach a Reject, and its sidecar held NaN, not JSON
+    base = {"rounds": 3, "pow": {"difficulty": 0, "argon_memory_kib": 8}}
+    with pytest.raises(ValueError, match="expected"):
+        netcli.run_local_session("pow", WorkerProfile(), {**base, **config}, seed=1)
+
+
+def test_a_quoted_seed_runs_the_session_it_names(tmp_path):
+    seed = (1 << 53) + 1  # through a float it would read as 2^53
+    config = {"rounds": 2, "seed": str(seed), "pow": _SMALL_BLOCKS["pow"]}
+    report = netcli.run_local_session("pow", WorkerProfile(), config, seed=seed)
+    unquoted = netcli.run_local_session("pow", WorkerProfile(), {**config, "seed": seed}, seed=seed)
+    assert report.session_id == unquoted.session_id
+    netcli.write_report(report, str(tmp_path / "r.csv"))
+    assert json.loads((tmp_path / "r.csv.json").read_text())["config"]["seed"] == seed
+
+
+@pytest.mark.parametrize("kind", ["pow", "vdf", "gemm"])
+def test_a_puzzle_pre_challenge_holds_only_the_session_and_kind(kind):
+    """Each round's params travel in its own challenge, so the
+    pre-challenge of a pow, vdf or gemm session names none."""
+    sent = []
+
+    class Recording(SimWorker):
+        def pre_challenge(self, record):
+            sent.append(record)
+            return super().pre_challenge(record)
+
+    blocks = {**_SMALL_BLOCKS, "gemm": {"dimension_n": 8, "difficulty_d": 1}}
+    plan = netcli._session_plan({"kind": kind, "rounds": 1, kind: blocks[kind]})
+    report = netcli._run_session(Recording(WorkerProfile(), seed=1), plan, random.Random(1))
+    assert len(report.rows) == 1 and report.rows[0]["valid"]
+    assert sent == [{"session_id": bytes.fromhex(report.session_id), "kind": kind}]
 
 
 def test_run_local_session_refuses_a_config_profile_it_would_not_run():

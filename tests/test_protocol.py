@@ -16,7 +16,7 @@ from gputelem import gemm, netcli, protocol, wire
 from gputelem.core import Challenge, Response, encode_fields, hash_bytes, issued_at_micros
 from gputelem.gemm import FIELD_MODULUS, GemmParams, GemmProof, verify_gemm_puzzle
 from gputelem.pow import PowParams
-from gputelem.residency import SPOT_CHECKS, DatasetSpec
+from gputelem.residency import SPOT_CHECKS, DatasetSpec, ResidencyParams
 from gputelem.stattests import Verdict, continuous_measurement
 from gputelem.vdf import VdfParams
 from gputelem.worksim import SimWorker, WorkerProfile
@@ -426,6 +426,31 @@ def test_validate_response_unknown_mode_raises():
         protocol.validate_response(challenge, response)
 
 
+def test_modes_are_the_keys_of_the_one_params_table():
+    # perfbench rotates through the modes in this order, and the CLI lists it
+    assert protocol.MODES == ("pow", "vdf", "gemm", "residency")
+    assert tuple(protocol._PARAM_TYPES) == tuple(protocol._VALIDATORS) == protocol.MODES
+
+
+def test_a_challenge_naming_a_param_its_mode_lacks_is_invalid(rsa_group):
+    """Every mode's params are typed on the challenger side too, so a
+    stray key makes the round invalid rather than being ignored."""
+    for mode, (challenge, response, dataset) in _every_mode_answered(rsa_group).items():
+        assert protocol.validate_response(challenge, response, dataset), mode
+        stray = replace(challenge, params={**challenge.params, "extra": 1})
+        assert not protocol.validate_response(stray, response, dataset), mode
+
+
+def test_an_unknown_mode_is_refused_by_the_validator_and_the_worker():
+    # the challenger's bug, not a lying worker: raised, not judged
+    challenge = Challenge(b"s", 0, "quantum", b"salt", 0.0, {})
+    response = Response(b"s", 0, "quantum", {}, 0.0)
+    with pytest.raises(protocol.ProtocolError, match="no validator"):
+        protocol.validate_response(challenge, response)
+    with pytest.raises(protocol.ProtocolError, match="unknown mode"):
+        SimWorker(WorkerProfile()).answer(challenge)
+
+
 def _residency_answered():
     """An honest residency answer and the spec of the dataset it was planted."""
     worker = SimWorker(WorkerProfile(), seed=12)
@@ -492,9 +517,10 @@ def test_params_for_defaults_are_the_dataclass_defaults():
     assert protocol.params_for("pow", {}) == PowParams()
     assert protocol.params_for("gemm", {}) == GemmParams()
     assert protocol.params_for("vdf", {"modulus_n": 77}) == VdfParams(modulus_n=77)
-    # a residency challenge carries no params
-    with pytest.raises(protocol.ProtocolError):
-        protocol.params_for("residency", {})
+    # a residency probe takes no params: its class has no field
+    assert protocol.params_for("residency", {}) == ResidencyParams()
+    with pytest.raises(ValueError, match="unknown residency fields: \\['argon_memory_kib'\\]"):
+        protocol.params_for("residency", {"argon_memory_kib": 8})
     assert protocol.params_for("pow", {"difficulty": "3"}) == PowParams(difficulty=3)
     # a challenge carries only params: a key nothing reads is refused
     with pytest.raises(ValueError, match="unknown pow fields: \\['extra'\\]"):
