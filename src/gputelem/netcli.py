@@ -41,6 +41,7 @@ parses the file's own value of each replaced key first.
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
 import socketserver
@@ -63,6 +64,7 @@ from .protocol import (
     parse_challenge,
     parse_response,
     response_record,
+    run_session,
 )
 from .residency import (
     BandwidthModel,
@@ -70,7 +72,7 @@ from .residency import (
     default_threshold_ns,
     run_residency_session,
 )
-from .stattests import continuous_measurement
+from .stattests import session_test
 from .vdf import VdfParams, VdfSettings, setup_group
 from .wire import (
     HEADER_LEN,
@@ -232,14 +234,18 @@ def serve_worker_background(config: dict) -> WorkerDaemon:
 
 
 class RemoteWorker:
-    """Client handle over TCP with the worker interface of ``SimWorker``."""
+    """Client handle over TCP with the worker interface of ``SimWorker``.
+
+    Its ``clock`` is the challenger's wall clock, on which
+    ``SessionDriver.run_round`` times each round trip.
+    """
 
     def __init__(self, address: tuple[str, int], timeout_s: float = 120.0) -> None:
         try:
             self._sock = socket.create_connection(address, timeout=timeout_s)
         except OSError as exc:
             raise TransportError(f"cannot reach worker at {address}: {exc}") from exc
-        self._clock = WallClock()
+        self.clock = WallClock()
         self.session_id = b""
 
     def close(self) -> None:
@@ -247,12 +253,6 @@ class RemoteWorker:
             self._sock.close()
         except OSError:
             pass
-
-    def now(self) -> float:
-        return self._clock.now()
-
-    def sleep_until(self, deadline: float) -> None:
-        self._clock.sleep_until(deadline)
 
     def _round_trip(self, msg: WireMessage) -> WireMessage:
         send_frame(self._sock, msg)
@@ -453,19 +453,9 @@ def _run_session(worker, plan: SessionPlan, rng: random.Random) -> SessionReport
     else:
         params = plan.block
         worker.pre_challenge({"session_id": session_id, "kind": kind})
-        driver = SessionDriver(
-            worker=worker, mode=kind, params=params, rng=rng, session_id=session_id
-        )
-        rows: list[dict] = []
-        decision = continuous_measurement(
-            driver,
-            n=session.rounds,
-            lambda_min=session.lambda_min,
-            t0_s=session.t0_ns * 1e-9,
-            kind=kind,
-            sink=rows.append,
-        )
-        report = SessionReport(session_id.hex(), kind, decision, rows)
+        driver = SessionDriver(worker, kind, params, rng, session_id)
+        decide = session_test(session.rounds, session.lambda_min, session.t0_ns)
+        report = run_session(driver, session.rounds, kind, decide)
         ran = {kind: params}
     return replace(report, config={**asdict(session), **ran})
 
@@ -479,11 +469,13 @@ def run_local_session(
     sessions per minute, identical verdict semantics.  The worker
     simulates the config's ``bandwidth`` block, the bus the challenger
     judges residency against.  The session runs on ``seed`` and
-    simulates ``profile``; a config ``seed`` or ``profile`` block that
-    differs from them is refused, so a config never names a seed or a
-    worker that did not run.
+    simulates ``profile``; a config ``kind``, ``seed`` or ``profile``
+    block that differs from them is refused, so a config never names a
+    mode, a seed or a worker that did not run.
     """
-    plan = _session_plan({"seed": seed, **config, "kind": kind})
+    plan = _session_plan({"seed": seed, "kind": kind, **config})
+    if plan.session.kind != kind:
+        raise ValueError(f"config kind {plan.session.kind!r} differs from the session kind {kind!r}")
     if plan.session.seed != seed:
         raise ValueError(f"config seed {plan.session.seed} differs from the session seed {seed}")
     if "profile" in config and plan.profile != profile:
@@ -524,12 +516,12 @@ class SessionSettings:
     def __post_init__(self) -> None:
         if self.kind not in MODES:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
-        if self.lambda_min <= 0:
-            raise ValueError(f"lambda_min must be positive, got {self.lambda_min}")
-        if self.t0_ns < 0:
-            raise ValueError(f"t0_ns cannot be negative, got {self.t0_ns}")
+        if not 1 <= self.rounds < math.inf:
+            raise ValueError(f"rounds must be at least 1 and finite, got {self.rounds}")
+        if not 0 < self.lambda_min < math.inf:
+            raise ValueError(f"lambda_min must be positive and finite, got {self.lambda_min}")
+        if not 0 <= self.t0_ns < math.inf:
+            raise ValueError(f"t0_ns must be non-negative and finite, got {self.t0_ns}")
 
 
 # the top level holds, besides the session keys, the blocks and addresses

@@ -9,11 +9,13 @@ be untrusted, so a round is valid only if the challenger's own
 recomputation accepts it.  A payload is the same in process and on the
 wire (a gemm product is its canonical bytes), so records know no mode.
 Every mode, residency included, runs through one session loop
-(``run_session``) of one round (``SessionDriver.run_round``): issue a
-challenge, time the worker's answer on the challenger's clock, validate
-the response, write one row.  The in-process fast path and the TCP
-daemons share it, so a decision reached against a virtual-clock worker
-is reached by identical code against a live one.
+(``run_session``) of one round (``SessionDriver.run_round``): wait out
+the session's delay if it has one, issue a challenge, time the worker's
+answer on the challenger's clock, validate the response, write one row.
+The round alone reads that clock, the worker handle's ``clock``; the
+loop only records rounds and decides.  The in-process fast path and
+the TCP daemons share both, so a decision reached against a
+virtual-clock worker is reached by identical code against a live one.
 """
 
 from __future__ import annotations
@@ -286,39 +288,35 @@ class SessionDriver:
     Issues a fresh challenge each round, times the worker's answer on
     the challenger's clock, and validates the response; a residency
     session carries the ``DatasetSpec`` it planted as ``dataset``.  The
-    worker is any handle with now/sleep_until/answer, in process or over
-    TCP.
+    worker is any handle with ``clock`` and ``answer``, in process or
+    over TCP, and ``run_round`` is the only challenger code that reads
+    that clock.  ``wait``, if given, draws the seconds each round waits
+    on it before its challenge is issued (residency's random schedule).
     """
 
     worker: object
     mode: str
     params: dict
     rng: random.Random
-    session_id: bytes = b""
+    session_id: bytes
     dataset: DatasetSpec | None = None
-
-    def __post_init__(self) -> None:
-        if not self.session_id:
-            self.session_id = new_session_id(self.rng)
-
-    def now(self) -> float:
-        return self.worker.now()
-
-    def sleep_until(self, deadline: float) -> None:
-        self.worker.sleep_until(deadline)
+    wait: Callable[[], float] | None = None
 
     def run_round(self, index: int, kind: str | None = None) -> Round:
+        clock = self.worker.clock
+        if self.wait is not None:
+            clock.sleep_until(clock.now() + self.wait())
         challenge = build_challenge(
-            self.session_id, index, kind or self.mode, self.rng, self.now(), self.params
+            self.session_id, index, kind or self.mode, self.rng, clock.now(), self.params
         )
-        started = self.now()
+        started = clock.now()
         try:
             response = self.worker.answer(challenge)
         except TransportError:
             raise
         except Exception:  # a worker that fails a round has answered it wrongly
-            return Round(self.now() - started, False, challenge)
-        duration = self.now() - started
+            return Round(clock.now() - started, False, challenge)
+        duration = clock.now() - started
         valid = validate_response(challenge, response, self.dataset)
         return Round(duration, valid, challenge, response)
 
@@ -360,19 +358,17 @@ def run_session(
     rounds: int,
     kind: str,
     decide: Callable[[list[TimingSample]], Decision],
-    wait: Callable[[], float] | None = None,
     classify: Callable[[TimingSample], str] | None = None,
     sink: Callable[[dict], None] | None = None,
 ) -> SessionReport:
     """The session loop of every mode: ``rounds`` rounds, then ``decide``.
 
-    ``driver`` has ``session_id``, ``now()``, ``sleep_until(t)`` and
-    ``run_round(index, kind)``, returning a ``Round`` or a bare
-    ``(duration, valid)`` pair.  A round first waits ``wait()`` seconds,
-    if given, then writes one row, handed to ``sink`` too: the salt's
-    SHA-256, the challenger-clock ``total_ns``, the ``kernel_ns`` the
-    worker reported on a valid round (else 0), the ``classify`` label
-    (else empty) and ``valid``.  After ``decide``, any invalid round
+    ``driver`` has ``session_id`` and ``run_round(index, kind)``,
+    returning a ``Round`` or a bare ``(duration, valid)`` pair; the loop
+    reads no clock.  Each round writes one row, handed to ``sink`` too:
+    the salt's SHA-256, the challenger-clock ``total_ns``, the
+    ``kernel_ns`` the worker reported on a valid round (else 0), the
+    ``classify`` label (else empty) and ``valid``.  After ``decide``, any invalid round
     rejects the session, so a worker cannot drop its slow rounds.
     """
     if rounds < 1:
@@ -381,8 +377,6 @@ def run_session(
     samples: list[TimingSample] = []
     rows: list[dict] = []
     for i in range(rounds):
-        if wait is not None:
-            driver.sleep_until(driver.now() + wait())
         result = Round(*driver.run_round(i, kind))
         sample = TimingSample(index=i, mode=kind, duration=result.duration, valid=result.valid)
         samples.append(sample)

@@ -69,10 +69,10 @@ class BandwidthModel:
     base_latency_ns: int = 50_000
 
     def __post_init__(self) -> None:
-        if not self.hbm_bw > self.pci_bw > 0:
-            raise ValueError("need hbm_bw > pci_bw > 0")
-        if self.base_latency_ns < 0:
-            raise ValueError("base latency cannot be negative")
+        if not math.inf > self.hbm_bw > self.pci_bw > 0:
+            raise ValueError("need hbm_bw > pci_bw > 0, both finite")
+        if not 0 <= self.base_latency_ns < math.inf:
+            raise ValueError("base latency must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -359,8 +359,9 @@ def run_residency_session(
 
     The pre-challenge plants the dataset; the challenger keeps only its
     ``DatasetSpec``.  ``protocol.run_session`` then runs the rounds and
-    returns its ``SessionReport``: each round waits ``schedule_next``,
-    sends a fresh nonce (the challenge salt) and checks the digest by
+    returns its ``SessionReport``: each round waits ``schedule_next``
+    (the driver's ``wait``) on the worker handle's clock, then sends a
+    fresh nonce (the challenge salt) and checks the digest by
     ``verify_probe`` against the seed.  A row's verdict is Hot or Cold
     against ``threshold_ns``; the statistic counts Cold or invalid
     rounds, with threshold 0 and no level, so any such round fails.
@@ -379,7 +380,8 @@ def run_residency_session(
     worker.pre_challenge(
         {"session_id": session_id, "kind": "residency", "residency": asdict(spec)}
     )
-    driver = SessionDriver(worker, "residency", {}, rng, session_id, dataset=spec)
+    wait = functools.partial(schedule_next, t_max_s, rng)
+    driver = SessionDriver(worker, "residency", {}, rng, session_id, spec, wait)
 
     def classify(sample: TimingSample) -> str:
         return classify_residency(sample, threshold_ns).value
@@ -389,5 +391,4 @@ def run_residency_session(
         verdict = Verdict.REJECT if flagged else Verdict.ACCEPT
         return Decision(verdict, float(flagged), threshold=0.0, samples_used=len(samples))
 
-    wait = functools.partial(schedule_next, t_max_s, rng)
-    return run_session(driver, rounds, "residency", decide, wait, classify, sink)
+    return run_session(driver, rounds, "residency", decide, classify, sink)

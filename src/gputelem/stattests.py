@@ -10,8 +10,8 @@ Quantiles are computed locally by inverting the regularized incomplete
 gamma function; no statistics library is involved, which keeps the
 challenger's accept/reject rule bit-for-bit reproducible everywhere.
 
-A pow, vdf or gemm session (``continuous_measurement``) runs the one
-session loop, ``protocol.run_session``, and decides with the
+A pow, vdf or gemm session runs the one session loop,
+``protocol.run_session``, and decides with ``session_test``, the
 fixed-sample test at level ``SESSION_ALPHA``: the statistic is the
 challenger-clock time of all its rounds.  The loop then rejects a
 session with any invalid round, whatever its mode, so a worker cannot
@@ -60,10 +60,10 @@ class TestConfig:
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.lambda_min <= 0:
-            raise ValueError("lambda_min must be positive")
-        if self.n < 0 or self.t_window_s < 0 or self.t0_ns < 0:
-            raise ValueError("n, t_window_s and t0_ns must be non-negative")
+        if not 0 < self.lambda_min < math.inf:
+            raise ValueError("lambda_min must be positive and finite")
+        if not all(0 <= x < math.inf for x in (self.n, self.t_window_s, self.t0_ns)):
+            raise ValueError("n, t_window_s and t0_ns must be non-negative and finite")
 
     @property
     def t0_s(self) -> float:
@@ -276,6 +276,20 @@ def fixed_time_test(solution_count: int, cfg: TestConfig) -> Decision:
     )
 
 
+def session_test(
+    n: int, lambda_min: float, t0_ns: int = 0
+) -> Callable[[Sequence[TimingSample]], Decision]:
+    """The decision rule of a pow, vdf or gemm session of n rounds.
+
+    ``fixed_sample_test`` at level ``SESSION_ALPHA`` on the raw times of
+    all n rounds, with the latency floor t0 added to the threshold once
+    per round.  A bad ``lambda_min`` or ``t0_ns`` raises here, before
+    any round runs.
+    """
+    cfg = TestConfig(lambda_min, SESSION_ALPHA, n=n, t0_ns=t0_ns)
+    return lambda samples: fixed_sample_test(samples, cfg)
+
+
 def continuous_measurement(
     worker,
     n: int,
@@ -287,17 +301,15 @@ def continuous_measurement(
     """Run n back-to-back rounds of a pow, vdf or gemm session and decide.
 
     ``worker`` is any handle ``protocol.run_session`` drives, and
-    ``sink`` gets each round's row.  The decision is
-    ``fixed_sample_test`` at level ``SESSION_ALPHA`` on the raw times of
-    all n rounds, with the latency floor t0 added to the threshold once
-    per round; then any invalid round rejects the session.
+    ``sink`` gets each round's row.  The decision is ``session_test``'s;
+    then any invalid round rejects the session.  Only the decision is
+    returned: a caller that keeps the rows and the report calls
+    ``run_session`` with ``session_test`` itself, as ``netcli`` does.
     """
     from .protocol import run_session  # protocol imports this module
 
-    cfg = TestConfig(lambda_min, SESSION_ALPHA, n=n, t0_ns=round(t0_s * 1e9))
-    return run_session(
-        worker, n, kind, lambda samples: fixed_sample_test(samples, cfg), sink=sink
-    ).decision
+    decide = session_test(n, lambda_min, round(t0_s * 1e9))
+    return run_session(worker, n, kind, decide, sink=sink).decision
 
 
 def utilization_proxy(batch_times: Mapping[int, float]) -> dict[int, float]:

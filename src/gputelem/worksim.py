@@ -16,6 +16,7 @@ left, so a challenger over TCP measures the modeled latency.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, replace
@@ -62,27 +63,28 @@ class WorkerProfile:
     vdf_capacity: int = 128
 
     def __post_init__(self) -> None:
-        if self.hash_rate_r <= 0 or self.squaring_rate <= 0:
-            raise ValueError("rates must be positive")
+        if not (0 < self.hash_rate_r < math.inf and 0 < self.squaring_rate < math.inf):
+            raise ValueError("rates must be positive and finite")
         for factor in (
             self.contention_factor,
             self.tensor_contention,
             self.memory_contention,
         ):
-            if factor < 1:
-                raise ValueError("contention factors must be >= 1")
+            if not 1 <= factor < math.inf:
+                raise ValueError("contention factors must be >= 1 and finite")
         if not 0 <= self.jitter_rel <= 0.2:
             raise ValueError("jitter_rel must lie in [0, 0.2]")
         if self.residency_state not in _RESIDENCY_STATES:
             raise ValueError(f"residency_state must be one of {_RESIDENCY_STATES}")
-        if self.residency_state == "evict_after" and (self.evict_after_round or 0) < 1:
-            raise ValueError("evict_after state needs evict_after_round >= 1")
-        if self.residency_state != "evict_after" and self.evict_after_round is not None:
+        evicts = self.residency_state == "evict_after"
+        if evicts and not 1 <= (self.evict_after_round or 0) < math.inf:
+            raise ValueError("evict_after state needs a finite evict_after_round >= 1")
+        if not evicts and self.evict_after_round is not None:
             raise ValueError(f"{self.residency_state} state takes no evict_after_round")
-        if self.network_t0_ns < 0:
-            raise ValueError("network_t0_ns cannot be negative")
-        if self.vdf_capacity < 1:
-            raise ValueError("vdf_capacity must be >= 1")
+        if not 0 <= self.network_t0_ns < math.inf:
+            raise ValueError("network_t0_ns must be non-negative and finite")
+        if not 1 <= self.vdf_capacity < math.inf:
+            raise ValueError("vdf_capacity must be >= 1 and finite")
 
 
 def _jitter_factor(profile: WorkerProfile, rng: random.Random) -> float:
@@ -203,11 +205,12 @@ class SimWorker:
     """In-process worker: solves challenges for real, reports modeled times.
 
     The handle has the worker interface that ``netcli.RemoteWorker``
-    shares: now/sleep_until (session drivers schedule against the same
-    timeline the worker advances), session_id, pre_challenge and answer.
-    ``clock`` is the one place a modeled duration becomes elapsed time:
-    a ``VirtualClock`` (the default) jumps, a ``WallClock`` sleeps.  One
-    handle serves one session at a time.
+    shares: clock, session_id, pre_challenge and answer.  ``clock`` is
+    the one place a modeled duration becomes elapsed time: a
+    ``VirtualClock`` (the default) jumps, a ``WallClock`` sleeps.  The
+    challenger's ``SessionDriver.run_round`` times each round on it, so
+    both sides share one timeline.  One handle serves one session at a
+    time.
     """
 
     def __init__(
@@ -224,13 +227,6 @@ class SimWorker:
         self.session_id = generate_salt(self.rng)
         self.dataset: ChalDataset | None = None
         self._probe_round = 0
-
-    # clock interface, shared with session drivers
-    def now(self) -> float:
-        return self.clock.now()
-
-    def sleep_until(self, deadline: float) -> None:
-        self.clock.sleep_until(deadline)
 
     def pre_challenge(self, record: dict) -> dict:
         """Session announcement; a residency session plants its dataset here.

@@ -10,6 +10,7 @@ import collections
 import dataclasses
 import inspect
 import json
+import math
 import socket
 import threading
 import time
@@ -32,7 +33,7 @@ from gputelem.residency import (
     default_threshold_ns,
     run_residency_session,
 )
-from gputelem.stattests import Decision, Verdict
+from gputelem.stattests import Decision, TestConfig, Verdict
 from gputelem.wire import (
     MSG_CHALLENGE_BATCH,
     MSG_ERROR,
@@ -405,6 +406,43 @@ def test_a_number_that_is_not_finite_is_refused_before_a_verdict(config):
         netcli.run_local_session("pow", WorkerProfile(), {**base, **config}, seed=1)
 
 
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (WorkerProfile, {"hash_rate_r": math.inf}),
+        (WorkerProfile, {"squaring_rate": math.nan}),
+        (WorkerProfile, {"contention_factor": math.inf}),
+        (WorkerProfile, {"tensor_contention": math.nan}),
+        (WorkerProfile, {"memory_contention": math.inf}),
+        (WorkerProfile, {"network_t0_ns": math.nan}),
+        (WorkerProfile, {"vdf_capacity": math.inf}),
+        (WorkerProfile, {"residency_state": "evict_after", "evict_after_round": math.nan}),
+        (netcli.SessionSettings, {"lambda_min": math.nan}),
+        (netcli.SessionSettings, {"lambda_min": math.inf}),
+        (netcli.SessionSettings, {"rounds": math.nan}),
+        (netcli.SessionSettings, {"t0_ns": math.inf}),
+        (BandwidthModel, {"hbm_bw": math.inf}),
+        (BandwidthModel, {"base_latency_ns": math.nan}),
+        (TestConfig, {"lambda_min": math.nan, "alpha": 0.05}),
+        (TestConfig, {"lambda_min": 1.0, "alpha": 0.05, "t_window_s": math.inf}),
+        (TestConfig, {"lambda_min": 1.0, "alpha": 0.05, "t_window_s": math.nan}),
+    ],
+)
+def test_library_constructors_refuse_a_number_that_is_not_finite(cls, kwargs):
+    # built in Python, not through a config: the range check alone refuses it
+    with pytest.raises(ValueError, match="finite"):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("kind", ["vdf", "bogus", 7])
+def test_run_local_session_refuses_a_config_kind_it_would_not_run(kind):
+    config = {"rounds": 2, "pow": {"difficulty": 0, "argon_memory_kib": 8}, "kind": kind}
+    with pytest.raises(ValueError, match="kind"):
+        netcli.run_local_session("pow", WorkerProfile(), config, seed=1)
+    report = netcli.run_local_session("pow", WorkerProfile(), {**config, "kind": "pow"}, seed=1)
+    assert report.kind == report.config["kind"] == "pow"
+
+
 def test_a_quoted_seed_runs_the_session_it_names(tmp_path):
     seed = (1 << 53) + 1  # through a float it would read as 2^53
     config = {"rounds": 2, "seed": str(seed), "pow": _SMALL_BLOCKS["pow"]}
@@ -520,7 +558,7 @@ def test_remote_worker_pow_round_trip(daemon):
             0,
             "pow",
             random.Random(1),
-            remote.now(),
+            remote.clock.now(),
             {"difficulty": 2, "argon_memory_kib": 8},
         )
         response = remote.answer(challenge)
@@ -563,7 +601,8 @@ def test_remote_gemm_round_on_the_default_dimension_is_valid(daemon):
     remote = netcli.RemoteWorker(daemon.address)
     try:
         driver = SessionDriver(
-            worker=remote, mode="gemm", params={"difficulty_d": 0}, rng=random.Random(5)
+            worker=remote, mode="gemm", params={"difficulty_d": 0}, rng=random.Random(5),
+            session_id=b"\x05" * 32,
         )
         assert driver.run_round(0).valid
     finally:

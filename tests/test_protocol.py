@@ -19,7 +19,7 @@ from gputelem.pow import PowParams
 from gputelem.residency import SPOT_CHECKS, DatasetSpec, ResidencyParams
 from gputelem.stattests import Verdict, continuous_measurement
 from gputelem.vdf import VdfParams
-from gputelem.worksim import SimWorker, WorkerProfile
+from gputelem.worksim import SimWorker, VirtualClock, WorkerProfile
 
 
 def _challenge(mode="pow", params=None, index=3):
@@ -581,12 +581,12 @@ def test_session_driver_rounds_validate_and_advance_the_clock():
         mode="pow",
         params={"difficulty": 3, "argon_memory_kib": 8},
         rng=random.Random(3),
+        session_id=b"\x03" * 32,
     )
-    assert len(driver.session_id) == 32
-    t0 = driver.now()
+    t0 = worker.clock.now()
     first = driver.run_round(0)
     assert first.valid and first.duration > 0
-    assert driver.now() == pytest.approx(t0 + first.duration)
+    assert worker.clock.now() == pytest.approx(t0 + first.duration)
     # a kind given per round runs in the same session, on a fresh salt
     second = driver.run_round(1, kind="pow")
     assert second.valid and second.challenge.mode == "pow"
@@ -597,17 +597,14 @@ def test_session_driver_rounds_validate_and_advance_the_clock():
 
 def test_session_driver_reports_worker_exception_as_invalid():
     class _Exploding:
-        def now(self):
-            return 0.0
-
-        def sleep_until(self, deadline):
-            pass
+        clock = VirtualClock()
 
         def answer(self, challenge):
             raise RuntimeError("worker crashed")
 
     driver = protocol.SessionDriver(
-        worker=_Exploding(), mode="pow", params={"difficulty": 1}, rng=random.Random(4)
+        worker=_Exploding(), mode="pow", params={"difficulty": 1}, rng=random.Random(4),
+        session_id=b"\x04" * 32,
     )
     result = driver.run_round(0)
     assert not result.valid and result.response is None
@@ -616,14 +613,14 @@ def test_session_driver_reports_worker_exception_as_invalid():
 
 def test_session_driver_lets_a_transport_error_end_the_session():
     class _Disconnected:
-        def now(self):
-            return 0.0
+        clock = VirtualClock()
 
         def answer(self, challenge):
             raise protocol.TransportError("connection closed mid-frame")
 
     driver = protocol.SessionDriver(
-        worker=_Disconnected(), mode="pow", params={"difficulty": 1}, rng=random.Random(4)
+        worker=_Disconnected(), mode="pow", params={"difficulty": 1}, rng=random.Random(4),
+        session_id=b"\x04" * 32,
     )
     with pytest.raises(protocol.TransportError):
         driver.run_round(0)
@@ -637,16 +634,36 @@ def test_session_driver_round_keeps_the_challenge_and_response():
         mode="pow",
         params={"difficulty": 2, "argon_memory_kib": 8},
         rng=random.Random(3),
+        session_id=b"\x03" * 32,
     )
     result = driver.run_round(0)
     assert result.valid and result.response.matches(result.challenge)
     assert result.duration == pytest.approx(result.response.solve_time)
 
 
+def test_session_driver_waits_on_the_worker_clock_before_it_issues():
+    worker = SimWorker(WorkerProfile(), seed=21)
+    driver = protocol.SessionDriver(
+        worker=worker,
+        mode="pow",
+        params={"difficulty": 2, "argon_memory_kib": 8},
+        rng=random.Random(3),
+        session_id=b"\x03" * 32,
+        wait=lambda: 2.5,
+    )
+    result = driver.run_round(0)
+    # issued once the wait has passed, and timed on the same clock
+    answered = worker.clock.now()
+    assert result.valid and result.challenge.issued_at == 2.5
+    assert answered == 2.5 + result.response.solve_time
+    assert result.duration == pytest.approx(result.response.solve_time) and result.duration > 0
+    assert driver.run_round(1).challenge.issued_at == answered + 2.5
+
+
 # --- session loop ------------------------------------------------------------------
 #
 # The handles below are the two shapes a benchmark or a tracer hands the
-# loop: a replay with nothing but the four names the loop reads, whose
+# loop: a replay with nothing but the two names the loop reads, whose
 # rounds are bare (duration, valid) pairs, and a proxy that forwards
 # run_round(index, kind) positionally to a real SessionDriver.
 
@@ -656,12 +673,6 @@ class _BarePairs:
 
     def __init__(self, outcomes):
         self._outcomes = outcomes
-
-    def now(self):
-        return 0.0
-
-    def sleep_until(self, deadline):
-        pass
 
     def run_round(self, index, kind=None):
         return self._outcomes[index]
@@ -674,12 +685,6 @@ class _Proxy:
     @property
     def session_id(self):
         return self._inner.session_id
-
-    def now(self):
-        return self._inner.now()
-
-    def sleep_until(self, deadline):
-        self._inner.sleep_until(deadline)
 
     def run_round(self, index, kind=None):
         return self._inner.run_round(index, kind)
@@ -714,6 +719,7 @@ def test_a_positional_proxy_drives_a_real_session_driver():
             mode="pow",
             params={"difficulty": 1, "argon_memory_kib": 8},
             rng=random.Random(6),
+            session_id=b"\x06" * 32,
         )
 
     proxied, direct = [], []

@@ -219,23 +219,14 @@ def test_fixed_time_needs_window():
 
 
 class ScriptedWorker:
-    """Session stub replaying (duration, valid) pairs on a virtual clock."""
+    """Session stub replaying (duration, valid) pairs."""
 
     def __init__(self, script):
         self.script = list(script)
         self.session_id = b"\xaa" * 32
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-    def sleep_until(self, deadline):
-        self.t = max(self.t, deadline)
 
     def run_round(self, index, kind):
-        duration, valid = self.script[index]
-        self.t += duration
-        return duration, valid
+        return self.script[index]
 
 
 def _gamma_threshold(n, lambda_min=1.0):

@@ -204,10 +204,10 @@ def test_answer_pow_is_genuinely_valid():
     challenge = _challenge(
         "pow", {"difficulty": 4, "argon_memory_kib": 8, "argon_passes": 1, "argon_lanes": 1}
     )
-    before = worker.now()
+    before = worker.clock.now()
     response = worker.answer(challenge)
     assert response.matches(challenge)
-    assert worker.now() == before + response.solve_time  # clock advanced
+    assert worker.clock.now() == before + response.solve_time  # clock advanced
     params = PowParams(difficulty=4, argon_memory_kib=8)
     solution = PowSolution(
         nonce=response.payload["nonce"],
@@ -294,7 +294,7 @@ def test_init_dataset_costs_one_bus_transfer():
     worker = SimWorker(WorkerProfile(jitter_rel=0.0), seed=8, model=model)
     duration = worker.init_dataset(b"seed", 1 << 20, 1 << 18)
     assert duration == pytest.approx((1 << 20) / 10e9)
-    assert worker.now() == pytest.approx(duration)
+    assert worker.clock.now() == pytest.approx(duration)
     assert worker.dataset is not None and worker.dataset.block_count == 4
 
 
@@ -330,7 +330,7 @@ def test_pre_challenge_of_other_modes_draws_nothing():
     for kind in ("pow", "vdf", "gemm"):
         ack = worker.pre_challenge({"session_id": b"s", "kind": kind})
         assert ack == {"session_id": b"s", "status": "ok", "init_time_ns": 0}
-    assert worker.rng.getstate() == state and worker.now() == 0.0
+    assert worker.rng.getstate() == state and worker.clock.now() == 0.0
     with pytest.raises(ValueError):
         worker.pre_challenge({"session_id": b"s", "kind": "quantum"})
 
@@ -341,7 +341,7 @@ def test_answer_residency_matches_probe():
     for worker in (answering, probing):
         worker.pre_challenge(_residency_pre_challenge())
     challenge = _challenge("residency", {})
-    started = answering.now()
+    started = answering.clock.now()
     response = answering.answer(challenge)
     result = probing.probe(challenge.salt)
     assert response.matches(challenge)
@@ -350,7 +350,7 @@ def test_answer_residency_matches_probe():
         "kernel_time_ns": int(result.kernel_time_s * 1e9),
     }
     assert response.solve_time == result.timing.duration
-    assert answering.now() == started + response.solve_time
+    assert answering.clock.now() == started + response.solve_time
     # a probe takes no params, so a challenge that names one is refused
     for params in ({"argon_memory_kib": 8}, {"extra": 1}):
         with pytest.raises(ValueError, match="unknown residency fields"):
