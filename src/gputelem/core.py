@@ -34,35 +34,66 @@ def keyed_hash(key: bytes, data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=32, key=key).digest()
 
 
-def keyed_xor(key: bytes, data: bytes, domain: bytes = b"", offset: int = 0) -> bytes:
-    """XOR ``data`` with the keyed ChaCha20 (RFC 8439) stream for (key, domain).
+# read-only zeros, the plaintext the stream writer and the seek feed the cipher
+_ZEROS = memoryview(bytes(1 << 16))
 
-    The one ChaCha20 call.  The cipher key is ``keyed_hash(key, domain)``
-    and the 16-byte nonce is the 4-byte little-endian block counter
-    followed by a 12-byte all-zero IV.  A fixed IV is safe because every
-    caller passes its own domain (dataset block, probe mask, fingerprint
-    mask, matrix pair), so no two uses share a cipher key.  ``offset``
-    seeks: ``data`` meets stream bytes [offset, offset + len(data)),
-    generated from the 64-byte block that holds ``offset``.  XOR makes
-    the map an involution: applying it twice restores ``data``.
+
+def _chacha20(key: bytes, domain: bytes, offset: int):
+    """The one ChaCha20 (RFC 8439) context: the (key, domain) stream at ``offset``.
+
+    The cipher key is ``keyed_hash(key, domain)`` and the 16-byte nonce
+    is the 4-byte little-endian block counter followed by a 12-byte
+    all-zero IV.  A fixed IV is safe because every caller passes its own
+    domain (dataset block, probe mask, fingerprint mask, matrix pair), so
+    no two uses share a cipher key.  The context seeks to ``offset``: it
+    starts at the 64-byte block that holds it and skips the bytes of that
+    block before it.
     """
     counter, skip = divmod(offset, 64)
     nonce = counter.to_bytes(4, "little") + bytes(12)
-    cipher = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), nonce), mode=None)
-    encryptor = cipher.encryptor()
+    encryptor = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), nonce), mode=None).encryptor()
     if skip:
-        encryptor.update(bytes(skip))
-    return encryptor.update(data)
+        encryptor.update(_ZEROS[:skip])
+    return encryptor
+
+
+def keyed_xor(key: bytes, data: bytes, domain: bytes = b"", offset: int = 0) -> bytes:
+    """XOR ``data`` with bytes [offset, offset + len(data)) of the keyed stream.
+
+    The stream is the ChaCha20 keystream of ``_chacha20`` for (key,
+    domain).  XOR makes the map an involution: applying it twice
+    restores ``data``.
+    """
+    return _chacha20(key, domain, offset).update(data)
 
 
 def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"", offset: int = 0) -> bytes:
     """Bytes [offset, offset + nbytes) of the keyed stream: ``keyed_xor`` of zeros.
 
     A shorter request is a prefix of a longer one.  Used where a digest
-    has to be stretched over a large buffer (dataset blocks, matrices)
-    without changing the 32-byte digest convention elsewhere.
+    has to be stretched into fresh bytes (sketch weights, a regenerated
+    dataset column) without changing the 32-byte digest convention
+    elsewhere; ``keyed_stream_into`` writes the same bytes into a buffer
+    the caller already holds (dataset blocks, matrices).
     """
     return keyed_xor(key, bytes(nbytes), domain, offset)
+
+
+def keyed_stream_into(out, key: bytes, domain: bytes = b"", offset: int = 0) -> None:
+    """Write bytes [offset, offset + len) of the keyed stream into ``out``.
+
+    ``out`` is any writable C-contiguous buffer (a ``bytearray``, a
+    slice of one's ``memoryview``, a numpy array) and ``len`` its size in
+    bytes; it receives exactly the bytes ``keyed_stream`` returns, with
+    no intermediate allocation: the cipher reads slices of one shared
+    zero chunk and writes each result straight into ``out``.
+    """
+    view = memoryview(out).cast("B")
+    encryptor = _chacha20(key, domain, offset)
+    step = len(_ZEROS)
+    for start in range(0, len(view), step):
+        part = view[start : start + step]
+        encryptor.update_into(_ZEROS[: len(part)], part)
 
 
 def encode_fields(*parts: bytes | int | str) -> bytes:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import digest_below_target, encode_fields, hash_bytes, keyed_stream
+from .core import digest_below_target, encode_fields, hash_bytes, keyed_stream_into
 
 FIELD_MODULUS = (1 << 61) - 1  # Mersenne prime: reduction is shift-and-add
 
@@ -96,12 +96,18 @@ def derive_matrices(sigma: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     the masked value 2^61 - 1 = p folds onto another entry (0), so the
     entries are uniform up to a bias of 2^-61.  The challenger never
     ships matrices, only the 32-byte state they grow from.
+
+    The stream is written straight into the word array
+    (``keyed_stream_into``), and since a masked word is at most p the
+    reduction is that one fold, not a division per word.
     """
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    stream = keyed_stream(sigma, 16 * n * n, encode_fields("gemm-AB"))
-    words = np.frombuffer(stream, dtype="<u8") & np.uint64(FIELD_MODULUS)
-    entries = (words % np.uint64(FIELD_MODULUS)).astype(np.int64)
+    words = np.empty(2 * n * n, dtype="<u8")
+    keyed_stream_into(words, sigma, encode_fields("gemm-AB"))
+    words &= np.uint64(FIELD_MODULUS)
+    words[words == FIELD_MODULUS] = 0
+    entries = words.view("<i8")  # every entry is below 2^61
     return entries[: n * n].reshape(n, n), entries[n * n :].reshape(n, n)
 
 

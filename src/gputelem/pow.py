@@ -9,6 +9,7 @@ which is what the rate tests downstream assume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.kdf.argon2 import Argon2id
@@ -37,11 +38,11 @@ class PowParams:
     def __post_init__(self) -> None:
         if not 0 <= self.difficulty <= 64:
             raise ValueError("difficulty must lie in [0, 64]")
-        if self.argon_passes < 1 or self.argon_lanes < 1:
-            raise ValueError("argon passes and lanes must be >= 1")
+        if not (1 <= self.argon_passes < math.inf and 1 <= self.argon_lanes < math.inf):
+            raise ValueError("argon passes and lanes must be at least 1 and finite")
         # Argon2id requires memory >= 8 * lanes KiB
-        if self.argon_memory_kib < 8 * self.argon_lanes:
-            raise ValueError("argon memory must be >= 8 KiB per lane")
+        if not 8 * self.argon_lanes <= self.argon_memory_kib < math.inf:
+            raise ValueError("argon memory must be finite and >= 8 KiB per lane")
         if self.argon_memory_kib * self.argon_passes > MAX_ARGON_KIB:
             raise ValueError(f"argon_memory_kib * argon_passes must be at most {MAX_ARGON_KIB}")
 

@@ -46,11 +46,16 @@ from .core import (
     generate_salt,
     hash_bytes,
     keyed_stream,
+    keyed_stream_into,
     keyed_xor,
 )
 from .stattests import Decision, Verdict
 
 DEFAULT_BLOCK_BYTES = 1 << 20
+# the most a worker plants: a pre-challenge names the size, and a worker must
+# not allocate whatever it is told (this holds the acceptance suite's 256 MiB
+# dataset four times over)
+MAX_DATASET_BYTES = 1 << 30
 SKETCH_WORDS = 512  # mu has about max(SKETCH_WORDS, block count) words
 SPOT_CHECKS = 32  # sketch columns the challenger regenerates per round
 
@@ -96,14 +101,19 @@ class ResidencySettings:
     threshold_ns: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if not 1 <= self.rounds < math.inf:
+            raise ValueError(f"rounds must be at least 1 and finite, got {self.rounds}")
         if not 0 < self.t_max_s < math.inf:
             raise ValueError("t_max_s must be positive and finite")
-        if self.dataset_mib < 1 or self.block_kib < 1:
-            raise ValueError("dataset_mib and block_kib must be >= 1")
-        if self.threshold_ns is not None and self.threshold_ns <= 0:
-            raise ValueError("threshold_ns must be positive")
+        if not 1 <= self.dataset_mib <= MAX_DATASET_BYTES >> 20:
+            raise ValueError(
+                "dataset_mib must be finite, at least 1 and at most "
+                f"{MAX_DATASET_BYTES >> 20}, got {self.dataset_mib}"
+            )
+        if not 1 <= self.block_kib < math.inf:
+            raise ValueError(f"block_kib must be at least 1 and finite, got {self.block_kib}")
+        if self.threshold_ns is not None and not 0 < self.threshold_ns < math.inf:
+            raise ValueError("threshold_ns must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -114,7 +124,9 @@ class DatasetSpec:
     block is read as little-endian u64 words, its tail zero-padded, and
     cut into contiguous sketch columns of ``column_words`` words; only a
     block's last column may be shorter.  A full block of W words holds
-    ceil(W / R) columns, about ceil(SKETCH_WORDS / B) of them.
+    ceil(W / R) columns, about ceil(SKETCH_WORDS / B) of them.  Sizes
+    are ints and a dataset holds at most ``MAX_DATASET_BYTES``, so a
+    worker refuses a pre-challenge that names more before it allocates.
     """
 
     seed: bytes
@@ -122,8 +134,11 @@ class DatasetSpec:
     block_size_bytes: int = DEFAULT_BLOCK_BYTES
 
     def __post_init__(self) -> None:
-        if self.size_bytes < 1:
-            raise ValueError("dataset needs at least one byte")
+        for size in (self.size_bytes, self.block_size_bytes):
+            if not isinstance(size, int) or isinstance(size, bool):
+                raise ValueError(f"dataset sizes must be ints, got {size!r}")
+        if not 1 <= self.size_bytes <= MAX_DATASET_BYTES:
+            raise ValueError(f"dataset size must lie in [1, {MAX_DATASET_BYTES}] bytes")
         if self.block_size_bytes < 1:
             raise ValueError("block size must be positive")
 
@@ -170,13 +185,16 @@ class DatasetSpec:
 class ChalDataset:
     """Incompressible challenge data, regenerable block by block from a seed.
 
-    ``blocks`` is the only copy of the data; nothing derived from it is
-    cached, so masking the blocks in place leaves nothing stale.
-    ``spec`` is the seed and shape the blocks were generated from.
+    ``blocks`` is the only copy of the data: ``init_chal`` makes them
+    read-only views into one buffer of the dataset's size.  A block may
+    be any bytes-like object (``fingerprint.mask_chal_inplace`` swaps in
+    masked bytes); nothing derived from the blocks is cached, so
+    replacing one leaves nothing stale.  ``spec`` is the seed and shape
+    the blocks were generated from.
     """
 
     spec: DatasetSpec
-    blocks: list[bytes]
+    blocks: list[bytes | memoryview]
 
     @property
     def block_count(self) -> int:
@@ -201,22 +219,36 @@ def chal_block(seed: bytes, index: int, nbytes: int, offset: int = 0) -> bytes:
     The ChaCha20 keystream of ``core.keyed_stream`` under the domain
     ``("chal", index)``, so any slice of a block is regenerated alone.
     """
-    return keyed_stream(seed, nbytes, domain=encode_fields("chal", index), offset=offset)
+    return keyed_stream(seed, nbytes, domain=_chal_domain(index), offset=offset)
+
+
+def _chal_domain(index: int) -> bytes:
+    return encode_fields("chal", index)
 
 
 def init_chal(
     size_bytes: int, seed: bytes, block_size_bytes: int = DEFAULT_BLOCK_BYTES
 ) -> ChalDataset:
-    """Materialize the dataset from its seed, block by block.
+    """Materialize the dataset from its seed into one buffer.
 
-    The last block may be short when the size is not a block multiple.
-    Pseudorandom bytes are incompressible to anyone without the seed,
-    but today the pre-challenge tells the worker the seed: a worker may
-    keep the seed alone and regenerate the blocks for each probe, and
-    its digest verifies, so only the probe's time tells it apart.
+    The spec is checked before anything is allocated.  Each block's
+    stream (``chal_block``) is written in place into its slice of one
+    ``size_bytes`` buffer, and the blocks are read-only views of those
+    slices, so planting allocates the dataset once.  The last block may
+    be short when the size is not a block multiple.  Pseudorandom bytes
+    are incompressible to anyone without the seed, but today the
+    pre-challenge tells the worker the seed: a worker may keep the seed
+    alone and regenerate the blocks for each probe, and its digest
+    verifies, so only the probe's time tells it apart.
     """
     spec = DatasetSpec(seed, size_bytes, block_size_bytes)
-    blocks = [chal_block(seed, i, spec.block_len(i)) for i in range(spec.block_count)]
+    data = memoryview(bytearray(size_bytes))
+    blocks = []
+    for i in range(spec.block_count):
+        start = i * block_size_bytes
+        block = data[start : start + spec.block_len(i)]
+        keyed_stream_into(block, seed, _chal_domain(i))
+        blocks.append(block.toreadonly())
     return ChalDataset(spec, blocks)
 
 

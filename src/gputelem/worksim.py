@@ -240,10 +240,10 @@ class SimWorker:
         init_time_ns = 0
         if kind == "residency":
             res = record["residency"]
+            # the sizes go to DatasetSpec as sent, which refuses a non-int
+            # or one above residency.MAX_DATASET_BYTES before allocating
             duration = self.init_dataset(
-                bytes_field(res["seed"]),
-                int(res["size_bytes"]),
-                int(res["block_size_bytes"]),
+                bytes_field(res["seed"]), res["size_bytes"], res["block_size_bytes"]
             )
             init_time_ns = int(duration * 1e9)
         return {

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from gputelem import cli, gemm, netcli, wire
+from gputelem import cli, gemm, netcli, residency, wire
 from gputelem.worksim import WorkerProfile
 
 
@@ -158,6 +158,7 @@ def test_challenger_refuses_an_unusable_gemm_size_before_connecting(
     [
         ("t_max_s", 0),
         ("dataset_mib", 0),
+        ("dataset_mib", (residency.MAX_DATASET_BYTES >> 20) + 1),
         ("block_kib", 0),
         ("threshold_ns", -5),
         ("rounds", 0),

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from gputelem.core import (
     issued_at_micros,
     keyed_hash,
     keyed_stream,
+    keyed_stream_into,
     keyed_xor,
 )
 
@@ -115,6 +117,35 @@ def test_keyed_xor_is_data_xor_keyed_stream(key, data, domain):
     stream = keyed_stream(key, len(data), domain)
     assert keyed_xor(key, data, domain) == bytes(x ^ y for x, y in zip(data, stream))
     assert keyed_xor(key, keyed_xor(key, data, domain), domain) == data
+
+
+_CHUNK = len(core._ZEROS)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=_CHUNK - 70, max_value=_CHUNK + 70),
+        st.integers(min_value=2 * _CHUNK - 70, max_value=2 * _CHUNK + 70),
+    ),
+    st.integers(min_value=0, max_value=1000),
+    st.binary(max_size=16),
+)
+@settings(max_examples=60, deadline=None)
+def test_keyed_stream_into_writes_the_keyed_stream(nbytes, offset, domain):
+    """Across zero-chunk boundaries and at any seek, the writer fills
+    exactly its buffer with the bytes ``keyed_stream`` returns."""
+    expected = keyed_stream(b"key", nbytes, domain, offset)
+    buffer = bytearray(b"\xa5" * (nbytes + 16))
+    keyed_stream_into(memoryview(buffer)[8 : 8 + nbytes], b"key", domain, offset)
+    assert buffer[8 : 8 + nbytes] == expected
+    assert buffer[:8] == buffer[8 + nbytes :] == b"\xa5" * 8
+
+
+def test_keyed_stream_into_fills_a_numpy_array():
+    words = np.zeros(3 * _CHUNK // 8 + 5, dtype="<u8")
+    keyed_stream_into(words, b"key", b"dom", offset=3)
+    assert words.tobytes() == keyed_stream(b"key", words.nbytes, b"dom", offset=3)
 
 
 def test_encode_fields_known_bytes():

@@ -139,6 +139,19 @@ def test_derive_matrices_matches_manual_stream_reduction():
     assert b[2, 3] == 177352182228767278
 
 
+def test_derive_matrices_folds_only_the_modulus_to_zero(monkeypatch):
+    """All-ones words mask to p and fold to 0; one below masks to p - 1 and stays."""
+
+    def stream(words, key, domain=b"", offset=0):
+        words[0::2] = (1 << 64) - 1
+        words[1::2] = (1 << 64) - 2
+
+    monkeypatch.setattr(gemm, "keyed_stream_into", stream)
+    a, b = gemm.derive_matrices(b"s", 3)
+    expected = np.array([0, P - 1] * 9, dtype=np.int64)
+    assert np.array_equal(np.concatenate((a.ravel(), b.ravel())), expected)
+
+
 def test_derive_matrices_deterministic_and_distinct():
     sigma = hash_bytes(b"x")
     a1, b1 = gemm.derive_matrices(sigma, 8)

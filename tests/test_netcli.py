@@ -14,6 +14,7 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 import yaml
@@ -28,8 +29,10 @@ from gputelem.protocol import (
     parse_response,
     validate_response,
 )
+from gputelem.pow import PowParams
 from gputelem.residency import (
     BandwidthModel,
+    ResidencySettings,
     default_threshold_ns,
     run_residency_session,
 )
@@ -421,6 +424,13 @@ def test_a_number_that_is_not_finite_is_refused_before_a_verdict(config):
         (netcli.SessionSettings, {"lambda_min": math.inf}),
         (netcli.SessionSettings, {"rounds": math.nan}),
         (netcli.SessionSettings, {"t0_ns": math.inf}),
+        (ResidencySettings, {"rounds": math.nan}),
+        (ResidencySettings, {"dataset_mib": math.inf}),
+        (ResidencySettings, {"block_kib": math.nan}),
+        (ResidencySettings, {"threshold_ns": math.nan}),
+        (PowParams, {"argon_passes": math.nan}),
+        (PowParams, {"argon_lanes": math.nan}),
+        (PowParams, {"argon_memory_kib": math.nan}),
         (BandwidthModel, {"hbm_bw": math.inf}),
         (BandwidthModel, {"base_latency_ns": math.nan}),
         (TestConfig, {"lambda_min": math.nan, "alpha": 0.05}),
@@ -672,6 +682,25 @@ def test_daemon_closes_connection_on_undecodable_stream(daemon):
         assert sock.recv(1) == b""  # server hangs up
     finally:
         sock.close()
+
+
+def test_daemon_refuses_a_tebibyte_dataset_before_allocating(daemon):
+    remote = netcli.RemoteWorker(daemon.address)
+    planted = {"seed": b"seed", "size_bytes": 1 << 40, "block_size_bytes": 1 << 20}
+    tracemalloc.start()  # the daemon serves on a thread of this process
+    try:
+        with pytest.raises(ProtocolError, match="dataset size"):
+            remote.pre_challenge(
+                {"session_id": b"\x55" * 32, "kind": "residency", "residency": planted}
+            )
+        _, peak = tracemalloc.get_traced_memory()
+        # the connection still serves
+        ack = remote.pre_challenge({"session_id": b"\x55" * 32, "kind": "pow"})
+    finally:
+        tracemalloc.stop()
+        remote.close()
+    assert ack["status"] == "ok"
+    assert peak < 1 << 20, f"refusing peaked at {peak} bytes"
 
 
 def test_remote_worker_error_reply_raises_protocol_error(daemon):

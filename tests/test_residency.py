@@ -49,6 +49,30 @@ def test_init_chal_block_layout():
     assert chal.blocks[0] == residency.chal_block(b"x", 0, 16_384)
 
 
+@pytest.mark.parametrize("size, block", ((40_000, 16_384), (10_003, 4096), (100, 7), (1, 1)))
+def test_init_chal_plants_one_buffer_of_chal_blocks(size, block):
+    chal = residency.init_chal(size, b"plant", block)
+    buffer = chal.blocks[0].obj
+    assert len(buffer) == size
+    for i, view in enumerate(chal.blocks):
+        assert view.obj is buffer and view.readonly
+        assert view == residency.chal_block(b"plant", i, chal.spec.block_len(i))
+
+
+def test_planting_allocates_the_dataset_once():
+    """4 MiB in 256 KiB blocks: the buffer, and no per-block copy on top
+    (a block generated as fresh bytes from a zero input adds 256 KiB)."""
+    size = 4 << 20
+    tracemalloc.start()
+    try:
+        chal = residency.init_chal(size, b"mem-seed", 256 << 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chal.block_count == 16
+    assert peak < size + (64 << 10), f"planting peaked at {peak} bytes"
+
+
 def test_init_chal_validation():
     with pytest.raises(ValueError):
         residency.init_chal(0, b"x")
@@ -150,7 +174,7 @@ def _reference_mu(columns: list[bytes], nonce: bytes) -> bytes:
     nu = [int.from_bytes(stream[i : i + 8], "little") | 1 for i in range(0, 8 * width, 8)]
     mu = b""
     for column in columns:
-        padded = column + bytes(-len(column) % 8)
+        padded = bytes(column) + bytes(-len(column) % 8)
         total = sum(
             weight * int.from_bytes(padded[i : i + 8], "little")
             for weight, i in zip(nu, range(0, len(padded), 8))
@@ -259,6 +283,12 @@ def test_spec_validation():
         residency.DatasetSpec(b"x", 0)
     with pytest.raises(ValueError):
         residency.DatasetSpec(b"x", 100, block_size_bytes=0)
+    top = residency.MAX_DATASET_BYTES
+    assert residency.DatasetSpec(b"x", top).size_bytes == top
+    bad = ((top + 1, 1 << 20), (1 << 40, 1 << 20), (100.0, 10), (True, 1), (100, 10.0))
+    for size, block in bad:
+        with pytest.raises(ValueError):
+            residency.DatasetSpec(b"x", size, block)
 
 
 def _honest(size: int, block: int, nonce: bytes = b"n"):

@@ -8,6 +8,7 @@ the cryptographic content with the same verifiers a challenger uses.
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -322,6 +323,20 @@ def test_pre_challenge_plants_the_residency_dataset():
         "init_time_ns": int((1 << 20) / 10e9 * 1e9),
     }
     assert worker.dataset is not None and worker.dataset.block_count == 4
+
+
+@pytest.mark.parametrize("size", [1 << 40, "65536", 65536.0])
+def test_pre_challenge_naming_a_tebibyte_or_no_int_is_refused_before_allocating(size):
+    worker = SimWorker(WorkerProfile(), seed=8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dataset size"):
+            worker.pre_challenge(_residency_pre_challenge(size, 1 << 14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"refusing peaked at {peak} bytes"
+    assert worker.dataset is None and worker.clock.now() == 0.0
 
 
 def test_pre_challenge_of_other_modes_draws_nothing():
