@@ -34,10 +34,6 @@ def keyed_hash(key: bytes, data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=32, key=key).digest()
 
 
-# read-only zeros, the plaintext the stream writer and the seek feed the cipher
-_ZEROS = memoryview(bytes(1 << 16))
-
-
 def _chacha20(key: bytes, domain: bytes, offset: int):
     """The one ChaCha20 (RFC 8439) context: the (key, domain) stream at ``offset``.
 
@@ -53,7 +49,7 @@ def _chacha20(key: bytes, domain: bytes, offset: int):
     nonce = counter.to_bytes(4, "little") + bytes(12)
     encryptor = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), nonce), mode=None).encryptor()
     if skip:
-        encryptor.update(_ZEROS[:skip])
+        encryptor.update(bytes(skip))
     return encryptor
 
 
@@ -73,27 +69,23 @@ def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"", offset: int = 0) 
     A shorter request is a prefix of a longer one.  Used where a digest
     has to be stretched into fresh bytes (sketch weights, a regenerated
     dataset column) without changing the 32-byte digest convention
-    elsewhere; ``keyed_stream_into`` writes the same bytes into a buffer
-    the caller already holds (dataset blocks, matrices).
+    elsewhere; ``keyed_xor_into`` of a zeroed buffer writes the same
+    bytes into memory the caller already holds (dataset blocks, matrices).
     """
     return keyed_xor(key, bytes(nbytes), domain, offset)
 
 
-def keyed_stream_into(out, key: bytes, domain: bytes = b"", offset: int = 0) -> None:
-    """Write bytes [offset, offset + len) of the keyed stream into ``out``.
+def keyed_xor_into(buf, key: bytes, domain: bytes = b"", offset: int = 0) -> None:
+    """XOR ``buf`` in place with the bytes ``keyed_xor`` would XOR it with.
 
-    ``out`` is any writable C-contiguous buffer (a ``bytearray``, a
-    slice of one's ``memoryview``, a numpy array) and ``len`` its size in
-    bytes; it receives exactly the bytes ``keyed_stream`` returns, with
-    no intermediate allocation: the cipher reads slices of one shared
-    zero chunk and writes each result straight into ``out``.
+    ``buf`` is any writable C-contiguous buffer (a ``bytearray``, a
+    slice of one's ``memoryview``, a numpy array); afterwards it holds
+    exactly ``keyed_xor(key, bytes(buf), domain, offset)``, with no
+    intermediate allocation.  Into zeros it writes the keyed stream.  A
+    read-only or non-contiguous buffer is refused with a TypeError.
     """
-    view = memoryview(out).cast("B")
-    encryptor = _chacha20(key, domain, offset)
-    step = len(_ZEROS)
-    for start in range(0, len(view), step):
-        part = view[start : start + step]
-        encryptor.update_into(_ZEROS[: len(part)], part)
+    view = memoryview(buf).cast("B")
+    _chacha20(key, domain, offset).update_into(view, view)
 
 
 def encode_fields(*parts: bytes | int | str) -> bytes:

@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import encode_fields, keyed_hash, keyed_xor
+from .core import encode_fields, keyed_hash, keyed_xor_into
 from .residency import ChalDataset, init_chal
 
 
@@ -90,11 +90,13 @@ def fingerprint_digest(error_vector: ErrorVector) -> bytes:
 def mask_chal_inplace(chal: ChalDataset, r_gpu: bytes) -> None:
     """XOR every block with its fingerprint-keyed ChaCha20 stream, in place.
 
-    The mask forces a full linear pass over the dataset and is an
-    involution: applying it twice restores the original bytes.
+    Each block view is XORed where it lies (``core.keyed_xor_into``), so
+    masking allocates nothing of the dataset's size.  The mask forces a
+    full linear pass over the dataset and is an involution: applying it
+    twice restores the original bytes.
     """
     for j, block in enumerate(chal.blocks):
-        chal.blocks[j] = keyed_xor(r_gpu, block, domain=encode_fields("fpmask", j))
+        keyed_xor_into(block, r_gpu, domain=encode_fields("fpmask", j))
 
 
 def masked_chal_from_seed(

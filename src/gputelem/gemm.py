@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import digest_below_target, encode_fields, hash_bytes, keyed_stream_into
+from .core import digest_below_target, encode_fields, hash_bytes, keyed_xor_into
 
 FIELD_MODULUS = (1 << 61) - 1  # Mersenne prime: reduction is shift-and-add
 
@@ -41,6 +41,9 @@ _LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS]).reshape(3, 1, 1)
 # field_matmul), so over this many indices every float64 sum stays below 2^53
 _CHUNK = (1 << 53) // (9 * _LIMB_MASK**2)
 _MAX_DIM = 1 << 15  # summed chunks stay below 2^61 up to this n
+# the largest n a challenge may name: a solve holds about 137 n^2 bytes
+# (548 MiB here), within the dataset a worker may be asked to plant
+MAX_DIMENSION = 2048
 
 
 class PuzzleExhaustedError(RuntimeError):
@@ -56,8 +59,8 @@ class GemmParams:
     freivalds_k: int = 5
 
     def __post_init__(self) -> None:
-        if not 1 <= self.dimension_n <= _MAX_DIM:
-            raise ValueError(f"matrix dimension must lie in [1, {_MAX_DIM}]")
+        if not 1 <= self.dimension_n <= MAX_DIMENSION:
+            raise ValueError(f"matrix dimension must lie in [1, {MAX_DIMENSION}]")
         if not 0 <= self.difficulty_d <= 32:
             raise ValueError("difficulty must lie in [0, 32]")
         # at k = 64 a wrong product passes with chance 2^-64 already
@@ -97,14 +100,14 @@ def derive_matrices(sigma: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     entries are uniform up to a bias of 2^-61.  The challenger never
     ships matrices, only the 32-byte state they grow from.
 
-    The stream is written straight into the word array
-    (``keyed_stream_into``), and since a masked word is at most p the
+    The stream is XORed straight into a zeroed word array
+    (``keyed_xor_into``), and since a masked word is at most p the
     reduction is that one fold, not a division per word.
     """
     if n < 1:
         raise ValueError("matrix dimension must be >= 1")
-    words = np.empty(2 * n * n, dtype="<u8")
-    keyed_stream_into(words, sigma, encode_fields("gemm-AB"))
+    words = np.zeros(2 * n * n, dtype="<u8")
+    keyed_xor_into(words, sigma, encode_fields("gemm-AB"))
     words &= np.uint64(FIELD_MODULUS)
     words[words == FIELD_MODULUS] = 0
     entries = words.view("<i8")  # every entry is below 2^61

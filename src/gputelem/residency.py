@@ -46,8 +46,8 @@ from .core import (
     generate_salt,
     hash_bytes,
     keyed_stream,
-    keyed_stream_into,
     keyed_xor,
+    keyed_xor_into,
 )
 from .stattests import Decision, Verdict
 
@@ -186,15 +186,14 @@ class ChalDataset:
     """Incompressible challenge data, regenerable block by block from a seed.
 
     ``blocks`` is the only copy of the data: ``init_chal`` makes them
-    read-only views into one buffer of the dataset's size.  A block may
-    be any bytes-like object (``fingerprint.mask_chal_inplace`` swaps in
-    masked bytes); nothing derived from the blocks is cached, so
-    replacing one leaves nothing stale.  ``spec`` is the seed and shape
-    the blocks were generated from.
+    writable views into one buffer of the dataset's size, which
+    ``fingerprint.mask_chal_inplace`` XORs in place.  Nothing derived
+    from the blocks is cached, so changing one leaves nothing stale.
+    ``spec`` is the seed and shape the blocks were generated from.
     """
 
     spec: DatasetSpec
-    blocks: list[bytes | memoryview]
+    blocks: list[memoryview]
 
     @property
     def block_count(self) -> int:
@@ -232,9 +231,9 @@ def init_chal(
     """Materialize the dataset from its seed into one buffer.
 
     The spec is checked before anything is allocated.  Each block's
-    stream (``chal_block``) is written in place into its slice of one
-    ``size_bytes`` buffer, and the blocks are read-only views of those
-    slices, so planting allocates the dataset once.  The last block may
+    stream (``chal_block``) is XORed in place into its slice of one
+    zeroed ``size_bytes`` buffer, and the blocks are writable views of
+    those slices, so planting allocates the dataset once.  The last block may
     be short when the size is not a block multiple.  Pseudorandom bytes
     are incompressible to anyone without the seed, but today the
     pre-challenge tells the worker the seed: a worker may keep the seed
@@ -246,9 +245,8 @@ def init_chal(
     blocks = []
     for i in range(spec.block_count):
         start = i * block_size_bytes
-        block = data[start : start + spec.block_len(i)]
-        keyed_stream_into(block, seed, _chal_domain(i))
-        blocks.append(block.toreadonly())
+        blocks.append(data[start : start + spec.block_len(i)])
+        keyed_xor_into(blocks[i], seed, _chal_domain(i))
     return ChalDataset(spec, blocks)
 
 

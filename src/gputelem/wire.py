@@ -242,4 +242,7 @@ def decode_record(data: bytes) -> dict:
         if last in node:
             raise WireDecodeError(f"duplicate path {path!r}")
         node[last] = leaf
-    return _collapse(root)
+    record = _collapse(root)
+    if isinstance(record, list):
+        raise WireDecodeError("top-level record keys are list indices, not names")
+    return record

@@ -29,8 +29,8 @@ from gputelem.core import (
     issued_at_micros,
     keyed_hash,
     keyed_stream,
-    keyed_stream_into,
     keyed_xor,
+    keyed_xor_into,
 )
 
 
@@ -119,33 +119,60 @@ def test_keyed_xor_is_data_xor_keyed_stream(key, data, domain):
     assert keyed_xor(key, keyed_xor(key, data, domain), domain) == data
 
 
-_CHUNK = len(core._ZEROS)
+_XOR_LENGTHS = [0, 1, 63, 64, 65, (1 << 16) - 1, (1 << 16) + 1]
 
 
-@given(
-    st.one_of(
-        st.integers(min_value=0, max_value=300),
-        st.integers(min_value=_CHUNK - 70, max_value=_CHUNK + 70),
-        st.integers(min_value=2 * _CHUNK - 70, max_value=2 * _CHUNK + 70),
-    ),
-    st.integers(min_value=0, max_value=1000),
-    st.binary(max_size=16),
+def _as_bytearray(data: bytes):
+    buffer = bytearray(data)
+    return buffer, buffer
+
+
+def _as_memoryview_slice(data: bytes):
+    # guard bytes on both sides: the writer must touch exactly its slice
+    buffer = bytearray(b"\xa5" * 8 + data + b"\xa5" * 8)
+    return memoryview(buffer)[8 : 8 + len(data)], buffer
+
+
+def _as_numpy_array(data: bytes):
+    array = np.frombuffer(data, dtype=np.uint8).copy()
+    return array, array
+
+
+@pytest.mark.parametrize("wrap", [_as_bytearray, _as_memoryview_slice, _as_numpy_array])
+@pytest.mark.parametrize("offset", [0, 5, 64, 130])
+@pytest.mark.parametrize("nbytes", _XOR_LENGTHS)
+def test_keyed_xor_into_equals_keyed_xor(nbytes, offset, wrap):
+    """XORing a buffer in place (``update_into`` with one buffer as input
+    and output) leaves exactly ``keyed_xor`` of its bytes, at seeks inside
+    and across ChaCha20 blocks, for a bytearray, a slice of one and a
+    numpy array; a second pass restores it."""
+    data = random.Random(nbytes * 1000 + offset).randbytes(nbytes)
+    buf, whole = wrap(data)
+    before = bytes(whole)
+    keyed_xor_into(buf, b"key", b"dom", offset)
+    assert bytes(buf) == keyed_xor(b"key", data, b"dom", offset)
+    if whole is not buf:
+        assert whole[:8] == whole[8 + nbytes :] == b"\xa5" * 8
+    keyed_xor_into(buf, b"key", b"dom", offset)
+    assert bytes(whole) == before
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bytes(range(100)),
+        lambda: memoryview(bytearray(range(100))).toreadonly(),
+        lambda: np.arange(100, dtype=np.uint8)[::2],  # writable but not contiguous
+    ],
+    ids=["bytes", "readonly-view", "strided-array"],
 )
-@settings(max_examples=60, deadline=None)
-def test_keyed_stream_into_writes_the_keyed_stream(nbytes, offset, domain):
-    """Across zero-chunk boundaries and at any seek, the writer fills
-    exactly its buffer with the bytes ``keyed_stream`` returns."""
-    expected = keyed_stream(b"key", nbytes, domain, offset)
-    buffer = bytearray(b"\xa5" * (nbytes + 16))
-    keyed_stream_into(memoryview(buffer)[8 : 8 + nbytes], b"key", domain, offset)
-    assert buffer[8 : 8 + nbytes] == expected
-    assert buffer[:8] == buffer[8 + nbytes :] == b"\xa5" * 8
-
-
-def test_keyed_stream_into_fills_a_numpy_array():
-    words = np.zeros(3 * _CHUNK // 8 + 5, dtype="<u8")
-    keyed_stream_into(words, b"key", b"dom", offset=3)
-    assert words.tobytes() == keyed_stream(b"key", words.nbytes, b"dom", offset=3)
+def test_keyed_xor_into_refuses_buffers_it_cannot_write(make):
+    """A buffer that cannot be written where it lies is refused and left unchanged."""
+    buf = make()
+    before = bytes(buf)
+    with pytest.raises(TypeError):
+        keyed_xor_into(buf, b"key", b"dom")
+    assert bytes(buf) == before
 
 
 def test_encode_fields_known_bytes():

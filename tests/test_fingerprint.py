@@ -1,6 +1,7 @@
 """Device-class fingerprint tests."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -131,7 +132,7 @@ def _small_chal():
 
 def test_mask_chal_is_an_involution():
     chal = _small_chal()
-    original_blocks = list(chal.blocks)
+    original_blocks = [bytes(b) for b in chal.blocks]  # the views see the mask
     r_gpu = fp.fingerprint_digest(fp.device_error_vector(_profiles()["sim-hopper"]))
     fp.mask_chal_inplace(chal, r_gpu)
     assert chal.blocks != original_blocks
@@ -155,6 +156,21 @@ def test_masked_chal_from_seed_matches_mask_of_init():
     b = init_chal(24_000, b"fp-seed", 8_192)
     fp.mask_chal_inplace(b, r_gpu)
     assert a.blocks == b.blocks and a.block_digests == b.block_digests
+
+
+def test_masking_writes_the_planted_buffer_in_place():
+    """32 MiB regenerated and masked: one buffer of the dataset's size, and
+    no second copy of it (masking each block into fresh bytes doubles it)."""
+    size = 32 << 20
+    r_gpu = bytes(range(32))
+    tracemalloc.start()
+    try:
+        chal = fp.masked_chal_from_seed(b"mem-seed", size, 1 << 20, r_gpu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chal.block_count == 32
+    assert peak < size + (1 << 20), f"masking peaked at {peak / (1 << 20):.1f} MiB"
 
 
 def test_wrong_class_mask_breaks_probe_digests():

@@ -143,10 +143,10 @@ def test_derive_matrices_folds_only_the_modulus_to_zero(monkeypatch):
     """All-ones words mask to p and fold to 0; one below masks to p - 1 and stays."""
 
     def stream(words, key, domain=b"", offset=0):
-        words[0::2] = (1 << 64) - 1
-        words[1::2] = (1 << 64) - 2
+        words[0::2] ^= np.uint64((1 << 64) - 1)
+        words[1::2] ^= np.uint64((1 << 64) - 2)
 
-    monkeypatch.setattr(gemm, "keyed_stream_into", stream)
+    monkeypatch.setattr(gemm, "keyed_xor_into", stream)
     a, b = gemm.derive_matrices(b"s", 3)
     expected = np.array([0, P - 1] * 9, dtype=np.int64)
     assert np.array_equal(np.concatenate((a.ravel(), b.ravel())), expected)
@@ -353,10 +353,12 @@ def test_params_validation():
         gemm.GemmParams(difficulty_d=33)
     with pytest.raises(ValueError):
         gemm.GemmParams(freivalds_k=0)
-    # the kernel's inner-dimension bound is the only size limit
-    assert gemm.GemmParams(dimension_n=gemm._MAX_DIM).dimension_n == gemm._MAX_DIM
-    with pytest.raises(ValueError):
-        gemm.GemmParams(dimension_n=gemm._MAX_DIM + 1)
+    # a solve's memory bounds n, well inside the kernel's inner-dimension bound
+    assert gemm.GemmParams(dimension_n=gemm.MAX_DIMENSION).dimension_n == gemm.MAX_DIMENSION
+    assert gemm.MAX_DIMENSION < gemm._MAX_DIM
+    for too_large in (gemm.MAX_DIMENSION + 1, gemm._MAX_DIM + 1):
+        with pytest.raises(ValueError, match="dimension"):
+            gemm.GemmParams(dimension_n=too_large)
 
 
 def test_freivalds_k_is_at_most_64():

@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 import yaml
 
-from gputelem import netcli
+from gputelem import cli, netcli
 from gputelem.protocol import (
     ProtocolError,
     SessionDriver,
@@ -44,6 +44,7 @@ from gputelem.wire import (
     MSG_PRE_RESPONSE,
     MSG_RESPONSE_BATCH,
     VERSION,
+    WireDecodeError,
     WireMessage,
     decode_record,
     encode_record,
@@ -710,6 +711,39 @@ def test_remote_worker_error_reply_raises_protocol_error(daemon):
             remote.pre_challenge({"session_id": b"\x33" * 32, "kind": "quantum"})
     finally:
         remote.close()
+
+
+def test_worker_error_frame_of_list_indices_is_an_error_not_a_crash(tmp_path, capsys):
+    """An error frame whose record is top-level list indices is a decode
+    error, which ``challenger run`` reports with exit 2, not a traceback."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    bad = WireMessage(MSG_ERROR, b"0=i:1\n")
+
+    def fake_worker():
+        for _ in range(2):  # run_challenger, then the CLI
+            conn, _ = listener.accept()
+            with conn:
+                netcli.recv_frame(conn)  # the pre-challenge
+                netcli.send_frame(conn, bad)
+                conn.recv(1)  # until the challenger hangs up
+
+    thread = threading.Thread(target=fake_worker, daemon=True)
+    thread.start()
+    try:
+        worker = "127.0.0.1:%d" % listener.getsockname()[1]
+        with pytest.raises(WireDecodeError):
+            netcli.run_challenger({"kind": "pow", "worker": worker, "rounds": 2})
+        config = tmp_path / "c.yaml"
+        config.write_text(f"worker: {worker}\nrounds: 2\n")
+        code = cli.challenger_main(
+            ["run", "--mode", "pow", "--config", str(config), "--out", str(tmp_path / "r.csv")]
+        )
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+    assert code == cli.EXIT_ERROR
+    assert "list indices" in capsys.readouterr().err
 
 
 def test_run_challenger_pow_accepts_over_tcp(daemon, tmp_path):

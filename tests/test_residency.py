@@ -55,7 +55,7 @@ def test_init_chal_plants_one_buffer_of_chal_blocks(size, block):
     buffer = chal.blocks[0].obj
     assert len(buffer) == size
     for i, view in enumerate(chal.blocks):
-        assert view.obj is buffer and view.readonly
+        assert view.obj is buffer
         assert view == residency.chal_block(b"plant", i, chal.spec.block_len(i))
 
 

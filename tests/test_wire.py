@@ -301,6 +301,15 @@ def test_record_paths_are_refused_beyond_the_depth_cap():
         wire.encode_record(too_deep)
 
 
+def test_decode_record_refuses_a_top_level_list():
+    """Every record decodes to a dict: top-level list indices, which the
+    encoder cannot write (a key starts with a letter or "_"), are refused."""
+    for record in (b"0=i:1\n", b"0=i:1\n1.a=s:x\n"):
+        with pytest.raises(wire.WireDecodeError, match="list indices"):
+            wire.decode_record(record)
+    assert wire.decode_record(b"a.0=i:1\n") == {"a": [1]}
+
+
 def test_decode_record_refuses_over_long_list_indices():
     for record in (
         "a." + "1" * 5000 + "=i:1\n",
