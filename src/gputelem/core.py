@@ -20,6 +20,11 @@ KAPPA = 256  # digest width in bits; all targets live in [0, 2**KAPPA)
 
 SALT_LEN = 32
 DIGEST_LEN = 32
+# cipher keys, and residency's block domains, memoized: a residency
+# round's 32 spot checks touch at most 32 blocks, and the benchmarked
+# 4 MiB dataset in 256 KiB blocks has 16, so planting and every round of
+# its session share each block's key, with room for the sketch weights' keys
+KEY_MEMO = 32
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -34,6 +39,12 @@ def keyed_hash(key: bytes, data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=32, key=key).digest()
 
 
+@functools.lru_cache(maxsize=KEY_MEMO)
+def _cipher_key(key: bytes, domain: bytes) -> bytes:
+    """``keyed_hash(key, domain)``, derived once while among the last ``KEY_MEMO`` used."""
+    return keyed_hash(key, domain)
+
+
 def _chacha20(key: bytes, domain: bytes, offset: int):
     """The one ChaCha20 (RFC 8439) context: the (key, domain) stream at ``offset``.
 
@@ -43,11 +54,15 @@ def _chacha20(key: bytes, domain: bytes, offset: int):
     domain (dataset block, probe mask, fingerprint mask, matrix pair), so
     no two uses share a cipher key.  The context seeks to ``offset``: it
     starts at the 64-byte block that holds it and skips the bytes of that
-    block before it.
+    block before it.  The cipher key is memoized by (key, domain)
+    (``_cipher_key``), so planting and the spot checks of a session
+    derive each block's key once; each context is still built anew,
+    since its nonce carries the offset.
     """
     counter, skip = divmod(offset, 64)
     nonce = counter.to_bytes(4, "little") + bytes(12)
-    encryptor = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), nonce), mode=None).encryptor()
+    cipher_key = _cipher_key(key, domain)
+    encryptor = Cipher(algorithms.ChaCha20(cipher_key, nonce), mode=None).encryptor()
     if skip:
         encryptor.update(bytes(skip))
     return encryptor

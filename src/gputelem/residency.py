@@ -15,7 +15,7 @@ With nonce-derived odd weights nu_1..nu_R the sketch is
 
     mu_c = sum_i nu_i * word_(c, i)  mod 2^64,
 
-one matrix-vector product per block, read in place at memory speed.
+one uint64 ``np.einsum`` per block, read in place into one mu.
 The ring is Z/2^64 because numpy's uint64 arithmetic wraps there
 exactly; the weights are odd, so w -> nu * w is a bijection and a word
 the worker does not hold enters mu_c as a uniformly random term.  The
@@ -41,6 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    KEY_MEMO,
     TimingSample,
     encode_fields,
     generate_salt,
@@ -58,6 +59,9 @@ DEFAULT_BLOCK_BYTES = 1 << 20
 MAX_DATASET_BYTES = 1 << 30
 SKETCH_WORDS = 512  # mu has about max(SKETCH_WORDS, block count) words
 SPOT_CHECKS = 32  # sketch columns the challenger regenerates per round
+# the most the challenger's regenerated columns hold at once; a column
+# wider than this is checked alone
+VERIFY_BATCH_BYTES = 512 << 10
 
 
 class Residency(str, Enum):
@@ -175,10 +179,16 @@ class DatasetSpec:
         width = 8 * self.column_words
         return index, width * j, min(width * (j + 1), self.block_len(index))
 
-    def column_bytes(self, c: int) -> bytes:
-        """Column ``c`` regenerated from the seed, without its block."""
+    def column_into(self, c: int, out) -> None:
+        """XOR column ``c``, regenerated from the seed, into the front of ``out``.
+
+        ``out`` is a writable buffer of at least the column's bytes; into
+        a zeroed row of ``column_words`` words it writes the column
+        zero-padded, as the sketch reads it.  The block is never held.
+        """
         index, start, stop = self.column(c)
-        return chal_block(self.seed, index, stop - start, offset=start)
+        front = memoryview(out).cast("B")[: stop - start]
+        keyed_xor_into(front, self.seed, _chal_domain(index), offset=start)
 
 
 @dataclass
@@ -212,15 +222,16 @@ class ResidencyProbeResult:
     kernel_time_s: float
 
 
-def chal_block(seed: bytes, index: int, nbytes: int, offset: int = 0) -> bytes:
-    """Bytes [offset, offset + nbytes) of block ``index`` of the dataset.
+def chal_block(seed: bytes, index: int, nbytes: int) -> bytes:
+    """The first ``nbytes`` of block ``index`` of the dataset.
 
     The ChaCha20 keystream of ``core.keyed_stream`` under the domain
     ``("chal", index)``, so any slice of a block is regenerated alone.
     """
-    return keyed_stream(seed, nbytes, domain=_chal_domain(index), offset=offset)
+    return keyed_stream(seed, nbytes, domain=_chal_domain(index))
 
 
+@functools.lru_cache(maxsize=KEY_MEMO)
 def _chal_domain(index: int) -> bytes:
     return encode_fields("chal", index)
 
@@ -279,18 +290,28 @@ def _column_sum(data, nu: np.ndarray) -> int:
     return total & 0xFFFF_FFFF_FFFF_FFFF
 
 
-def _sketch(blocks: list[bytes], nu: np.ndarray) -> bytes:
-    """mu of the dataset: one matrix-vector product per block, read in place."""
+def _sketch(blocks: list, nu: np.ndarray) -> bytes:
+    """mu of the dataset: one einsum per block, read in place, into one array.
+
+    ``blocks`` are any buffers (views of the planted dataset, ``bytes``).
+    A block's full columns are a (columns, R) u64 view of it, summed
+    against nu by one ``np.einsum`` that writes straight into its slice
+    of the preallocated mu; numpy's integer ``matmul`` is a slower,
+    non-BLAS loop.  A short last column goes through ``_column_sum``.
+    """
     width = len(nu)
-    parts = []
+    stride = 8 * width
+    mu = np.empty(sum(-(-len(block) // stride) for block in blocks), dtype="<u8")
+    k = 0
     for block in blocks:
-        full = len(block) // (8 * width)
+        full = len(block) // stride
         words = np.frombuffer(block, dtype="<u8", count=full * width)
-        parts.append(words.reshape(full, width) @ nu)
-        if len(block) > 8 * full * width:
-            tail = memoryview(block)[8 * full * width :]
-            parts.append(np.array([_column_sum(tail, nu)], dtype=np.uint64))
-    return np.concatenate(parts).astype("<u8").tobytes()
+        np.einsum("ij,j->i", words.reshape(full, width), nu, out=mu[k : k + full])
+        k += full
+        if len(block) > full * stride:
+            mu[k] = _column_sum(memoryview(block)[full * stride :], nu)
+            k += 1
+    return mu.tobytes()
 
 
 def residency_probe(
@@ -315,18 +336,31 @@ def verify_probe(
     """Check a probe digest against the dataset's seed, never its bytes.
 
     A digest that is not 8 * C bytes is refused.  Then ``SPOT_CHECKS``
-    columns drawn from ``rng`` are regenerated and summed against mu.  A
-    challenger passes ``random.SystemRandom()`` so the worker cannot
+    columns are drawn from ``rng``, all before any is checked, and
+    regenerated (``DatasetSpec.column_into``) into the zeroed rows of one
+    reused batch of at most ``VERIFY_BATCH_BYTES``; each batch is summed
+    against nu by one einsum and compared with those words of mu, and
+    the first batch that differs refuses the digest.  The cost is the
+    32 ChaCha20 set-ups and their keystream, whatever the dataset size.
+    A challenger passes ``random.SystemRandom()`` so the worker cannot
     know which columns are checked.
     """
     columns = spec.column_count
     if len(response_digest) != 8 * columns:
         return False
     mu = np.frombuffer(response_digest, dtype="<u8")
-    nu = _sketch_weights(nonce, spec.column_words)
-    for _ in range(SPOT_CHECKS):
-        c = rng.randrange(columns)
-        if _column_sum(spec.column_bytes(c), nu) != int(mu[c]):
+    width = spec.column_words
+    nu = _sketch_weights(nonce, width)
+    picks = [rng.randrange(columns) for _ in range(SPOT_CHECKS)]
+    batch = np.zeros((max(1, min(SPOT_CHECKS, VERIFY_BATCH_BYTES // (8 * width))), width), "<u8")
+    for first in range(0, SPOT_CHECKS, len(batch)):
+        checked = picks[first : first + len(batch)]
+        rows = batch[: len(checked)]
+        if first:
+            rows.fill(0)
+        for row, c in zip(rows, checked):
+            spec.column_into(c, row)
+        if not np.array_equal(np.einsum("ij,j->i", rows, nu), mu[checked]):
             return False
     return True
 

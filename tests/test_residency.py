@@ -12,8 +12,9 @@ import random
 import tracemalloc
 from dataclasses import asdict
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gputelem import residency
@@ -220,6 +221,24 @@ def test_residency_probe_known_answers():
     assert got == _KAT_LITERALS
 
 
+@given(
+    st.integers(min_value=1, max_value=40_000),
+    st.integers(min_value=1, max_value=64),
+    st.binary(min_size=1, max_size=16),
+)
+@example(10_003, 3, b"n")  # a byte length not a multiple of 8, a short last block
+@example(1001, 1, b"n")  # a single block
+@example(65_536, 16, b"n")  # a block count dividing 512
+@settings(max_examples=40, deadline=None)
+def test_sketch_equals_the_reference_mu(size, blocks, nonce):
+    """One einsum per block gives the Python-integer mu, for views and bytes."""
+    chal = residency.init_chal(size, b"sketch-seed", -(-size // blocks))
+    nu = residency._sketch_weights(nonce, chal.spec.column_words)
+    expected = _reference_mu(_reference_columns(chal), nonce)
+    assert residency._sketch(chal.blocks, nu) == expected
+    assert residency._sketch([bytes(block) for block in chal.blocks], nu) == expected
+
+
 def test_probe_digest_changes_with_any_flipped_byte():
     chal = residency.init_chal(65_536, b"flip-seed", 4096)  # 16 blocks
     base = residency.residency_probe(chal, b"n").response_digest
@@ -272,7 +291,11 @@ def test_spec_columns_partition_the_dataset_block_by_block(size, block):
     for c in range(spec.column_count):
         index, start, stop = spec.column(c)
         assert 0 <= start < stop <= len(chal.blocks[index])
-        assert spec.column_bytes(c) == chal.blocks[index][start:stop]
+        row = np.zeros(spec.column_words, dtype="<u8")
+        spec.column_into(c, row)
+        column = row.tobytes()
+        assert column[: stop - start] == chal.blocks[index][start:stop]
+        assert column[stop - start :] == bytes(row.nbytes - stop + start)  # zero-padded
         cut.append((index, start, stop))
     # in order, contiguous, and every byte once
     assert b"".join(chal.blocks[i][a:b] for i, a, b in cut) == b"".join(chal.blocks)
@@ -312,17 +335,23 @@ def test_verify_probe_refuses_a_digest_of_the_wrong_length_without_raising():
         assert residency.verify_probe(chal.spec, b"n", bad, random.Random(0)) is False
 
 
-def test_verify_probe_regenerates_exactly_the_spot_checked_columns(monkeypatch):
+@pytest.fixture
+def regenerated(monkeypatch) -> list[int]:
+    """The columns ``DatasetSpec.column_into`` regenerates, in call order."""
+    calls = []
+    column_into = residency.DatasetSpec.column_into
+
+    def counting(spec, c, out):
+        calls.append(c)
+        return column_into(spec, c, out)
+
+    monkeypatch.setattr(residency.DatasetSpec, "column_into", counting)
+    return calls
+
+
+def test_verify_probe_regenerates_exactly_the_spot_checked_columns(regenerated):
     """Verification costs SPOT_CHECKS column regenerations and nothing more."""
     chal, digest = _honest(DATASET, BLOCK)
-    regenerated = []
-    column_bytes = residency.DatasetSpec.column_bytes
-
-    def counting(spec, c):
-        regenerated.append(c)
-        return column_bytes(spec, c)
-
-    monkeypatch.setattr(residency.DatasetSpec, "column_bytes", counting)
     drawn = random.Random(5)
     assert residency.verify_probe(chal.spec, b"n", digest, drawn)
     assert len(regenerated) == residency.SPOT_CHECKS
@@ -382,6 +411,24 @@ def test_verifying_against_a_64_mib_description_holds_no_dataset():
         tracemalloc.stop()
     assert ok
     assert peak < 1 << 20, f"verification peaked at {peak} bytes"
+
+
+def test_a_digest_wrong_only_in_the_last_batch_is_refused(regenerated):
+    """At 64 MiB a column is 128 KiB, so the 32 checks run in batches of
+    four; a column wrong only in the last batch is still caught."""
+    chal, digest = _honest(64 << 20, 1 << 20)
+    spec = chal.spec
+    del chal
+    rows = residency.VERIFY_BATCH_BYTES // (8 * spec.column_words)
+    assert rows == 4 and residency.SPOT_CHECKS % rows == 0
+    draws = random.Random(9)
+    picks = [draws.randrange(spec.column_count) for _ in range(residency.SPOT_CHECKS)]
+    wrong = next(c for c in picks[-rows:] if c not in picks[:-rows])
+    mu = bytearray(digest)
+    mu[8 * wrong] ^= 0x5A
+    assert residency.verify_probe(spec, b"n", digest, random.Random(9))
+    assert not residency.verify_probe(spec, b"n", bytes(mu), random.Random(9))
+    assert regenerated == picks + picks
 
 
 # --- timing model and classification ----------------------------------------------

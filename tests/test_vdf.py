@@ -926,6 +926,52 @@ def test_a_threads_bignum_context_is_freed_when_the_thread_ends(monkeypatch):
     assert sorted(freed) == sorted(made)
 
 
+def test_modexp2_frees_every_montgomery_context_it_makes(monkeypatch):
+    """modexp2 keeps one BN_MONT_CTX per modulus, at most ``_MONTS`` of them:
+    the oldest is freed when a new modulus evicts it, the rest when the
+    thread ends, each exactly once."""
+    lib = _bignum._libcrypto()
+    if lib is None:
+        pytest.skip("libcrypto did not load: modexp2 is pow and keeps no context")
+    made, freed = [], []
+    new, free = lib.BN_MONT_CTX_new, lib.BN_MONT_CTX_free
+
+    def counted_new():
+        made.append(new())
+        return made[-1]
+
+    def counted_free(mont):
+        freed.append(mont)
+        free(mont)
+
+    monkeypatch.setattr(lib, "BN_MONT_CTX_new", counted_new)
+    monkeypatch.setattr(lib, "BN_MONT_CTX_free", counted_free)
+    moduli = [(1 << 511) + 2 * k + 1 for k in range(_bignum._MONTS + 2)]
+    seen = []
+
+    def work():
+        for mod in moduli:
+            expected = pow(3, 1 << 70, mod) * pow(5, 7, mod) % mod
+            for _ in range(2):
+                assert _bignum.modexp2(3, 1 << 70, 5, 7, mod) == expected
+        seen.extend([list(_bignum._local.scratch.monts), list(made), list(freed)])
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    kept, made_in_thread, evicted = seen
+    # one context per modulus, its second call reusing it; the two oldest evicted
+    assert kept == moduli[-_bignum._MONTS :]
+    assert len(made_in_thread) == len(moduli)
+    assert evicted == made_in_thread[:2]
+    deadline = time.monotonic() + 10
+    while len(freed) < len(made) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # a freed address may be reused, so compare as multisets
+    assert sorted(freed) == sorted(made_in_thread)
+
+
 @pytest.fixture
 def builtin_pow(monkeypatch):
     """Every vdf exponentiation on the fallback backend, the built-in pow."""
