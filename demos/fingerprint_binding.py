@@ -19,9 +19,9 @@ from gputelem.residency import residency_probe
 
 
 def main() -> None:
-    registry = builtin_profiles()
+    profiles = builtin_profiles()
     vectors = {}
-    for name, profile in sorted(registry.items()):
+    for name, profile in sorted(profiles.items()):
         vec = device_error_vector(profile)
         vectors[name] = fingerprint_digest(vec)
         entries = vec.entries
@@ -34,7 +34,7 @@ def main() -> None:
     print("Registry check: each digest verifies only against its own class:")
     for claimed in sorted(vectors):
         row = " ".join(
-            f"{expected}={verify_fingerprint(vectors[claimed], expected, registry)!s:<5}"
+            f"{expected}={verify_fingerprint(vectors[claimed], profiles[expected])!s:<5}"
             for expected in sorted(vectors)
         )
         print(f"  claimed {claimed:<11} -> {row}")

@@ -68,36 +68,26 @@ def _chacha20(key: bytes, domain: bytes, offset: int):
     return encryptor
 
 
-def keyed_xor(key: bytes, data: bytes, domain: bytes = b"", offset: int = 0) -> bytes:
-    """XOR ``data`` with bytes [offset, offset + len(data)) of the keyed stream.
-
-    The stream is the ChaCha20 keystream of ``_chacha20`` for (key,
-    domain).  XOR makes the map an involution: applying it twice
-    restores ``data``.
-    """
-    return _chacha20(key, domain, offset).update(data)
-
-
-def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"", offset: int = 0) -> bytes:
-    """Bytes [offset, offset + nbytes) of the keyed stream: ``keyed_xor`` of zeros.
+def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"") -> bytes:
+    """The first ``nbytes`` of the keyed stream, ``_chacha20``'s for (key, domain).
 
     A shorter request is a prefix of a longer one.  Used where a digest
     has to be stretched into fresh bytes (sketch weights, a regenerated
-    dataset column) without changing the 32-byte digest convention
+    dataset block) without changing the 32-byte digest convention
     elsewhere; ``keyed_xor_into`` of a zeroed buffer writes the same
     bytes into memory the caller already holds (dataset blocks, matrices).
     """
-    return keyed_xor(key, bytes(nbytes), domain, offset)
+    return _chacha20(key, domain, 0).update(bytes(nbytes))
 
 
 def keyed_xor_into(buf, key: bytes, domain: bytes = b"", offset: int = 0) -> None:
-    """XOR ``buf`` in place with the bytes ``keyed_xor`` would XOR it with.
+    """XOR ``buf`` in place with bytes [offset, offset + len) of the keyed stream.
 
     ``buf`` is any writable C-contiguous buffer (a ``bytearray``, a
-    slice of one's ``memoryview``, a numpy array); afterwards it holds
-    exactly ``keyed_xor(key, bytes(buf), domain, offset)``, with no
-    intermediate allocation.  Into zeros it writes the keyed stream.  A
-    read-only or non-contiguous buffer is refused with a TypeError.
+    slice of one's ``memoryview``, a numpy array), XORed with no
+    intermediate allocation; into zeros it writes the keyed stream, and
+    applying it twice restores ``buf``.  A read-only or non-contiguous
+    buffer is refused with a TypeError.
     """
     view = memoryview(buf).cast("B")
     _chacha20(key, domain, offset).update_into(view, view)
@@ -146,6 +136,10 @@ def digest_below_target(digest: bytes, difficulty: int) -> bool:
     if len(digest) != DIGEST_LEN:
         raise ValueError(f"digest must be {DIGEST_LEN} bytes")
     return digest_to_int(digest) < (1 << (KAPPA - difficulty))
+
+
+class PuzzleExhaustedError(RuntimeError):
+    """A solver spent its params' ``max_attempts`` with no attempt clearing the target."""
 
 
 def generate_salt(rng: random.Random) -> bytes:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import encode_fields, keyed_hash, keyed_xor_into
 from .residency import ChalDataset, init_chal
@@ -109,22 +108,9 @@ def masked_chal_from_seed(
 
 
 def verify_fingerprint(
-    claimed_r_gpu: bytes,
-    expected: "DeviceClassProfile | str",
-    registry: Mapping[str, DeviceClassProfile] | None = None,
-    canonical_input: bytes = b"",
+    claimed_r_gpu: bytes, expected: DeviceClassProfile, canonical_input: bytes = b""
 ) -> bool:
-    """Check a claimed fingerprint against the registered device class.
-
-    ``expected`` may be a profile directly or a class_id to resolve in
-    ``registry``; an unknown class_id raises KeyError rather than
-    returning False, since that is a configuration problem, not a lying
-    worker.
-    """
-    if isinstance(expected, str):
-        if registry is None or expected not in (registry or {}):
-            raise KeyError(f"unknown device class {expected!r}")
-        expected = registry[expected]
+    """Check a claimed fingerprint against the expected device class's profile."""
     reference = fingerprint_digest(device_error_vector(expected, canonical_input))
     return claimed_r_gpu == reference
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import digest_below_target, encode_fields, hash_bytes, keyed_xor_into
+from .core import PuzzleExhaustedError, digest_below_target, encode_fields, hash_bytes, keyed_xor_into
 
 FIELD_MODULUS = (1 << 61) - 1  # Mersenne prime: reduction is shift-and-add
 
@@ -44,10 +44,6 @@ _MAX_DIM = 1 << 15  # summed chunks stay below 2^61 up to this n
 # the largest n a challenge may name: a solve holds about 137 n^2 bytes
 # (548 MiB here), within the dataset a worker may be asked to plant
 MAX_DIMENSION = 2048
-
-
-class PuzzleExhaustedError(RuntimeError):
-    """Attempt cap hit before any chain index cleared the target."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +62,11 @@ class GemmParams:
         # at k = 64 a wrong product passes with chance 2^-64 already
         if not 1 <= self.freivalds_k <= 64:
             raise ValueError("freivalds_k must lie in [1, 64]")
+
+    @property
+    def max_attempts(self) -> int:
+        """Chain indices a solve may try: 2^(d+8), 256x the expected effort."""
+        return 1 << (self.difficulty_d + 8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,26 +189,22 @@ def puzzle_digest(sid: bytes, sigma: bytes, product: np.ndarray) -> bytes:
     return hash_bytes(encode_fields(sid, sigma, matrix_bytes(product)))
 
 
-def solve_gemm_puzzle(
-    sid: bytes, params: GemmParams, max_attempts: int | None = None
-) -> GemmProof:
+def solve_gemm_puzzle(sid: bytes, params: GemmParams) -> GemmProof:
     """Walk the chain from sigma_0 = H(sid) until an attempt clears the target.
 
     Each index costs one full matrix product; indices are dependent
     through the chain, so attempts cannot be farmed out in parallel.
-    The cap (default 256x the 2^d expected attempts) turns a pathological
-    session into PuzzleExhaustedError instead of an unbounded loop.
+    Past ``params.max_attempts`` indices a pathological session raises
+    PuzzleExhaustedError instead of looping without bound.
     """
-    if max_attempts is None:
-        max_attempts = 1 << min(params.difficulty_d + 8, 40)
     sigma = hash_bytes(sid)
-    for j in range(max_attempts):
+    for j in range(params.max_attempts):
         a, b = derive_matrices(sigma, params.dimension_n)
         product = field_matmul(a, b)
         if digest_below_target(puzzle_digest(sid, sigma, product), params.difficulty_d):
             return GemmProof(index_jstar=j, product_C=product, chain_state_sigma=sigma)
         sigma = hash_bytes(sigma)
-    raise PuzzleExhaustedError(f"no solution within {max_attempts} attempts")
+    raise PuzzleExhaustedError(f"no solution within {params.max_attempts} attempts")
 
 
 def freivalds_check(
@@ -254,7 +251,6 @@ def verify_gemm_puzzle(
     params: GemmParams,
     proof: GemmProof,
     rng: random.Random | None = None,
-    max_attempts: int | None = None,
 ) -> bool:
     """Recheck a claimed solution without redoing the multiplication.
 
@@ -265,9 +261,7 @@ def verify_gemm_puzzle(
     the prover could compute (from the session id or the proof, say)
     let it grind wrong products until one passes.
     """
-    if max_attempts is None:
-        max_attempts = 1 << min(params.difficulty_d + 8, 40)
-    if proof.index_jstar < 0 or proof.index_jstar >= max_attempts:
+    if not 0 <= proof.index_jstar < params.max_attempts:
         return False
     product = np.asarray(proof.product_C, dtype=np.int64)
     if product.shape != (params.dimension_n, params.dimension_n):

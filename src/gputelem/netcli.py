@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import socket
 import socketserver
@@ -90,6 +91,9 @@ from .wire import (
 )
 from .worksim import SimWorker, WallClock, WorkerProfile
 
+# seconds the challenger waits to connect to a worker, and then for each
+# reply, before the connection counts as failed (a TransportError)
+READ_TIMEOUT_S = 120.0
 
 # --- framed socket I/O ------------------------------------------------------
 
@@ -240,9 +244,9 @@ class RemoteWorker:
     ``SessionDriver.run_round`` times each round trip.
     """
 
-    def __init__(self, address: tuple[str, int], timeout_s: float = 120.0) -> None:
+    def __init__(self, address: tuple[str, int]) -> None:
         try:
-            self._sock = socket.create_connection(address, timeout=timeout_s)
+            self._sock = socket.create_connection(address, timeout=READ_TIMEOUT_S)
         except OSError as exc:
             raise TransportError(f"cannot reach worker at {address}: {exc}") from exc
         self.clock = WallClock()
@@ -415,20 +419,30 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
     A bad session setting raises ValueError, and an ``out_path`` that
     cannot be written OSError, before any worker is contacted;
     TransportError means no worker answered or the connection failed
-    mid-session.  All three map to exit code 2 at the CLI.
+    mid-session.  All three map to exit code 2 at the CLI.  A call that
+    fails removes the report files it created, and no others.
     """
     plan = _session_plan(config)
-    if out_path:  # an unwritable report path fails here, before any round is spent
-        for path in (out_path, out_path + ".json"):
-            open(path, "a", encoding="utf-8").close()
-    rng = random.Random(plan.session.seed)
-    remote = RemoteWorker(plan.worker)
+    created = []  # report files this call made, removed again if it fails
     try:
-        report = _run_session(remote, plan, rng)
-    finally:
-        remote.close()
-    if out_path:
-        write_report(report, out_path)
+        if out_path:  # an unwritable report path fails here, before any round is spent
+            for path in (out_path, out_path + ".json"):
+                fresh = not os.path.exists(path)
+                open(path, "a", encoding="utf-8").close()
+                if fresh:
+                    created.append(path)
+        rng = random.Random(plan.session.seed)
+        remote = RemoteWorker(plan.worker)
+        try:
+            report = _run_session(remote, plan, rng)
+        finally:
+            remote.close()
+        if out_path:
+            write_report(report, out_path)
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     return report
 
 

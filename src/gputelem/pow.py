@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.kdf.argon2 import Argon2id
 
-from .core import Challenge, digest_below_target, hash_bytes, issued_at_micros
+from .core import Challenge, PuzzleExhaustedError, digest_below_target, hash_bytes, issued_at_micros
 
 NONCE_LEN = 8
 MAX_ARGON_KIB = 1 << 20
@@ -46,6 +46,11 @@ class PowParams:
         if self.argon_memory_kib * self.argon_passes > MAX_ARGON_KIB:
             raise ValueError(f"argon_memory_kib * argon_passes must be at most {MAX_ARGON_KIB}")
 
+    @property
+    def max_attempts(self) -> int:
+        """Nonces a solve may try: 2^(d+8), 256x the expected effort, at most 2^62."""
+        return 1 << min(self.difficulty + 8, 62)
+
 
 @dataclass(frozen=True)
 class PowSolution:
@@ -76,25 +81,19 @@ def pow_hash(
     return hash_bytes(tag)
 
 
-def solve_pow(
-    challenge: Challenge, params: PowParams, max_attempts: int | None = None
-) -> PowSolution | None:
+def solve_pow(challenge: Challenge, params: PowParams) -> PowSolution:
     """Scan nonces 0, 1, 2, ... until a digest clears the target.
 
-    Returns None if ``max_attempts`` (default 2**(d+8), i.e. 256x the
-    expected effort) is exhausted first; honest workers essentially
-    never hit the cap, so a None from a live session is reportable.
+    Raises PuzzleExhaustedError once ``params.max_attempts`` nonces have
+    failed; an honest worker essentially never gets there.
     """
-    if max_attempts is None:
-        max_attempts = 1 << min(params.difficulty + 8, 62)
-    target_check = digest_below_target
-    for nonce in range(max_attempts):
+    for nonce in range(params.max_attempts):
         digest = pow_hash(
             challenge.salt, challenge.session_id, challenge.issued_at, nonce, params
         )
-        if target_check(digest, params.difficulty):
+        if digest_below_target(digest, params.difficulty):
             return PowSolution(nonce=nonce, digest=digest, attempts=nonce + 1)
-    return None
+    raise PuzzleExhaustedError(f"no solution within {params.max_attempts} attempts")
 
 
 def verify_pow(challenge: Challenge, solution: PowSolution, params: PowParams) -> bool:

@@ -1,12 +1,12 @@
 """Challenge construction, response validation, and the session loop.
 
 This layer owns the record schemas that travel inside wire payloads and
-the modes: each has one challenge params class, which ``params_for``
-types for challenger and worker alike, and one validator, which turns a
-raw response into a valid/invalid verdict.  A response record carries
-the solution and nothing that vouches for it: host and device may both
-be untrusted, so a round is valid only if the challenger's own
-recomputation accepts it.  A payload is the same in process and on the
+the modes: each is one row of ``_MODES``, a challenge params class,
+which ``params_for`` types for challenger and worker alike, and a
+validator, which turns a raw response into a valid/invalid verdict.  A
+response record carries the solution and nothing that vouches for it:
+host and device may both be untrusted, so a round is valid only if the
+challenger's own recomputation accepts it.  A payload is the same in process and on the
 wire (a gemm product is its canonical bytes), so records know no mode.
 Every mode, residency included, runs through one session loop
 (``run_session``) of one round (``SessionDriver.run_round``): wait out
@@ -39,16 +39,6 @@ from .pow import PowParams, PowSolution, verify_pow
 from .residency import DatasetSpec, ResidencyParams, verify_probe
 from .stattests import Decision, Verdict
 
-# the challenge params class of each mode; its keys are the modes
-_PARAM_TYPES = {
-    "pow": PowParams,
-    "vdf": vdf_mod.VdfParams,
-    "gemm": GemmParams,
-    "residency": ResidencyParams,
-}
-MODES = tuple(_PARAM_TYPES)
-
-
 class ProtocolError(ValueError):
     """Structurally invalid record content (missing fields, bad shapes)."""
 
@@ -72,10 +62,9 @@ def params_for(mode: str, params: dict):
     class (residency's, ``ResidencyParams``, has no field), and an
     unknown mode is a ProtocolError.
     """
-    cls = _PARAM_TYPES.get(mode)
-    if cls is None:
+    if mode not in _MODES:
         raise ProtocolError(f"unknown mode {mode!r}")
-    return _parse_fields(cls, params, block=mode)
+    return _parse_fields(_MODES[mode][0], params, block=mode)
 
 
 def bytes_field(value) -> bytes:
@@ -189,8 +178,8 @@ def validate_response(
 ) -> bool:
     """Cryptographic verification dispatch; False means a lying worker.
 
-    The mode's entry of ``_VALIDATORS`` judges the payload against the
-    params ``params_for`` parsed once; a mode with none is the
+    The mode's validator in ``_MODES`` judges the payload against the
+    params ``params_for`` parsed once; an unknown mode is the
     challenger's bug, a ProtocolError.  A residency response is checked
     against ``dataset``, the seed and shape of what the worker was told
     to hold.  A ``kernel_time_ns`` report is never trusted, only
@@ -198,8 +187,7 @@ def validate_response(
     """
     if not response.matches(challenge):
         return False
-    validator = _VALIDATORS.get(challenge.mode)
-    if validator is None:
+    if challenge.mode not in _MODES:
         raise ProtocolError(f"no validator for mode {challenge.mode!r}")
     if challenge.mode == "residency" and dataset is None:
         raise ProtocolError("a residency response needs the dataset spec")
@@ -208,7 +196,7 @@ def validate_response(
         return False
     try:
         params = params_for(challenge.mode, challenge.params)
-        return validator(challenge, params, response.payload, dataset)
+        return _MODES[challenge.mode][1](challenge, params, response.payload, dataset)
     except (KeyError, TypeError, ValueError):
         return False
 
@@ -263,13 +251,15 @@ def _validate_residency(challenge: Challenge, params, payload: dict, dataset) ->
     )
 
 
-# the validator of each mode: (challenge, typed params, payload, dataset) -> valid
-_VALIDATORS = {
-    "pow": _validate_pow,
-    "vdf": _validate_vdf,
-    "gemm": _validate_gemm,
-    "residency": _validate_residency,
+# each mode's challenge params class and its validator, (challenge, typed
+# params, payload, dataset) -> valid; the keys are the modes
+_MODES = {
+    "pow": (PowParams, _validate_pow),
+    "vdf": (vdf_mod.VdfParams, _validate_vdf),
+    "gemm": (GemmParams, _validate_gemm),
+    "residency": (ResidencyParams, _validate_residency),
 }
+MODES = tuple(_MODES)
 
 
 class Round(NamedTuple):

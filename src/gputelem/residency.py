@@ -47,7 +47,6 @@ from .core import (
     generate_salt,
     hash_bytes,
     keyed_stream,
-    keyed_xor,
     keyed_xor_into,
 )
 from .stattests import Decision, Verdict
@@ -206,10 +205,6 @@ class ChalDataset:
     blocks: list[memoryview]
 
     @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
     def block_digests(self) -> list[bytes]:
         """SHA-256 of each block, computed from the blocks when read."""
         return [hash_bytes(block) for block in self.blocks]
@@ -261,33 +256,23 @@ def init_chal(
     return ChalDataset(spec, blocks)
 
 
-def mask_block(nonce: bytes, index: int, block: bytes) -> bytes:
+def mask_block(nonce: bytes, index: int, block: bytes) -> bytearray:
     """Nonce-keyed block mask; XOR, so applying it twice restores the block.
 
-    The block is XORed with the nonce-keyed ChaCha20 stream of
-    ``core.keyed_xor`` under the domain ``("mask", index)``.  It is not
-    part of ``residency_probe``, which sketches the raw blocks; the
-    ``mask`` domain is used only here.
+    A copy of the block is XORed in place (``core.keyed_xor_into``) with
+    the nonce-keyed ChaCha20 stream under the domain ``("mask", index)``.
+    It is not part of ``residency_probe``, which sketches the raw blocks;
+    the ``mask`` domain is used only here.
     """
-    return keyed_xor(nonce, block, domain=encode_fields("mask", index))
+    masked = bytearray(block)
+    keyed_xor_into(masked, nonce, encode_fields("mask", index))
+    return masked
 
 
 def _sketch_weights(nonce: bytes, width: int) -> np.ndarray:
     """nu: ``width`` little-endian u64 words of the ``sketch`` stream, made odd."""
     stream = keyed_stream(nonce, 8 * width, domain=encode_fields("sketch"))
     return np.frombuffer(stream, dtype="<u8") | np.uint64(1)
-
-
-def _column_sum(data, nu: np.ndarray) -> int:
-    """sum_i nu_i * word_i mod 2^64 of ``data`` as little-endian u64 words.
-
-    A tail shorter than a word is zero-padded.
-    """
-    words = len(data) // 8
-    total = int(np.frombuffer(data, dtype="<u8", count=words) @ nu[:words])
-    if len(data) % 8:
-        total += int(nu[words]) * int.from_bytes(data[8 * words :], "little")
-    return total & 0xFFFF_FFFF_FFFF_FFFF
 
 
 def _sketch(blocks: list, nu: np.ndarray) -> bytes:
@@ -297,7 +282,8 @@ def _sketch(blocks: list, nu: np.ndarray) -> bytes:
     A block's full columns are a (columns, R) u64 view of it, summed
     against nu by one ``np.einsum`` that writes straight into its slice
     of the preallocated mu; numpy's integer ``matmul`` is a slower,
-    non-BLAS loop.  A short last column goes through ``_column_sum``.
+    non-BLAS loop.  A short last column is copied into a zeroed row of R
+    words, as ``verify_probe`` regenerates it, and summed as ``row @ nu``.
     """
     width = len(nu)
     stride = 8 * width
@@ -308,8 +294,11 @@ def _sketch(blocks: list, nu: np.ndarray) -> bytes:
         words = np.frombuffer(block, dtype="<u8", count=full * width)
         np.einsum("ij,j->i", words.reshape(full, width), nu, out=mu[k : k + full])
         k += full
-        if len(block) > full * stride:
-            mu[k] = _column_sum(memoryview(block)[full * stride :], nu)
+        tail = np.frombuffer(block, dtype=np.uint8, offset=full * stride)
+        if len(tail):
+            row = np.zeros(width, dtype="<u8")
+            row.view(np.uint8)[: len(tail)] = tail
+            mu[k] = row @ nu
             k += 1
     return mu.tobytes()
 

@@ -280,8 +280,6 @@ class SimWorker:
     # kernel time defaults to that duration less the network offset
     def _answer_pow(self, challenge: Challenge, params) -> tuple[dict, float]:
         solution = solve_pow(challenge, params)
-        if solution is None:
-            raise RuntimeError("solve cap exhausted on an honest worker")
         duration = simulate_pow_time(self.profile, params.difficulty, self.rng)
         return asdict(solution), duration
 

@@ -29,7 +29,6 @@ from gputelem.core import (
     issued_at_micros,
     keyed_hash,
     keyed_stream,
-    keyed_xor,
     keyed_xor_into,
 )
 
@@ -81,10 +80,12 @@ def test_keyed_stream_prefix_stability():
 
 @given(st.integers(min_value=0, max_value=700), st.integers(min_value=0, max_value=200))
 @settings(max_examples=80, deadline=None)
-def test_keyed_stream_seeks_to_any_offset(offset, nbytes):
+def test_keyed_xor_into_seeks_to_any_offset(offset, nbytes):
     # the block counter of the seek lives in the first 4 nonce bytes
     full = keyed_stream(b"key", 900, domain=b"dom")
-    assert keyed_stream(b"key", nbytes, domain=b"dom", offset=offset) == full[offset : offset + nbytes]
+    buf = bytearray(nbytes)
+    keyed_xor_into(buf, b"key", b"dom", offset)
+    assert buf == full[offset : offset + nbytes]
 
 
 def test_keyed_stream_domain_separation():
@@ -113,10 +114,13 @@ def test_keyed_stream_long_key_is_prehashed():
 
 @given(st.binary(max_size=80), st.binary(max_size=300), st.binary(max_size=16))
 @settings(max_examples=60, deadline=None)
-def test_keyed_xor_is_data_xor_keyed_stream(key, data, domain):
+def test_keyed_xor_into_is_data_xor_keyed_stream(key, data, domain):
     stream = keyed_stream(key, len(data), domain)
-    assert keyed_xor(key, data, domain) == bytes(x ^ y for x, y in zip(data, stream))
-    assert keyed_xor(key, keyed_xor(key, data, domain), domain) == data
+    buf = bytearray(data)
+    keyed_xor_into(buf, key, domain)
+    assert buf == bytes(x ^ y for x, y in zip(data, stream))
+    keyed_xor_into(buf, key, domain)
+    assert buf == data
 
 
 _XOR_LENGTHS = [0, 1, 63, 64, 65, (1 << 16) - 1, (1 << 16) + 1]
@@ -141,16 +145,17 @@ def _as_numpy_array(data: bytes):
 @pytest.mark.parametrize("wrap", [_as_bytearray, _as_memoryview_slice, _as_numpy_array])
 @pytest.mark.parametrize("offset", [0, 5, 64, 130])
 @pytest.mark.parametrize("nbytes", _XOR_LENGTHS)
-def test_keyed_xor_into_equals_keyed_xor(nbytes, offset, wrap):
+def test_keyed_xor_into_xors_the_keyed_stream_in_place(nbytes, offset, wrap):
     """XORing a buffer in place (``update_into`` with one buffer as input
-    and output) leaves exactly ``keyed_xor`` of its bytes, at seeks inside
-    and across ChaCha20 blocks, for a bytearray, a slice of one and a
-    numpy array; a second pass restores it."""
+    and output) leaves exactly its bytes XOR the keyed stream from
+    ``offset``, at seeks inside and across ChaCha20 blocks, for a
+    bytearray, a slice of one and a numpy array; a second pass restores it."""
     data = random.Random(nbytes * 1000 + offset).randbytes(nbytes)
     buf, whole = wrap(data)
     before = bytes(whole)
     keyed_xor_into(buf, b"key", b"dom", offset)
-    assert bytes(buf) == keyed_xor(b"key", data, b"dom", offset)
+    stream = keyed_stream(b"key", offset + nbytes, b"dom")[offset:]
+    assert bytes(buf) == bytes(x ^ y for x, y in zip(data, stream))
     if whole is not buf:
         assert whole[:8] == whole[8 + nbytes :] == b"\xa5" * 8
     keyed_xor_into(buf, b"key", b"dom", offset)

@@ -104,16 +104,6 @@ def test_verify_fingerprint_accepts_right_class_only():
     r_hop = fp.fingerprint_digest(fp.device_error_vector(profiles["sim-hopper"]))
     assert fp.verify_fingerprint(r_hop, profiles["sim-hopper"])
     assert not fp.verify_fingerprint(r_hop, profiles["sim-turing"])
-    # registry resolution path
-    assert fp.verify_fingerprint(r_hop, "sim-hopper", registry=profiles)
-    assert not fp.verify_fingerprint(r_hop, "sim-turing", registry=profiles)
-
-
-def test_verify_fingerprint_unknown_class_is_an_error():
-    with pytest.raises(KeyError):
-        fp.verify_fingerprint(b"\x00" * 32, "sim-unknown", registry=_profiles())
-    with pytest.raises(KeyError):
-        fp.verify_fingerprint(b"\x00" * 32, "sim-hopper", registry=None)
 
 
 def test_verify_fingerprint_binds_canonical_input():
@@ -169,7 +159,7 @@ def test_masking_writes_the_planted_buffer_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert chal.block_count == 32
+    assert chal.spec.block_count == 32
     assert peak < size + (1 << 20), f"masking peaked at {peak / (1 << 20):.1f} MiB"
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gputelem import gemm
-from gputelem.core import encode_fields, hash_bytes, keyed_stream
+from gputelem.core import PuzzleExhaustedError, encode_fields, hash_bytes, keyed_stream
 
 P = gemm.FIELD_MODULUS
 
@@ -331,19 +331,34 @@ def test_verify_rejects_noncanonical_entries():
     )
 
 
+def _honest_proof_at(sid: bytes, params: gemm.GemmParams, index: int) -> gemm.GemmProof:
+    sigma = hash_bytes(sid)
+    for _ in range(index):
+        sigma = hash_bytes(sigma)
+    a, b = gemm.derive_matrices(sigma, params.dimension_n)
+    return gemm.GemmProof(index, gemm.field_matmul(a, b), sigma)
+
+
 def test_verify_honors_attempt_cap():
+    # at d = 0 every chain index clears the target, so only the budget refuses one
     params = gemm.GemmParams(dimension_n=4, difficulty_d=0, freivalds_k=2)
-    proof = gemm.solve_gemm_puzzle(b"w", params)
-    assert gemm.verify_gemm_puzzle(b"w", params, proof, max_attempts=1)
-    capped = gemm.GemmProof(5, proof.product_C, proof.chain_state_sigma)
-    assert not gemm.verify_gemm_puzzle(b"w", params, capped, max_attempts=3)
+    assert params.max_attempts == 256
+    last = _honest_proof_at(b"w", params, params.max_attempts - 1)
+    assert gemm.verify_gemm_puzzle(b"w", params, last)
+    past = _honest_proof_at(b"w", params, params.max_attempts)
+    assert not gemm.verify_gemm_puzzle(b"w", params, past)
 
 
-def test_solve_raises_when_capped_out():
-    # difficulty 16 with a cap of 2 attempts essentially never solves
-    params = gemm.GemmParams(dimension_n=2, difficulty_d=16, freivalds_k=1)
-    with pytest.raises(gemm.PuzzleExhaustedError):
-        gemm.solve_gemm_puzzle(b"capped", params, max_attempts=2)
+def test_solve_raises_when_capped_out(monkeypatch):
+    """At d = 0 the budget is 2^8 chain indices: a target that never
+    clears spends exactly those, then raises the one exhaustion error."""
+    checked = []
+    monkeypatch.setattr(gemm, "digest_below_target", lambda *args: checked.append(args) and False)
+    params = gemm.GemmParams(dimension_n=2, difficulty_d=0, freivalds_k=1)
+    with pytest.raises(PuzzleExhaustedError, match="within 256 attempts"):
+        gemm.solve_gemm_puzzle(b"capped", params)
+    assert len(checked) == 256
+    assert gemm.PuzzleExhaustedError is PuzzleExhaustedError
 
 
 def test_params_validation():

@@ -862,13 +862,22 @@ def test_each_entry_point_parses_each_block_once(monkeypatch, daemon, entry):
     assert {name: counts[name] for name in blocks} == dict.fromkeys(blocks, 1)
 
 
-def test_run_challenger_no_worker_raises_transport_error():
+@pytest.mark.parametrize("report", [None, "new", "existing"])
+def test_run_challenger_no_worker_raises_transport_error(tmp_path, report):
+    """A failed session removes the report files its write check made,
+    and leaves a report that was already there as it was."""
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         dead_port = probe.getsockname()[1]
     config = {"kind": "pow", "worker": f"127.0.0.1:{dead_port}", "rounds": 1}
+    out_path = str(tmp_path / "r.csv") if report else None
+    if report == "existing":
+        (tmp_path / "r.csv").write_text("round\n")
+        (tmp_path / "r.csv.json").write_text("{}")
     with pytest.raises(netcli.TransportError):
-        netcli.run_challenger(config)
+        netcli.run_challenger(config, out_path)
+    left = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert left == ({"r.csv": "round\n", "r.csv.json": "{}"} if report == "existing" else {})
 
 
 def test_run_challenger_rejects_unknown_kind():

@@ -11,7 +11,7 @@ import random
 import pytest
 from cryptography.hazmat.primitives.kdf.argon2 import Argon2id
 
-from gputelem.core import Challenge, digest_below_target, generate_salt
+from gputelem.core import Challenge, PuzzleExhaustedError, digest_below_target, generate_salt
 from gputelem.pow import NONCE_LEN, PowParams, PowSolution, pow_hash, solve_pow, verify_pow
 
 # RFC 9106 section 5.3 (Argon2id): password 32x 0x01, salt 16x 0x02,
@@ -104,10 +104,17 @@ def test_solution_binds_issue_time():
     assert not verify_pow(later, sol, SMALL)
 
 
-def test_solve_respects_attempt_cap():
-    ch = _challenge(6)
-    hard = PowParams(difficulty=48, argon_memory_kib=8)
-    assert solve_pow(ch, hard, max_attempts=4) is None
+def test_solve_respects_attempt_cap(monkeypatch):
+    """At d = 0 the budget is 2^8 nonces: a target that never clears
+    spends exactly those, then raises the error the gemm solver raises."""
+    checked = []
+    never = lambda *args: checked.append(args) and False  # noqa: E731
+    monkeypatch.setattr("gputelem.pow.digest_below_target", never)
+    free = PowParams(difficulty=0, argon_memory_kib=8)
+    assert free.max_attempts == 256
+    with pytest.raises(PuzzleExhaustedError, match="within 256 attempts"):
+        solve_pow(_challenge(6), free)
+    assert len(checked) == 256
 
 
 def test_difficulty_zero_solves_immediately():

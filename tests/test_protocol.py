@@ -426,12 +426,6 @@ def test_validate_response_unknown_mode_raises():
         protocol.validate_response(challenge, response)
 
 
-def test_modes_are_the_keys_of_the_one_params_table():
-    # perfbench rotates through the modes in this order, and the CLI lists it
-    assert protocol.MODES == ("pow", "vdf", "gemm", "residency")
-    assert tuple(protocol._PARAM_TYPES) == tuple(protocol._VALIDATORS) == protocol.MODES
-
-
 def test_a_challenge_naming_a_param_its_mode_lacks_is_invalid(rsa_group):
     """Every mode's params are typed on the challenger side too, so a
     stray key makes the round invalid rather than being ignored."""

@@ -43,7 +43,7 @@ def test_chal_block_is_keyed_stream_slice():
 
 def test_init_chal_block_layout():
     chal = residency.init_chal(40_000, b"x", 16_384)
-    assert chal.block_count == 3
+    assert chal.spec.block_count == 3
     assert [len(b) for b in chal.blocks] == [16_384, 16_384, 7_232]
     assert sum(len(b) for b in chal.blocks) == 40_000
     assert chal.block_digests == [hash_bytes(b) for b in chal.blocks]
@@ -70,7 +70,7 @@ def test_planting_allocates_the_dataset_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert chal.block_count == 16
+    assert chal.spec.block_count == 16
     assert peak < size + (64 << 10), f"planting peaked at {peak} bytes"
 
 
@@ -160,7 +160,7 @@ def _reference_columns(chal: residency.ChalDataset) -> list[bytes]:
     """The sketch columns, cut from their definition: about ceil(512 / B)
     columns of R words per block, R from the first block's word count."""
     words = -(-len(chal.blocks[0]) // 8)
-    width = -(-words // -(-512 // chal.block_count))
+    width = -(-words // -(-512 // len(chal.blocks)))
     return [
         block[start : start + 8 * width]
         for block in chal.blocks
@@ -261,7 +261,6 @@ def test_probe_reads_the_dataset_in_place(monkeypatch):
         raise AssertionError("the probe masks nothing")
 
     monkeypatch.setattr(residency, "mask_block", refuse)
-    monkeypatch.setattr(residency, "keyed_xor", refuse)
     chal = residency.init_chal(4 << 20, b"mem-seed", 256 << 10)
     tracemalloc.start()
     try:
@@ -281,7 +280,7 @@ def test_probe_reads_the_dataset_in_place(monkeypatch):
 def test_spec_columns_partition_the_dataset_block_by_block(size, block):
     chal = residency.init_chal(size, b"cols", block)
     spec = residency.DatasetSpec(b"cols", size, block)
-    assert chal.spec == spec and spec.block_count == chal.block_count
+    assert chal.spec == spec and spec.block_count == len(chal.blocks)
     assert spec.column_count == len(_reference_columns(chal))
     # about max(512, B) words of mu; only a short last block holds fewer columns
     assert spec.column_count <= 2 * max(512, spec.block_count)

@@ -296,7 +296,7 @@ def test_init_dataset_costs_one_bus_transfer():
     duration = worker.init_dataset(b"seed", 1 << 20, 1 << 18)
     assert duration == pytest.approx((1 << 20) / 10e9)
     assert worker.clock.now() == pytest.approx(duration)
-    assert worker.dataset is not None and worker.dataset.block_count == 4
+    assert worker.dataset is not None and worker.dataset.spec.block_count == 4
 
 
 def test_probe_before_init_raises():
@@ -322,7 +322,7 @@ def test_pre_challenge_plants_the_residency_dataset():
         "status": "ok",
         "init_time_ns": int((1 << 20) / 10e9 * 1e9),
     }
-    assert worker.dataset is not None and worker.dataset.block_count == 4
+    assert worker.dataset is not None and worker.dataset.spec.block_count == 4
 
 
 @pytest.mark.parametrize("size", [1 << 40, "65536", 65536.0])
