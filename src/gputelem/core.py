@@ -20,10 +20,9 @@ KAPPA = 256  # digest width in bits; all targets live in [0, 2**KAPPA)
 
 SALT_LEN = 32
 DIGEST_LEN = 32
-# cipher keys, and residency's block domains, memoized: a residency
-# round's 32 spot checks touch at most 32 blocks, and the benchmarked
-# 4 MiB dataset in 256 KiB blocks has 16, so planting and every round of
-# its session share each block's key, with room for the sketch weights' keys
+# cipher keys memoized: a residency session derives one dataset key, which
+# planting and every round's 32 spot checks share, plus one sketch-weight
+# key per round, which a worker and a challenger in one process share
 KEY_MEMO = 32
 
 
@@ -51,12 +50,12 @@ def _chacha20(key: bytes, domain: bytes, offset: int):
     The cipher key is ``keyed_hash(key, domain)`` and the 16-byte nonce
     is the 4-byte little-endian block counter followed by a 12-byte
     all-zero IV.  A fixed IV is safe because every caller passes its own
-    domain (dataset block, probe mask, fingerprint mask, matrix pair), so
+    domain (dataset, probe mask, fingerprint mask, matrix pair), so
     no two uses share a cipher key.  The context seeks to ``offset``: it
     starts at the 64-byte block that holds it and skips the bytes of that
     block before it.  The cipher key is memoized by (key, domain)
     (``_cipher_key``), so planting and the spot checks of a session
-    derive each block's key once; each context is still built anew,
+    derive the dataset's key once; each context is still built anew,
     since its nonce carries the offset.
     """
     counter, skip = divmod(offset, 64)
@@ -72,10 +71,9 @@ def keyed_stream(key: bytes, nbytes: int, domain: bytes = b"") -> bytes:
     """The first ``nbytes`` of the keyed stream, ``_chacha20``'s for (key, domain).
 
     A shorter request is a prefix of a longer one.  Used where a digest
-    has to be stretched into fresh bytes (sketch weights, a regenerated
-    dataset block) without changing the 32-byte digest convention
-    elsewhere; ``keyed_xor_into`` of a zeroed buffer writes the same
-    bytes into memory the caller already holds (dataset blocks, matrices).
+    has to be stretched into fresh bytes (sketch weights) without
+    changing the 32-byte digest convention elsewhere; ``keyed_xor_into`` of a zeroed buffer writes the same
+    bytes into memory the caller already holds (the dataset, matrices).
     """
     return _chacha20(key, domain, 0).update(bytes(nbytes))
 

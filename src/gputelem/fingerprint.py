@@ -87,15 +87,14 @@ def fingerprint_digest(error_vector: ErrorVector) -> bytes:
 
 
 def mask_chal_inplace(chal: ChalDataset, r_gpu: bytes) -> None:
-    """XOR every block with its fingerprint-keyed ChaCha20 stream, in place.
+    """XOR the dataset with its fingerprint-keyed ChaCha20 stream, in place.
 
-    Each block view is XORed where it lies (``core.keyed_xor_into``), so
-    masking allocates nothing of the dataset's size.  The mask forces a
-    full linear pass over the dataset and is an involution: applying it
-    twice restores the original bytes.
+    One ``core.keyed_xor_into`` of ``chal.data`` under the ``fpmask``
+    domain, so masking allocates nothing of the dataset's size.  The
+    mask forces a full linear pass over the dataset and is an
+    involution: applying it twice restores the original bytes.
     """
-    for j, block in enumerate(chal.blocks):
-        keyed_xor_into(block, r_gpu, domain=encode_fields("fpmask", j))
+    keyed_xor_into(chal.data, r_gpu, encode_fields("fpmask"))
 
 
 def masked_chal_from_seed(

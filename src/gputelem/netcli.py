@@ -221,9 +221,10 @@ def worker_server(config: dict) -> WorkerDaemon:
     ValueError before the port is bound.  The daemon listens on the
     plan's ``listen`` address (default ``DEFAULT_ADDRESS``; port 0 binds
     a free one, named by ``address``) and simulates its ``profile`` and
-    ``bandwidth``, its sessions seeded from the plan's ``seed``.
+    ``bandwidth``, its sessions seeded from the plan's ``seed``.  It
+    answers whatever group a vdf challenge names, so it draws none.
     """
-    return WorkerDaemon(_session_plan(config))
+    return WorkerDaemon(_session_plan(config, draw_group=False))
 
 
 def serve_worker_background(config: dict) -> WorkerDaemon:
@@ -338,20 +339,24 @@ class SessionPlan(NamedTuple):
     listen: tuple[str, int]
 
 
-def _session_plan(config: dict) -> SessionPlan:
+def _session_plan(config: dict, draw_group: bool = True) -> SessionPlan:
     """The one parse of a config: each key read once, or refused.
 
     The top-level keys, ``profile``, ``bandwidth``, every mode block the
     config holds (whichever mode runs) and the ``worker`` and ``listen``
     addresses are each parsed once, so a bad key or value raises
     ValueError here, before any file is written, worker contacted or
-    port bound.
+    port bound.  A daemon's plan (``draw_group`` False) draws no vdf group.
     """
     (keys,) = _split_block(config, (SessionSettings,), "top-level", _TOP_LEVEL_KEYS)
     session = _parse_fields(SessionSettings, keys)
     profile = _parse_fields(WorkerProfile, config.get("profile"), block="profile")
     model = _parse_fields(BandwidthModel, config.get("bandwidth"), block="bandwidth")
-    blocks = {m: _block_plan(m, session, config) for m in MODES if m in config or m == session.kind}
+    blocks = {
+        m: _block_plan(m, session, config, draw_group)
+        for m in MODES
+        if m in config or m == session.kind
+    }
     block = blocks[session.kind]
     if session.kind == "residency" and block.threshold_ns is None:
         threshold_ns = default_threshold_ns(block.dataset_mib << 20, model)
@@ -360,14 +365,15 @@ def _session_plan(config: dict) -> SessionPlan:
     return SessionPlan(session, profile, model, block, worker, listen)
 
 
-def _block_plan(mode: str, session: SessionSettings, config: dict):
+def _block_plan(mode: str, session: SessionSettings, config: dict, draw_group: bool):
     """The ``mode`` block, parsed by the classes that read it.
 
     A vdf block without ``modulus_n`` gets a fresh group of
     ``VdfSettings.modulus_bits``, drawn from an rng of its own seeded by
     the session seed, not from the session rng: a replay that reads the
     recorded ``modulus_n`` then draws the same challenges.  A vdf block
-    that does not run draws none; 15, the least modulus, stands in.
+    that does not run, or that a daemon reads, draws none; 15, the least
+    modulus, stands in.
     A residency block may still name ``argon_memory_kib``, which is
     accepted and ignored: a probe has no memory-hard phase.
     """
@@ -380,7 +386,7 @@ def _block_plan(mode: str, session: SessionSettings, config: dict):
     if mode == "vdf":
         settings, section = _split_block(section, (VdfSettings, VdfParams), mode)
         bits = _parse_fields(VdfSettings, settings).modulus_bits
-        if session.kind != "vdf":
+        if session.kind != "vdf" or not draw_group:
             section.setdefault("modulus_n", 15)
         elif "modulus_n" not in section:
             group_rng = random.Random(f"vdf-group-{session.seed}")

@@ -8,19 +8,21 @@ first, which shows up as a timing gap of roughly dataset_size / bus
 bandwidth.
 
 A probe is a linear sketch of the whole dataset, and the sketch is the
-digest.  Each block of the dataset is read as little-endian u64 words
-and cut into contiguous columns of R words (``DatasetSpec.column_words``),
-about ceil(512 / B) columns per block, so no column crosses a block.
-With nonce-derived odd weights nu_1..nu_R the sketch is
+digest.  The dataset is one keyed stream, read as little-endian u64
+words and cut into C contiguous columns of R words
+(``DatasetSpec.column_words``), R = ceil(size / (8 * SKETCH_WORDS)), so
+C <= SKETCH_WORDS whatever the block size; only the last column may be
+short.  With nonce-derived odd weights nu_1..nu_R the sketch is
 
     mu_c = sum_i nu_i * word_(c, i)  mod 2^64,
 
-one uint64 ``np.einsum`` per block, read in place into one mu.
+one uint64 ``np.einsum`` over the dataset, read in place, plus one row
+for a short last column.
 The ring is Z/2^64 because numpy's uint64 arithmetic wraps there
 exactly; the weights are odd, so w -> nu * w is a bijection and a word
 the worker does not hold enters mu_c as a uniformly random term.  The
-response is mu, about max(512, B) words, so the challenger never holds
-the dataset: it regenerates only the ``SPOT_CHECKS`` columns it draws
+response is mu, at most 512 words, so the challenger never holds the
+dataset: it regenerates only the ``SPOT_CHECKS`` columns it draws
 privately, by seeking ChaCha20 to them.  A worker whose mu is wrong in
 a fraction f of the columns passes one round with probability
 (1 - f)^32, so it is caught with probability 1 - (1 - f)^32 per round
@@ -41,7 +43,6 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    KEY_MEMO,
     TimingSample,
     encode_fields,
     generate_salt,
@@ -54,9 +55,12 @@ from .stattests import Decision, Verdict
 DEFAULT_BLOCK_BYTES = 1 << 20
 # the most a worker plants: a pre-challenge names the size, and a worker must
 # not allocate whatever it is told (this holds the acceptance suite's 256 MiB
-# dataset four times over)
+# dataset four times over, and keeps every seek far below the 2^32 64-byte
+# blocks of ChaCha20's counter)
 MAX_DATASET_BYTES = 1 << 30
-SKETCH_WORDS = 512  # mu has about max(SKETCH_WORDS, block count) words
+# the dataset's one keyed stream: every byte of it, whatever the block size
+CHAL_DOMAIN = encode_fields("chal")
+SKETCH_WORDS = 512  # mu has at most SKETCH_WORDS words
 SPOT_CHECKS = 32  # sketch columns the challenger regenerates per round
 # the most the challenger's regenerated columns hold at once; a column
 # wider than this is checked alone
@@ -123,13 +127,13 @@ class ResidencySettings:
 class DatasetSpec:
     """A dataset by its seed and shape: all the challenger keeps of it.
 
-    Blocks are ``block_size_bytes`` long except a short last one.  Each
-    block is read as little-endian u64 words, its tail zero-padded, and
-    cut into contiguous sketch columns of ``column_words`` words; only a
-    block's last column may be shorter.  A full block of W words holds
-    ceil(W / R) columns, about ceil(SKETCH_WORDS / B) of them.  Sizes
-    are ints and a dataset holds at most ``MAX_DATASET_BYTES``, so a
-    worker refuses a pre-challenge that names more before it allocates.
+    The bytes are the keyed stream of the seed under ``CHAL_DOMAIN``,
+    read as little-endian u64 words, the tail zero-padded, and cut into
+    contiguous sketch columns of ``column_words`` words; only the last
+    column may be shorter.  Blocks, ``block_size_bytes`` long except a
+    short last one, are views of it and play no part in the sketch.
+    Sizes are ints and a dataset holds at most ``MAX_DATASET_BYTES``, so
+    a worker refuses a pre-challenge that names more before it allocates.
     """
 
     seed: bytes
@@ -149,60 +153,50 @@ class DatasetSpec:
     def block_count(self) -> int:
         return -(-self.size_bytes // self.block_size_bytes)
 
-    def block_len(self, index: int) -> int:
-        return min(self.block_size_bytes, self.size_bytes - index * self.block_size_bytes)
-
-    # the geometry is read once per spot check, so it is worked out once
-    @functools.cached_property
+    @property
     def column_words(self) -> int:
         """R, the words per column and the number of sketch weights."""
-        words = -(-self.block_len(0) // 8)
-        return -(-words // -(-SKETCH_WORDS // self.block_count))
+        return -(-self.size_bytes // (8 * SKETCH_WORDS))
 
-    def _columns_in(self, index: int) -> int:
-        return -(-self.block_len(index) // (8 * self.column_words))
-
-    @functools.cached_property
-    def _columns_per_block(self) -> int:
-        return self._columns_in(0)
-
-    @functools.cached_property
+    @property
     def column_count(self) -> int:
-        """C, the words of mu."""
-        last = self.block_count - 1
-        return last * self._columns_per_block + self._columns_in(last)
-
-    def column(self, c: int) -> tuple[int, int, int]:
-        """(block, start byte, stop byte) of column ``c`` within its block."""
-        index, j = divmod(c, self._columns_per_block)
-        width = 8 * self.column_words
-        return index, width * j, min(width * (j + 1), self.block_len(index))
+        """C, the words of mu: at most ``SKETCH_WORDS``."""
+        return -(-self.size_bytes // (8 * self.column_words))
 
     def column_into(self, c: int, out) -> None:
         """XOR column ``c``, regenerated from the seed, into the front of ``out``.
 
         ``out`` is a writable buffer of at least the column's bytes; into
         a zeroed row of ``column_words`` words it writes the column
-        zero-padded, as the sketch reads it.  The block is never held.
+        zero-padded, as the sketch reads it.  The stream is seeked to the
+        column, and nothing before it is generated.
         """
-        index, start, stop = self.column(c)
-        front = memoryview(out).cast("B")[: stop - start]
-        keyed_xor_into(front, self.seed, _chal_domain(index), offset=start)
+        width = 8 * self.column_words
+        start = width * c
+        front = memoryview(out).cast("B")[: min(width, self.size_bytes - start)]
+        keyed_xor_into(front, self.seed, CHAL_DOMAIN, offset=start)
 
 
 @dataclass
 class ChalDataset:
-    """Incompressible challenge data, regenerable block by block from a seed.
+    """Incompressible challenge data, regenerable column by column from a seed.
 
-    ``blocks`` is the only copy of the data: ``init_chal`` makes them
-    writable views into one buffer of the dataset's size, which
-    ``fingerprint.mask_chal_inplace`` XORs in place.  Nothing derived
-    from the blocks is cached, so changing one leaves nothing stale.
-    ``spec`` is the seed and shape the blocks were generated from.
+    ``data`` is the only copy: ``init_chal`` plants it as a writable
+    view of one buffer of the dataset's size, which
+    ``fingerprint.mask_chal_inplace`` XORs in place.  ``blocks`` are
+    views of it, cut when read.  Nothing derived from the data is
+    cached, so changing it leaves nothing stale.  ``spec`` is the seed
+    and shape the data was generated from.
     """
 
     spec: DatasetSpec
-    blocks: list[memoryview]
+    data: memoryview
+
+    @property
+    def blocks(self) -> list[memoryview]:
+        """Views of ``data``, ``spec.block_size_bytes`` long except a short last one."""
+        step = self.spec.block_size_bytes
+        return [self.data[i : i + step] for i in range(0, len(self.data), step)]
 
     @property
     def block_digests(self) -> list[bytes]:
@@ -217,43 +211,24 @@ class ResidencyProbeResult:
     kernel_time_s: float
 
 
-def chal_block(seed: bytes, index: int, nbytes: int) -> bytes:
-    """The first ``nbytes`` of block ``index`` of the dataset.
-
-    The ChaCha20 keystream of ``core.keyed_stream`` under the domain
-    ``("chal", index)``, so any slice of a block is regenerated alone.
-    """
-    return keyed_stream(seed, nbytes, domain=_chal_domain(index))
-
-
-@functools.lru_cache(maxsize=KEY_MEMO)
-def _chal_domain(index: int) -> bytes:
-    return encode_fields("chal", index)
-
-
 def init_chal(
     size_bytes: int, seed: bytes, block_size_bytes: int = DEFAULT_BLOCK_BYTES
 ) -> ChalDataset:
     """Materialize the dataset from its seed into one buffer.
 
-    The spec is checked before anything is allocated.  Each block's
-    stream (``chal_block``) is XORed in place into its slice of one
-    zeroed ``size_bytes`` buffer, and the blocks are writable views of
-    those slices, so planting allocates the dataset once.  The last block may
-    be short when the size is not a block multiple.  Pseudorandom bytes
+    The spec is checked before anything is allocated.  The keyed stream
+    of ``seed`` under ``CHAL_DOMAIN`` is XORed in place into one zeroed
+    ``size_bytes`` buffer, so planting allocates the dataset once and
+    sets up one cipher, whatever the block size.  Pseudorandom bytes
     are incompressible to anyone without the seed, but today the
     pre-challenge tells the worker the seed: a worker may keep the seed
-    alone and regenerate the blocks for each probe, and its digest
+    alone and regenerate the dataset for each probe, and its digest
     verifies, so only the probe's time tells it apart.
     """
     spec = DatasetSpec(seed, size_bytes, block_size_bytes)
     data = memoryview(bytearray(size_bytes))
-    blocks = []
-    for i in range(spec.block_count):
-        start = i * block_size_bytes
-        blocks.append(data[start : start + spec.block_len(i)])
-        keyed_xor_into(blocks[i], seed, _chal_domain(i))
-    return ChalDataset(spec, blocks)
+    keyed_xor_into(data, seed, CHAL_DOMAIN)
+    return ChalDataset(spec, data)
 
 
 def mask_block(nonce: bytes, index: int, block: bytes) -> bytearray:
@@ -261,7 +236,7 @@ def mask_block(nonce: bytes, index: int, block: bytes) -> bytearray:
 
     A copy of the block is XORed in place (``core.keyed_xor_into``) with
     the nonce-keyed ChaCha20 stream under the domain ``("mask", index)``.
-    It is not part of ``residency_probe``, which sketches the raw blocks;
+    It is not part of ``residency_probe``, which sketches the raw dataset;
     the ``mask`` domain is used only here.
     """
     masked = bytearray(block)
@@ -275,31 +250,26 @@ def _sketch_weights(nonce: bytes, width: int) -> np.ndarray:
     return np.frombuffer(stream, dtype="<u8") | np.uint64(1)
 
 
-def _sketch(blocks: list, nu: np.ndarray) -> bytes:
-    """mu of the dataset: one einsum per block, read in place, into one array.
+def _sketch(data, nu: np.ndarray) -> bytes:
+    """mu of the dataset: one einsum over its full columns, read in place.
 
-    ``blocks`` are any buffers (views of the planted dataset, ``bytes``).
-    A block's full columns are a (columns, R) u64 view of it, summed
-    against nu by one ``np.einsum`` that writes straight into its slice
-    of the preallocated mu; numpy's integer ``matmul`` is a slower,
-    non-BLAS loop.  A short last column is copied into a zeroed row of R
-    words, as ``verify_probe`` regenerates it, and summed as ``row @ nu``.
+    ``data`` is any buffer (the planted dataset's view, ``bytes``).  Its
+    full columns are a (columns, R) u64 view of it, summed against nu by
+    one ``np.einsum`` that writes straight into mu; numpy's integer
+    ``matmul`` is a slower, non-BLAS loop.  A short last column is
+    copied into a zeroed row of R words, as ``verify_probe`` regenerates
+    it, and summed as ``row @ nu``.
     """
     width = len(nu)
-    stride = 8 * width
-    mu = np.empty(sum(-(-len(block) // stride) for block in blocks), dtype="<u8")
-    k = 0
-    for block in blocks:
-        full = len(block) // stride
-        words = np.frombuffer(block, dtype="<u8", count=full * width)
-        np.einsum("ij,j->i", words.reshape(full, width), nu, out=mu[k : k + full])
-        k += full
-        tail = np.frombuffer(block, dtype=np.uint8, offset=full * stride)
-        if len(tail):
-            row = np.zeros(width, dtype="<u8")
-            row.view(np.uint8)[: len(tail)] = tail
-            mu[k] = row @ nu
-            k += 1
+    full = len(data) // (8 * width)
+    tail = np.frombuffer(data, dtype=np.uint8, offset=8 * width * full)
+    mu = np.empty(full + bool(len(tail)), dtype="<u8")
+    words = np.frombuffer(data, dtype="<u8", count=full * width)
+    np.einsum("ij,j->i", words.reshape(full, width), nu, out=mu[:full])
+    if len(tail):
+        row = np.zeros(width, dtype="<u8")
+        row.view(np.uint8)[: len(tail)] = tail
+        mu[full] = row @ nu
     return mu.tobytes()
 
 
@@ -313,7 +283,7 @@ def residency_probe(
     is accepted and ignored: a probe has no memory-hard phase.
     """
     t_start = time.perf_counter()
-    mu = _sketch(chal.blocks, _sketch_weights(nonce, chal.spec.column_words))
+    mu = _sketch(chal.data, _sketch_weights(nonce, chal.spec.column_words))
     elapsed = time.perf_counter() - t_start
     timing = TimingSample(index=0, mode="residency", duration=elapsed, valid=True)
     return ResidencyProbeResult(response_digest=mu, timing=timing, kernel_time_s=elapsed)

@@ -22,7 +22,7 @@ from typing import Mapping
 # Bumped whenever a puzzle's byte-level definition or a record's layout
 # changes, so a peer that speaks another is refused at the header, not
 # round by round.
-VERSION = 0x06
+VERSION = 0x07
 
 MSG_CHALLENGE_BATCH = 0x01
 MSG_RESPONSE_BATCH = 0x02

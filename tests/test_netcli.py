@@ -387,6 +387,18 @@ def test_a_fresh_vdf_group_session_replays_from_its_own_sidecar(tmp_path):
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "replay.csv").read_bytes()
 
 
+def test_a_vdf_daemon_draws_no_group(monkeypatch):
+    """A worker answers the group each challenge names; only a session draws one."""
+
+    def draw(*args, **kwargs):
+        pytest.fail("the daemon drew a vdf group it never reads")
+
+    monkeypatch.setattr(netcli, "setup_group", draw)
+    daemon = netcli.worker_server({"kind": "vdf", "vdf": {"modulus_bits": 2048}, "listen": "127.0.0.1:0"})
+    daemon.close()
+    assert daemon.plan.session.kind == "vdf"
+
+
 def test_run_local_session_refuses_a_config_seed_it_would_not_run():
     config = {"rounds": 2, "seed": 5, "pow": _SMALL_BLOCKS["pow"]}
     with pytest.raises(ValueError, match="seed"):

@@ -34,43 +34,43 @@ def _dataset(seed: bytes = b"seed-a") -> residency.ChalDataset:
 # --- dataset construction -----------------------------------------------------
 
 
-def test_chal_block_is_keyed_stream_slice():
-    got = residency.chal_block(b"s", 3, 100)
-    assert got == keyed_stream(b"s", 100, domain=encode_fields("chal", 3))
-    assert got != residency.chal_block(b"s", 4, 100)
-    assert got != residency.chal_block(b"t", 3, 100)
-
-
 def test_init_chal_block_layout():
     chal = residency.init_chal(40_000, b"x", 16_384)
     assert chal.spec.block_count == 3
     assert [len(b) for b in chal.blocks] == [16_384, 16_384, 7_232]
-    assert sum(len(b) for b in chal.blocks) == 40_000
+    assert b"".join(chal.blocks) == chal.data == keyed_stream(b"x", 40_000, residency.CHAL_DOMAIN)
     assert chal.block_digests == [hash_bytes(b) for b in chal.blocks]
-    assert chal.blocks[0] == residency.chal_block(b"x", 0, 16_384)
 
 
-@pytest.mark.parametrize("size, block", ((40_000, 16_384), (10_003, 4096), (100, 7), (1, 1)))
-def test_init_chal_plants_one_buffer_of_chal_blocks(size, block):
+@pytest.mark.parametrize(
+    "size, block", ((40_000, 16_384), (10_003, 4096), (100, 7), (100, 1), (1, 1))
+)
+def test_init_chal_plants_one_keyed_stream_viewed_as_blocks(size, block):
     chal = residency.init_chal(size, b"plant", block)
-    buffer = chal.blocks[0].obj
-    assert len(buffer) == size
+    assert chal.data == keyed_stream(b"plant", size, residency.CHAL_DOMAIN)
+    buffer = chal.data.obj
+    assert len(buffer) == size and not chal.data.readonly
+    assert len(chal.blocks) == chal.spec.block_count
     for i, view in enumerate(chal.blocks):
         assert view.obj is buffer
-        assert view == residency.chal_block(b"plant", i, chal.spec.block_len(i))
+        assert view == chal.data[i * block : (i + 1) * block]
+    # the block size cuts views only: the bytes are the same at any
+    assert residency.init_chal(size, b"plant", size).data == chal.data
 
 
-def test_planting_allocates_the_dataset_once():
-    """4 MiB in 256 KiB blocks: the buffer, and no per-block copy on top
-    (a block generated as fresh bytes from a zero input adds 256 KiB)."""
-    size = 4 << 20
+@pytest.mark.parametrize("size, block", ((4 << 20, 256 << 10), (256 << 10, 1)))
+def test_planting_allocates_the_dataset_once(size, block):
+    """The buffer, and nothing per block on top: 4 MiB in 256 KiB blocks
+    (a block generated as fresh bytes from a zero input adds 256 KiB),
+    and 256 KiB in 1-byte blocks (a view, a domain or a cipher per block
+    adds many times the dataset)."""
     tracemalloc.start()
     try:
-        chal = residency.init_chal(size, b"mem-seed", 256 << 10)
+        chal = residency.init_chal(size, b"mem-seed", block)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert chal.spec.block_count == 16
+    assert chal.spec.block_count == size // block
     assert peak < size + (64 << 10), f"planting peaked at {peak} bytes"
 
 
@@ -157,15 +157,11 @@ def test_probe_reports_its_timing():
 
 
 def _reference_columns(chal: residency.ChalDataset) -> list[bytes]:
-    """The sketch columns, cut from their definition: about ceil(512 / B)
-    columns of R words per block, R from the first block's word count."""
-    words = -(-len(chal.blocks[0]) // 8)
-    width = -(-words // -(-512 // len(chal.blocks)))
-    return [
-        block[start : start + 8 * width]
-        for block in chal.blocks
-        for start in range(0, len(block), 8 * width)
-    ]
+    """The sketch columns, cut from their definition: R = ceil(size / 4096)
+    words each, the last one possibly short, whatever the block size."""
+    data = bytes(chal.data)
+    width = 8 * -(-len(data) // (8 * 512))
+    return [data[start : start + width] for start in range(0, len(data), width)]
 
 
 def _reference_mu(columns: list[bytes], nonce: bytes) -> bytes:
@@ -184,8 +180,8 @@ def _reference_mu(columns: list[bytes], nonce: bytes) -> bytes:
     return mu
 
 
-# (size, block size): 1, 4, 16 and 17 blocks, three blocks with a short
-# last one, and a size that is not a multiple of 8
+# (size, block size): columns of 1, 4, 16 and 17 words, a short last
+# column, and a size that is not a multiple of 8
 _KAT_DATASETS = (
     (4096, 4096),
     (16_384, 4096),
@@ -197,15 +193,15 @@ _KAT_DATASETS = (
 _KAT_NONCES = (b"a", b"kat-nonce-2", bytes(range(100)))
 # (first word, last word) of mu of four probes
 _KAT_LITERALS = {
-    (4096, b"a"): ("9c96ee9d8c96f155", "873bf36760352f33"),
-    (16_384, b"kat-nonce-2"): ("ccb6fb32dbc41997", "a5bc0b8f8bfa3446"),
-    (69_632, bytes(range(100))): ("453fcd4809f1a7ff", "88fa4672a14bf09d"),
-    (10_003, b"a"): ("c15cc0f2d1813bfe", "6c66bb3fe4d17c67"),
+    (4096, b"a"): ("306011782331d631", "32129a46471d9106"),
+    (16_384, b"kat-nonce-2"): ("e12b8e88d4d4a498", "bef249b27947ff18"),
+    (69_632, bytes(range(100))): ("97e1707a4041106f", "db71cb76d0bc76f4"),
+    (10_003, b"a"): ("051be50d4f0c870c", "e127759b1b554138"),
 }
 
 
 def test_residency_probe_known_answers():
-    """Pins the probe bytes of wire version 6: a grid digest plus four literals."""
+    """Pins the probe bytes of wire version 7: a grid digest plus four literals."""
     digests = {}
     for size, block in _KAT_DATASETS:
         chal = residency.init_chal(size, b"kat-seed", block)
@@ -216,7 +212,7 @@ def test_residency_probe_known_answers():
             digests[size, nonce] = got.response_digest
     assert len(set(digests.values())) == len(digests) == 18
     grid = hashlib.sha256(b"".join(digests.values())).hexdigest()
-    assert grid == "70f5d413e753edda94bab2090d2082133877e6060298ccd6d1a9c095c4fd18dd"
+    assert grid == "706f6b7b14d687d46b1a8f10e55c9a2edbbaf66a26faeae4dea80858c5a1a691"
     got = {key: (digests[key][:8].hex(), digests[key][-8:].hex()) for key in _KAT_LITERALS}
     assert got == _KAT_LITERALS
 
@@ -231,24 +227,22 @@ def test_residency_probe_known_answers():
 @example(65_536, 16, b"n")  # a block count dividing 512
 @settings(max_examples=40, deadline=None)
 def test_sketch_equals_the_reference_mu(size, blocks, nonce):
-    """One einsum per block gives the Python-integer mu, for views and bytes."""
+    """One einsum gives the Python-integer mu, for the planted view and bytes."""
     chal = residency.init_chal(size, b"sketch-seed", -(-size // blocks))
     nu = residency._sketch_weights(nonce, chal.spec.column_words)
     expected = _reference_mu(_reference_columns(chal), nonce)
-    assert residency._sketch(chal.blocks, nu) == expected
-    assert residency._sketch([bytes(block) for block in chal.blocks], nu) == expected
+    assert residency._sketch(chal.data, nu) == expected
+    assert residency._sketch(bytes(chal.data), nu) == expected
 
 
 def test_probe_digest_changes_with_any_flipped_byte():
-    chal = residency.init_chal(65_536, b"flip-seed", 4096)  # 16 blocks
+    chal = residency.init_chal(65_536, b"flip-seed", 4096)
     base = residency.residency_probe(chal, b"n").response_digest
     seen = {base}
-    for block_index, byte_index in ((0, 0), (0, 4095), (8, 2048), (15, 4095)):
-        blocks = list(chal.blocks)
-        flipped = bytearray(blocks[block_index])
-        flipped[byte_index] ^= 0x01
-        blocks[block_index] = bytes(flipped)
-        tampered = dataclasses.replace(chal, blocks=blocks)
+    for index in (0, 4095, 8 * 4096 + 2048, 65_535):
+        flipped = bytearray(chal.data)  # a copy: the planted data stays as it was
+        flipped[index] ^= 0x01
+        tampered = dataclasses.replace(chal, data=memoryview(flipped))
         got = residency.residency_probe(tampered, b"n")
         seen.add(got.response_digest)
     assert len(seen) == 5
@@ -275,29 +269,86 @@ def test_probe_reads_the_dataset_in_place(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "size, block", ((4 << 20, 256 << 10), (10_003, 4096), (1001, 1001), (100, 7), (40_000, 16_384))
+    "size, block",
+    ((4 << 20, 256 << 10), (10_003, 4096), (1001, 1001), (100, 7), (40_000, 16_384), (5000, 1)),
 )
-def test_spec_columns_partition_the_dataset_block_by_block(size, block):
+def test_spec_columns_partition_the_dataset(size, block):
     chal = residency.init_chal(size, b"cols", block)
     spec = residency.DatasetSpec(b"cols", size, block)
-    assert chal.spec == spec and spec.block_count == len(chal.blocks)
-    assert spec.column_count == len(_reference_columns(chal))
-    # about max(512, B) words of mu; only a short last block holds fewer columns
-    assert spec.column_count <= 2 * max(512, spec.block_count)
-    if size % block == 0:
-        assert spec.column_count >= min(512, size // 8)
+    assert chal.spec == spec
+    columns = _reference_columns(chal)
+    assert spec.column_count == len(columns) <= residency.SKETCH_WORDS
+    width = 8 * spec.column_words
+    assert all(len(column) == width for column in columns[:-1])  # only the last is short
     cut = []
     for c in range(spec.column_count):
-        index, start, stop = spec.column(c)
-        assert 0 <= start < stop <= len(chal.blocks[index])
         row = np.zeros(spec.column_words, dtype="<u8")
         spec.column_into(c, row)
         column = row.tobytes()
-        assert column[: stop - start] == chal.blocks[index][start:stop]
-        assert column[stop - start :] == bytes(row.nbytes - stop + start)  # zero-padded
-        cut.append((index, start, stop))
+        assert column[: len(columns[c])] == columns[c] == chal.data[width * c : width * (c + 1)]
+        assert column[len(columns[c]) :] == bytes(width - len(columns[c]))  # zero-padded
+        cut.append(columns[c])
     # in order, contiguous, and every byte once
-    assert b"".join(chal.blocks[i][a:b] for i, a, b in cut) == b"".join(chal.blocks)
+    assert b"".join(cut) == chal.data
+
+
+# (size, block): (R, C) as wire version 6 cut them block by block, at the
+# benchmark, fixture and acceptance shapes, where the block count divides 512
+_V6_GEOMETRY = {
+    (1 << 20, 256 << 10): (256, 512),
+    (1 << 20, 1 << 20): (256, 512),
+    (4 << 20, 256 << 10): (1024, 512),
+    (4 << 20, 1 << 20): (1024, 512),
+    (64 << 20, 256 << 10): (16_384, 512),
+    (64 << 20, 1 << 20): (16_384, 512),
+    (256 << 20, 1 << 20): (65_536, 512),
+}
+
+
+def test_the_geometry_is_unchanged_where_the_block_count_divides_512():
+    for (size, block), geometry in _V6_GEOMETRY.items():
+        spec = residency.DatasetSpec(b"g", size, block)
+        assert (spec.column_words, spec.column_count) == geometry
+
+
+@given(
+    st.integers(min_value=1, max_value=residency.MAX_DATASET_BYTES),
+    st.integers(min_value=1, max_value=1 << 31),
+)
+@example(residency.MAX_DATASET_BYTES, 1 << 20)  # 1024 blocks: 512 columns, not 1024
+@example(residency.MAX_DATASET_BYTES, 1)
+@settings(max_examples=200, deadline=None)
+def test_mu_has_at_most_sketch_words_at_any_shape(size, block):
+    """C <= SKETCH_WORDS whatever the block count, and the columns cover
+    the dataset with less than one column to spare; above 8 * SKETCH_WORDS
+    bytes mu holds more than half of SKETCH_WORDS words."""
+    spec = residency.DatasetSpec(b"any", size, block)
+    width = 8 * spec.column_words
+    assert 1 <= spec.column_count <= residency.SKETCH_WORDS
+    assert width * (spec.column_count - 1) < size <= width * spec.column_count
+    if size >= 8 * residency.SKETCH_WORDS:
+        assert spec.column_count > residency.SKETCH_WORDS // 2
+    else:
+        assert spec.column_words == 1
+
+
+@given(st.integers(min_value=1, max_value=20_000), st.integers(min_value=1, max_value=40_000))
+@example(8 * 512 + 1, 1)  # R = 2 and a one-byte last column
+@settings(max_examples=30, deadline=None)
+def test_an_honest_digest_verifies_at_any_shape(size, block):
+    chal, digest = _honest(size, block)
+    assert len(digest) == 8 * chal.spec.column_count <= 8 * residency.SKETCH_WORDS
+    assert residency.verify_probe(chal.spec, b"n", digest, random.SystemRandom())
+
+
+def test_one_byte_blocks_leave_the_digest_at_4_kib():
+    """1 MiB in 1-byte blocks is 2^20 blocks, and still 512 columns: a
+    column per block would make every digest 8 MiB."""
+    chal, digest = _honest(1 << 20, 1)
+    assert chal.spec.block_count == 1 << 20
+    assert chal.spec.column_count <= residency.SKETCH_WORDS
+    assert len(digest) == 4096
+    assert residency.verify_probe(chal.spec, b"n", digest, random.SystemRandom())
 
 
 def test_spec_validation():

@@ -22,12 +22,13 @@ from gputelem import wire
 
 def test_frame_known_bytes():
     msg = wire.WireMessage(wire.MSG_CHALLENGE_BATCH, b"abc")
-    # 0x06: a residency digest is its sketch alone and responses carry no
-    # solve_time_ns; 0x05 appended a phase-2 end state, 0x04 carried an
-    # unkeyed aggregate, 0x03 answered residency with one SHA-256 scan,
-    # 0x02 masked each block
-    assert wire.VERSION == 0x06
-    assert wire.encode_message(msg) == b"\x06\x01\x00\x00\x00\x03abc"
+    # 0x07: the residency dataset is one keyed stream, sketched in at most
+    # 512 columns; 0x06 keyed each block and cut columns block by block
+    # and dropped solve_time_ns, 0x05 appended a phase-2 end state, 0x04
+    # carried an unkeyed aggregate, 0x03 answered residency with one
+    # SHA-256 scan, 0x02 masked each block
+    assert wire.VERSION == 0x07
+    assert wire.encode_message(msg) == b"\x07\x01\x00\x00\x00\x03abc"
 
 
 def test_readme_names_the_current_wire_version():
