@@ -7,10 +7,12 @@ between the challenger and the worker.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import math
 import random
+import threading
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -20,9 +22,10 @@ KAPPA = 256  # digest width in bits; all targets live in [0, 2**KAPPA)
 
 SALT_LEN = 32
 DIGEST_LEN = 32
-# cipher keys memoized: a residency session derives one dataset key, which
-# planting and every round's 32 spot checks share, plus one sketch-weight
-# key per round, which a worker and a challenger in one process share
+# live ChaCha20 contexts kept per thread: a residency session reads one
+# dataset stream, which planting and every round's 32 spot checks share,
+# plus one sketch-weight stream per round, which a worker and a challenger
+# in one process share
 KEY_MEMO = 32
 
 
@@ -38,10 +41,14 @@ def keyed_hash(key: bytes, data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=32, key=key).digest()
 
 
-@functools.lru_cache(maxsize=KEY_MEMO)
-def _cipher_key(key: bytes, domain: bytes) -> bytes:
-    """``keyed_hash(key, domain)``, derived once while among the last ``KEY_MEMO`` used."""
-    return keyed_hash(key, domain)
+class _Contexts(threading.local):
+    """Each thread's live contexts by (key, domain), least recently used first."""
+
+    def __init__(self) -> None:
+        self.memo = collections.OrderedDict()
+
+
+_CONTEXTS = _Contexts()
 
 
 def _chacha20(key: bytes, domain: bytes, offset: int):
@@ -53,15 +60,25 @@ def _chacha20(key: bytes, domain: bytes, offset: int):
     domain (dataset, probe mask, fingerprint mask, matrix pair), so
     no two uses share a cipher key.  The context seeks to ``offset``: it
     starts at the 64-byte block that holds it and skips the bytes of that
-    block before it.  The cipher key is memoized by (key, domain)
-    (``_cipher_key``), so planting and the spot checks of a session
-    derive the dataset's key once; each context is still built anew,
-    since its nonce carries the offset.
+    block before it.  Each thread keeps one live context for each of the
+    last ``KEY_MEMO`` (key, domain) pairs it used, and seeks it again by
+    ``reset_nonce``, so planting and the spot checks of a session derive
+    the dataset's key and build its context once per thread.  A context
+    is never shared between threads, and the caller uses it before it
+    next calls here.
     """
     counter, skip = divmod(offset, 64)
     nonce = counter.to_bytes(4, "little") + bytes(12)
-    cipher_key = _cipher_key(key, domain)
-    encryptor = Cipher(algorithms.ChaCha20(cipher_key, nonce), mode=None).encryptor()
+    memo = _CONTEXTS.memo
+    encryptor = memo.pop((key, domain), None)
+    if encryptor is None:
+        cipher_key = keyed_hash(key, domain)
+        encryptor = Cipher(algorithms.ChaCha20(cipher_key, nonce), mode=None).encryptor()
+        if len(memo) >= KEY_MEMO:
+            memo.popitem(last=False)
+    else:
+        encryptor.reset_nonce(nonce)
+    memo[key, domain] = encryptor
     if skip:
         encryptor.update(bytes(skip))
     return encryptor

@@ -289,20 +289,43 @@ def residency_probe(
     return ResidencyProbeResult(response_digest=mu, timing=timing, kernel_time_s=elapsed)
 
 
+def _spot_checks(columns: int, rng: random.Random) -> list[int]:
+    """``SPOT_CHECKS`` columns in [0, columns), uniform with replacement.
+
+    One ``rng.getrandbits`` read of 32 k bits, k = (columns - 1).bit_length(),
+    is cut into k-bit chunks, low bits first; a chunk of at least
+    ``columns`` is dropped and redrawn from a further read of as many
+    chunks as are missing.  Accepted chunks are independent and uniform,
+    as ``randrange``'s are, for one read of the OS instead of 32.
+    """
+    bits = (columns - 1).bit_length()
+    mask = (1 << bits) - 1
+    picks: list[int] = []
+    while len(picks) < SPOT_CHECKS:
+        need = SPOT_CHECKS - len(picks)
+        draw = rng.getrandbits(bits * need)
+        chunks = ((draw >> (bits * i)) & mask for i in range(need))
+        picks += [c for c in chunks if c < columns]
+    return picks
+
+
 def verify_probe(
     spec: DatasetSpec, nonce: bytes, response_digest: bytes, rng: random.Random
 ) -> bool:
     """Check a probe digest against the dataset's seed, never its bytes.
 
     A digest that is not 8 * C bytes is refused.  Then ``SPOT_CHECKS``
-    columns are drawn from ``rng``, all before any is checked, and
-    regenerated (``DatasetSpec.column_into``) into the zeroed rows of one
-    reused batch of at most ``VERIFY_BATCH_BYTES``; each batch is summed
-    against nu by one einsum and compared with those words of mu, and
-    the first batch that differs refuses the digest.  The cost is the
-    32 ChaCha20 set-ups and their keystream, whatever the dataset size.
-    A challenger passes ``random.SystemRandom()`` so the worker cannot
-    know which columns are checked.
+    columns are drawn from ``rng`` (``_spot_checks``: one read), all
+    before any is checked, and regenerated (``DatasetSpec.column_into``)
+    into the zeroed rows of one reused batch of at most
+    ``VERIFY_BATCH_BYTES``; each batch is summed against nu by one
+    einsum and compared with those words of mu, and the first batch
+    that differs refuses the digest.  The columns are seeks of the
+    thread's one live context for the dataset stream (``core._chacha20``),
+    so after a thread's first round the cost is the 32 columns'
+    keystream, whatever the dataset size.  A challenger passes
+    ``random.SystemRandom()`` so the worker cannot know which columns
+    are checked.
     """
     columns = spec.column_count
     if len(response_digest) != 8 * columns:
@@ -310,7 +333,7 @@ def verify_probe(
     mu = np.frombuffer(response_digest, dtype="<u8")
     width = spec.column_words
     nu = _sketch_weights(nonce, width)
-    picks = [rng.randrange(columns) for _ in range(SPOT_CHECKS)]
+    picks = _spot_checks(columns, rng)
     batch = np.zeros((max(1, min(SPOT_CHECKS, VERIFY_BATCH_BYTES // (8 * width))), width), "<u8")
     for first in range(0, SPOT_CHECKS, len(batch)):
         checked = picks[first : first + len(batch)]

@@ -6,11 +6,12 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gputelem
@@ -178,6 +179,95 @@ def test_keyed_xor_into_refuses_buffers_it_cannot_write(make):
     with pytest.raises(TypeError):
         keyed_xor_into(buf, b"key", b"dom")
     assert bytes(buf) == before
+
+
+def _manual_stream(key: bytes, domain: bytes, offset: int, nbytes: int) -> bytes:
+    """Bytes [offset, offset + nbytes) of the (key, domain) stream, from a
+    context built here and read from the start, never seeked."""
+    cipher = Cipher(algorithms.ChaCha20(keyed_hash(key, domain), bytes(16)), None)
+    return cipher.encryptor().update(bytes(offset + nbytes))[offset:]
+
+
+# more (key, domain) pairs than the memo holds, so some calls find theirs evicted
+_PAIRS = [(b"key-%d" % (i % 5), b"dom-%d" % i) for i in range(core.KEY_MEMO + 4)]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, len(_PAIRS) - 1),
+            st.integers(0, 700),
+            st.integers(0, 200),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=120,
+    )
+)
+# every pair once, then the first (evicted) and the last (live) again
+@example(
+    [(i, 70 * i % 700, 65, i % 2 == 0) for i in range(len(_PAIRS))]
+    + [(0, 3, 130, False), (len(_PAIRS) - 1, 640, 1, False)]
+)
+@settings(max_examples=60, deadline=None)
+def test_seeked_contexts_give_the_stream_across_eviction(calls):
+    """``keyed_stream`` and ``keyed_xor_into`` interleaved at any offsets over
+    more streams than ``KEY_MEMO`` give the bytes of freshly built contexts,
+    whether a call seeks a live context, one just used on another offset,
+    or one built again after eviction; the memo never holds more than
+    ``KEY_MEMO``."""
+    for pair, offset, nbytes, stream in calls:
+        key, domain = _PAIRS[pair]
+        if stream:
+            got = keyed_stream(key, nbytes, domain)
+            offset = 0
+        else:
+            buf = bytearray(nbytes)
+            keyed_xor_into(buf, key, domain, offset)
+            got = bytes(buf)
+        assert got == _manual_stream(key, domain, offset, nbytes)
+        assert len(core._CONTEXTS.memo) <= core.KEY_MEMO
+
+
+def test_a_refused_buffer_leaves_its_stream_seekable():
+    """A read-only buffer refused mid-call, after its context was seeked into
+    a block, does not shift the next call on the same (key, domain)."""
+    keyed_xor_into(bytearray(10), b"key", b"refused", 100)
+    for refused in (bytes(100), memoryview(bytearray(100)).toreadonly()):
+        with pytest.raises(TypeError):
+            keyed_xor_into(refused, b"key", b"refused", 37)
+        buf = bytearray(90)
+        keyed_xor_into(buf, b"key", b"refused", 133)
+        assert buf == _manual_stream(b"key", b"refused", 133, 90)
+        assert keyed_stream(b"key", 70, b"refused") == _manual_stream(b"key", b"refused", 0, 70)
+
+
+def test_two_threads_seek_one_stream_each_through_its_own_context():
+    """Two threads seeking one (key, domain) at once each read their own
+    offsets' bytes, through a context of their own."""
+    key, domain = b"key", b"shared"
+    start = threading.Barrier(2, timeout=60)
+    results = {}
+
+    def seek(name: int) -> None:
+        rng = random.Random(name)
+        start.wait()
+        wrong = 0
+        for _ in range(300):
+            offset, nbytes = rng.randrange(4096), rng.randrange(1, 300)
+            buf = bytearray(nbytes)
+            keyed_xor_into(buf, key, domain, offset)
+            wrong += buf != _manual_stream(key, domain, offset, nbytes)
+        results[name] = (wrong, core._CONTEXTS.memo[key, domain])
+
+    threads = [threading.Thread(target=seek, args=(name,)) for name in (1, 2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results[1][0] == results[2][0] == 0
+    assert results[1][1] is not results[2][1]
 
 
 def test_encode_fields_known_bytes():

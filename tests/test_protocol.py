@@ -493,18 +493,37 @@ def test_validate_residency_rejects_forged_or_misdirected_digests():
 
 def test_validate_residency_draws_its_spot_checks_from_system_random(monkeypatch):
     """The columns come from a private source after the answer, never from a
-    seeded rng the worker could replay, so session fixtures keep their bytes."""
+    seeded rng the worker could replay, so session fixtures keep their bytes:
+    the regenerated columns are the spot-check rule replayed on the reads of
+    ``SystemRandom`` alone (k-bit chunks, low bits first, a chunk >= C
+    redrawn from a further read)."""
     challenge, response, dataset = _residency_answered()
-    drawn = []
+    reads = []
 
     class Recording(random.SystemRandom):
-        def randrange(self, *args):
-            drawn.append(args)
-            return super().randrange(*args)
+        def getrandbits(self, k):
+            reads.append((k, super().getrandbits(k)))
+            return reads[-1][1]
+
+    regenerated = []
+    column_into = DatasetSpec.column_into
+
+    def counting(spec, c, out):
+        regenerated.append(c)
+        return column_into(spec, c, out)
 
     monkeypatch.setattr(protocol.random, "SystemRandom", Recording)
+    monkeypatch.setattr(DatasetSpec, "column_into", counting)
     assert protocol.validate_response(challenge, response, dataset)
-    assert len(drawn) == SPOT_CHECKS
+    columns = dataset.column_count
+    k = (columns - 1).bit_length()
+    picks = []
+    for bits, read in reads:
+        assert bits == k * (SPOT_CHECKS - len(picks))
+        chunks = [(read >> (k * i)) % (1 << k) for i in range(bits // k)]
+        picks += [c for c in chunks if c < columns]
+    assert len(picks) == SPOT_CHECKS
+    assert regenerated == picks
 
 
 def test_params_for_defaults_are_the_dataclass_defaults():

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gputelem import residency
-from gputelem.core import TimingSample, encode_fields, hash_bytes, keyed_stream
+from gputelem import core, residency
+from gputelem.core import TimingSample, encode_fields, hash_bytes, keyed_hash, keyed_stream
 from gputelem.worksim import SimWorker, WorkerProfile
 
 # small dataset: fast enough to probe dozens of times
@@ -399,14 +399,84 @@ def regenerated(monkeypatch) -> list[int]:
     return calls
 
 
+def _reference_picks(columns: int, rng: random.Random) -> list[int]:
+    """The spot-check rule: one ``getrandbits`` read of SPOT_CHECKS chunks of
+    k = (columns - 1).bit_length() bits, low bits first; a chunk >= columns
+    is dropped, and the missing picks come from a further read."""
+    k = (columns - 1).bit_length()
+    picks = []
+    while len(picks) < residency.SPOT_CHECKS:
+        need = residency.SPOT_CHECKS - len(picks)
+        read = rng.getrandbits(k * need)
+        for i in range(need):
+            chunk = (read >> (k * i)) % (1 << k)
+            if chunk < columns:
+                picks.append(chunk)
+    return picks
+
+
+def test_spot_checks_are_uniform_with_replacement():
+    """Over a column count just past a power of two, where nearly half the
+    chunks are redrawn, every column is picked at rate 1/C (chi-square,
+    C - 1 = 64 degrees of freedom, under its 0.999 quantile 104.7), and a
+    column repeats within one round as often as draws with replacement do;
+    at any C the picks are the reference rule's, redraws included."""
+    columns, rounds = 65, 2000
+    rng = random.Random("uniform")
+    counts = [0] * columns
+    repeated = 0
+    for _ in range(rounds):
+        picks = residency._spot_checks(columns, rng)
+        assert len(picks) == residency.SPOT_CHECKS
+        for c in picks:
+            counts[c] += 1
+        repeated += len(set(picks)) < len(picks)
+    expected = rounds * residency.SPOT_CHECKS / columns
+    assert sum((n - expected) ** 2 / expected for n in counts) < 104.7
+    # P(32 draws from 65 all distinct) = prod (1 - i/65), i < 32: about 0.0001
+    assert repeated > 0.99 * rounds
+    # one column: every pick is 0, from reads of no bits
+    assert residency._spot_checks(1, rng) == [0] * residency.SPOT_CHECKS
+    for c in (1, 2, 65, 126, 512):
+        assert residency._spot_checks(c, random.Random(c)) == _reference_picks(c, random.Random(c))
+
+
+def test_a_second_verify_probe_builds_no_dataset_cipher_and_reads_the_rng_once(monkeypatch):
+    """Once a thread has verified against a spec, a spot check seeks that
+    thread's live context for the dataset stream instead of building one,
+    and the 32 picks over C = 512 columns come from one rng read."""
+    chal, digest = _honest(DATASET, BLOCK)
+    spec = chal.spec
+    assert spec.column_count == 512
+    assert residency.verify_probe(spec, b"n", digest, random.Random(0))
+    dataset_key = keyed_hash(spec.seed, residency.CHAL_DOMAIN)
+    built = []
+    cipher = core.Cipher
+
+    def counting(algorithm, mode=None):
+        built.append(algorithm.key)
+        return cipher(algorithm, mode)
+
+    reads = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            reads.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(core, "Cipher", counting)
+    assert residency.verify_probe(spec, b"n", digest, Counting(1))
+    assert built.count(dataset_key) == 0
+    assert reads == [9 * residency.SPOT_CHECKS]
+
+
 def test_verify_probe_regenerates_exactly_the_spot_checked_columns(regenerated):
     """Verification costs SPOT_CHECKS column regenerations and nothing more."""
     chal, digest = _honest(DATASET, BLOCK)
     drawn = random.Random(5)
     assert residency.verify_probe(chal.spec, b"n", digest, drawn)
     assert len(regenerated) == residency.SPOT_CHECKS
-    again = random.Random(5)
-    assert regenerated == [again.randrange(chal.spec.column_count) for _ in regenerated]
+    assert regenerated == _reference_picks(chal.spec.column_count, random.Random(5))
 
 
 def _forged(chal: residency.ChalDataset, nonce: bytes, wrong: list[int]) -> bytes:
@@ -471,8 +541,7 @@ def test_a_digest_wrong_only_in_the_last_batch_is_refused(regenerated):
     del chal
     rows = residency.VERIFY_BATCH_BYTES // (8 * spec.column_words)
     assert rows == 4 and residency.SPOT_CHECKS % rows == 0
-    draws = random.Random(9)
-    picks = [draws.randrange(spec.column_count) for _ in range(residency.SPOT_CHECKS)]
+    picks = _reference_picks(spec.column_count, random.Random(9))
     wrong = next(c for c in picks[-rows:] if c not in picks[:-rows])
     mu = bytearray(digest)
     mu[8 * wrong] ^= 0x5A
