@@ -21,10 +21,20 @@ partial sum of non-negative terms is then an integer below 2^53 too, and
 the result cannot depend on the order or blocking the BLAS picks.  The
 inner dimension is cut into chunks short enough to keep that bound, and
 the chunks are summed and reduced mod p in integer arithmetic.
+
+Freivalds' check (Freivalds, IFIP 1977) keeps the same discipline at a
+fraction of the cost.  Its vectors are 0/1, so B r and C r need only two
+limbs of each matrix (31 + 30 bits), one small float64 product apiece
+with every sum below n 2^31 <= 2^42.  A (B r) is one float64 product of
+A's three 21-bit limbs, stacked as a 3n x n matrix, against the limbs of
+B r laid side by side as n x 3k; its nine n x k blocks fall into the
+same three groups as in ``field_matmul``.  One check costs a handful of
+numpy passes over n^2 entries, all of them reading A, B or C once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -42,8 +52,13 @@ _LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS]).reshape(3, 1, 1)
 _CHUNK = (1 << 53) // (9 * _LIMB_MASK**2)
 _MAX_DIM = 1 << 15  # summed chunks stay below 2^61 up to this n
 # the largest n a challenge may name: a solve holds about 137 n^2 bytes
-# (548 MiB here), within the dataset a worker may be asked to plant
+# (548 MiB here), within the dataset a worker may be asked to plant, and
+# n (2^21 - 1)^2 < 2^53 keeps every float64 sum of freivalds_check exact
 MAX_DIMENSION = 2048
+# the two limbs of a 0/1 product: entry = low + high 2^31, high < 2^30
+_LOW_BITS = 31
+_LOW_MASK = (1 << _LOW_BITS) - 1
+_HIGH_BITS = 61 - _LOW_BITS
 
 
 @dataclass(frozen=True)
@@ -172,21 +187,74 @@ def _fold(groups: np.ndarray) -> np.ndarray:
 
 
 def _times_bits(m: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """m bits mod p for a 0/1 matrix ``bits``, as three float64 products.
+    """m bits mod p for a 0/1 matrix ``bits``, from two limbs of m.
 
-    The limbs of ``bits`` above the lowest are zero, so only m's three
-    limbs meet it: group i is limb_i(m) bits.  Each entry of a group is
-    a sum of at most n terms below 2^21, so below n 2^21 < 2^53 for
-    every n ``GemmParams`` accepts, an exact integer in any summation
-    order; no chunking.
+    Each entry of m splits into low + high 2^31, low below 2^31 and high
+    below 2^30 for an entry below p (below 2^32 for any non-negative
+    int64).  Both limbs, stacked as one 2 rows x n float64 matrix, meet
+    ``bits`` in one product.  A sum of n <= ``MAX_DIMENSION`` terms is
+    then below n 2^31 <= 2^42 (2^43 for any int64 entry), an exact
+    integer in any summation order.  Since 2^61 = 1 (mod p),
+
+        H 2^31 = (H mod 2^30) 2^31 + (H >> 30) 2^61
+               = ((H mod 2^30) << 31) + (H >> 30)  (mod p),
+
+    so the low sum L plus H 2^31 folds to a uint64 below 2^61 + 2^43,
+    under 2p < 2^62, which one conditional subtraction reduces.
     """
-    limbs = ((m >> _LIMB_SHIFTS) & _LIMB_MASK).astype(np.float64)
-    return _fold((limbs @ bits.astype(np.float64)).astype(np.int64))
+    rows = m.shape[0]
+    limbs = np.empty((2 * rows, m.shape[1]))
+    np.bitwise_and(m, _LOW_MASK, out=limbs[:rows], casting="unsafe")
+    np.right_shift(m, _LOW_BITS, out=limbs[rows:], casting="unsafe")
+    sums = (limbs @ np.asarray(bits, dtype=np.float64)).astype(np.uint64)
+    low, high = sums[:rows], sums[rows:]
+    total = low + ((high & np.uint64((1 << _HIGH_BITS) - 1)) << np.uint64(_LOW_BITS))
+    total += high >> np.uint64(_HIGH_BITS)
+    # total < 2p: one subtraction reduces it, and below p, total - p wraps above it
+    return np.minimum(total, total - np.uint64(FIELD_MODULUS)).view(np.int64)
+
+
+def _times_columns(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a x mod p for an n x k matrix x of entries below p, as one float64 product.
+
+    A's three 21-bit limbs, stacked as a 3 rows x n matrix, meet x's
+    three limbs laid side by side as n x 3k in one product, whose (i, j)
+    block of rows x k entries is a_i x_j.  Each entry of it is a sum of
+    n <= ``MAX_DIMENSION`` limb products, below n (2^21 - 1)^2 < 2^53,
+    so exact.  The nine blocks fall into ``field_matmul``'s three groups
+    in uint64; g0 = a0 x0 + 4 (a1 x2 + a2 x1), the largest, is below
+    9 * 2^53 < 2^57, and ``_fold``'s running total of the three stays
+    below 2^62.  Only A's limbs are n^2-sized; the rest is n x k.
+    """
+    rows, inner = a.shape
+    k = x.shape[1]
+    a_limbs = np.empty((3, rows, inner))
+    np.bitwise_and(a, _LIMB_MASK, out=a_limbs[0], casting="unsafe")
+    np.bitwise_and(a >> _LIMB_BITS, _LIMB_MASK, out=a_limbs[1], casting="unsafe")
+    np.right_shift(a, 2 * _LIMB_BITS, out=a_limbs[2], casting="unsafe")
+    x_limbs = ((x[:, None, :] >> _LIMB_SHIFTS[:, 0]) & _LIMB_MASK).astype(np.float64)
+    product = a_limbs.reshape(3 * rows, inner) @ x_limbs.reshape(inner, 3 * k)
+    t = product.astype(np.uint64).reshape(3, rows, 3, k)  # t[i, :, j] = a_i x_j
+    groups = np.empty((3, rows, k), dtype=np.uint64)
+    groups[0] = t[0, :, 0] + ((t[1, :, 2] + t[2, :, 1]) << np.uint64(2))
+    groups[1] = t[0, :, 1] + t[1, :, 0] + (t[2, :, 2] << np.uint64(2))
+    groups[2] = t[0, :, 2] + t[1, :, 1] + t[2, :, 0]
+    return _fold(groups)
 
 
 def puzzle_digest(sid: bytes, sigma: bytes, product: np.ndarray) -> bytes:
-    """h_j binding the session, the chain state, and the exact product."""
-    return hash_bytes(encode_fields(sid, sigma, matrix_bytes(product)))
+    """h_j binding the session, the chain state, and the exact product.
+
+    SHA-256 of ``encode_fields(sid, sigma, matrix_bytes(product))``: the
+    length-prefixed sid and sigma, then the product's length and its
+    big-endian words, hashed where the one conversion to ``>u8`` put
+    them: no ``bytes`` copy of the product and no encoded copy of it.
+    """
+    words = np.ascontiguousarray(product, dtype=np.int64).astype(">u8")
+    scan = hashlib.sha256(encode_fields(sid, sigma))
+    scan.update(words.nbytes.to_bytes(4, "big"))
+    scan.update(words)
+    return scan.digest()
 
 
 def solve_gemm_puzzle(sid: bytes, params: GemmParams) -> GemmProof:
@@ -219,10 +287,20 @@ def freivalds_check(
     A wrong product survives one round only if its error matrix
     annihilates the random indicator vector, which happens with
     probability at most 1/2; k clean rounds bound the false-accept rate
-    by 2^-k.  The k vectors are the columns of one n x k matrix, and B
-    and C are stacked to share its product, so all rounds run as one
-    product with 0/1 entries (three float64 products, ``_times_bits``)
-    and one field product.  Cost is O(k n^2) field operations.
+    by 2^-k.  The k vectors are the columns of one n x k matrix r, so
+    all rounds run at once:
+
+    - B r and C r are one float64 product each of the matrix's two
+      limbs (``_times_bits``): sums below n 2^31 <= 2^42, and a fold
+      whose input is below 2^62.
+    - A (B r) is one float64 product of A's stacked 21-bit limbs against
+      the limbs of B r (``_times_columns``): products below
+      n (2^21 - 1)^2 < 2^53, group sums below 2^57, and a fold whose
+      running total stays below 2^62.
+
+    Every float64 sum is exact only for n up to ``MAX_DIMENSION``, so a
+    larger n is a ValueError, raised before anything is allocated.  Cost
+    is O(k n^2) field operations, in a fixed handful of numpy passes.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -230,6 +308,8 @@ def freivalds_check(
     n = b.shape[0]
     if a.shape != (n, n) or b.shape != (n, n) or c.shape != (n, n):
         raise ValueError("freivalds_check needs three square matrices of one size")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"freivalds_check is exact only up to n = {MAX_DIMENSION}")
     if k < 1:
         raise ValueError("k must be >= 1")
     # round i draws n bits at once and bit j is row j of column i, so a
@@ -241,9 +321,8 @@ def freivalds_check(
         axis=1,
         count=n,
         bitorder="little",
-    )
-    br, cr = np.split(_times_bits(np.vstack((b, c)), bits.T), 2)
-    return np.array_equal(field_matmul(a, br), cr)
+    ).T.astype(np.float64)
+    return np.array_equal(_times_columns(a, _times_bits(b, bits)), _times_bits(c, bits))
 
 
 def verify_gemm_puzzle(

@@ -37,6 +37,7 @@ import functools
 import math
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -177,6 +178,37 @@ class DatasetSpec:
         keyed_xor_into(front, self.seed, CHAL_DOMAIN, offset=start)
 
 
+class BlockViews(Sequence):
+    """The blocks of a buffer as a read-only sequence, one view cut per access.
+
+    Block i is ``data[i * step : (i + 1) * step]``, the last one short
+    when ``step`` does not divide the buffer; negative indices count from
+    the end.  Nothing is held per block, so reading one block of a
+    dataset in 1-byte blocks costs one view, not one per block.  It
+    compares equal to a list or tuple of its blocks' bytes.
+    """
+
+    def __init__(self, data: memoryview, step: int) -> None:
+        self._data = data
+        self._starts = range(0, len(data), step)
+        self._step = step
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index: int) -> memoryview:
+        start = self._starts[index]
+        return self._data[start : start + self._step]
+
+    def __iter__(self):
+        return (self._data[start : start + self._step] for start in self._starts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (BlockViews, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class ChalDataset:
     """Incompressible challenge data, regenerable column by column from a seed.
@@ -193,10 +225,9 @@ class ChalDataset:
     data: memoryview
 
     @property
-    def blocks(self) -> list[memoryview]:
+    def blocks(self) -> BlockViews:
         """Views of ``data``, ``spec.block_size_bytes`` long except a short last one."""
-        step = self.spec.block_size_bytes
-        return [self.data[i : i + step] for i in range(0, len(self.data), step)]
+        return BlockViews(self.data, self.spec.block_size_bytes)
 
     @property
     def block_digests(self) -> list[bytes]:

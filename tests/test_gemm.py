@@ -7,7 +7,9 @@ overflow; saturated entries are checked against the closed form
 inner * v^2 mod p on both sides of the float64 chunk boundary. Matrix
 derivation is checked against a from-scratch reading of the keyed
 stream, word by word, plus pinned known answers. The batched Freivalds
-check is checked against an unbatched per-round loop.
+check is checked against an unbatched per-round loop, and its two-limb
+bit product and stacked limb product against the three-limb check they
+replaced, copied here as it stood.
 """
 
 import hashlib
@@ -170,6 +172,20 @@ def test_matrix_bytes_is_row_major_big_endian():
     assert raw[30:32] == b"\x01\x02"  # 258
 
 
+def test_puzzle_digest_hashes_the_encoded_fields():
+    """Streamed as it lies, the product hashes as its encoded copy did,
+    whatever its layout or integer dtype."""
+    sid, sigma = b"digest-sid", hash_bytes(b"digest-sigma")
+    a, b = gemm.derive_matrices(sigma, 7)
+    product = gemm.field_matmul(a, b)
+    expected = hash_bytes(encode_fields(sid, sigma, gemm.matrix_bytes(product)))
+    assert gemm.puzzle_digest(sid, sigma, product) == expected
+    assert gemm.puzzle_digest(sid, sigma, np.ascontiguousarray(product.T).T) == expected
+    assert gemm.puzzle_digest(sid, sigma, product.astype(">u8")) == expected
+    transposed = hash_bytes(encode_fields(sid, sigma, gemm.matrix_bytes(product.T)))
+    assert gemm.puzzle_digest(sid, sigma, product.T) == transposed
+
+
 def test_matrix_from_bytes_inverts_matrix_bytes():
     m = np.array([[0, 1], [258, P - 1]], dtype=np.int64)
     back = gemm.matrix_from_bytes(gemm.matrix_bytes(m), 2)
@@ -252,6 +268,87 @@ def test_bit_product_matches_field_matmul_on_saturated_entries(n):
     bits[:, 0] = 1  # an all-ones column: every row sums n saturated entries
     expected = gemm.field_matmul(stacked, bits.astype(np.int64))
     assert np.array_equal(gemm._times_bits(stacked, bits), expected)
+
+
+def _times_bits_three_limbs(m, bits):
+    """The three-limb bit product the two-limb one replaced, as it stood:
+    group i is limb_i(m) bits, every sum below n 2^21, folded by _fold."""
+    limbs = ((m >> gemm._LIMB_SHIFTS) & gemm._LIMB_MASK).astype(np.float64)
+    return gemm._fold((limbs @ bits.astype(np.float64)).astype(np.int64))
+
+
+def _freivalds_three_limbs(a, b, c, k, rng):
+    """The batched check the stacked one replaced, as it stood: (B; C) r
+    through the three-limb bit product, then A (B r) through field_matmul."""
+    n = b.shape[0]
+    width = (n + 7) // 8
+    draws = b"".join(rng.getrandbits(n).to_bytes(width, "little") for _ in range(k))
+    bits = np.unpackbits(
+        np.frombuffer(draws, dtype=np.uint8).reshape(k, width), axis=1, count=n, bitorder="little"
+    )
+    br, cr = np.split(_times_bits_three_limbs(np.vstack((b, c)), bits.T), 2)
+    return np.array_equal(gemm.field_matmul(a, br), cr)
+
+
+@pytest.mark.parametrize("n", (1, 2, 227, 228, 1024, gemm.MAX_DIMENSION))
+@pytest.mark.parametrize("value", (P - 1, (1 << 63) - 1))
+def test_two_limb_bit_product_matches_the_three_limb_one(n, value):
+    """Saturated rows (every sum at its largest: an all-ones column of
+    bits meets n saturated entries) and random rows, at and around the
+    kernel's chunk size and at the largest dimension a check accepts."""
+    rng = np.random.default_rng(n)
+    m = np.full((6, n), value, dtype=np.int64)
+    m[3:] = rng.integers(0, P, size=(3, n))
+    bits = rng.integers(0, 2, size=(n, 5), dtype=np.uint8)
+    bits[:, 0] = 1
+    got = gemm._times_bits(m, bits)
+    assert np.array_equal(got, _times_bits_three_limbs(m, bits))
+    assert (got[:3, 0] == n * value % P).all()
+
+
+@pytest.mark.parametrize("n", (1, 2, 227, 228, 1024, gemm.MAX_DIMENSION))
+@pytest.mark.parametrize("k", (1, 5, 64))
+def test_stacked_product_matches_field_matmul_on_saturated_entries(n, k):
+    """Every limb of every entry saturated, so each of the nine stacked
+    products reaches n (2^21 - 1)^2, the largest float64 sum it forms."""
+    rng = np.random.default_rng(n + k)
+    a = np.full((4, n), (1 << 63) - 1, dtype=np.int64)
+    a[1] = P - 1
+    a[2:] = rng.integers(0, P, size=(2, n))
+    x = np.full((n, k), P - 1, dtype=np.int64)
+    x[:, k // 2 :] = rng.integers(0, P, size=(n, k - k // 2))
+    got = gemm._times_columns(a, x)
+    assert np.array_equal(got, gemm.field_matmul(a, x))
+    assert got.min() >= 0 and got.max() < P
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_freivalds_verdicts_match_the_three_limb_check(seed):
+    """Same vectors, so the same verdict, on honest and corrupted products."""
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 40), rng.randint(1, 64)
+    a, b = gemm.derive_matrices(hash_bytes(seed.to_bytes(5, "big")), n)
+    c = gemm.field_matmul(a, b)
+    if seed % 2:
+        c = c.copy()
+        c[rng.randrange(n), rng.randrange(n)] = rng.randrange(P)
+    got = gemm.freivalds_check(a, b, c, k, random.Random(seed))
+    assert got == _freivalds_three_limbs(a, b, c, k, random.Random(seed))
+
+
+class _NoDraws(random.Random):
+    def getrandbits(self, k):
+        raise AssertionError("a refused check drew its vectors")
+
+
+def test_freivalds_refuses_dimensions_past_the_exactness_bound():
+    """Above MAX_DIMENSION a stacked limb sum could pass 2^53; the shapes
+    alone refuse it (the operands here are broadcast views, 8 bytes each)."""
+    n = gemm.MAX_DIMENSION + 1
+    zero = np.broadcast_to(np.int64(0), (n, n))
+    with pytest.raises(ValueError, match=f"n = {gemm.MAX_DIMENSION}"):
+        gemm.freivalds_check(zero, zero, zero, 1, _NoDraws(0))
 
 
 def test_freivalds_validation():

@@ -9,6 +9,7 @@ deployment while the whole file runs in well under a second.
 import dataclasses
 import hashlib
 import random
+import time
 import tracemalloc
 from dataclasses import asdict
 
@@ -72,6 +73,40 @@ def test_planting_allocates_the_dataset_once(size, block):
         tracemalloc.stop()
     assert chal.spec.block_count == size // block
     assert peak < size + (64 << 10), f"planting peaked at {peak} bytes"
+
+
+def test_blocks_are_a_lazy_sequence_of_views():
+    chal = residency.init_chal(10_003, b"lazy", 4096)
+    blocks = chal.blocks
+    views = [chal.data[i : i + 4096] for i in range(0, 10_003, 4096)]
+    assert len(blocks) == 3 and list(blocks) == views and blocks == views
+    assert blocks == tuple(bytes(v) for v in views) and blocks == chal.blocks
+    assert bytes(blocks[-1]) == bytes(blocks[2]) == bytes(chal.data[8192:])
+    assert blocks[-3] == blocks[0] and blocks[0].obj is chal.data.obj
+    assert blocks != views[:2] and blocks != [b"x"] * 3 and blocks != b"".join(views)
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            blocks[index]
+
+
+def test_one_block_costs_one_view():
+    """1 MiB in 1-byte blocks is 2^20 blocks: reading one cuts one view
+    (it built all 2^20 and took seconds when ``blocks`` was a list)."""
+    chal = residency.init_chal(1 << 20, b"one-view", 1)
+    seconds = []
+    for _ in range(3):
+        started = time.perf_counter()
+        first = chal.blocks[0]
+        seconds.append(time.perf_counter() - started)
+    assert min(seconds) < 1e-3, seconds
+    tracemalloc.start()
+    try:
+        last = chal.blocks[-1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"reading one block peaked at {peak} bytes"
+    assert (first, last) == (chal.data[:1], chal.data[-1:])
 
 
 def test_init_chal_validation():
