@@ -1,13 +1,24 @@
 """Framed transport messages and the canonical record codec.
 
 Frames are binary for length safety: one version byte, one type byte, a
-4-byte big-endian payload length, then the payload.  Payloads are
-canonical textual records (sorted ``path=tag:value`` lines), so any
-implementation, in any language, produces the same bytes for the same
-record.  Nothing hashes those bytes: for now canonical form only makes
-encoding deterministic, so peers agree on a record's bytes and its
-size, and a later keyed or signed transcript could cover them as they
-are.
+4-byte big-endian payload length, then the payload.
+
+A payload is a record: a text header, then the record's byte strings as
+raw bytes.  The header is one ``path=tag:value`` line per leaf, sorted,
+each ending in a newline, and then one empty line.  An integer leaf
+reads ``i:`` and its decimal digits, and a printable-ASCII string leaf
+reads ``s:`` and the string.  A byte-string leaf reads ``b:`` and its
+length in decimal, and its bytes follow the empty line, in header
+order, up to the record's end.  A gemm product or a residency digest
+thus costs its own size on the wire, and decoding one is a slice, not
+a parse.  The empty record is no bytes at all.
+
+Every record has exactly one encoding, so any implementation, in any
+language, produces the same bytes for the same record, and the decoder
+refuses any bytes that ``encode_record`` would not write.  Nothing
+hashes those bytes: for now canonical form only makes encoding
+deterministic, so peers agree on a record's bytes and its size, and a
+later keyed or signed transcript could cover them as they are.
 
 Decoding is total: malformed input of any shape raises WireDecodeError
 and nothing else.
@@ -22,7 +33,7 @@ from typing import Mapping
 # Bumped whenever a puzzle's byte-level definition or a record's layout
 # changes, so a peer that speaks another is refused at the header, not
 # round by round.
-VERSION = 0x07
+VERSION = 0x08
 
 MSG_CHALLENGE_BATCH = 0x01
 MSG_RESPONSE_BATCH = 0x02
@@ -47,16 +58,26 @@ HEADER_LEN = 6
 # CPython's default limit on int/str conversion; fixed here so that every
 # interpreter refuses the same records (a 2048-bit modulus has 617 digits)
 MAX_INT_DIGITS = 4300
+_INT_BOUND = 10**MAX_INT_DIGITS  # the least integer of MAX_INT_DIGITS + 1 digits
 
 # components of a record path, so that nesting stays far below the
 # interpreter's recursion limit; the protocol's deepest path,
 # payload.proofs.0.output_y, has 4
 MAX_PATH_DEPTH = 64
 
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-# a record path: non-empty components of ASCII letters, digits, "_" and
-# "-", joined by "."
-_PATH_RE = re.compile(r"[A-Za-z0-9_-]+(?:\.[A-Za-z0-9_-]+)*")
+_KEY = r"[A-Za-z_][A-Za-z0-9_-]*"
+_KEY_RE = re.compile(_KEY)
+# a record path: components joined by ".", each a key or a list index
+# in canonical decimal
+_COMPONENT = rf"(?:{_KEY}|0|[1-9][0-9]*)"
+_PATH = rf"{_COMPONENT}(?:\.{_COMPONENT})*"
+_PATH_RE = re.compile(_PATH)
+# one header line, every value in the one form encode_record writes: an
+# integer without leading zeros or "-0", a printable-ASCII string, or a
+# byte string's length (at most 10 digits, a bound MAX_PAYLOAD keeps)
+_LINE_RE = re.compile(
+    rf"({_PATH})=(?:i:(0|-?[1-9][0-9]*)|s:([ -~]*)|b:(0|[1-9][0-9]{{0,9}}))"
+)
 
 
 class WireDecodeError(ValueError):
@@ -110,16 +131,21 @@ def decode_message(data: bytes) -> WireMessage:
     return WireMessage(msg_type=msg_type, payload=bytes(data[HEADER_LEN:]))
 
 
-def _emit(path: str, value, lines: list[str], depth: int = 1) -> None:
+def _emit(path: str, value, lines: list[str], blobs: dict[str, bytes], depth: int = 1) -> None:
     if depth > MAX_PATH_DEPTH:
         raise TypeError(f"record path nests deeper than {MAX_PATH_DEPTH} components")
     if isinstance(value, bool):
-        # booleans ride as integers; records are typed i/x/s only
+        # booleans ride as integers; records are typed i/s/b only
         lines.append(f"{path}=i:{int(value)}")
     elif isinstance(value, int):
+        if abs(value) >= _INT_BOUND:
+            raise TypeError(f"integer at {path!r} has more than {MAX_INT_DIGITS} digits")
         lines.append(f"{path}=i:{value}")
     elif isinstance(value, (bytes, bytearray, memoryview)):
-        lines.append(f"{path}=x:{bytes(value).hex()}")
+        value = bytes(value)
+        line = f"{path}=b:{len(value)}"
+        lines.append(line)
+        blobs[line] = value
     elif isinstance(value, str):
         if not value.isascii() or not value.isprintable():
             raise TypeError(f"string at {path!r} must be printable ASCII")
@@ -128,23 +154,24 @@ def _emit(path: str, value, lines: list[str], depth: int = 1) -> None:
         if not value:
             raise TypeError(f"empty mapping at {path!r} is not encodable")
         for key in value:
-            if not isinstance(key, str) or not _KEY_RE.match(key):
+            if not isinstance(key, str) or not _KEY_RE.fullmatch(key):
                 raise TypeError(f"bad record key {key!r} under {path!r}")
-            _emit(f"{path}.{key}", value[key], lines, depth + 1)
+            _emit(f"{path}.{key}", value[key], lines, blobs, depth + 1)
     elif isinstance(value, (list, tuple)):
         if not value:
             raise TypeError(f"empty list at {path!r} is not encodable")
         for i, item in enumerate(value):
-            _emit(f"{path}.{i}", item, lines, depth + 1)
+            _emit(f"{path}.{i}", item, lines, blobs, depth + 1)
     else:
         raise TypeError(f"cannot encode {type(value).__name__} at {path!r}")
 
 
 def encode_record(record: Mapping) -> bytes:
-    """Serialize a nested record to canonical sorted-line form.
+    """Serialize a nested record to its canonical bytes.
 
-    Values may be int, bytes, str, and nested non-empty dicts/lists,
-    at most ``MAX_PATH_DEPTH`` path components deep; dict keys must be
+    Values may be int (at most ``MAX_INT_DIGITS`` digits), bytes, str,
+    and nested non-empty dicts/lists, at most ``MAX_PATH_DEPTH`` path
+    components deep; dict keys must be
     identifier-like (never all digits, which is how list indices are
     spelled).  The output is the canonical encoding: same record, same
     bytes, always.
@@ -152,28 +179,37 @@ def encode_record(record: Mapping) -> bytes:
     if not isinstance(record, Mapping):
         raise TypeError("top-level record must be a mapping")
     lines: list[str] = []
+    blobs: dict[str, bytes] = {}  # a byte string's header line -> its bytes
     for key in record:
-        if not isinstance(key, str) or not _KEY_RE.match(key):
+        if not isinstance(key, str) or not _KEY_RE.fullmatch(key):
             raise TypeError(f"bad record key {key!r}")
-        _emit(key, record[key], lines)
-    lines.sort()
+        _emit(key, record[key], lines, blobs)
     if not lines:
         return b""
-    return ("\n".join(lines) + "\n").encode("ascii")
+    lines.sort()
+    # sorting the blob lines alone keeps their order in the header
+    return b"".join(
+        ["\n".join(lines).encode("ascii"), b"\n\n"] + [blobs[line] for line in sorted(blobs)]
+    )
 
 
-def _parse_int(text: str) -> int:
-    if text in ("", "-"):
-        raise WireDecodeError("empty integer value")
-    body = text[1:] if text[0] == "-" else text
-    if not body.isdigit():
-        raise WireDecodeError(f"bad integer {text!r}")
-    if len(body) > MAX_INT_DIGITS:
-        raise WireDecodeError(f"integer of {len(body)} digits exceeds the cap")
+def _parse_int(digits: str) -> int:
+    """A canonical decimal (``_LINE_RE`` checked its form) within the cap."""
+    width = len(digits) - (digits[0] == "-")
+    if width > MAX_INT_DIGITS:
+        raise WireDecodeError(f"integer of {width} digits exceeds the cap")
     try:
-        return int(text)
+        return int(digits)
     except ValueError as exc:  # an interpreter digit limit set below the cap
-        raise WireDecodeError(f"integer of {len(body)} digits is too long") from exc
+        raise WireDecodeError(f"integer of {width} digits is too long") from exc
+
+
+def _bad_line(line: str) -> WireDecodeError:
+    """The error for a header line ``_LINE_RE`` refused, naming a bad path."""
+    path, eq, _ = line.partition("=")
+    if eq and not _PATH_RE.fullmatch(path):
+        return WireDecodeError(f"bad record path {path!r}")
+    return WireDecodeError(f"malformed line {line!r}")
 
 
 def _collapse(node):
@@ -195,41 +231,48 @@ def _collapse(node):
 
 
 def decode_record(data: bytes) -> dict:
-    """Inverse of encode_record; raises WireDecodeError on any malformation."""
+    """Inverse of encode_record; raises WireDecodeError on any malformation,
+    and on any bytes ``encode_record`` would not write."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise WireDecodeError("record must be bytes")
     data = bytes(data)
     if data == b"":
         return {}
+    # header lines are never empty, so the first empty line ends the header
+    cut = data.find(b"\n\n")
+    if cut < 0:
+        raise WireDecodeError("record header has no terminating empty line")
     try:
-        text = data.decode("ascii")
+        header = data[:cut].decode("ascii")
     except UnicodeDecodeError as exc:
-        raise WireDecodeError("record is not ASCII") from exc
-    if not text.endswith("\n"):
-        raise WireDecodeError("record must end with a newline")
+        raise WireDecodeError("record header is not ASCII") from exc
+    offset = cut + 2  # where the next byte string starts
     root: dict = {}
-    for line in text[:-1].split("\n"):
-        path, eq, rest = line.partition("=")
-        tag, colon, value = rest.partition(":")
-        if not eq or not colon or tag not in ("i", "x", "s"):
-            raise WireDecodeError(f"malformed line {line!r}")
-        if not _PATH_RE.fullmatch(path):
-            raise WireDecodeError(f"bad record path {path!r}")
+    previous = ""
+    for line in header.split("\n"):
+        match = _LINE_RE.fullmatch(line)
+        if match is None:
+            raise _bad_line(line)
+        # the encoder sorts its lines, so each one follows the one before
+        if line <= previous:
+            raise WireDecodeError(f"line {line!r} is out of order or repeated")
+        previous = line
+        path, digits, text, length = match.groups()
+        if digits is not None:
+            leaf = _parse_int(digits)
+        elif length is not None:
+            size = int(length)
+            if size > MAX_PAYLOAD:
+                raise WireDecodeError(f"byte string at {path!r} exceeds the 256 MiB cap")
+            if offset + size > len(data):
+                raise WireDecodeError(f"byte string at {path!r} runs past the record's end")
+            leaf = data[offset : offset + size]
+            offset += size
+        else:
+            leaf = text
         parts = path.split(".")
         if len(parts) > MAX_PATH_DEPTH:
             raise WireDecodeError(f"record path of {len(parts)} components exceeds the cap")
-        for part in parts:
-            if part[0] == "0" and len(part) > 1 and part.isdigit():
-                raise WireDecodeError(f"non-canonical list index {part!r}")
-        if tag == "i":
-            leaf = _parse_int(value)
-        elif tag == "x":
-            try:
-                leaf = bytes.fromhex(value)
-            except ValueError as exc:
-                raise WireDecodeError(f"bad hex value at {path!r}") from exc
-        else:
-            leaf = value
         node = root
         for part in parts[:-1]:
             nxt = node.get(part)
@@ -242,6 +285,8 @@ def decode_record(data: bytes) -> dict:
         if last in node:
             raise WireDecodeError(f"duplicate path {path!r}")
         node[last] = leaf
+    if offset != len(data):
+        raise WireDecodeError(f"{len(data) - offset} bytes left over after the byte strings")
     record = _collapse(root)
     if isinstance(record, list):
         raise WireDecodeError("top-level record keys are list indices, not names")

@@ -301,7 +301,7 @@ def test_challenger_exits_2_on_a_record_nested_past_the_depth_cap(tmp_path, caps
     """A worker's 600-component record path is a decode error (exit 2),
     refused before nesting that deep could overrun the recursion limit."""
     listener = socket.create_server(("127.0.0.1", 0))
-    deep = wire.WireMessage(wire.MSG_PRE_RESPONSE, ("a." * 599 + "a=i:1\n").encode())
+    deep = wire.WireMessage(wire.MSG_PRE_RESPONSE, ("a." * 599 + "a=i:1\n\n").encode())
 
     def fake_worker():
         conn, _ = listener.accept()

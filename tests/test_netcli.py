@@ -729,7 +729,7 @@ def test_worker_error_frame_of_list_indices_is_an_error_not_a_crash(tmp_path, ca
     """An error frame whose record is top-level list indices is a decode
     error, which ``challenger run`` reports with exit 2, not a traceback."""
     listener = socket.create_server(("127.0.0.1", 0))
-    bad = WireMessage(MSG_ERROR, b"0=i:1\n")
+    bad = WireMessage(MSG_ERROR, b"0=i:1\n\n")
 
     def fake_worker():
         for _ in range(2):  # run_challenger, then the CLI
