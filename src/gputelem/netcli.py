@@ -1,19 +1,21 @@
 """Daemons, transport, session reports: the operational shell.
 
-A challenger session speaks a strict request/response sequence over one
-TCP connection: a pre-challenge announcing the session (for residency,
-the dataset to plant), then one challenge per round, each answered
-before the next is sent; a transport failure ends the session with
-``TransportError``.  ``RemoteWorker`` has the worker interface of the
-in-process ``SimWorker``, and the daemon hands each message to a
-``SimWorker`` on a ``WallClock`` (``pre_challenge`` or ``answer``), so
-it actually computes every answer and replies once the profile's
-modeled latency has passed on the wall clock: a challenger cannot tell
-(and should not care) whether it is talking to a simulation.  The
-daemon itself only moves frames; it reads no time.  There is one
-daemon, ``WorkerDaemon``, and it is built only from a config:
-``worker_server`` returns it bound, ``serve_worker_background``
-serving on its own thread, and ``worker serve`` serves the first.
+A challenger session of any mode is opened by its ``protocol._MODES``
+opener and run by ``protocol.run_opened``, so ``_run_session`` names no
+mode.  Over TCP it is a strict request/response sequence on one
+connection: a pre-challenge announcing the session (and any dataset to
+plant), then one challenge per round, each answered before the next is
+sent; a transport failure ends the session with ``TransportError``.
+``RemoteWorker`` has the worker interface of the in-process
+``SimWorker``, and the daemon hands each message to a ``SimWorker`` on
+a ``WallClock`` (``pre_challenge`` or ``answer``), so it actually
+computes every answer and replies once the profile's modeled latency
+has passed on the wall clock: a challenger cannot tell (and should not
+care) whether it is talking to a simulation.  The daemon itself only
+moves frames; it reads no time.  There is one daemon, ``WorkerDaemon``,
+built only from a config: ``worker_server`` returns it bound,
+``serve_worker_background`` serving on its own thread, and ``worker
+serve`` serves the first.
 
 Every mode reports a ``protocol.SessionReport``, written as CSV rows
 (one layout for all modes) plus a JSON summary; with seeded configs
@@ -54,9 +56,9 @@ import yaml
 
 from .core import Response, _parse_fields, _split_block
 from .protocol import (
+    _MODES,
     MODES,
     ProtocolError,
-    SessionDriver,
     SessionReport,
     TransportError,
     challenge_record,
@@ -65,15 +67,9 @@ from .protocol import (
     parse_challenge,
     parse_response,
     response_record,
-    run_session,
+    run_opened,
 )
-from .residency import (
-    BandwidthModel,
-    ResidencySettings,
-    default_threshold_ns,
-    run_residency_session,
-)
-from .stattests import session_test
+from .residency import BandwidthModel, ResidencySettings
 from .vdf import VdfParams, VdfSettings, setup_group
 from .wire import (
     HEADER_LEN,
@@ -326,9 +322,9 @@ def write_report(report: SessionReport, out_path: str) -> None:
 class SessionPlan(NamedTuple):
     """A config, parsed once, with every default filled in.
 
-    ``block`` is the running mode's part: a pow, vdf or gemm session's
-    challenge params, as the dict it sends, or a residency session's
-    ``ResidencySettings`` with ``threshold_ns`` worked out if left out.
+    ``block`` is the running mode's part, as its ``_MODES`` opener takes
+    it: a pow, vdf or gemm session's challenge params, as the dict it
+    sends, or a residency session's ``ResidencySettings``.
     """
 
     session: SessionSettings
@@ -357,12 +353,8 @@ def _session_plan(config: dict, draw_group: bool = True) -> SessionPlan:
         for m in MODES
         if m in config or m == session.kind
     }
-    block = blocks[session.kind]
-    if session.kind == "residency" and block.threshold_ns is None:
-        threshold_ns = default_threshold_ns(block.dataset_mib << 20, model)
-        block = replace(block, threshold_ns=threshold_ns)
     worker, listen = (_parse_address(config.get(k, DEFAULT_ADDRESS), k) for k in ("worker", "listen"))
-    return SessionPlan(session, profile, model, block, worker, listen)
+    return SessionPlan(session, profile, model, blocks[session.kind], worker, listen)
 
 
 def _block_plan(mode: str, session: SessionSettings, config: dict, draw_group: bool):
@@ -453,31 +445,12 @@ def run_challenger(config: dict, out_path: str | None = None) -> SessionReport:
 
 
 def _run_session(worker, plan: SessionPlan, rng: random.Random) -> SessionReport:
-    session, model, kind = plan.session, plan.model, plan.session.kind
-    session_id = new_session_id(rng)
-    worker.session_id = session_id
-    if kind == "residency":
-        settings = plan.block
-        report = run_residency_session(
-            worker,
-            rounds=settings.rounds,
-            t_max_s=settings.t_max_s,
-            dataset_bytes=settings.dataset_mib << 20,
-            block_size_bytes=settings.block_kib << 10,
-            model=model,
-            threshold_ns=settings.threshold_ns,
-            rng=rng,
-        )
-        session = replace(session, rounds=settings.rounds)
-        ran = {"residency": asdict(settings), "bandwidth": asdict(model)}
-    else:
-        params = plan.block
-        worker.pre_challenge({"session_id": session_id, "kind": kind})
-        driver = SessionDriver(worker, kind, params, rng, session_id)
-        decide = session_test(session.rounds, session.lambda_min, session.t0_ns)
-        report = run_session(driver, session.rounds, kind, decide)
-        ran = {kind: params}
-    return replace(report, config={**asdict(session), **ran})
+    session, kind = plan.session, plan.session.kind
+    worker.session_id = new_session_id(rng)
+    opening = _MODES[kind][2](kind, plan.block, session, plan.model, rng)
+    report = run_opened(worker, kind, opening, rng)
+    ran = {**asdict(replace(session, rounds=opening.rounds)), **opening.config}
+    return replace(report, config=ran)
 
 
 def run_local_session(

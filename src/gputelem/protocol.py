@@ -8,20 +8,22 @@ response record carries the solution and nothing that vouches for it:
 host and device may both be untrusted, so a round is valid only if the
 challenger's own recomputation accepts it.  A payload is the same in process and on the
 wire (a gemm product is its canonical bytes), so records know no mode.
-Every mode, residency included, runs through one session loop
-(``run_session``) of one round (``SessionDriver.run_round``): wait out
-the session's delay if it has one, issue a challenge, time the worker's
-answer on the challenger's clock, validate the response, write one row.
-The round alone reads that clock, the worker handle's ``clock``; the
-loop only records rounds and decides.  The in-process fast path and
-the TCP daemons share both, so a decision reached against a
-virtual-clock worker is reached by identical code against a live one.
+Every mode runs one session path: its opener, the third column of
+``_MODES``, sets up an ``Opening``, and ``run_opened`` sends the
+pre-challenge and runs one session loop (``run_session``) of one round
+(``SessionDriver.run_round``): wait out the session's delay if it has
+one, issue a challenge, time the worker's answer on the challenger's
+clock, validate the response, write one row.  The round alone reads
+that clock, the worker handle's ``clock``; the loop only records rounds
+and decides.  The in-process fast path and the TCP daemons share all
+of it, so a decision reached against a virtual-clock worker is reached
+by identical code against a live one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from . import vdf as vdf_mod
@@ -36,8 +38,8 @@ from .core import (
 )
 from .gemm import GemmParams, GemmProof, matrix_from_bytes, verify_gemm_puzzle
 from .pow import PowParams, PowSolution, verify_pow
-from .residency import DatasetSpec, ResidencyParams, verify_probe
-from .stattests import Decision, Verdict
+from .residency import DatasetSpec, ResidencyParams, default_threshold_ns, open_residency, verify_probe
+from .stattests import Decision, Verdict, session_test
 
 class ProtocolError(ValueError):
     """Structurally invalid record content (missing fields, bad shapes)."""
@@ -251,13 +253,39 @@ def _validate_residency(challenge: Challenge, params, payload: dict, dataset) ->
     )
 
 
-# each mode's challenge params class and its validator, (challenge, typed
-# params, payload, dataset) -> valid; the keys are the modes
+class Opening(NamedTuple):
+    """A mode's part of one session, set up before anything is sent;
+    ``config`` holds the blocks that ran, for the report."""
+
+    rounds: int
+    decide: Callable[[list[TimingSample]], Decision]
+    config: dict
+    params: dict
+    dataset: DatasetSpec | None = None
+    wait: Callable[[], float] | None = None
+    classify: Callable[[TimingSample], str] | None = None
+
+
+def _open_puzzle(kind: str, block: dict, session, model, rng) -> Opening:
+    decide = session_test(session.rounds, session.lambda_min, session.t0_ns)
+    return Opening(session.rounds, decide, {kind: block}, block)
+
+
+def _open_residency(kind: str, settings, session, model, rng) -> Opening:
+    sizes = settings.dataset_mib << 20, settings.block_kib << 10
+    if settings.threshold_ns is None:  # worked out here, so the report records it
+        settings = replace(settings, threshold_ns=default_threshold_ns(sizes[0], model))
+    config = {kind: asdict(settings), "bandwidth": asdict(model)}
+    return open_residency(settings.rounds, settings.t_max_s, *sizes, settings.threshold_ns, rng, config)
+
+
+# each mode's params class, validator (challenge, typed params, payload, dataset) -> valid,
+# and opener (kind, parsed block, SessionSettings, BandwidthModel, rng) -> Opening
 _MODES = {
-    "pow": (PowParams, _validate_pow),
-    "vdf": (vdf_mod.VdfParams, _validate_vdf),
-    "gemm": (GemmParams, _validate_gemm),
-    "residency": (ResidencyParams, _validate_residency),
+    "pow": (PowParams, _validate_pow, _open_puzzle),
+    "vdf": (vdf_mod.VdfParams, _validate_vdf, _open_puzzle),
+    "gemm": (GemmParams, _validate_gemm, _open_puzzle),
+    "residency": (ResidencyParams, _validate_residency, _open_residency),
 }
 MODES = tuple(_MODES)
 
@@ -275,13 +303,12 @@ class Round(NamedTuple):
 class SessionDriver:
     """The round of every session, whatever the mode or transport.
 
-    Issues a fresh challenge each round, times the worker's answer on
-    the challenger's clock, and validates the response; a residency
-    session carries the ``DatasetSpec`` it planted as ``dataset``.  The
-    worker is any handle with ``clock`` and ``answer``, in process or
-    over TCP, and ``run_round`` is the only challenger code that reads
-    that clock.  ``wait``, if given, draws the seconds each round waits
-    on it before its challenge is issued (residency's random schedule).
+    Built by ``run_opened``.  Issues a fresh challenge each round, times
+    the worker's answer on the challenger's clock, and validates the
+    response, against ``dataset`` if one was planted.  The worker is any
+    handle with ``clock`` and ``answer``, in process or over TCP, and
+    ``run_round`` is the only challenger code that reads that clock.
+    ``wait``, if given, draws the seconds each round first waits on it.
     """
 
     worker: object
@@ -389,3 +416,13 @@ def run_session(
     if invalid:
         decision = replace(decision, verdict=Verdict.REJECT, invalid_count=invalid)
     return SessionReport(session_id, kind, decision, rows)
+
+
+def run_opened(worker, kind: str, opening: Opening, rng: random.Random, sink=None) -> SessionReport:
+    """Every mode's session: the pre-challenge (the worker's ``session_id``, ``kind``
+    and any dataset to plant), then one ``SessionDriver`` run by ``run_session``."""
+    session_id = worker.session_id or bytes(32)
+    plant = {} if opening.dataset is None else {"residency": asdict(opening.dataset)}
+    worker.pre_challenge({"session_id": session_id, "kind": kind, **plant})
+    driver = SessionDriver(worker, kind, opening.params, rng, session_id, opening.dataset, opening.wait)
+    return run_session(driver, opening.rounds, kind, opening.decide, opening.classify, sink)

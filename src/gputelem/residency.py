@@ -38,7 +38,7 @@ import math
 import random
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -405,8 +405,8 @@ def schedule_next(t_max: float, rng: random.Random) -> float:
     Uniform scheduling means the worker cannot predict a quiet window to
     page the dataset out and back in unnoticed.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     return rng.random() * t_max
 
 
@@ -418,6 +418,35 @@ def classify_residency(timing: TimingSample, threshold_ns: int) -> Residency:
     if threshold_ns <= 0:
         raise ValueError("threshold must be positive")
     return Residency.HOT if timing.duration * 1e9 < threshold_ns else Residency.COLD
+
+
+def open_residency(rounds, t_max_s, dataset_bytes, block_size_bytes, threshold_ns, rng, config=None):
+    """A residency session's ``protocol.Opening``, refused before anything is planted.
+
+    Bad settings are ValueErrors.  The dataset seed is drawn from ``rng``;
+    each round waits ``schedule_next``, a row is Hot or Cold against
+    ``threshold_ns``, and the statistic counts Cold or invalid rounds,
+    with threshold 0 and no level, so any such round fails.
+    """
+    from .protocol import Opening  # protocol imports this module
+
+    if rounds < 1:
+        raise ValueError("need at least one round")
+    for name, value in (("t_max_s", t_max_s), ("threshold_ns", threshold_ns)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    spec = DatasetSpec(generate_salt(rng), dataset_bytes, block_size_bytes)
+
+    def classify(sample: TimingSample) -> str:
+        return classify_residency(sample, threshold_ns).value
+
+    def decide(samples: list[TimingSample]) -> Decision:
+        flagged = sum(not s.valid or classify(s) == Residency.COLD for s in samples)
+        verdict = Verdict.REJECT if flagged else Verdict.ACCEPT
+        return Decision(verdict, float(flagged), threshold=0.0, samples_used=len(samples))
+
+    wait = functools.partial(schedule_next, t_max_s, rng)
+    return Opening(rounds, decide, config or {}, {}, spec, wait, classify)
 
 
 def run_residency_session(
@@ -432,40 +461,16 @@ def run_residency_session(
     rng: random.Random | None = None,
     sink=None,
 ):
-    """Full session: plant the dataset, then probe at random times.
+    """Full session: ``open_residency``, run by ``protocol.run_opened``.
 
-    The pre-challenge plants the dataset; the challenger keeps only its
-    ``DatasetSpec``.  ``protocol.run_session`` then runs the rounds and
-    returns its ``SessionReport``: each round waits ``schedule_next``
-    (the driver's ``wait``) on the worker handle's clock, then sends a
-    fresh nonce (the challenge salt) and checks the digest by
-    ``verify_probe`` against the seed.  A row's verdict is Hot or Cold
-    against ``threshold_ns``; the statistic counts Cold or invalid
-    rounds, with threshold 0 and no level, so any such round fails.
-    ``argon_memory_kib`` is accepted and ignored.
+    The dataset is planted, and each digest checked by ``verify_probe``
+    against its seed.  ``threshold_ns`` None is ``default_threshold_ns``
+    on ``model``; ``argon_memory_kib`` is accepted and ignored.
     """
-    from .protocol import SessionDriver, run_session  # protocol imports this module
+    from .protocol import run_opened  # protocol imports this module
 
-    if rounds < 1:  # before the dataset is planted
-        raise ValueError("need at least one round")
     rng = rng if rng is not None else random.Random()
-    model = model if model is not None else BandwidthModel()
     if threshold_ns is None:
-        threshold_ns = default_threshold_ns(dataset_bytes, model)
-    spec = DatasetSpec(generate_salt(rng), dataset_bytes, block_size_bytes)
-    session_id = worker.session_id or bytes(32)
-    worker.pre_challenge(
-        {"session_id": session_id, "kind": "residency", "residency": asdict(spec)}
-    )
-    wait = functools.partial(schedule_next, t_max_s, rng)
-    driver = SessionDriver(worker, "residency", {}, rng, session_id, spec, wait)
-
-    def classify(sample: TimingSample) -> str:
-        return classify_residency(sample, threshold_ns).value
-
-    def decide(samples: list[TimingSample]) -> Decision:
-        flagged = sum(not s.valid or classify(s) == Residency.COLD for s in samples)
-        verdict = Verdict.REJECT if flagged else Verdict.ACCEPT
-        return Decision(verdict, float(flagged), threshold=0.0, samples_used=len(samples))
-
-    return run_session(driver, rounds, "residency", decide, classify, sink)
+        threshold_ns = default_threshold_ns(dataset_bytes, model or BandwidthModel())
+    opening = open_residency(rounds, t_max_s, dataset_bytes, block_size_bytes, threshold_ns, rng)
+    return run_opened(worker, "residency", opening, rng, sink)

@@ -308,8 +308,8 @@ def continuous_measurement(
     ``worker`` is any handle ``protocol.run_session`` drives, and
     ``sink`` gets each round's row.  The decision is ``session_test``'s;
     then any invalid round rejects the session.  Only the decision is
-    returned: a caller that keeps the rows and the report calls
-    ``run_session`` with ``session_test`` itself, as ``netcli`` does.
+    returned: a caller that keeps the rows and the report runs a
+    session by ``protocol.run_opened``, as ``netcli`` does.
     """
     from .protocol import run_session  # protocol imports this module
 

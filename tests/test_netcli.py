@@ -283,32 +283,43 @@ def test_config_block_fields_round_trip_from_yaml_number_strings(cls, block):
     }
 
 
-def test_residency_config_without_session_keys_keeps_its_defaults(monkeypatch):
-    calls = []
+class _Recording(SimWorker):
+    """Keeps every pre-challenge it is sent."""
 
-    def fake_session(worker, rng, **kwargs):
-        calls.append(kwargs)
-        return SessionReport("", "residency", Decision(Verdict.ACCEPT, 0.0, 0.0, 1))
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.sent = []
 
-    monkeypatch.setattr(netcli, "run_residency_session", fake_session)
+    def pre_challenge(self, record):
+        self.sent.append(record)
+        return super().pre_challenge(record)
+
+
+def test_residency_config_without_session_keys_keeps_its_defaults():
     configs = [
         {},
         {"residency": {"argon_memory_kib": 8}},
         {"rounds": 7},
         {"rounds": 7, "residency": {"rounds": 3, "t_max_s": "5e-1", "threshold_ns": "1e6"}},
     ]
+    planted, ran = [], []
     for config in configs:
-        netcli.run_local_session("residency", WorkerProfile(), config, seed=1)
+        plan = netcli._session_plan({"kind": "residency", "seed": 1, **config})
+        worker = _Recording(WorkerProfile(), seed=1, model=plan.model)
+        report = netcli._run_session(worker, plan, random.Random(1))
+        (record,) = worker.sent
+        planted.append((record["residency"]["size_bytes"], record["residency"]["block_size_bytes"]))
+        assert report.config["rounds"] == report.config["residency"]["rounds"] == len(report.rows)
+        assert report.config["bandwidth"] == dataclasses.asdict(BandwidthModel())
+        ran.append({k: report.config["residency"][k] for k in ("rounds", "t_max_s", "threshold_ns")})
+    assert planted == [(64 << 20, 1 << 20)] * len(configs)
     defaults = {
         "rounds": 10,
         "t_max_s": 1.0,
-        "dataset_bytes": 64 << 20,
-        "block_size_bytes": 1 << 20,
-        "model": BandwidthModel(),
         # worked out before the session, so the sidecar records it
         "threshold_ns": default_threshold_ns(64 << 20, BandwidthModel()),
     }
-    assert calls == [
+    assert ran == [
         defaults,
         defaults,  # argon_memory_kib is accepted and ignored
         {**defaults, "rounds": 7},
@@ -316,7 +327,7 @@ def test_residency_config_without_session_keys_keeps_its_defaults(monkeypatch):
     ]
     # the library entry point defaults to the same desk-scale dataset
     signature = inspect.signature(run_residency_session)
-    assert signature.parameters["dataset_bytes"].default == defaults["dataset_bytes"]
+    assert signature.parameters["dataset_bytes"].default == 64 << 20
 
 
 # small puzzles, so a session that is not refused still ends quickly
@@ -476,22 +487,26 @@ def test_a_quoted_seed_runs_the_session_it_names(tmp_path):
     assert json.loads((tmp_path / "r.csv.json").read_text())["config"]["seed"] == seed
 
 
-@pytest.mark.parametrize("kind", ["pow", "vdf", "gemm"])
+@pytest.mark.parametrize("kind", ["pow", "vdf", "gemm", "residency"])
 def test_a_puzzle_pre_challenge_holds_only_the_session_and_kind(kind):
     """Each round's params travel in its own challenge, so the
-    pre-challenge of a pow, vdf or gemm session names none."""
-    sent = []
-
-    class Recording(SimWorker):
-        def pre_challenge(self, record):
-            sent.append(record)
-            return super().pre_challenge(record)
-
-    blocks = {**_SMALL_BLOCKS, "gemm": {"dimension_n": 8, "difficulty_d": 1}}
+    pre-challenge of a pow, vdf or gemm session names none; a residency
+    one adds only the seed and shape of the dataset to plant."""
+    blocks = {
+        **_SMALL_BLOCKS,
+        "gemm": {"dimension_n": 8, "difficulty_d": 1},
+        "residency": {"dataset_mib": 1, "block_kib": 256},
+    }
     plan = netcli._session_plan({"kind": kind, "rounds": 1, kind: blocks[kind]})
-    report = netcli._run_session(Recording(WorkerProfile(), seed=1), plan, random.Random(1))
+    worker = _Recording(WorkerProfile(), seed=1)
+    report = netcli._run_session(worker, plan, random.Random(1))
     assert len(report.rows) == 1 and report.rows[0]["valid"]
-    assert sent == [{"session_id": bytes.fromhex(report.session_id), "kind": kind}]
+    expected = {"session_id": bytes.fromhex(report.session_id), "kind": kind}
+    if kind == "residency":
+        seed = worker.sent[0]["residency"]["seed"]
+        assert isinstance(seed, bytes) and len(seed) == 32
+        expected["residency"] = {"seed": seed, "size_bytes": 1 << 20, "block_size_bytes": 256 << 10}
+    assert worker.sent == [expected]
 
 
 def test_run_local_session_refuses_a_config_profile_it_would_not_run():

@@ -8,6 +8,7 @@ deployment while the whole file runs in well under a second.
 
 import dataclasses
 import hashlib
+import math
 import random
 import time
 import tracemalloc
@@ -626,8 +627,9 @@ def test_schedule_next_uniform_bounds():
     draws = [residency.schedule_next(2.5, rng) for _ in range(500)]
     assert all(0 <= d < 2.5 for d in draws)
     assert max(draws) > 2.0 and min(draws) < 0.5  # fills the interval
-    with pytest.raises(ValueError):
-        residency.schedule_next(0, rng)
+    for t_max in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            residency.schedule_next(t_max, rng)
 
 
 def test_bandwidth_model_validation():
@@ -730,3 +732,53 @@ def test_session_validation():
         residency.run_residency_session(
             _worker(WorkerProfile()), rounds=0, t_max_s=1.0
         )
+
+
+class _RecordingWorker(SimWorker):
+    """Keeps every pre-challenge it is sent."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def pre_challenge(self, record):
+        self.sent.append(record)
+        return super().pre_challenge(record)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"rounds": 0},
+        {"t_max_s": 0},
+        {"t_max_s": -1.0},
+        {"t_max_s": math.nan},  # a NaN deadline would let the probes run back to back
+        {"t_max_s": math.inf},
+        {"threshold_ns": 0},  # refused, not taken for the default
+        {"threshold_ns": -5},
+        {"threshold_ns": math.nan},
+    ],
+)
+def test_a_bad_session_setting_is_refused_before_the_dataset_is_planted(bad):
+    worker = _RecordingWorker(WorkerProfile(), seed=1, model=MODEL)
+    settings = {"rounds": 2, "t_max_s": 1.0, "threshold_ns": None, **bad}
+    with pytest.raises(ValueError):
+        residency.run_residency_session(
+            worker, dataset_bytes=DATASET, block_size_bytes=BLOCK, model=MODEL,
+            rng=random.Random(1), **settings,
+        )
+    assert worker.sent == []
+
+
+def test_open_residency_draws_the_seed_then_builds_wait_classify_and_decide():
+    rng = random.Random(5)
+    opening = residency.open_residency(3, 0.5, DATASET, BLOCK, 1_000, rng)
+    assert opening.rounds == 3 and opening.config == {} and opening.params == {}
+    # the dataset seed is the first draw of the session rng after the session id
+    assert opening.dataset == residency.DatasetSpec(
+        core.generate_salt(random.Random(5)), DATASET, BLOCK
+    )
+    assert all(0 <= opening.wait() < 0.5 for _ in range(20))
+    fast, slow = (TimingSample(0, "residency", ns * 1e-9, True) for ns in (999, 1000))
+    assert (opening.classify(fast), opening.classify(slow)) == ("Hot", "Cold")
+    assert opening.decide([fast, fast]).accepted and not opening.decide([fast, slow]).accepted
