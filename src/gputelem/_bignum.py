@@ -1,4 +1,4 @@
-"""Modular exponentiation on OpenSSL's BIGNUM, or the built-in pow without it.
+"""Modular exponentiation on OpenSSL's BIGNUM and Baillie-PSW on libgmp, or Python without them.
 
 A 512-bit modular squaring costs about 1.8 us in CPython's pow, which
 has no Montgomery multiplication, and 0.15 us in libcrypto's BN_mod_exp.
@@ -18,6 +18,16 @@ for each of the last ``_MONTS`` moduli ``modexp2`` met, so the vdf
 relations of a batch, and of every round after it, build their
 Montgomery state for N once (about 73 us to 64 us a relation at 512
 bits).
+
+Since GMP 6.2, mpz_probab_prime_p(n, reps) with reps <= 24 is the
+Baillie-PSW test alone: trial division, a strong test to base 2 and a
+strong Lucas test with Selfridge's parameters, with no Miller-Rabin
+rounds to random bases (Baillie & Wagstaff, *Lucas Pseudoprimes*, Math.
+Comp. 1980).  libgmp loads the way libcrypto does, by its versioned
+soname (libgmp.so.N) and only at version 6.2 or later, and is used only
+if it gives the verdicts of ``_PRIME_CHECK``; where it is not,
+``prime_test`` is None and the caller runs its own strong tests.  Each
+thread keeps one mpz_t, cleared when the thread ends.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import functools
 import re
 import threading
 import weakref
+from collections.abc import Callable
 
 _P = ctypes.c_void_p
 _SIGNATURES = {
@@ -51,6 +62,37 @@ _SIGNATURES = {
 _CHECK = (3**320, 7**107, 5**220 + 2)
 _CHECK2 = (11**140, 13**65)
 _MONTS = 4  # Montgomery contexts a thread keeps, the oldest freed first
+
+# libgmp's mpz functions by their linker names (gmp.h maps mpz_x to __gmpz_x)
+_GMP_SIGNATURES = {
+    "init": ("__gmpz_init", None, [_P]),
+    "clear": ("__gmpz_clear", None, [_P]),
+    # (rop, count, order, size, endian, nails, op): count bytes, high byte first
+    "import_": (
+        "__gmpz_import",
+        None,
+        [_P, ctypes.c_size_t, ctypes.c_int, ctypes.c_size_t, ctypes.c_int, ctypes.c_size_t,
+         ctypes.c_char_p],
+    ),
+    "probab_prime": ("__gmpz_probab_prime_p", ctypes.c_int, [_P, ctypes.c_int]),
+}
+_GMP_MIN_VERSION = (6, 2)  # the first release whose probab_prime_p is Baillie-PSW
+_GMP_REPS = 24  # the most reps that add no Miller-Rabin round to Baillie-PSW
+# the verdicts libgmp must give to be used: primes of 89 to 255 bits; the
+# base-2 strong pseudoprimes 151*751*28351 and 1093^2 (a Wieferich
+# square) and one to every prime base up to 37, which only the Lucas half
+# refuses; the strong Lucas pseudoprime 293*3529, which only the base-2
+# half refuses; and a product of two Mersenne primes
+_PRIME_CHECK = {
+    2**89 - 1: True,
+    2**127 - 1: True,
+    2**255 - 19: True,
+    3215031751: False,
+    1093**2: False,
+    3825123056546413051: False,
+    1033997: False,
+    (2**89 - 1) * (2**127 - 1): False,
+}
 
 
 class _Scratch:
@@ -197,3 +239,88 @@ def backend() -> str:
     """The OpenSSL version string modexp and modexp2 run on, or "builtin pow"."""
     lib = _libcrypto()
     return "builtin pow" if lib is None else lib.OpenSSL_version(0).decode()
+
+
+class _Mpz(ctypes.Structure):
+    """gmp.h's __mpz_struct, the one element of an mpz_t."""
+
+    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
+
+
+class _Gmp:
+    """libgmp's version, and its ``_GMP_SIGNATURES`` functions declared under their short names."""
+
+    def __init__(self, lib: ctypes.CDLL, version: str) -> None:
+        self.version = version
+        for name, (symbol, restype, argtypes) in _GMP_SIGNATURES.items():
+            function = getattr(lib, symbol)
+            function.restype, function.argtypes = restype, argtypes
+            setattr(self, name, function)
+
+    def probable_prime(self, n: int) -> bool:
+        """mpz_probab_prime_p(n, 24) > 0 on this thread's mpz_t, for n > 0."""
+        mpz = getattr(_local, "mpz", None)
+        if mpz is None or mpz.gmp is not self:
+            mpz = _local.mpz = _MpzScratch(self)
+        raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+        self.import_(mpz.address, len(raw), 1, 1, 0, 0, raw)
+        return self.probab_prime(mpz.address, _GMP_REPS) > 0
+
+
+class _MpzScratch:
+    """One thread's mpz_t; a finalizer clears it once nothing refers to the object.
+
+    For the one a thread keeps in ``_local`` that is when the thread ends.
+    """
+
+    def __init__(self, gmp: _Gmp) -> None:
+        self.gmp = gmp
+        mpz = _Mpz()
+        self.address = ctypes.addressof(mpz)
+        gmp.init(self.address)
+        # the finalizer holds the structure, so it outlives this object
+        self.free = weakref.finalize(self, _clear, gmp, mpz)
+
+
+def _clear(gmp: _Gmp, mpz: _Mpz) -> None:
+    gmp.clear(ctypes.addressof(mpz))
+
+
+def _gmp_version(lib: ctypes.CDLL) -> str:
+    return ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
+
+
+@functools.cache
+def _libgmp() -> _Gmp | None:
+    """libgmp 6.2 or later, declared; None where it cannot be used."""
+    name = ctypes.util.find_library("gmp")
+    if name is None or not re.fullmatch(r"libgmp\.so\.\d+", name):
+        return None
+    try:
+        lib = ctypes.CDLL(name)
+        version = _gmp_version(lib)
+        release = re.match(r"(\d+)\.(\d+)", version)
+        if release is None or tuple(map(int, release.groups())) < _GMP_MIN_VERSION:
+            return None
+        gmp = _Gmp(lib, version)
+        agrees = all(gmp.probable_prime(n) == verdict for n, verdict in _PRIME_CHECK.items())
+    except (OSError, AttributeError, ValueError):
+        return None
+    return gmp if agrees else None
+
+
+def prime_test() -> Callable[[int], bool] | None:
+    """libgmp's Baillie-PSW verdict on an integer n > 0, or None where libgmp is not used.
+
+    It agrees with a base-2 strong test and a Selfridge strong Lucas test
+    on every n unless n is a Baillie-PSW pseudoprime: no such n is known,
+    and none lies below 2^64.
+    """
+    gmp = _libgmp()
+    return None if gmp is None else gmp.probable_prime
+
+
+def prime_backend() -> str:
+    """The GMP version ``prime_test`` runs on, or "python strong tests"."""
+    gmp = _libgmp()
+    return "python strong tests" if gmp is None else f"GMP {gmp.version}"

@@ -101,19 +101,20 @@ def send_frame(sock: socket.socket, msg: WireMessage) -> None:
         raise TransportError(f"send failed: {exc}") from exc
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    chunks = []
-    remaining = nbytes
-    while remaining > 0:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except OSError as exc:
-            raise TransportError(f"recv failed: {exc}") from exc
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
+    """The next ``nbytes`` bytes of ``sock``, received straight into one buffer."""
+    buffer = bytearray(nbytes)
+    with memoryview(buffer) as view:
+        received = 0
+        while received < nbytes:
+            try:
+                count = sock.recv_into(view[received:])
+            except OSError as exc:
+                raise TransportError(f"recv failed: {exc}") from exc
+            if not count:
+                raise TransportError("connection closed mid-frame")
+            received += count
+    return buffer
 
 
 def recv_frame(sock: socket.socket) -> WireMessage:

@@ -33,8 +33,13 @@ Challenge primes come from a Baillie-PSW test, which is deterministic,
 so challenger and worker derive the same prime from a transcript.  The
 search sieves a window of odd candidates at once by the odd primes up
 to 2048, and only the survivors pay for a base-2 strong test, then a
-strong Lucas test run as a V-only ladder; this search is most of what
-a small-delay batch costs to verify, and the prover runs it too.
+strong Lucas test; this search is most of what a small-delay batch
+costs to verify, and the prover runs it too.  The two strong tests run
+in libgmp's mpz_probab_prime_p where libgmp 6.2 or later loads
+(``_bignum.prime_test``), and otherwise in this module, the Lucas test
+as a V-only ladder.  The two backends give the same verdict on every
+integer unless a Baillie-PSW pseudoprime exists: none is known, and
+none exists below 2^64, so both find the same primes.
 
 Group setup uses safe primes so the quadratic-residue subgroup has
 prime-order structure; test fixtures keep the factorization around as a
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bignum
 from ._bignum import modexp as _modexp
 from ._bignum import modexp2 as _modexp2
 from .core import encode_fields, hash_bytes
@@ -248,22 +254,38 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+def _baillie_psw(*values: int) -> bool:
+    """Baillie-PSW on each of ``values``, odd integers above _SIEVE_LIMIT: do all pass?
+
+    Each verdict is libgmp's mpz_probab_prime_p(n, 24) > 0 where libgmp
+    loaded (``_bignum.prime_test``).  Otherwise the base-2 strong test
+    runs on every value before the strong Lucas test runs on any, so a
+    pair of the safe-prime search pays for a Lucas test only once both
+    halves pass base 2.  The two give the same verdict on every n but a
+    Baillie-PSW pseudoprime, and none is known.
+    """
+    test = _bignum.prime_test()
+    if test is not None:
+        return all(map(test, values))
+    return all(map(_strong_probable_prime_base_2, values)) and all(
+        map(_strong_lucas_probable_prime, values)
+    )
+
+
 def is_probable_prime(n: int) -> bool:
     """Baillie-PSW: a small-prime sieve, then strong tests to base 2 and Lucas.
 
     The sieve is one gcd against the primorial of the primes up to 2048.
-    Numbers up to 2048 are looked up exactly.  No composite is known to
-    pass both strong tests, and none exists below 2^64; the test is
-    deterministic, so hash-derived primes are reproducible across
-    challenger and worker.
+    Numbers up to 2048 are looked up exactly.  The strong tests run in
+    libgmp where it loaded and in this module otherwise (``_baillie_psw``);
+    both give the same verdict on every integer unless a Baillie-PSW
+    pseudoprime exists: none is known, and none exists below 2^64.  The
+    test is deterministic, so hash-derived primes are reproducible
+    across challenger and worker.
     """
     if n <= _SIEVE_LIMIT:
         return n in _SMALL_PRIMES
-    return (
-        math.gcd(n, _PRIMORIAL) == 1
-        and _strong_probable_prime_base_2(n)
-        and _strong_lucas_probable_prime(n)
-    )
+    return math.gcd(n, _PRIMORIAL) == 1 and _baillie_psw(n)
 
 
 def _random_safe_prime(bits: int, rng: random.Random) -> int:
@@ -295,14 +317,8 @@ def _random_safe_prime(bits: int, rng: random.Random) -> int:
             if p_half <= _SIEVE_LIMIT:
                 if is_probable_prime(p_half) and is_probable_prime(p):
                     return p
-            # both base-2 tests run before either Lucas test; the
-            # conjunction is is_probable_prime on each
-            elif (
-                _strong_probable_prime_base_2(p_half)
-                and _strong_probable_prime_base_2(p)
-                and _strong_lucas_probable_prime(p_half)
-                and _strong_lucas_probable_prime(p)
-            ):
+            # the sieve stands in for is_probable_prime's gcd on both
+            elif _baillie_psw(p_half, p):
                 return p
     raise RuntimeError(f"safe-prime search exhausted after {_SAFE_PRIME_DRAWS} draws")
 
@@ -533,14 +549,14 @@ def _next_probable_prime(cand: int) -> int:
     Each window of _PRIME_WINDOW odd candidates is sieved once by the
     odd primes up to _SIEVE_LIMIT, which drops exactly the n that
     is_probable_prime's gcd refuses, so no candidate pays for a gcd; the
-    survivors get the base-2 strong test and then the Lucas test, in
-    order.  The residues are taken afresh for each window, so a search
-    that crosses 2^128 sieves the wider values by their own limbs.
+    survivors get ``_baillie_psw``, in order.  The residues are taken
+    afresh for each window, so a search that crosses 2^128 sieves the
+    wider values by their own limbs.
     """
     while True:
         for j in _CHALLENGE_PRIME_SIEVE.survivors(cand, _PRIME_WINDOW):
             n = cand + 2 * j
-            if _strong_probable_prime_base_2(n) and _strong_lucas_probable_prime(n):
+            if _baillie_psw(n):
                 return n
         cand += 2 * _PRIME_WINDOW
 

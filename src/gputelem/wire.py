@@ -87,7 +87,7 @@ class WireDecodeError(ValueError):
 @dataclass(frozen=True)
 class WireMessage:
     msg_type: int
-    payload: bytes
+    payload: bytes | bytearray  # a received frame's is the buffer it was read into
 
     def __post_init__(self) -> None:
         if self.msg_type not in _MSG_TYPES:
@@ -235,9 +235,13 @@ def decode_record(data: bytes) -> dict:
     and on any bytes ``encode_record`` would not write."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise WireDecodeError("record must be bytes")
-    data = bytes(data)
-    if data == b"":
+    if isinstance(data, memoryview):
+        data = bytes(data)
+    if not data:
         return {}
+    # byte strings are cut from a view, so a received bytearray is copied
+    # only leaf by leaf, never whole
+    view = memoryview(data)
     # header lines are never empty, so the first empty line ends the header
     cut = data.find(b"\n\n")
     if cut < 0:
@@ -266,7 +270,7 @@ def decode_record(data: bytes) -> dict:
                 raise WireDecodeError(f"byte string at {path!r} exceeds the 256 MiB cap")
             if offset + size > len(data):
                 raise WireDecodeError(f"byte string at {path!r} runs past the record's end")
-            leaf = data[offset : offset + size]
+            leaf = bytes(view[offset : offset + size])
             offset += size
         else:
             leaf = text

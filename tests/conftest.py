@@ -22,5 +22,8 @@ def tiny_group():
 
 
 def pytest_report_header(config):
-    """Name the backend the vdf exponentiations of this run execute on."""
-    return f"vdf modexp backend: {_bignum.backend()}"
+    """Name the backends the vdf exponentiations and primality tests of this run execute on."""
+    return [
+        f"vdf modexp backend: {_bignum.backend()}",
+        f"vdf primality backend: {_bignum.prime_backend()}",
+    ]

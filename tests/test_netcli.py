@@ -128,6 +128,33 @@ def test_recv_frame_refuses_bad_header_before_the_payload():
         b.close()
 
 
+def test_recv_frame_holds_one_copy_of_a_large_payload():
+    """An n = 1024 gemm product's 8 MiB, received into one buffer and decoded leaf by leaf."""
+    message = WireMessage(MSG_RESPONSE_BATCH, encode_record({"product": bytes(range(256)) * (1 << 15)}))
+    frame = netcli.encode_message(message)
+    size = len(message.payload)
+    a, b = socket.socketpair()
+    sender = threading.Thread(target=a.sendall, args=(frame,), daemon=True)
+    tracemalloc.start()  # the sender's frame is encoded before tracing starts
+    try:
+        sender.start()
+        received = netcli.recv_frame(b)
+        _, receive_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        record = decode_record(received.payload)
+        _, decode_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sender.join(timeout=10)
+        a.close()
+        b.close()
+    assert received == message
+    assert record["product"] == bytes(range(256)) * (1 << 15)
+    assert receive_peak < 1.1 * size, f"receiving peaked at {receive_peak / size:.2f}x the payload"
+    # the payload and the one byte string cut from it
+    assert decode_peak < 2.1 * size, f"decoding peaked at {decode_peak / size:.2f}x the payload"
+
+
 # --- reports -----------------------------------------------------------------------
 
 

@@ -972,6 +972,159 @@ def test_modexp2_frees_every_montgomery_context_it_makes(monkeypatch):
     assert sorted(freed) == sorted(made_in_thread)
 
 
+# --- the primality backends -------------------------------------------------------
+
+
+def _python_baillie_psw(n):
+    return vdf._strong_probable_prime_base_2(n) and vdf._strong_lucas_probable_prime(n)
+
+
+def _libgmp_test():
+    test = _bignum.prime_test()
+    if test is None:
+        pytest.skip("libgmp did not load: the strong tests run in Python alone")
+    return test
+
+
+def test_the_load_check_verdicts_are_the_python_tests_verdicts():
+    for n, verdict in _bignum._PRIME_CHECK.items():
+        assert _python_baillie_psw(n) == verdict == sympy.isprime(n), n
+
+
+def test_both_primality_backends_agree_on_every_odd_n_to_2e5():
+    test = _libgmp_test()
+    for n in range(2049, 200_001, 2):
+        assert test(n) == _python_baillie_psw(n), n
+
+
+def test_both_primality_backends_agree_on_pseudoprimes():
+    test = _libgmp_test()
+    base_2 = (2047, 3277, 3215031751, 168003672409, 3511**2, 3825123056546413051)
+    lucas = (5459, 5777, 10877, 16109, 18971)
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+    carmichael += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in (426, 506, 1805)]
+    for n in (*base_2, *lucas, *carmichael, *_bignum._PRIME_CHECK):
+        assert test(n) == _python_baillie_psw(n) == sympy.isprime(n), n
+
+
+def test_both_primality_backends_agree_on_random_odd_numbers():
+    test = _libgmp_test()
+    rng = random.Random("primality-backends")
+    for bits in (128, 256, 1024):
+        primes = 0
+        for _ in range(10_000):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            verdict = test(n)
+            if math.gcd(n, vdf._PRIMORIAL) > 1:
+                assert not verdict, n  # a prime up to 2048 divides it, so it is composite
+            else:
+                assert verdict == _python_baillie_psw(n), n
+            primes += verdict
+        assert primes > 0, bits  # both verdicts are in play at every width
+
+
+def test_primality_is_python_unless_a_versioned_libgmp_6_2_loads_and_agrees(monkeypatch):
+    installed = _bignum._libgmp()
+
+    def refused():
+        _bignum._libgmp.cache_clear()
+        assert _bignum._libgmp() is None
+        assert _bignum.prime_test() is None
+        assert _bignum.prime_backend() == "python strong tests"
+        assert vdf.hash_to_prime(b"transcript-a") == 0xD3AED92E9769E5F48A21ABE9EC87282D
+
+    try:
+        # an unversioned library is never loaded, as for libcrypto
+        for name in (None, "libgmp.so", "/usr/lib/libgmp.dylib", "libgmp.dylib"):
+            monkeypatch.setattr(ctypes.util, "find_library", lambda _, name=name: name)
+            refused()
+        monkeypatch.undo()
+        # before 6.2, mpz_probab_prime_p ran Miller-Rabin rounds, not Baillie-PSW
+        for version in ("6.1.2", "5.1.3", "4.3.2", "6", "unknown"):
+            monkeypatch.setattr(_bignum, "_gmp_version", lambda lib, version=version: version)
+            refused()
+        monkeypatch.undo()
+        signatures = dict(_bignum._GMP_SIGNATURES, missing=("__gmpz_no_such_function", None, []))
+        monkeypatch.setattr(_bignum, "_GMP_SIGNATURES", signatures)
+        refused()
+        monkeypatch.undo()
+        # a library that calls the strong Lucas pseudoprime prime is refused
+        monkeypatch.setattr(_bignum, "_PRIME_CHECK", {**_bignum._PRIME_CHECK, 1033997: True})
+        refused()
+        monkeypatch.undo()
+        monkeypatch.setattr(_bignum._Gmp, "probable_prime", lambda self, n: True)
+        refused()
+        monkeypatch.undo()
+        if installed is not None:
+            for version in ("6.2.0", "6.3.0", "10.0"):
+                monkeypatch.setattr(_bignum, "_gmp_version", lambda lib, version=version: version)
+                _bignum._libgmp.cache_clear()
+                assert _bignum.prime_backend() == f"GMP {version}"
+    finally:
+        monkeypatch.undo()
+        _bignum._libgmp.cache_clear()
+
+
+def test_a_threads_mpz_is_cleared_when_the_thread_ends(monkeypatch):
+    test = _libgmp_test()
+    cleared, made = [], []
+    clear = _bignum._clear
+
+    def counted_clear(gmp, mpz):
+        cleared.append(ctypes.addressof(mpz))
+        clear(gmp, mpz)
+
+    monkeypatch.setattr(_bignum, "_clear", counted_clear)
+
+    def work():
+        assert test(2**127 - 1) and not test(3215031751)
+        made.append(_bignum._local.mpz.address)
+
+    for _ in range(32):
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    deadline = time.monotonic() + 10
+    while len(cleared) < 32 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    # one mpz_t per thread, each cleared once; a freed address may be reused
+    assert len(made) == 32
+    assert sorted(cleared) == sorted(made)
+
+
+def test_probable_prime_is_exact_on_concurrent_threads():
+    """8 threads, switching every microsecond, each get the verdicts sympy gives."""
+    rng = random.Random("prime-threads")
+    cases = [int(sympy.nextprime(rng.getrandbits(128))) for _ in range(16)]
+    cases += [p * int(sympy.nextprime(rng.getrandbits(64))) for p in cases]
+    expected = [sympy.isprime(n) for n in cases]
+    wrong, passes = [], []
+    deadline = time.monotonic() + 1.0
+
+    def work(offset):
+        while time.monotonic() < deadline:
+            for k in range(len(cases)):
+                i = (k + offset) % len(cases)
+                if vdf.is_probable_prime(cases[i]) != expected[i]:
+                    wrong.append(i)
+            passes.append(offset)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert set(passes) == set(range(8))
+    assert wrong == []
+
+
 @pytest.fixture
 def builtin_pow(monkeypatch):
     """Every vdf exponentiation on the fallback backend, the built-in pow."""
@@ -1001,3 +1154,49 @@ def test_on_builtin_pow(check, builtin_pow, request):
     """The known answers, batch tampering and solve_batch, on the fallback backend."""
     names = inspect.signature(check).parameters
     check(*(request.getfixturevalue(name) for name in names))
+
+
+@pytest.fixture
+def python_primality(monkeypatch):
+    """Every Baillie-PSW verdict on the fallback backend, this module's strong tests."""
+    monkeypatch.setattr(_bignum, "_libgmp", lambda: None)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_hash_to_prime_known_answers,
+        test_hash_to_prime_is_the_scan_from_its_hash_point,
+        test_setup_group_known_moduli,
+        test_proofs_known_answers,
+        test_probable_prime_rejects_strong_pseudoprimes,
+        test_baillie_psw_rejects_base_2_strong_pseudoprimes,
+        test_baillie_psw_rejects_carmichael_numbers,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_on_python_primality(check, python_primality, request):
+    """The prime-search and safe-prime known answers, on the fallback primality backend."""
+    assert _bignum.prime_test() is None
+    names = inspect.signature(check).parameters
+    check(*(request.getfixturevalue(name) for name in names))
+
+
+def test_without_libgmp_a_safe_prime_pair_passes_base_2_before_either_lucas_test(
+    python_primality, monkeypatch
+):
+    calls = []
+    base_2, lucas = vdf._strong_probable_prime_base_2, vdf._strong_lucas_probable_prime
+
+    def logged(name, test):
+        return lambda n: (calls.append((name, n)), test(n))[1]
+
+    monkeypatch.setattr(vdf, "_strong_probable_prime_base_2", logged("base 2", base_2))
+    monkeypatch.setattr(vdf, "_strong_lucas_probable_prime", logged("lucas", lucas))
+    for seed in range(3):
+        calls.clear()
+        p = vdf._random_safe_prime(256, random.Random(seed))
+        lucas_calls = [i for i, (name, _) in enumerate(calls) if name == "lucas"]
+        # only the pair found reaches a Lucas test, and only after both base-2 tests
+        assert calls[-4:] == [("base 2", p // 2), ("base 2", p), ("lucas", p // 2), ("lucas", p)]
+        assert lucas_calls == [len(calls) - 2, len(calls) - 1]
