@@ -80,7 +80,7 @@ _GMP_MIN_VERSION = (6, 2)  # the first release whose probab_prime_p is Baillie-P
 _GMP_REPS = 24  # the most reps that add no Miller-Rabin round to Baillie-PSW
 # the verdicts libgmp must give to be used: primes of 89 to 255 bits; the
 # base-2 strong pseudoprimes 151*751*28351 and 1093^2 (a Wieferich
-# square) and one to every prime base up to 37, which only the Lucas half
+# square) and one to every prime base up to 31, which only the Lucas half
 # refuses; the strong Lucas pseudoprime 293*3529, which only the base-2
 # half refuses; and a product of two Mersenne primes
 _PRIME_CHECK = {

@@ -101,19 +101,38 @@ def send_frame(sock: socket.socket, msg: WireMessage) -> None:
         raise TransportError(f"send failed: {exc}") from exc
 
 
+# the most a frame header reserves before its payload arrives
+_RECV_RESERVE = 1 << 20
+
+
 def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
-    """The next ``nbytes`` bytes of ``sock``, received straight into one buffer."""
-    buffer = bytearray(nbytes)
-    with memoryview(buffer) as view:
-        received = 0
-        while received < nbytes:
+    """The next ``nbytes`` bytes of ``sock``, received straight into one buffer.
+
+    The buffer starts at ``nbytes / 2^k`` rounded up, the first such size
+    of at most ``_RECV_RESERVE``, and doubles whenever it is full, so a
+    peer's announced length reserves memory only as its bytes arrive.
+    Doubling a bytearray reallocates it in place where the allocator can
+    (glibc remaps a large block), and the last doubling overshoots
+    ``nbytes`` by less than ``2^k`` bytes, which are cut off unread.
+    """
+    size = nbytes
+    while size > _RECV_RESERVE:
+        size = (size + 1) // 2
+    buffer = bytearray(size)
+    received = 0
+    while received < nbytes:
+        if received == len(buffer):
+            buffer *= 2  # no view of the buffer is open here, so it may move
+        with memoryview(buffer)[received:nbytes] as view:
             try:
-                count = sock.recv_into(view[received:])
+                count = sock.recv_into(view)
             except OSError as exc:
                 raise TransportError(f"recv failed: {exc}") from exc
-            if not count:
-                raise TransportError("connection closed mid-frame")
-            received += count
+        if not count:
+            raise TransportError("connection closed mid-frame")
+        received += count
+    if len(buffer) > nbytes:
+        del buffer[nbytes:]
     return buffer
 
 

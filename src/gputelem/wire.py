@@ -86,8 +86,15 @@ class WireDecodeError(ValueError):
 
 @dataclass(frozen=True)
 class WireMessage:
+    """One frame: its type and payload.
+
+    A received frame's payload is the bytearray it was read into, so
+    hashing that message raises TypeError, and its length is checked only
+    when the message is built: callers must not mutate it.
+    """
+
     msg_type: int
-    payload: bytes | bytearray  # a received frame's is the buffer it was read into
+    payload: bytes | bytearray
 
     def __post_init__(self) -> None:
         if self.msg_type not in _MSG_TYPES:

@@ -38,6 +38,7 @@ from gputelem.residency import (
 )
 from gputelem.stattests import Decision, TestConfig, Verdict
 from gputelem.wire import (
+    MAX_PAYLOAD,
     MSG_CHALLENGE_BATCH,
     MSG_ERROR,
     MSG_PRE_CHALLENGE,
@@ -154,6 +155,39 @@ def test_recv_frame_holds_one_copy_of_a_large_payload():
     # the payload and the one byte string cut from it
     assert decode_peak < 2.1 * size, f"decoding peaked at {decode_peak / size:.2f}x the payload"
 
+
+
+def test_recv_frame_reserves_little_for_a_header_alone():
+    """A header announcing the 256 MiB cap, and no payload, holds at most one reserve."""
+    a, b = socket.socketpair()
+    tracemalloc.start()
+    try:
+        a.sendall(bytes((VERSION, MSG_RESPONSE_BATCH)) + MAX_PAYLOAD.to_bytes(4, "big") + b"abc")
+        a.shutdown(socket.SHUT_WR)
+        with pytest.raises(netcli.TransportError, match="closed mid-frame"):
+            netcli.recv_frame(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        a.close()
+        b.close()
+    assert peak < 1.1 * netcli._RECV_RESERVE, f"a bare header reserved {peak} bytes"
+
+
+@pytest.mark.parametrize("size", [1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) + 7])
+def test_recv_exact_grows_to_the_exact_length(size):
+    payload = bytes(range(251)) * (size // 251) + bytes(size % 251)
+    a, b = socket.socketpair()
+    sender = threading.Thread(target=a.sendall, args=(payload + b"next",), daemon=True)
+    try:
+        sender.start()
+        received = netcli._recv_exact(b, size)
+        assert len(received) == size and received == payload
+        assert netcli._recv_exact(b, 4) == b"next"  # nothing of the next frame was read
+    finally:
+        sender.join(timeout=10)
+        a.close()
+        b.close()
 
 # --- reports -----------------------------------------------------------------------
 
