@@ -1,33 +1,28 @@
-"""Modular exponentiation on OpenSSL's BIGNUM and Baillie-PSW on libgmp, or Python without them.
+"""Where vdf's big-integer work runs: libcrypto, libgmp, or Python without them.
 
-A 512-bit modular squaring costs about 1.8 us in CPython's pow, which
-has no Montgomery multiplication, and 0.15 us in libcrypto's BN_mod_exp.
-libcrypto loads once, on first use, by the versioned soname find_library
-reports (libcrypto.so.N): macOS aborts a process that loads an
-unversioned one.  If a symbol is missing or the library disagrees with
-pow on a fixed input, modexp and modexp2 are pow: the same integers,
-only slower.
+vdf calls ``modexp``, ``modexp2`` and ``baillie_psw``; this module alone
+picks their backend.
 
-Each thread keeps one BN_CTX and six scratch BIGNUMs, made on its first
-call and freed when the thread ends, so a call pays only for its
-operands and the exponentiation, not for allocating its context (about
-17 us per call when every call built its own).  ``modexp2`` runs a
-product of two powers as one BN_mod_exp2_mont, which shares the
-squarings of the two exponents.  The thread also keeps a BN_MONT_CTX
-for each of the last ``_MONTS`` moduli ``modexp2`` met, so the vdf
-relations of a batch, and of every round after it, build their
-Montgomery state for N once (about 73 us to 64 us a relation at 512
-bits).
+- ``modexp`` and ``modexp2`` run on OpenSSL's BIGNUM where libcrypto
+  loaded, and are the built-in pow otherwise.  A 512-bit squaring costs
+  about 0.15 us in BN_mod_exp and 1.8 us in CPython's pow, which has no
+  Montgomery multiplication.  ``modexp2`` is one BN_mod_exp2_mont, which
+  shares the squarings of its two exponents.
+- ``baillie_psw`` is libgmp's mpz_probab_prime_p(n, 24) where a GMP of
+  6.2 or later loaded, and otherwise this module's strong test to base
+  2 and strong Lucas test with Selfridge's parameters.  Since 6.2 that
+  call is trial division and the same two tests, with no Miller-Rabin
+  round to a random base (Baillie & Wagstaff, *Lucas Pseudoprimes*,
+  Math. Comp. 1980), so the backends agree on every integer unless a
+  Baillie-PSW pseudoprime exists: none is known, and none lies below 2^64.
 
-Since GMP 6.2, mpz_probab_prime_p(n, reps) with reps <= 24 is the
-Baillie-PSW test alone: trial division, a strong test to base 2 and a
-strong Lucas test with Selfridge's parameters, with no Miller-Rabin
-rounds to random bases (Baillie & Wagstaff, *Lucas Pseudoprimes*, Math.
-Comp. 1980).  libgmp loads the way libcrypto does, by its versioned
-soname (libgmp.so.N) and only at version 6.2 or later, and is used only
-if it gives the verdicts of ``_PRIME_CHECK``; where it is not,
-``prime_test`` is None and the caller runs its own strong tests.  Each
-thread keeps one mpz_t, cleared when the thread ends.
+Each library loads once, on first use, through ``_load``: only by the
+versioned soname find_library reports (libcrypto.so.N, libgmp.so.N),
+since macOS aborts a process that loads an unversioned one, and only if
+its functions declare and it gives Python's answers on fixed inputs
+(``_CHECK``, ``_PRIME_CHECK``).  Otherwise Python gives the same
+integers and verdicts, only slower.  Each thread keeps the contexts it
+calls with (``_Scratch``, ``_MpzScratch``) until it ends.
 """
 
 from __future__ import annotations
@@ -35,11 +30,14 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import functools
+import math
 import re
 import threading
 import weakref
 from collections.abc import Callable
+from typing import TypeVar
 
+_T = TypeVar("_T")
 _P = ctypes.c_void_p
 _SIGNATURES = {
     "BN_CTX_new": (_P, []),
@@ -200,25 +198,42 @@ def _bn_mod_exp2(lib: ctypes.CDLL, a1: int, e1: int, a2: int, e2: int, mod: int)
     return scratch.result(mod)
 
 
+def _load(stem: str, setup: Callable[[ctypes.CDLL], _T | None]) -> _T | None:
+    """What ``setup`` makes of the versioned lib``stem``.so.N, or None where it cannot be used.
+
+    ``setup`` declares the functions it uses and returns None unless the
+    library agrees with Python; a failure to load, declare or agree is None too.
+    """
+    name = ctypes.util.find_library(stem)
+    if name is None or not re.fullmatch(rf"lib{stem}\.so\.\d+", name):
+        return None
+    try:
+        return setup(ctypes.CDLL(name))
+    except (OSError, AttributeError, ValueError, MemoryError, ArithmeticError):
+        return None
+
+
+def _declare(lib: ctypes.CDLL, symbol: str, restype, argtypes: list):
+    function = getattr(lib, symbol)
+    function.restype, function.argtypes = restype, argtypes
+    return function
+
+
+def _crypto_setup(lib: ctypes.CDLL) -> ctypes.CDLL | None:
+    for symbol, (restype, argtypes) in _SIGNATURES.items():
+        _declare(lib, symbol, restype, argtypes)
+    base, exp, mod = _CHECK
+    expected = pow(base, exp, mod)
+    agrees = _bn_mod_exp(lib, base, exp, mod) == expected and (
+        _bn_mod_exp2(lib, base, exp, *_CHECK2, mod) == expected * pow(*_CHECK2, mod) % mod
+    )
+    return lib if agrees else None
+
+
 @functools.cache
 def _libcrypto() -> ctypes.CDLL | None:
     """libcrypto with every function used declared, or None where it cannot be used."""
-    name = ctypes.util.find_library("crypto")
-    if name is None or not re.fullmatch(r"libcrypto\.so\.\d+", name):
-        return None
-    base, exp, mod = _CHECK
-    try:
-        lib = ctypes.CDLL(name)
-        for symbol, (restype, argtypes) in _SIGNATURES.items():
-            function = getattr(lib, symbol)
-            function.restype, function.argtypes = restype, argtypes
-        expected = pow(base, exp, mod)
-        agrees = _bn_mod_exp(lib, base, exp, mod) == expected and (
-            _bn_mod_exp2(lib, base, exp, *_CHECK2, mod) == expected * pow(*_CHECK2, mod) % mod
-        )
-    except (OSError, AttributeError, MemoryError, ArithmeticError):
-        return None
-    return lib if agrees else None
+    return _load("crypto", _crypto_setup)
 
 
 def modexp(base: int, exp: int, mod: int) -> int:
@@ -252,10 +267,8 @@ class _Gmp:
 
     def __init__(self, lib: ctypes.CDLL, version: str) -> None:
         self.version = version
-        for name, (symbol, restype, argtypes) in _GMP_SIGNATURES.items():
-            function = getattr(lib, symbol)
-            function.restype, function.argtypes = restype, argtypes
-            setattr(self, name, function)
+        for name, signature in _GMP_SIGNATURES.items():
+            setattr(self, name, _declare(lib, *signature))
 
     def probable_prime(self, n: int) -> bool:
         """mpz_probab_prime_p(n, 24) > 0 on this thread's mpz_t, for n > 0."""
@@ -290,37 +303,112 @@ def _gmp_version(lib: ctypes.CDLL) -> str:
     return ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
 
 
-@functools.cache
-def _libgmp() -> _Gmp | None:
-    """libgmp 6.2 or later, declared; None where it cannot be used."""
-    name = ctypes.util.find_library("gmp")
-    if name is None or not re.fullmatch(r"libgmp\.so\.\d+", name):
+def _gmp_setup(lib: ctypes.CDLL) -> _Gmp | None:
+    version = _gmp_version(lib)
+    release = re.match(r"(\d+)\.(\d+)", version)
+    if release is None or tuple(map(int, release.groups())) < _GMP_MIN_VERSION:
         return None
-    try:
-        lib = ctypes.CDLL(name)
-        version = _gmp_version(lib)
-        release = re.match(r"(\d+)\.(\d+)", version)
-        if release is None or tuple(map(int, release.groups())) < _GMP_MIN_VERSION:
-            return None
-        gmp = _Gmp(lib, version)
-        agrees = all(gmp.probable_prime(n) == verdict for n, verdict in _PRIME_CHECK.items())
-    except (OSError, AttributeError, ValueError):
-        return None
+    gmp = _Gmp(lib, version)
+    agrees = all(gmp.probable_prime(n) == verdict for n, verdict in _PRIME_CHECK.items())
     return gmp if agrees else None
 
 
-def prime_test() -> Callable[[int], bool] | None:
-    """libgmp's Baillie-PSW verdict on an integer n > 0, or None where libgmp is not used.
+@functools.cache
+def _libgmp() -> _Gmp | None:
+    """libgmp 6.2 or later, declared; None where it cannot be used."""
+    return _load("gmp", _gmp_setup)
 
-    It agrees with a base-2 strong test and a Selfridge strong Lucas test
-    on every n unless n is a Baillie-PSW pseudoprime: no such n is known,
-    and none lies below 2^64.
+
+def _strong_probable_prime_base_2(n: int) -> bool:
+    """Strong Fermat (Miller-Rabin) test to base 2 for odd n > 2."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = modexp(2, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters for odd n > 2.
+
+    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
+    P = 1 and Q = (1 - D) / 4.  With n + 1 = d * 2^s, n passes when
+    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A ladder over
+    the bits of d keeps only (V_m, V_(m+1), Q^m), and U_d = 0 is read as
+    2 V_(d+1) - V_d = D U_d = 0: (D/n) = -1 makes D invertible mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    d_param = 5
+    while (symbol := _jacobi(d_param, n)) != -1:
+        if symbol == 0:
+            return False  # gcd(D, n) > 1; a prime n meets a -1 long before |D| = n
+        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
+    q_param = (1 - d_param) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    # (V_1, V_2, Q^1); each bit takes m to 2m or 2m + 1 by
+    # V_2m = V_m^2 - 2Q^m, V_(2m+1) = V_m V_(m+1) - P Q^m and
+    # V_(2m+2) = V_(m+1)^2 - 2Q^(m+1)
+    v, w, qm = 1, (1 - 2 * q_param) % n, q_param % n
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            qw = qm * q_param  # Q^(m+1), reduced in the two uses below
+            v, w = (v * w - qm) % n, (w * w - 2 * qw) % n
+            qm = qm * qw % n
+        else:
+            v, w = (v * v - 2 * qm) % n, (v * w - qm) % n
+            qm = qm * qm % n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qm) % n
+        if v == 0:
+            return True
+        qm = qm * qm % n
+    return False
+
+
+def baillie_psw(*values: int) -> bool:
+    """Baillie-PSW on each of ``values``, odd integers above 2048: do all pass?
+
+    Each verdict is libgmp's mpz_probab_prime_p(n, 24) > 0 where libgmp
+    loaded.  Otherwise the base-2 strong test runs on every value before
+    the strong Lucas test runs on any, so a pair of the safe-prime search
+    pays for a Lucas test only once both halves pass base 2.
     """
     gmp = _libgmp()
-    return None if gmp is None else gmp.probable_prime
+    if gmp is not None:
+        return all(map(gmp.probable_prime, values))
+    return all(map(_strong_probable_prime_base_2, values)) and all(
+        map(_strong_lucas_probable_prime, values)
+    )
 
 
 def prime_backend() -> str:
-    """The GMP version ``prime_test`` runs on, or "python strong tests"."""
+    """The GMP version ``baillie_psw`` runs on, or "python strong tests"."""
     gmp = _libgmp()
     return "python strong tests" if gmp is None else f"GMP {gmp.version}"

@@ -21,7 +21,8 @@ Every mode reports a ``protocol.SessionReport``, written as CSV rows
 (one layout for all modes) plus a JSON summary; with seeded configs
 and virtual clocks both are byte-deterministic.  The summary's
 ``config`` is the settings that ran, in config form, so a virtual-clock
-session replays from it, a vdf session that drew a fresh group included.
+session replays from it; a fresh vdf group replays by its ``modulus_n``
+there, since no seed redraws it.
 
 A config is parsed in one place, ``_session_plan``, once per session
 or daemon: each block is read by the dataclass it configures
@@ -82,7 +83,7 @@ from .wire import (
     WireMessage,
     decode_header,
     decode_record,
-    encode_message,
+    encode_header,
     encode_record,
 )
 from .worksim import SimWorker, WallClock, WorkerProfile
@@ -95,8 +96,19 @@ READ_TIMEOUT_S = 120.0
 
 
 def send_frame(sock: socket.socket, msg: WireMessage) -> None:
+    """Send the header and the payload from where they lie, with no joined copy.
+
+    One ``sendmsg`` sends a small frame, so Nagle's algorithm cannot hold
+    its payload behind its header; ``sendall`` sends what a partial send left.
+    """
+    header = encode_header(msg)
     try:
-        sock.sendall(encode_message(msg))
+        sent = sock.sendmsg([header, msg.payload]) - len(header)
+        if sent < 0:
+            sock.sendall(header[sent:])  # the unsent end of the header
+            sent = 0
+        if sent < len(msg.payload):
+            sock.sendall(memoryview(msg.payload)[sent:])
     except OSError as exc:
         raise TransportError(f"send failed: {exc}") from exc
 
@@ -380,12 +392,11 @@ def _session_plan(config: dict, draw_group: bool = True) -> SessionPlan:
 def _block_plan(mode: str, session: SessionSettings, config: dict, draw_group: bool):
     """The ``mode`` block, parsed by the classes that read it.
 
-    A vdf block without ``modulus_n`` gets a fresh group of
-    ``VdfSettings.modulus_bits``, drawn from an rng of its own seeded by
-    the session seed, not from the session rng: a replay that reads the
-    recorded ``modulus_n`` then draws the same challenges.  A vdf block
-    that does not run, or that a daemon reads, draws none; 15, the least
-    modulus, stands in.
+    A vdf block names ``modulus_n`` or ``modulus_bits``, not both.  One
+    without ``modulus_n`` gets a fresh group of ``modulus_bits``, drawn
+    from the system's randomness: every sidecar records the session seed,
+    and whoever redraws the group learns its factors.  A vdf block that
+    does not run, or that a daemon reads, draws none; 15 stands in.
     A residency block may still name ``argon_memory_kib``, which is
     accepted and ignored: a probe has no memory-hard phase.
     """
@@ -398,11 +409,12 @@ def _block_plan(mode: str, session: SessionSettings, config: dict, draw_group: b
     if mode == "vdf":
         settings, section = _split_block(section, (VdfSettings, VdfParams), mode)
         bits = _parse_fields(VdfSettings, settings).modulus_bits
+        if settings and "modulus_n" in section:
+            raise ValueError("a vdf block names modulus_n or modulus_bits, not both")
         if session.kind != "vdf" or not draw_group:
             section.setdefault("modulus_n", 15)
         elif "modulus_n" not in section:
-            group_rng = random.Random(f"vdf-group-{session.seed}")
-            section["modulus_n"] = setup_group(bits, group_rng).modulus_N
+            section["modulus_n"] = setup_group(bits, random.SystemRandom()).modulus_N
     return asdict(params_for(mode, section))
 
 

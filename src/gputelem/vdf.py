@@ -22,35 +22,25 @@ Verifiable Delay Functions*, ITCS 2019; Boneh, Bunz & Fisch, *A Survey
 of Two Verifiable Delay Functions*, 2018).  eval itself still returns
 g^(2^T) in Z_N*.
 
-Every large exponentiation is one ``_modexp``: OpenSSL's Montgomery
-BN_mod_exp where libcrypto loads, the built-in pow otherwise
-(``_bignum``).  eval is g^(2^T) and a proof pi = g^floor(2^T / q), so a
-prover runs about 2T squarings per instance (Wesolowski, *Efficient
-Verifiable Delay Functions*, 2019).  A verifier's relation pi^q * g^r
-is one ``_modexp2``, a single BN_mod_exp2_mont whose two exponents
-share their squarings.
-Challenge primes come from a Baillie-PSW test, which is deterministic,
-so challenger and worker derive the same prime from a transcript.  The
-search sieves a window of odd candidates at once by the odd primes up
-to 2048, and only the survivors pay for a base-2 strong test, then a
-strong Lucas test; this search is most of what a small-delay batch
-costs to verify, and the prover runs it too.  The two strong tests run
-in libgmp's mpz_probab_prime_p where libgmp 6.2 or later loads
-(``_bignum.prime_test``), and otherwise in this module, the Lucas test
-as a V-only ladder.  The two backends give the same verdict on every
-integer unless a Baillie-PSW pseudoprime exists: none is known, and
-none exists below 2^64, so both find the same primes.
+Every large exponentiation is one ``_modexp``, every product of two
+powers one ``_modexp2`` and every Baillie-PSW verdict one
+``_bignum.baillie_psw``: ``_bignum`` alone decides where each runs.
+eval is g^(2^T) and a proof pi = g^floor(2^T / q), so a prover runs
+about 2T squarings per instance (Wesolowski, *Efficient Verifiable
+Delay Functions*, 2019), and a verifier's relation pi^q * g^r is one
+``_modexp2``.  Baillie-PSW is deterministic, so challenger and worker
+derive the same challenge prime from a transcript.  Its search sieves
+windows of odd candidates by the odd primes up to 2048 before any
+verdict; it is most of what a small-delay batch costs to verify, and
+the prover runs it too.
 
 Group setup uses safe primes so the quadratic-residue subgroup has
 prime-order structure; test fixtures keep the factorization around as a
 trapdoor oracle (exponent reduction via the group exponent), which is
-exactly the shortcut the construction denies to everyone else.  The
-safe-prime search sieves each window of candidates p' for both p' and
-2p' + 1 at once with the primes below 2^16 (Wiener, *Safe Prime
-Generation with a Combined Sieve*, 2003), so the strong tests run on
-about 80 of every 4096 candidates, in the order a plain scan would
-test them.  Both prime searches share one window sieve,
-``_WindowSieve``.
+exactly the shortcut the construction denies to everyone else.  Both
+prime searches share one window sieve, ``_WindowSieve``; the safe-prime
+search sieves p' and 2p' + 1 at once, so about 80 of every 4096
+candidates reach a verdict, in the order a plain scan would test them.
 """
 
 from __future__ import annotations
@@ -181,111 +171,17 @@ _CHALLENGE_PRIME_SIEVE = _WindowSieve(
 )
 
 
-def _strong_probable_prime_base_2(n: int) -> bool:
-    """Strong Fermat (Miller-Rabin) test to base 2 for odd n > 2."""
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    x = _modexp(2, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while not a & 1:
-            a >>= 1
-            if n & 7 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a & 3 == 3 and n & 3 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n: int) -> bool:
-    """Strong Lucas test with Selfridge's parameters for odd n > 2.
-
-    D is the first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1,
-    P = 1 and Q = (1 - D) / 4.  With n + 1 = d * 2^s, n passes when
-    U_d = 0 or V_(d 2^r) = 0 (mod n) for some 0 <= r < s.  A ladder over
-    the bits of d keeps only (V_m, V_(m+1), Q^m), and U_d = 0 is read as
-    2 V_(d+1) - V_d = D U_d = 0: (D/n) = -1 makes D invertible mod n.
-    """
-    if math.isqrt(n) ** 2 == n:
-        return False  # no D with (D/n) = -1 exists for a square
-    d_param = 5
-    while (symbol := _jacobi(d_param, n)) != -1:
-        if symbol == 0:
-            return False  # gcd(D, n) > 1; a prime n meets a -1 long before |D| = n
-        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
-    q_param = (1 - d_param) // 4
-    k = n + 1
-    s = (k & -k).bit_length() - 1
-    k >>= s
-    # (V_1, V_2, Q^1); each bit takes m to 2m or 2m + 1 by
-    # V_2m = V_m^2 - 2Q^m, V_(2m+1) = V_m V_(m+1) - P Q^m and
-    # V_(2m+2) = V_(m+1)^2 - 2Q^(m+1)
-    v, w, qm = 1, (1 - 2 * q_param) % n, q_param % n
-    for bit in bin(k)[3:]:
-        if bit == "1":
-            qw = qm * q_param  # Q^(m+1), reduced in the two uses below
-            v, w = (v * w - qm) % n, (w * w - 2 * qw) % n
-            qm = qm * qw % n
-        else:
-            v, w = (v * v - 2 * qm) % n, (v * w - qm) % n
-            qm = qm * qm % n
-    if v == 0 or (2 * w - v) % n == 0:
-        return True
-    for _ in range(s - 1):
-        v = (v * v - 2 * qm) % n
-        if v == 0:
-            return True
-        qm = qm * qm % n
-    return False
-
-
-def _baillie_psw(*values: int) -> bool:
-    """Baillie-PSW on each of ``values``, odd integers above _SIEVE_LIMIT: do all pass?
-
-    Each verdict is libgmp's mpz_probab_prime_p(n, 24) > 0 where libgmp
-    loaded (``_bignum.prime_test``).  Otherwise the base-2 strong test
-    runs on every value before the strong Lucas test runs on any, so a
-    pair of the safe-prime search pays for a Lucas test only once both
-    halves pass base 2.  The two give the same verdict on every n but a
-    Baillie-PSW pseudoprime, and none is known.
-    """
-    test = _bignum.prime_test()
-    if test is not None:
-        return all(map(test, values))
-    return all(map(_strong_probable_prime_base_2, values)) and all(
-        map(_strong_lucas_probable_prime, values)
-    )
-
-
 def is_probable_prime(n: int) -> bool:
     """Baillie-PSW: a small-prime sieve, then strong tests to base 2 and Lucas.
 
     The sieve is one gcd against the primorial of the primes up to 2048.
-    Numbers up to 2048 are looked up exactly.  The strong tests run in
-    libgmp where it loaded and in this module otherwise (``_baillie_psw``);
-    both give the same verdict on every integer unless a Baillie-PSW
-    pseudoprime exists: none is known, and none exists below 2^64.  The
-    test is deterministic, so hash-derived primes are reproducible
-    across challenger and worker.
+    Numbers up to 2048 are looked up exactly, and the rest that pass the
+    sieve get ``_bignum.baillie_psw``.  The test is deterministic, so
+    hash-derived primes are reproducible across challenger and worker.
     """
     if n <= _SIEVE_LIMIT:
         return n in _SMALL_PRIMES
-    return math.gcd(n, _PRIMORIAL) == 1 and _baillie_psw(n)
+    return math.gcd(n, _PRIMORIAL) == 1 and _bignum.baillie_psw(n)
 
 
 def _random_safe_prime(bits: int, rng: random.Random) -> int:
@@ -318,7 +214,7 @@ def _random_safe_prime(bits: int, rng: random.Random) -> int:
                 if is_probable_prime(p_half) and is_probable_prime(p):
                     return p
             # the sieve stands in for is_probable_prime's gcd on both
-            elif _baillie_psw(p_half, p):
+            elif _bignum.baillie_psw(p_half, p):
                 return p
     raise RuntimeError(f"safe-prime search exhausted after {_SAFE_PRIME_DRAWS} draws")
 
@@ -498,8 +394,7 @@ def eval(g: int, delay_t: int, modulus_n: int) -> int:  # noqa: A001 - contract 
 
     This chain is the delay: each squaring consumes the previous result,
     so no amount of parallel hardware shortens it.  It runs as one
-    ``_modexp(g, 2^T, N)``; on OpenSSL that also builds the fixed window
-    table of about 32 multiplications, whatever T is.
+    ``_modexp(g, 2^T, N)``.
     """
     if not 2 <= g <= modulus_n - 1:
         raise ValueError("generator out of range")
@@ -549,14 +444,14 @@ def _next_probable_prime(cand: int) -> int:
     Each window of _PRIME_WINDOW odd candidates is sieved once by the
     odd primes up to _SIEVE_LIMIT, which drops exactly the n that
     is_probable_prime's gcd refuses, so no candidate pays for a gcd; the
-    survivors get ``_baillie_psw``, in order.  The residues are taken
-    afresh for each window, so a search that crosses 2^128 sieves the
-    wider values by their own limbs.
+    survivors get ``_bignum.baillie_psw``, in order.  The residues are
+    taken afresh for each window, so a search that crosses 2^128 sieves
+    the wider values by their own limbs.
     """
     while True:
         for j in _CHALLENGE_PRIME_SIEVE.survivors(cand, _PRIME_WINDOW):
             n = cand + 2 * j
-            if _baillie_psw(n):
+            if _bignum.baillie_psw(n):
                 return n
         cand += 2 * _PRIME_WINDOW
 

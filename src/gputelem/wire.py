@@ -103,8 +103,12 @@ class WireMessage:
             raise ValueError("payload exceeds the 256 MiB cap")
 
 
+def encode_header(msg: WireMessage) -> bytes:
+    return bytes((VERSION, msg.msg_type)) + len(msg.payload).to_bytes(4, "big")
+
+
 def encode_message(msg: WireMessage) -> bytes:
-    return bytes((VERSION, msg.msg_type)) + len(msg.payload).to_bytes(4, "big") + msg.payload
+    return encode_header(msg) + msg.payload
 
 
 def decode_header(header: bytes) -> tuple[int, int]:

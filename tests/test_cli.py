@@ -15,6 +15,9 @@ import pytest
 from gputelem import cli, gemm, netcli, residency, wire
 from gputelem.worksim import WorkerProfile
 
+# vdf.setup_group(128, random.Random(1)).modulus_N
+_MODULUS_128 = 0xA83F7B1F0A6E7073B59999D6A360EA01
+
 
 @pytest.fixture(scope="module")
 def daemon():
@@ -181,6 +184,8 @@ def test_challenger_refuses_bad_residency_values_before_connecting(
         ({"t_min": 10, "t_max": 5}, "t_max"),
         ({"modulus_n": 1080}, "modulus_n"),
         ({"modulus_bits": 32}, "modulus_bits"),
+        # a fresh group's size beside a named modulus: one of them would be ignored
+        ({"modulus_n": _MODULUS_128, "modulus_bits": 2048}, "modulus_bits"),
         ({"instances": 10**8}, "instances"),
         ({"t_max": 2**40}, "t_max"),
         ({"modulus_n": (1 << 14279) | 1}, "modulus_n"),
@@ -406,12 +411,13 @@ def test_worker_invalid_profile_value_fails_before_serving(tmp_path, capsys):
     [
         ({"vdf": {"modulus_bitz": 1}, "pow": {"difficuly": 3}}, "difficuly"),
         ({"vdf": {"modulus_bitz": 1}}, "modulus_bitz"),
+        ({"vdf": {"modulus_n": _MODULUS_128, "modulus_bits": 2048}}, "modulus_bits"),
         ({"residency": {"dataset_mib": 0}}, "dataset_mib"),
         ({"gemm": {"dimension_n": gemm._MAX_DIM + 1}}, "dimension"),
         ({"bandwidth": {"hbm_bww": 1}}, "hbm_bww"),
         ({"lamda_min": 5.0}, "lamda_min"),
     ],
-    ids=["pow", "vdf", "residency", "gemm", "bandwidth", "top-level"],
+    ids=["pow", "vdf", "vdf-modulus-twice", "residency", "gemm", "bandwidth", "top-level"],
 )
 def test_worker_refuses_a_bad_block_before_serving(tmp_path, monkeypatch, capsys, blocks, key):
     """``worker serve`` parses every block of its file, as ``challenger run`` does."""

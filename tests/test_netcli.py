@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 import yaml
 
-from gputelem import cli, netcli
+from gputelem import cli, netcli, vdf
 from gputelem.protocol import (
     ProtocolError,
     SessionDriver,
@@ -48,6 +48,7 @@ from gputelem.wire import (
     WireDecodeError,
     WireMessage,
     decode_record,
+    encode_message,
     encode_record,
 )
 from gputelem.worksim import SimWorker, WorkerProfile
@@ -132,7 +133,7 @@ def test_recv_frame_refuses_bad_header_before_the_payload():
 def test_recv_frame_holds_one_copy_of_a_large_payload():
     """An n = 1024 gemm product's 8 MiB, received into one buffer and decoded leaf by leaf."""
     message = WireMessage(MSG_RESPONSE_BATCH, encode_record({"product": bytes(range(256)) * (1 << 15)}))
-    frame = netcli.encode_message(message)
+    frame = encode_message(message)
     size = len(message.payload)
     a, b = socket.socketpair()
     sender = threading.Thread(target=a.sendall, args=(frame,), daemon=True)
@@ -155,6 +156,81 @@ def test_recv_frame_holds_one_copy_of_a_large_payload():
     # the payload and the one byte string cut from it
     assert decode_peak < 2.1 * size, f"decoding peaked at {decode_peak / size:.2f}x the payload"
 
+
+
+def test_send_frame_holds_no_copy_of_a_large_payload():
+    """An 8 MiB frame goes out from its payload, drained into a buffer made before tracing."""
+    message = WireMessage(MSG_RESPONSE_BATCH, bytes(range(256)) * (1 << 15))
+    frame = encode_message(message)
+    a, b = socket.socketpair()
+    drained = bytearray(len(frame))
+
+    def drain():
+        with memoryview(drained) as view:
+            received = 0
+            while received < len(drained) and (count := b.recv_into(view[received:])):
+                received += count
+
+    reader = threading.Thread(target=drain, daemon=True)
+    tracemalloc.start()
+    try:
+        reader.start()
+        netcli.send_frame(a, message)
+        reader.join(timeout=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        a.close()
+        b.close()
+    assert not reader.is_alive()
+    assert drained == frame
+    assert peak < 1 << 20, f"sending peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_send_frame_goes_on_after_a_partial_send():
+    class Trickle:
+        """A socket whose every send takes at most 4 bytes: the first stops inside the header."""
+
+        def __init__(self):
+            self.sent = bytearray()
+
+        def sendmsg(self, buffers):
+            joined = b"".join(bytes(view) for view in buffers)[:4]
+            self.sent += joined
+            return len(joined)
+
+        def sendall(self, data):
+            data = memoryview(data)
+            while data:
+                data = data[self.sendmsg([data]) :]
+
+    message = WireMessage(MSG_PRE_CHALLENGE, encode_record({"kind": "pow"}))
+    sock = Trickle()
+    netcli.send_frame(sock, message)
+    assert sock.sent == encode_message(message)
+
+
+def test_send_frame_sends_a_small_frame_in_one_call():
+    """Header and payload leave in one system call, so no delayed ACK holds the payload."""
+
+    class Counted:
+        def __init__(self, sock):
+            self.sock, self.calls = sock, 0
+
+        def sendmsg(self, buffers):
+            self.calls += 1
+            return self.sock.sendmsg(buffers)
+
+    a, b = socket.socketpair()
+    try:
+        message = WireMessage(MSG_PRE_CHALLENGE, encode_record({"kind": "pow"}))
+        counted = Counted(a)
+        netcli.send_frame(counted, message)
+        assert netcli.recv_frame(b) == message
+    finally:
+        a.close()
+        b.close()
+    assert counted.calls == 1
 
 
 def test_recv_frame_reserves_little_for_a_header_alone():
@@ -447,6 +523,26 @@ def test_report_config_records_a_fresh_vdf_group():
     modulus_n = report.config["vdf"]["modulus_n"]
     assert isinstance(modulus_n, int) and modulus_n.bit_length() == 128
     assert report.config["vdf"]["instances"] == 4
+
+
+def test_two_sessions_on_one_seed_draw_different_vdf_groups():
+    """The group is not drawn from the seed, which every sidecar records:
+    whoever could redraw it would hold its factors and skip the delay."""
+    config = {"rounds": 1, "vdf": {"modulus_bits": 128, "t_min": 16, "t_max": 32}}
+    moduli = {
+        netcli.run_local_session("vdf", WorkerProfile(), config, seed=0).config["vdf"]["modulus_n"]
+        for _ in range(2)
+    }
+    assert len(moduli) == 2
+    assert vdf.setup_group(128, random.Random("vdf-group-0")).modulus_N not in moduli
+
+
+def test_a_vdf_block_names_modulus_n_or_modulus_bits_not_both():
+    block = {**_SMALL_BLOCKS["vdf"], "modulus_bits": 2048}
+    with pytest.raises(ValueError, match="modulus_bits"):
+        netcli.run_local_session("vdf", WorkerProfile(), {"rounds": 1, "vdf": block}, seed=1)
+    with pytest.raises(ValueError, match="modulus_bits"):
+        netcli.worker_server({"vdf": block, "listen": "127.0.0.1:0"})
 
 
 def test_a_fresh_vdf_group_session_replays_from_its_own_sidecar(tmp_path):

@@ -64,13 +64,13 @@ def test_baillie_psw_rejects_base_2_strong_pseudoprimes():
     # Carmichael number and 3511^2 a Wieferich square, and neither has a
     # factor the small-prime sieve would catch
     for n in (2047, 3277, 3215031751, 168003672409, 3511**2, 3825123056546413051):
-        assert vdf._strong_probable_prime_base_2(n), n
-        assert not vdf._strong_lucas_probable_prime(n), n
+        assert _bignum._strong_probable_prime_base_2(n), n
+        assert not _bignum._strong_lucas_probable_prime(n), n
         assert not vdf.is_probable_prime(n)
     # strong Lucas pseudoprimes (Selfridge parameters)
     for n in (5459, 5777, 10877):
-        assert vdf._strong_lucas_probable_prime(n), n
-        assert not vdf._strong_probable_prime_base_2(n), n
+        assert _bignum._strong_lucas_probable_prime(n), n
+        assert not _bignum._strong_probable_prime_base_2(n), n
         assert not vdf.is_probable_prime(n)
 
 
@@ -79,7 +79,7 @@ def _reference_strong_lucas(n):
     if math.isqrt(n) ** 2 == n:
         return False
     d_param = 5
-    while (symbol := vdf._jacobi(d_param, n)) != -1:
+    while (symbol := _bignum._jacobi(d_param, n)) != -1:
         if symbol == 0:
             return False
         d_param = -d_param - 2 if d_param > 0 else -d_param + 2
@@ -109,7 +109,7 @@ def _reference_strong_lucas(n):
 
 def test_v_only_lucas_ladder_agrees_with_the_u_v_ladder_below_2e5():
     for n in range(3, 200_000, 2):
-        assert vdf._strong_lucas_probable_prime(n) == _reference_strong_lucas(n), n
+        assert _bignum._strong_lucas_probable_prime(n) == _reference_strong_lucas(n), n
 
 
 def test_v_only_lucas_ladder_agrees_with_the_u_v_ladder_at_128_and_256_bits():
@@ -118,13 +118,13 @@ def test_v_only_lucas_ladder_agrees_with_the_u_v_ladder_at_128_and_256_bits():
     for bits in (128, 256):
         for _ in range(3000):
             n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
-            verdict = vdf._strong_lucas_probable_prime(n)
+            verdict = _bignum._strong_lucas_probable_prime(n)
             assert verdict == _reference_strong_lucas(n), n
             passed += verdict
     # challenge primes: the verdict both ladders must give True
     for i in range(50):
         prime = vdf.hash_to_prime(encode_fields("lucas-ladder", i))
-        assert vdf._strong_lucas_probable_prime(prime) and _reference_strong_lucas(prime)
+        assert _bignum._strong_lucas_probable_prime(prime) and _reference_strong_lucas(prime)
     assert passed > 0  # random odd n at these widths include primes
 
 
@@ -132,7 +132,7 @@ def test_strong_lucas_pseudoprimes_pass_both_ladders():
     # the first five strong Lucas pseudoprimes (OEIS A217255)
     for n in (5459, 5777, 10877, 16109, 18971):
         assert not sympy.isprime(n)
-        assert vdf._strong_lucas_probable_prime(n) and _reference_strong_lucas(n), n
+        assert _bignum._strong_lucas_probable_prime(n) and _reference_strong_lucas(n), n
 
 
 def test_baillie_psw_rejects_carmichael_numbers():
@@ -976,14 +976,13 @@ def test_modexp2_frees_every_montgomery_context_it_makes(monkeypatch):
 
 
 def _python_baillie_psw(n):
-    return vdf._strong_probable_prime_base_2(n) and vdf._strong_lucas_probable_prime(n)
+    return _bignum._strong_probable_prime_base_2(n) and _bignum._strong_lucas_probable_prime(n)
 
 
 def _libgmp_test():
-    test = _bignum.prime_test()
-    if test is None:
+    if _bignum._libgmp() is None:
         pytest.skip("libgmp did not load: the strong tests run in Python alone")
-    return test
+    return _bignum.baillie_psw
 
 
 def test_the_load_check_verdicts_are_the_python_tests_verdicts():
@@ -1029,7 +1028,6 @@ def test_primality_is_python_unless_a_versioned_libgmp_6_2_loads_and_agrees(monk
     def refused():
         _bignum._libgmp.cache_clear()
         assert _bignum._libgmp() is None
-        assert _bignum.prime_test() is None
         assert _bignum.prime_backend() == "python strong tests"
         assert vdf.hash_to_prime(b"transcript-a") == 0xD3AED92E9769E5F48A21ABE9EC87282D
 
@@ -1063,6 +1061,31 @@ def test_primality_is_python_unless_a_versioned_libgmp_6_2_loads_and_agrees(monk
     finally:
         monkeypatch.undo()
         _bignum._libgmp.cache_clear()
+
+
+def test_load_turns_a_failing_setup_into_none():
+    for error in (OSError, AttributeError, ValueError, MemoryError, ArithmeticError):
+
+        def setup(lib, error=error):
+            raise error("refused")
+
+        assert _bignum._load("crypto", setup) is None
+    assert _bignum._load("no-such-library", lambda lib: lib) is None
+
+
+@pytest.mark.parametrize("backend", ["libgmp", "python"])
+def test_baillie_psw_of_several_values_fails_when_any_one_fails(backend, monkeypatch):
+    if backend == "python":
+        monkeypatch.setattr(_bignum, "_libgmp", lambda: None)
+    else:
+        _libgmp_test()
+    primes = (2**89 - 1, 2**127 - 1, 2**255 - 19)
+    assert _bignum.baillie_psw(*primes)
+    # a base-2 and a Lucas strong pseudoprime, a square and a semiprime
+    for composite in (3215031751, 1033997, 1093**2, (2**89 - 1) * (2**127 - 1)):
+        for i in range(len(primes) + 1):
+            values = (*primes[:i], composite, *primes[i:])
+            assert not _bignum.baillie_psw(*values), (composite, i)
 
 
 def test_a_threads_mpz_is_cleared_when_the_thread_ends(monkeypatch):
@@ -1158,7 +1181,7 @@ def test_on_builtin_pow(check, builtin_pow, request):
 
 @pytest.fixture
 def python_primality(monkeypatch):
-    """Every Baillie-PSW verdict on the fallback backend, this module's strong tests."""
+    """Every Baillie-PSW verdict on the fallback backend, ``_bignum``'s strong tests."""
     monkeypatch.setattr(_bignum, "_libgmp", lambda: None)
 
 
@@ -1177,7 +1200,7 @@ def python_primality(monkeypatch):
 )
 def test_on_python_primality(check, python_primality, request):
     """The prime-search and safe-prime known answers, on the fallback primality backend."""
-    assert _bignum.prime_test() is None
+    assert _bignum.prime_backend() == "python strong tests"
     names = inspect.signature(check).parameters
     check(*(request.getfixturevalue(name) for name in names))
 
@@ -1186,13 +1209,13 @@ def test_without_libgmp_a_safe_prime_pair_passes_base_2_before_either_lucas_test
     python_primality, monkeypatch
 ):
     calls = []
-    base_2, lucas = vdf._strong_probable_prime_base_2, vdf._strong_lucas_probable_prime
+    base_2, lucas = _bignum._strong_probable_prime_base_2, _bignum._strong_lucas_probable_prime
 
     def logged(name, test):
         return lambda n: (calls.append((name, n)), test(n))[1]
 
-    monkeypatch.setattr(vdf, "_strong_probable_prime_base_2", logged("base 2", base_2))
-    monkeypatch.setattr(vdf, "_strong_lucas_probable_prime", logged("lucas", lucas))
+    monkeypatch.setattr(_bignum, "_strong_probable_prime_base_2", logged("base 2", base_2))
+    monkeypatch.setattr(_bignum, "_strong_lucas_probable_prime", logged("lucas", lucas))
     for seed in range(3):
         calls.clear()
         p = vdf._random_safe_prime(256, random.Random(seed))
